@@ -1,6 +1,6 @@
 """Contexts, spectral presheaves and contextual truth values.
 
-A small library for studying quantum systems of dimension 2 to 8 through
+A small library for studying quantum systems of dimension 2 to 16 through
 the topos of presheaves over their poset of commutative subalgebras:
 contexts as partitions of unity, the spectral presheaf, inner and outer
 daseinisation, Heyting-valued truth, and exhaustive searches for global

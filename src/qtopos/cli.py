@@ -198,8 +198,7 @@ def _cmd_ks(args) -> dict:
     scn = _load_scenario(args.scenario)
     poset = _poset_of(scn)
     presheaf = quantum.spectral_presheaf(poset, scn.tolerance)
-    result = quantum.ks_search(presheaf, max_solutions=args.max_solutions,
-                               tol=scn.tolerance)
+    result = quantum.ks_search(presheaf, max_solutions=args.max_solutions)
     report = _envelope("ks", scn)
     report.update({
         "status": result.status,

@@ -4,7 +4,10 @@ Implements presheaves of finite sets together with the categorical
 structure the quantum layer needs: subobjects, the subobject classifier,
 Heyting operations, exponentials, power objects and lower-set truth values.
 Everything is enumerated explicitly; guards turn combinatorial blow-ups
-into ``SizeLimit`` errors instead of hangs.
+into ``SizeLimit`` errors instead of hangs.  Every enumeration, and the
+global-section search of the quantum layer, runs on the one explicit-stack
+engine ``depth_first``, so search depth is bounded by the size guards and
+not by Python's recursion limit.
 
 Conventions
 -----------
@@ -99,6 +102,34 @@ def finposet(elements, pairs=()) -> FinPoset:
     return FinPoset(elements=elems, leq=leq)
 
 
+def depth_first(order, options):
+    """Every assignment to ``order`` that ``options`` allows, depth first.
+
+    ``options(element, chosen)`` gives the values open to ``element``; it may
+    read ``chosen`` only at the elements before it in ``order``.  Assignments
+    come out as fresh dicts keyed in ``order``, ordered lexicographically by
+    the option sequences.  The search keeps an explicit stack and asks for
+    options lazily, so a caller that stops early leaves the rest unasked.
+    """
+    if not order:
+        yield {}
+        return
+    last = len(order) - 1
+    chosen: dict = {}
+    stack = [iter(options(order[0], chosen))]
+    while stack:
+        depth = len(stack) - 1
+        for value in stack[-1]:
+            chosen[order[depth]] = value
+            if depth == last:
+                yield dict(chosen)
+            else:
+                stack.append(iter(options(order[depth + 1], chosen)))
+                break
+        else:
+            stack.pop()
+
+
 def _extension_desc(base: FinPoset) -> list[str]:
     """A linear extension listing every element after all strictly above it."""
     placed: list[str] = []
@@ -109,6 +140,12 @@ def _extension_desc(base: FinPoset) -> list[str]:
         placed.extend(ready)
         remaining.difference_update(ready)
     return placed
+
+
+def _uppers(base: FinPoset, order: list[str]) -> dict:
+    """For each element, the earlier elements of ``order`` above it."""
+    return {u: [w for w in order[:i] if base.le(u, w)]
+            for i, u in enumerate(order)}
 
 
 @dataclass(frozen=True)
@@ -281,6 +318,32 @@ def nat_transform(source: Presheaf, target: Presheaf, components) -> NatTransfor
     return NatTransform(source=source, target=target, components=comps)
 
 
+def _natural_families(x: Presheaf, y: Presheaf, order: list[str]) -> list[dict]:
+    """All natural families ``f_u : x(u) -> y(u)`` over the elements of ``order``.
+
+    ``order`` lists a down-closed set of elements, each after all above it.
+    Naturality against the chosen ``f_w`` above ``u`` fixes ``f_u`` on the
+    images of ``x(w)``; only the other points of ``x(u)`` are enumerated, so
+    families come out in the lexicographic order of their graphs.
+    """
+    uppers = _uppers(x.base, order)
+
+    def options(u, chosen):
+        fixed: dict = {}
+        for w in uppers[u]:
+            fw = chosen[w]
+            for pt in x.sets[w]:
+                image = y.restrict(fw[pt], w, u)
+                if fixed.setdefault(x.restrict(pt, w, u), image) != image:
+                    return
+        points = x.sets[u]
+        for images in itertools.product(*((fixed[pt],) if pt in fixed
+                                          else y.sets[u] for pt in points)):
+            yield dict(zip(points, images))
+
+    return list(depth_first(order, options))
+
+
 def terminal(base: FinPoset) -> Presheaf:
     """The terminal presheaf: one point everywhere."""
     sets = {v: ("*",) for v in base.elements}
@@ -299,33 +362,9 @@ def global_elements(x: Presheaf) -> list[NatTransform]:
                 f"global-element search space exceeds {GLOBAL_SEARCH_LIMIT}")
     if space == 0:
         return []
-    order = _extension_desc(base)
-    uppers = {v: [u for u in order[:i] if base.le(v, u)]
-              for i, v in enumerate(order)}
-    results: list[dict] = []
-    assign: dict = {}
-
-    def rec(i: int) -> None:
-        if i == len(order):
-            results.append(dict(assign))
-            return
-        v = order[i]
-        ups = uppers[v]
-        if ups:
-            forced = x.restrict(assign[ups[0]], ups[0], v)
-            candidates = (forced,)
-        else:
-            candidates = x.sets[v]
-        for pt in candidates:
-            if all(x.restrict(assign[u], u, v) == pt for u in ups):
-                assign[v] = pt
-                rec(i + 1)
-                del assign[v]
-
-    rec(0)
     one = terminal(base)
-    return [nat_transform(one, x, {v: {"*": pts[v]} for v in base.elements})
-            for pts in results]
+    return [nat_transform(one, x, fam)
+            for fam in _natural_families(one, x, _extension_desc(base))]
 
 
 def _lower_sets_below(base: FinPoset, dv: tuple[str, ...],
@@ -333,23 +372,15 @@ def _lower_sets_below(base: FinPoset, dv: tuple[str, ...],
     """All downward-closed subsets of ``dv``, each as a tuple in dv order."""
     ascending = [u for u in reversed(_extension_desc(base)) if u in dv]
     preds = {u: [w for w in dv if w != u and base.le(w, u)] for u in dv}
+
+    def options(u, inside):
+        return (False, True) if all(inside[w] for w in preds[u]) else (False,)
+
     out: list[tuple] = []
-    current: set = set()
-
-    def rec(i: int) -> None:
-        if i == len(ascending):
-            out.append(tuple(u for u in dv if u in current))
-            if len(out) > limit:
-                raise SizeLimit(f"more than {limit} sieves in one component")
-            return
-        u = ascending[i]
-        rec(i + 1)
-        if all(w in current for w in preds[u]):
-            current.add(u)
-            rec(i + 1)
-            current.remove(u)
-
-    rec(0)
+    for inside in depth_first(ascending, options):
+        out.append(tuple(u for u in dv if inside[u]))
+        if len(out) > limit:
+            raise SizeLimit(f"more than {limit} sieves in one component")
     return out
 
 
@@ -457,14 +488,6 @@ def product(a: Presheaf, b: Presheaf) -> Presheaf:
     return presheaf(base, sets, restr)
 
 
-def _function_space(domain: tuple, codomain: tuple) -> list[dict]:
-    """All functions domain -> codomain as dicts, in canonical order."""
-    out = []
-    for images in itertools.product(codomain, repeat=len(domain)):
-        out.append(dict(zip(domain, images)))
-    return out
-
-
 def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
     """The presheaf of natural partial families ``b ** a``.
 
@@ -487,33 +510,7 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
         if bound > COMPONENT_LIMIT:
             raise SizeLimit(
                 f"exponential component at {v!r} exceeds {COMPONENT_LIMIT}")
-        order = [u for u in order_all if u in dv]
-        uppers = {u: [w for w in order[:i] if base.le(u, w)]
-                  for i, u in enumerate(order)}
-        families: list[dict] = []
-        chosen: dict = {}
-
-        def rec(i: int) -> None:
-            if i == len(order):
-                families.append(dict(chosen))
-                return
-            u = order[i]
-            for fn in _function_space(a.sets[u], b.sets[u]):
-                natural = True
-                for w in uppers[u]:
-                    fw = chosen[w]
-                    for pt in a.sets[w]:
-                        if b.restrict(fw[pt], w, u) != fn[a.restrict(pt, w, u)]:
-                            natural = False
-                            break
-                    if not natural:
-                        break
-                if natural:
-                    chosen[u] = fn
-                    rec(i + 1)
-                    del chosen[u]
-
-        rec(0)
+        families = _natural_families(a, b, [u for u in order_all if u in dv])
         encoded = [tuple((u, tuple((pt, fam[u][pt]) for pt in a.sets[u]))
                    for u in dv)
                    for fam in families]
@@ -530,32 +527,23 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
 def _relative_subobjects(x: Presheaf, elems: tuple[str, ...],
                          limit: int = COMPONENT_LIMIT) -> list[dict]:
     """All families S(u) <= x(u) over ``elems`` closed under restriction."""
-    base = x.base
-    order = [u for u in _extension_desc(base) if u in elems]
-    uppers = {u: [w for w in order[:i] if base.le(u, w)]
-              for i, u in enumerate(order)}
-    families: list[dict] = []
-    chosen: dict = {}
+    order = [u for u in _extension_desc(x.base) if u in elems]
+    uppers = _uppers(x.base, order)
 
-    def rec(i: int) -> None:
-        if i == len(order):
-            families.append(dict(chosen))
-            if len(families) > limit:
-                raise SizeLimit(f"more than {limit} relative subobjects")
-            return
-        u = order[i]
+    def options(u, chosen):
         forced = set()
         for w in uppers[u]:
             forced.update(x.restrict(pt, w, u) for pt in chosen[w])
-        fixed = _sorted_points(forced)
         free = [pt for pt in x.sets[u] if pt not in forced]
         for mask in range(2 ** len(free)):
-            extra = [free[i2] for i2 in range(len(free)) if mask >> i2 & 1]
-            chosen[u] = _sorted_points(set(fixed) | set(extra))
-            rec(i + 1)
-        del chosen[u]
+            yield _sorted_points(forced.union(
+                pt for i, pt in enumerate(free) if mask >> i & 1))
 
-    rec(0)
+    families: list[dict] = []
+    for fam in depth_first(order, options):
+        families.append(fam)
+        if len(families) > limit:
+            raise SizeLimit(f"more than {limit} relative subobjects")
     return families
 
 
@@ -596,7 +584,7 @@ def name_of(k: Subobject) -> NatTransform:
 
 
 def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
-    """All natural transformations x -> y, enumerated by backtracking."""
+    """All natural transformations x -> y, in lexicographic order."""
     if x.base != y.base:
         raise BaseMismatch("presheaves live over different posets")
     base = x.base
@@ -607,34 +595,8 @@ def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
             return []
         if bound > GLOBAL_SEARCH_LIMIT:
             raise SizeLimit(f"hom-set search space exceeds {GLOBAL_SEARCH_LIMIT}")
-    order = _extension_desc(base)
-    uppers = {v: [u for u in order[:i] if base.le(v, u)]
-              for i, v in enumerate(order)}
-    results: list[dict] = []
-    chosen: dict = {}
-
-    def rec(i: int) -> None:
-        if i == len(order):
-            results.append(dict(chosen))
-            return
-        v = order[i]
-        for fn in _function_space(x.sets[v], y.sets[v]):
-            natural = True
-            for u in uppers[v]:
-                fu = chosen[u]
-                for pt in x.sets[u]:
-                    if y.restrict(fu[pt], u, v) != fn[x.restrict(pt, u, v)]:
-                        natural = False
-                        break
-                if not natural:
-                    break
-            if natural:
-                chosen[v] = fn
-                rec(i + 1)
-                del chosen[v]
-
-    rec(0)
-    return [nat_transform(x, y, comps) for comps in results]
+    return [nat_transform(x, y, comps)
+            for comps in _natural_families(x, y, _extension_desc(base))]
 
 
 def truth_value_membership(x: NatTransform, k: Subobject) -> LowerSet:

@@ -11,7 +11,6 @@ decides whether a noncontextual valuation exists at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,6 +165,14 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
     return kernel.subobject(presheaf.underlying, parts)
 
 
+def _unit_state(psi, dim: int, tol: Tolerance) -> np.ndarray:
+    vec = as_vector(psi, dim)
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > tol.eps:
+        raise NotUnitNorm(f"state norm {norm!r} is not 1 within tolerance")
+    return vec
+
+
 @dataclass(frozen=True, eq=False)
 class PseudoState:
     """A unit vector as a subobject: its support blocks in every context."""
@@ -176,10 +183,7 @@ class PseudoState:
 
 def pseudo_state(psi, presheaf: SpectralPresheaf,
                  tol: Tolerance = Tolerance()) -> PseudoState:
-    vec = as_vector(psi, presheaf.poset.dim)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol.eps:
-        raise NotUnitNorm(f"state norm {norm!r} is not 1 within tolerance")
+    vec = _unit_state(psi, presheaf.poset.dim, tol)
     proj = np.outer(vec, vec.conj())
     sub = delta_subobject(proj, presheaf, tol)
     for key, part in sub.parts.items():
@@ -205,10 +209,7 @@ class TruthObject:
 
 def truth_object(psi, poset: ContextPoset,
                  tol: Tolerance = Tolerance()) -> TruthObject:
-    vec = as_vector(psi, poset.dim)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol.eps:
-        raise NotUnitNorm(f"state norm {norm!r} is not 1 within tolerance")
+    vec = _unit_state(psi, poset.dim, tol)
     members = {}
     for ctx in poset.contexts:
         weights = [float(np.vdot(vec, p @ vec).real) for p in ctx.blocks]
@@ -242,10 +243,7 @@ def truth_value_pseudo(projector, psi, presheaf: SpectralPresheaf,
 def truth_value_truthobject(projector, psi, poset: ContextPoset,
                             tol: Tolerance = Tolerance()) -> kernel.LowerSet:
     """Contexts where the outer approximation is almost surely true."""
-    vec = as_vector(psi, poset.dim)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol.eps:
-        raise NotUnitNorm(f"state norm {norm!r} is not 1 within tolerance")
+    vec = _unit_state(psi, poset.dim, tol)
     p = require_projector(projector, tol, "projector")
     base = poset_base(poset)
     members = set()
@@ -291,9 +289,8 @@ class KsResult:
     nodes_explored: int
 
 
-def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8,
-              tol: Tolerance = Tolerance()) -> KsResult:
-    """Exhaustive backtracking search for global sections.
+def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8) -> KsResult:
+    """Exhaustive depth-first search for global sections.
 
     Contexts are assigned fewest-blocks-first with block indices ascending;
     ``NoSection`` is reported only after the whole space is exhausted.
@@ -306,45 +303,37 @@ def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8,
     base = x.base
     order = sorted(base.elements, key=lambda key: (len(x.sets[key]), key))
     position = {key: i for i, key in enumerate(order)}
-    comparable = {key: [] for key in order}
+    # Bind each context's restriction maps to its earlier neighbours once.
+    checks = {key: [] for key in order}
     for (u, v) in base.strict_pairs():
+        restriction = x.restrictions[(v, u)]
         if position[u] < position[v]:
-            comparable[v].append((u, "down"))
+            checks[v].append((u, restriction, "down"))
         else:
-            comparable[u].append((v, "up"))
-    assign: dict = {}
-    sections: list[dict] = []
+            checks[u].append((v, restriction, "up"))
     nodes = 0
 
-    def rec(i: int) -> bool:
+    def options(key, chosen):
         nonlocal nodes
-        if i == len(order):
-            sections.append(dict(assign))
-            return len(sections) >= max_solutions
-        key = order[i]
         for block in x.sets[key]:
             nodes += 1
             if nodes > KS_NODE_LIMIT:
                 raise SizeLimit(f"search exceeded {KS_NODE_LIMIT} nodes")
-            ok = True
-            for other, direction in comparable[key]:
+            for other, restriction, direction in checks[key]:
                 if direction == "down":
                     # other is below key: key's block must coarsen to it
-                    if x.restrict(block, key, other) != assign[other]:
-                        ok = False
+                    if restriction[block] != chosen[other]:
                         break
-                else:
-                    if x.restrict(assign[other], other, key) != block:
-                        ok = False
-                        break
-            if ok:
-                assign[key] = block
-                if rec(i + 1):
-                    return True
-                del assign[key]
-        return False
+                elif restriction[chosen[other]] != block:
+                    break
+            else:
+                yield block
 
-    rec(0)
+    sections: list[dict] = []
+    for section in kernel.depth_first(order, options):
+        sections.append(section)
+        if len(sections) >= max_solutions:
+            break
     found = [TruthAssignment(assignments=s)
              for s in sorted(sections, key=lambda s: tuple(sorted(s.items())))]
     for sec in found:

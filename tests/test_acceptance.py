@@ -50,7 +50,7 @@ def test_criterion_1_ks_verdicts():
     with _verdict(1, "Kochen-Specker verdicts"):
         _, pauli = _builtin_presheaf("pauli2")
         start = time.perf_counter()
-        res = Q.ks_search(pauli, max_solutions=100, tol=TOL)
+        res = Q.ks_search(pauli, max_solutions=100)
         assert time.perf_counter() - start < 10.0
         assert res.status == "SectionsExist"
         assert len(res.sections) == 8
@@ -64,7 +64,7 @@ def test_criterion_1_ks_verdicts():
 
         poset, mermin = _builtin_presheaf("mermin-square")
         start = time.perf_counter()
-        res = Q.ks_search(mermin, tol=TOL)
+        res = Q.ks_search(mermin)
         assert time.perf_counter() - start < 10.0
         assert res.status == "NoSection"
         assert res.sections == ()

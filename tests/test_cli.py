@@ -161,6 +161,14 @@ class TestKs:
         assert doc["sections"] == []
         assert doc["nodes_explored"] == 5054
 
+    @pytest.mark.parametrize("scenario, max_solutions, nodes", [
+        (PAULI2, 1, 3), (PAULI2, 3, 6), (PAULI2, 8, 14),
+        (PARITY, 1, 4), (PARITY, 3, 9), (PARITY, 8, 26)])
+    def test_nodes_explored_on_early_stop(self, scenario, max_solutions, nodes):
+        code, doc, _ = _run(["ks", scenario, "--max-solutions", str(max_solutions)])
+        assert code == 0
+        assert doc["nodes_explored"] == nodes
+
     def test_node_limit_is_size_error(self, monkeypatch):
         monkeypatch.setattr(quantum, "KS_NODE_LIMIT", 10)
         code, doc, err = _run(["ks", MERMIN])

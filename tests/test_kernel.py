@@ -115,6 +115,43 @@ class TestTerminalAndGlobalElements:
         with pytest.raises(SizeLimit):
             K.global_elements(x)
 
+    def test_search_deeper_than_recursion_limit(self):
+        # one search level per element, past Python's default limit of 1000
+        base = K.finposet([f"e{i:04d}" for i in range(1100)])
+        assert len(K.global_elements(K.terminal(base))) == 1
+
+
+class TestDepthFirst:
+    def test_lexicographic_in_option_order(self):
+        out = list(K.depth_first(["a", "b"], lambda e, chosen: (2, 1)))
+        assert out == [{"a": 2, "b": 2}, {"a": 2, "b": 1},
+                       {"a": 1, "b": 2}, {"a": 1, "b": 1}]
+
+    def test_options_see_earlier_choices(self):
+        def options(e, chosen):
+            return range(chosen["a"] + 1, 3) if e == "b" else range(3)
+        out = list(K.depth_first(["a", "b"], options))
+        assert [(s["a"], s["b"]) for s in out] == [(0, 1), (0, 2), (1, 2)]
+
+    def test_empty_order_has_one_assignment(self):
+        assert list(K.depth_first([], lambda e, chosen: ())) == [{}]
+
+    def test_dead_end_yields_nothing(self):
+        out = K.depth_first(["a", "b"], lambda e, chosen: (0,) if e == "a" else ())
+        assert list(out) == []
+
+    def test_early_stop_leaves_options_unasked(self):
+        asked = []
+
+        def options(e, chosen):
+            for value in (0, 1):
+                asked.append((e, value))
+                yield value
+
+        first = next(K.depth_first(["a", "b"], options))
+        assert first == {"a": 0, "b": 0}
+        assert asked == [("a", 0), ("b", 0)]
+
 
 class TestOmega:
     def test_single_point(self):

@@ -356,7 +356,7 @@ class TestTruthValues:
 
 class TestKsSearch:
     def test_pauli2_eight_sections(self, tol, pauli_presheaf):
-        result = Q.ks_search(pauli_presheaf, max_solutions=8, tol=tol)
+        result = Q.ks_search(pauli_presheaf, max_solutions=8)
         assert result.status == "SectionsExist"
         assert len(result.sections) == 8
         seen = {sec.items_sorted() for sec in result.sections}
@@ -368,24 +368,24 @@ class TestKsSearch:
         ctx = C.context_from_commuting_set([z1, z2], tol)
         poset = C.build_poset([ctx], "intersections", tol)
         presheaf = Q.spectral_presheaf(poset, tol)
-        result = Q.ks_search(presheaf, max_solutions=10, tol=tol)
+        result = Q.ks_search(presheaf, max_solutions=10)
         assert result.status == "SectionsExist"
         assert len(result.sections) == 4
 
     def test_mermin_has_no_section(self, tol, mermin_poset):
         presheaf = Q.spectral_presheaf(mermin_poset, tol)
-        result = Q.ks_search(presheaf, tol=tol)
+        result = Q.ks_search(presheaf)
         assert result.status == "NoSection"
         assert result.sections == ()
         assert result.nodes_explored > 0
 
     def test_max_solutions_truncates(self, tol, pauli_presheaf):
-        result = Q.ks_search(pauli_presheaf, max_solutions=3, tol=tol)
+        result = Q.ks_search(pauli_presheaf, max_solutions=3)
         assert result.status == "SectionsExist"
         assert len(result.sections) == 3
 
     def test_sections_validate_independently(self, tol, pauli_presheaf):
-        result = Q.ks_search(pauli_presheaf, tol=tol)
+        result = Q.ks_search(pauli_presheaf)
         for sec in result.sections:
             assert Q.validate_assignment(pauli_presheaf, sec)
             broken = dict(sec.assignments)
@@ -404,7 +404,7 @@ class TestKsSearch:
         fine = C.context_from_commuting_set([z1, z2], tol)
         poset = C.build_poset([fine], "coarsenings", tol)
         presheaf = Q.spectral_presheaf(poset, tol)
-        result = Q.ks_search(presheaf, max_solutions=8, tol=tol)
+        result = Q.ks_search(presheaf, max_solutions=8)
         assert result.status == "SectionsExist"
         x = presheaf.underlying
         for sec in result.sections:
@@ -416,14 +416,14 @@ class TestKsSearch:
         monkeypatch.setattr(Q, "KS_NODE_LIMIT", 10)
         presheaf = Q.spectral_presheaf(mermin_poset, tol)
         with pytest.raises(SizeLimit):
-            Q.ks_search(presheaf, tol=tol)
+            Q.ks_search(presheaf)
 
     def test_empty_poset_rejected(self, tol):
         poset = C.build_poset([], "intersections", tol)
         presheaf = Q.SpectralPresheaf(
             poset=poset, underlying=K.presheaf(K.finposet([]), {}, {}))
         with pytest.raises(ValidationError):
-            Q.ks_search(presheaf, tol=tol)
+            Q.ks_search(presheaf)
 
 
 class TestObservableDaseinisation:
