@@ -155,12 +155,7 @@ def _cmd_daseinise(args) -> dict:
     variant = "inner" if args.inner else "outer"
     rows = []
     for ctx in poset.contexts:
-        if args.inner:
-            approx = quantum.daseinise_projector_inner(proj, ctx, tol)
-        else:
-            approx = quantum.daseinise_projector(proj, ctx, tol)
-        indices = quantum.daseinise_block_indices(proj, ctx, tol,
-                                                  inner=args.inner)
+        indices, approx = quantum._daseinise(proj, ctx, tol, args.inner)
         rows.append({"id": ctx.key, "label": ctx.label,
                      "blocks": list(indices),
                      "matrix": _matrix_json(approx)})

@@ -3,7 +3,8 @@
 A context is the finite abelian algebra generated by a commuting family of
 Hermitian operators, stored concretely as its minimal projectors ("blocks").
 Contexts are ordered by algebra inclusion, which on blocks reads: every
-block of the smaller context is a sum of blocks of the larger one.
+block of the larger context meets exactly one block of the smaller one
+(see :func:`qtopos.numerics.overlaps`).
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .errors import (
 from .numerics import (
     Tolerance,
     as_operator,
-    commutator_norm,
     eigensystem,
     frob,
     is_projector,
-    proj_leq,
+    overlaps,
+    proj_leq,  # unused here; kept importable for perfbench/tracer.py
     require_hermitian,
 )
 
@@ -82,12 +83,12 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
             raise DimensionMismatch(f"block {i} has dimension {b.shape[0]} != {dim}")
         if not is_projector(b, tol):
             raise NotProjector(f"block {i} is not a projector within tolerance")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            overlap = frob(mats[i] @ mats[j])
-            if overlap > bound:
-                raise ValidationError(
-                    f"blocks {i} and {j} are not orthogonal: ||p q|| = {overlap:.3e}")
+    meets = np.triu(overlaps(mats, mats, tol), 1)
+    if meets.any():
+        i, j = np.argwhere(meets)[0]
+        raise ValidationError(
+            f"blocks {i} and {j} are not orthogonal: "
+            f"||p q|| = {frob(mats[i] @ mats[j]):.3e}")
     total = sum(mats)
     defect = frob(total - np.eye(dim))
     if defect > bound:
@@ -97,21 +98,11 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
 
 
 def contexts_equal(a: Context, b: Context, tol: Tolerance = Tolerance()) -> bool:
-    """Equality of block sets within tolerance, via greedy matching."""
+    """Equality of block sets within tolerance: the blocks meet one to one."""
     if a.dim != b.dim or len(a.blocks) != len(b.blocks):
         return False
-    bound = tol.scaled(a.dim)
-    unmatched = list(range(len(b.blocks)))
-    for p in a.blocks:
-        hit = None
-        for j in unmatched:
-            if frob(p - b.blocks[j]) <= bound:
-                hit = j
-                break
-        if hit is None:
-            return False
-        unmatched.remove(hit)
-    return True
+    meets = overlaps(a.blocks, b.blocks, tol)
+    return bool((meets.sum(axis=0) == 1).all() and (meets.sum(axis=1) == 1).all())
 
 
 def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance(),
@@ -132,7 +123,7 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
     bound = tol.scaled(dim)
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            norm = commutator_norm(ops[i], ops[j])
+            norm = frob(ops[i] @ ops[j] - ops[j] @ ops[i])
             if norm > bound:
                 raise NonCommuting(
                     f"operators {i} and {j} do not commute: "
@@ -140,9 +131,10 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
 
     blocks: list[np.ndarray] = [np.eye(dim, dtype=complex)]
     for op in ops:
+        projs = [proj for _value, proj in eigensystem(op, tol)]
         refined = []
         for b in blocks:
-            for _value, proj in eigensystem(op, tol):
+            for proj in projs:
                 q = b @ proj
                 q = (q + q.conj().T) / 2
                 if float(np.trace(q).real) > 0.5:
@@ -163,17 +155,16 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
 
 def context_leq(smaller: Context, larger: Context,
                 tol: Tolerance = Tolerance()) -> bool:
-    """True iff every block of ``smaller`` is a sum of blocks of ``larger``."""
+    """True iff every block of ``smaller`` is a sum of blocks of ``larger``.
+
+    For partitions of unity that holds iff every block of ``larger`` meets
+    exactly one block of ``smaller``.
+    """
     if smaller.dim != larger.dim:
         raise DimensionMismatch(
             f"dimensions {smaller.dim} and {larger.dim} differ")
-    bound = tol.scaled(smaller.dim)
-    for b in smaller.blocks:
-        under = [q for q in larger.blocks if proj_leq(q, b, tol)]
-        total = sum(under) if under else np.zeros_like(b)
-        if frob(total - b) > bound:
-            return False
-    return True
+    meets = overlaps(smaller.blocks, larger.blocks, tol)
+    return bool((meets.sum(axis=0) == 1).all())
 
 
 def context_intersection(a: Context, b: Context, tol: Tolerance = Tolerance(),
@@ -199,10 +190,8 @@ def context_intersection(a: Context, b: Context, tol: Tolerance = Tolerance(),
     def union(x: int, y: int) -> None:
         parent[find(x)] = find(y)
 
-    for i, p in enumerate(a.blocks):
-        for j, q in enumerate(b.blocks):
-            if frob(p @ q) > bound:
-                union(i, na + j)
+    for i, j in np.argwhere(overlaps(a.blocks, b.blocks, tol)):
+        union(int(i), na + int(j))
     groups: dict[int, list[int]] = {}
     for node in range(na + nb):
         groups.setdefault(find(node), []).append(node)
@@ -324,9 +313,10 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     relabeled = [Context(key=f"V{i:0{width}d}", dim=c.dim, blocks=c.blocks,
                          label=c.label)
                  for i, c in enumerate(ordered)]
+    # A subalgebra has no more blocks than the algebra containing it.
     leq = frozenset((a.key, b.key)
                     for a in relabeled for b in relabeled
-                    if context_leq(a, b, tol))
+                    if len(a.blocks) <= len(b.blocks) and context_leq(a, b, tol))
     return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=leq)
 
 

@@ -4,6 +4,16 @@ Operators are square ``complex128`` arrays and vectors are one-dimensional
 arrays.  Every approximate comparison is a Frobenius-norm test scaled by the
 matrix dimension, driven by the single :class:`Tolerance` that the rest of
 the package threads through unchanged.
+
+Block relations.  Two projectors p and q *meet* when ``||p q||_F > eps * d``.
+For blocks of two partitions of unity every relation the package needs is
+read off that one test (:func:`overlaps`): block q lies under block p
+(``q <= p``) iff q meets p and no other block of p's partition; context
+inclusion, equality, intersection, the restriction maps and outer
+daseinisation all follow.  The test takes norms of products, not traces:
+``||p q||_F^2 = tr(p q)`` for projectors, but the rounding noise of a trace
+sits above ``(eps * d)^2``, so a squared bound on the trace cannot tell a
+meeting pair from an orthogonal one.
 """
 
 from __future__ import annotations
@@ -106,14 +116,6 @@ def require_projector(matrix, tol: Tolerance = Tolerance(),
     return p
 
 
-def commutator_norm(a, b) -> float:
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return frob(a @ b - b @ a)
-
-
 def eigensystem(matrix, tol: Tolerance = Tolerance()) -> list[tuple[float, np.ndarray]]:
     """Spectral decomposition as (eigenvalue, eigenprojector) pairs.
 
@@ -149,6 +151,18 @@ def apply_function(matrix, h: Callable[[float], float],
     out = (out + out.conj().T) / 2
     out.setflags(write=False)
     return out
+
+
+def overlaps(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Which blocks meet: ``out[i, j]`` is ``||ps[i] qs[j]||_F > eps * d``.
+
+    Takes sequences of already-validated projectors of one dimension and
+    forms all products in one batched multiplication.
+    """
+    ps = np.asarray(ps)
+    qs = np.asarray(qs)
+    norms = np.linalg.norm(ps[:, None] @ qs[None], axis=(2, 3))
+    return norms > tol.scaled(ps.shape[-1])
 
 
 def proj_leq(p, q, tol: Tolerance = Tolerance()) -> bool:

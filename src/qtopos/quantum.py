@@ -31,7 +31,8 @@ from .numerics import (
     as_vector,
     eigensystem,
     frob,
-    proj_leq,
+    overlaps,
+    proj_leq,  # unused here; kept importable for perfbench/tracer.py
     require_projector,
 )
 
@@ -61,23 +62,18 @@ def spectral_presheaf(poset: ContextPoset,
 
     The component at a context is the tuple of its block indices; the
     restriction map to a smaller context sends each block to the unique
-    coarser block above it, and raises ``Ambiguity`` otherwise.
+    coarser block it meets, and raises ``Ambiguity`` otherwise.
     """
     base = poset_base(poset)
     sets = {c.key: tuple(range(len(c.blocks))) for c in poset.contexts}
     restrictions = {}
     for (frm, to) in base.strict_down_pairs():
-        fine = poset.context(frm)
-        coarse = poset.context(to)
-        mapping = {}
-        for qi, q in enumerate(fine.blocks):
-            parents = [pi for pi, p in enumerate(coarse.blocks)
-                       if proj_leq(q, p, tol)]
-            if len(parents) != 1:
+        meets = overlaps(poset.context(frm).blocks, poset.context(to).blocks, tol)
+        for qi, row in enumerate(meets):
+            if row.sum() != 1:
                 raise Ambiguity(
-                    f"block {qi} of {frm} lies under {len(parents)} blocks of {to}")
-            mapping[qi] = parents[0]
-        restrictions[(frm, to)] = mapping
+                    f"block {qi} of {frm} meets {row.sum()} blocks of {to}")
+        restrictions[(frm, to)] = dict(enumerate(meets.argmax(axis=1).tolist()))
     underlying = kernel.presheaf(base, sets, restrictions)
     return SpectralPresheaf(poset=poset, underlying=underlying)
 
@@ -114,46 +110,51 @@ def evaluate(element: SpectralElement, operator,
 
 
 def _overlap_indices(proj: np.ndarray, ctx: Context, tol: Tolerance) -> tuple[int, ...]:
-    bound = tol.scaled(ctx.dim)
-    return tuple(i for i, p in enumerate(ctx.blocks)
-                 if frob(p @ proj) > bound)
+    if proj.shape[0] != ctx.dim:
+        raise DimensionMismatch(
+            f"projector dimension {proj.shape[0]} != context dimension {ctx.dim}")
+    return tuple(np.flatnonzero(overlaps(ctx.blocks, [proj], tol)).tolist())
+
+
+def _daseinise(p: np.ndarray, ctx: Context, tol: Tolerance,
+               inner: bool) -> tuple[tuple[int, ...], np.ndarray]:
+    """Block indices and matrix of an approximation of a checked projector.
+
+    The outer approximation sums the blocks that meet ``p``; the inner one
+    keeps the blocks that miss ``1 - p``.  Its matrix is ``1`` minus the
+    dropped blocks: reports print the last bits of that difference.
+    """
+    if not inner:
+        picked = _overlap_indices(p, ctx, tol)
+        out = sum((ctx.blocks[i] for i in picked),
+                  np.zeros((ctx.dim, ctx.dim), dtype=complex))
+        out.setflags(write=False)
+        return picked, out
+    eye = np.eye(p.shape[0], dtype=complex)
+    dropped, outer = _daseinise(eye - p, ctx, tol, False)
+    out = eye - outer
+    out = (out + out.conj().T) / 2
+    out.setflags(write=False)
+    return tuple(i for i in range(len(ctx.blocks)) if i not in dropped), out
 
 
 def daseinise_projector(projector, ctx: Context,
                         tol: Tolerance = Tolerance()) -> np.ndarray:
     """Outer approximation: smallest block sum dominating the projector."""
-    p = require_projector(projector, tol, "projector")
-    if p.shape[0] != ctx.dim:
-        raise DimensionMismatch(
-            f"projector dimension {p.shape[0]} != context dimension {ctx.dim}")
-    picked = _overlap_indices(p, ctx, tol)
-    out = sum((ctx.blocks[i] for i in picked),
-              np.zeros((ctx.dim, ctx.dim), dtype=complex))
-    out.setflags(write=False)
-    return out
+    return _daseinise(require_projector(projector, tol, "projector"), ctx, tol, False)[1]
 
 
 def daseinise_projector_inner(projector, ctx: Context,
                               tol: Tolerance = Tolerance()) -> np.ndarray:
     """Inner approximation: largest block sum dominated by the projector."""
-    p = require_projector(projector, tol, "projector")
-    eye = np.eye(p.shape[0], dtype=complex)
-    out = eye - daseinise_projector(eye - p, ctx, tol)
-    out = (out + out.conj().T) / 2
-    out.setflags(write=False)
-    return out
+    return _daseinise(require_projector(projector, tol, "projector"), ctx, tol, True)[1]
 
 
 def daseinise_block_indices(projector, ctx: Context,
                             tol: Tolerance = Tolerance(),
                             inner: bool = False) -> tuple[int, ...]:
     """Indices of the blocks summed by the chosen approximation."""
-    p = require_projector(projector, tol, "projector")
-    if inner:
-        eye = np.eye(p.shape[0], dtype=complex)
-        dropped = set(_overlap_indices(eye - p, ctx, tol))
-        return tuple(i for i in range(len(ctx.blocks)) if i not in dropped)
-    return _overlap_indices(p, ctx, tol)
+    return _daseinise(require_projector(projector, tol, "projector"), ctx, tol, inner)[0]
 
 
 def delta_subobject(projector, presheaf: SpectralPresheaf,
@@ -165,8 +166,10 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
     return kernel.subobject(presheaf.underlying, parts)
 
 
-def _unit_state(psi, dim: int, tol: Tolerance) -> np.ndarray:
-    vec = as_vector(psi, dim)
+def _unit_state(psi, poset: ContextPoset, tol: Tolerance) -> np.ndarray:
+    if not poset.contexts:
+        raise ValidationError("cannot place a state on an empty poset")
+    vec = as_vector(psi, poset.dim)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > tol.eps:
         raise NotUnitNorm(f"state norm {norm!r} is not 1 within tolerance")
@@ -183,7 +186,7 @@ class PseudoState:
 
 def pseudo_state(psi, presheaf: SpectralPresheaf,
                  tol: Tolerance = Tolerance()) -> PseudoState:
-    vec = _unit_state(psi, presheaf.poset.dim, tol)
+    vec = _unit_state(psi, presheaf.poset, tol)
     proj = np.outer(vec, vec.conj())
     sub = delta_subobject(proj, presheaf, tol)
     for key, part in sub.parts.items():
@@ -196,32 +199,28 @@ def pseudo_state(psi, presheaf: SpectralPresheaf,
 class TruthObject:
     """Per context, the filter of block sums the state almost surely passes.
 
-    Members are bitmasks over block indices; bit i set means block i is in
-    the sum.
+    A block sum is a bitmask over block indices (bit i set means block i is
+    in the sum); it is a member when its ``weights`` <psi|p_i|psi> add up to
+    at least ``1 - eps``.
     """
 
     psi: np.ndarray
-    members: dict
+    weights: dict
+    tol: Tolerance
 
     def contains(self, key: str, mask: int) -> bool:
-        return mask in self.members[key]
+        return (sum(w for i, w in enumerate(self.weights[key]) if mask >> i & 1)
+                >= 1.0 - self.tol.eps)
 
 
 def truth_object(psi, poset: ContextPoset,
                  tol: Tolerance = Tolerance()) -> TruthObject:
-    vec = _unit_state(psi, poset.dim, tol)
-    members = {}
+    vec = _unit_state(psi, poset, tol)
+    weights = {ctx.key: [float(np.vdot(vec, p @ vec).real) for p in ctx.blocks]
+               for ctx in poset.contexts}
+    obj = TruthObject(psi=vec, weights=weights, tol=tol)
     for ctx in poset.contexts:
-        weights = [float(np.vdot(vec, p @ vec).real) for p in ctx.blocks]
-        good = frozenset(
-            mask for mask in range(1, 2 ** len(ctx.blocks))
-            if sum(w for i, w in enumerate(weights) if mask >> i & 1)
-            >= 1.0 - tol.eps)
-        members[ctx.key] = good
-    obj = TruthObject(psi=vec, members=members)
-    for ctx in poset.contexts:
-        full = 2 ** len(ctx.blocks) - 1
-        if full not in obj.members[ctx.key]:
+        if not obj.contains(ctx.key, 2 ** len(ctx.blocks) - 1):
             raise ValidationError(f"identity missing from filter at {ctx.key}")
     return obj
 
@@ -242,16 +241,13 @@ def truth_value_pseudo(projector, psi, presheaf: SpectralPresheaf,
 
 def truth_value_truthobject(projector, psi, poset: ContextPoset,
                             tol: Tolerance = Tolerance()) -> kernel.LowerSet:
-    """Contexts where the outer approximation is almost surely true."""
-    vec = _unit_state(psi, poset.dim, tol)
+    """Contexts where the truth object holds the outer approximation."""
+    obj = truth_object(psi, poset, tol)
     p = require_projector(projector, tol, "projector")
-    base = poset_base(poset)
-    members = set()
-    for ctx in poset.contexts:
-        approx = daseinise_projector(p, ctx, tol)
-        if float(np.vdot(vec, approx @ vec).real) >= 1.0 - tol.eps:
-            members.add(ctx.key)
-    return kernel.lowerset(base, members)
+    masks = {ctx.key: sum(1 << i for i in _overlap_indices(p, ctx, tol))
+             for ctx in poset.contexts}
+    members = {key for key, mask in masks.items() if obj.contains(key, mask)}
+    return kernel.lowerset(poset_base(poset), members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,8 +365,8 @@ def daseinise_observable(operator, ctx: Context,
     prev_f = zero
     prev_g = zero
     for (value, _proj), e_k in zip(pairs, cumulative):
-        f_k = daseinise_projector_inner(e_k, ctx, tol)
-        g_k = daseinise_projector(e_k, ctx, tol)
+        f_k = _daseinise(e_k, ctx, tol, True)[1]
+        g_k = _daseinise(e_k, ctx, tol, False)[1]
         outer = outer + value * (f_k - prev_f)
         inner = inner + value * (g_k - prev_g)
         prev_f, prev_g = f_k, g_k

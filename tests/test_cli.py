@@ -137,6 +137,28 @@ class TestTruth:
         assert code == 1 and "magic" in err
 
 
+class TestEmptyPoset:
+    """A scenario with no groups and no builtins closes to an empty poset."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        doc = json.loads(pathlib.Path(PARITY).read_text())
+        del doc["groups"]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["truth", "--state", "bell", "--projector", "Peven", "--via", "pseudo-state"],
+        ["truth", "--state", "bell", "--projector", "Peven", "--via", "truth-object"],
+        ["heyting", "--expr", "Peven | !Peven", "--state", "bell"],
+    ])
+    def test_state_commands_name_the_empty_poset(self, empty, argv):
+        code, doc, err = _run([argv[0], empty, *argv[1:]])
+        assert code == 1 and doc is None
+        assert "empty poset" in err
+
+
 class TestKs:
     def test_pauli2_sections(self):
         code, doc, _ = _run(["ks", PAULI2])

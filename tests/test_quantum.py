@@ -248,6 +248,11 @@ class TestDeltaSubobject:
             ctx = _labeled(pauli_poset, label)
             assert sub.parts[ctx.key] == (0, 1)
 
+    def test_dimension_mismatch(self, tol, mermin_poset):
+        presheaf = Q.spectral_presheaf(mermin_poset, tol)
+        with pytest.raises(DimensionMismatch):
+            Q.delta_subobject(P_ZPLUS, presheaf, tol)
+
     def test_closure_holds_randomly(self, tol, rng, mermin_poset):
         presheaf = Q.spectral_presheaf(mermin_poset, tol)
         for _ in range(15):
@@ -292,6 +297,12 @@ class TestPseudoState:
             Q.pseudo_state([1, 1], pauli_presheaf, tol)
 
 
+def _filter(obj, ctx):
+    """The truth object's members at a context, as a set of block masks."""
+    return frozenset(mask for mask in range(1, 2 ** len(ctx.blocks))
+                     if obj.contains(ctx.key, mask))
+
+
 class TestTruthObject:
     def test_identity_always_member(self, tol, rng, mermin_poset):
         obj = Q.truth_object(random_state(4, rng), mermin_poset, tol)
@@ -303,16 +314,16 @@ class TestTruthObject:
         obj = Q.truth_object(ZPLUS, pauli_poset, tol)
         zctx = _labeled(pauli_poset, "sz")
         plus = _block_of(zctx, P_ZPLUS, tol)
-        assert obj.members[zctx.key] == frozenset({1 << plus, 3})
+        assert _filter(obj, zctx) == frozenset({1 << plus, 3})
         for label in ("sx", "sy"):
             ctx = _labeled(pauli_poset, label)
-            assert obj.members[ctx.key] == frozenset({3})
+            assert _filter(obj, ctx) == frozenset({3})
 
     def test_filters_upward_closed(self, tol, rng, mermin_poset):
         obj = Q.truth_object(random_state(4, rng), mermin_poset, tol)
         for ctx in mermin_poset.contexts:
             full = 2 ** len(ctx.blocks)
-            members = obj.members[ctx.key]
+            members = _filter(obj, ctx)
             for mask in members:
                 for bigger in range(1, full):
                     if bigger & mask == mask:
