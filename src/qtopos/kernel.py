@@ -3,11 +3,13 @@
 Implements presheaves of finite sets together with the categorical
 structure the quantum layer needs: subobjects, the subobject classifier,
 Heyting operations, exponentials, power objects and lower-set truth values.
-Everything is enumerated explicitly; guards turn combinatorial blow-ups
-into ``SizeLimit`` errors instead of hangs.  Every enumeration, and the
-global-section search of the quantum layer, runs on the one explicit-stack
-engine ``depth_first``, so search depth is bounded by the size guards and
-not by Python's recursion limit.
+Everything is enumerated on the one explicit-stack engine ``depth_first``,
+free of Python's recursion limit; guards turn blow-ups into ``SizeLimit``
+errors instead of hangs.  The global-section search, also the quantum
+layer's, picks only at maximal elements and counts the nodes it takes
+against a ``NodeBudget``, often far below the product of component sizes.
+``hom_set`` and ``exponential`` keep product-of-sizes pre-checks: under a
+node budget a space that large takes tens of seconds to refuse, not none.
 
 Conventions
 -----------
@@ -102,7 +104,16 @@ def finposet(elements, pairs=()) -> FinPoset:
     return FinPoset(elements=elems, leq=leq)
 
 
-def depth_first(order, options):
+@dataclass
+class NodeBudget:
+    """A cap of ``limit`` nodes on one search; ``nodes`` counts those taken."""
+
+    search: str
+    limit: int
+    nodes: int = 0
+
+
+def depth_first(order, options, budget: NodeBudget | None = None):
     """Every assignment to ``order`` that ``options`` allows, depth first.
 
     ``options(element, chosen)`` gives the values open to ``element``; it may
@@ -110,6 +121,7 @@ def depth_first(order, options):
     come out as fresh dicts keyed in ``order``, ordered lexicographically by
     the option sequences.  The search keeps an explicit stack and asks for
     options lazily, so a caller that stops early leaves the rest unasked.
+    Each value taken is one node of ``budget``; past its limit, ``SizeLimit``.
     """
     if not order:
         yield {}
@@ -120,6 +132,11 @@ def depth_first(order, options):
     while stack:
         depth = len(stack) - 1
         for value in stack[-1]:
+            if budget is not None:
+                budget.nodes += 1
+                if budget.nodes > budget.limit:
+                    raise SizeLimit(f"{budget.search} exceeded its limit of "
+                                    f"{budget.limit} nodes at node {budget.nodes}")
             chosen[order[depth]] = value
             if depth == last:
                 yield dict(chosen)
@@ -139,6 +156,26 @@ def _extension_desc(base: FinPoset) -> list[str]:
                        if not any(u != w and base.le(u, w) for w in remaining))
         placed.extend(ready)
         remaining.difference_update(ready)
+    return placed
+
+
+def _extension_from_top(base: FinPoset) -> list[str]:
+    """Maximal elements, each other element right after its last upper (the
+    last placed element above it), ties in key order; O(elements + pairs)."""
+    below: dict = {u: [] for u in base.elements}
+    waiting = dict.fromkeys(base.elements, 0)
+    for (u, w) in sorted(base.leq, reverse=True):
+        if u != w:
+            below[w].append(u)
+            waiting[u] += 1
+    placed: list[str] = []
+    stack = [u for u in reversed(base.elements) if not waiting[u]]
+    while stack:
+        placed.append(stack.pop())
+        for u in below[placed[-1]]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                stack.append(u)
     return placed
 
 
@@ -318,7 +355,8 @@ def nat_transform(source: Presheaf, target: Presheaf, components) -> NatTransfor
     return NatTransform(source=source, target=target, components=comps)
 
 
-def _natural_families(x: Presheaf, y: Presheaf, order: list[str]) -> list[dict]:
+def _natural_families(x: Presheaf, y: Presheaf, order: list[str],
+                      budget: NodeBudget | None = None):
     """All natural families ``f_u : x(u) -> y(u)`` over the elements of ``order``.
 
     ``order`` lists a down-closed set of elements, each after all above it.
@@ -341,30 +379,33 @@ def _natural_families(x: Presheaf, y: Presheaf, order: list[str]) -> list[dict]:
                                           else y.sets[u] for pt in points)):
             yield dict(zip(points, images))
 
-    return list(depth_first(order, options))
+    return depth_first(order, options, budget)
 
 
 def terminal(base: FinPoset) -> Presheaf:
-    """The terminal presheaf: one point everywhere."""
+    """The terminal presheaf: one point everywhere (valid by construction)."""
     sets = {v: ("*",) for v in base.elements}
     restr = {pair: {"*": "*"} for pair in base.strict_down_pairs()}
-    return presheaf(base, sets, restr)
+    return Presheaf(base=base, sets=sets, restrictions=restr)
+
+
+def global_sections(x: Presheaf, budget: NodeBudget):
+    """Every global section of ``x``, lazily, as a dict element -> point.
+
+    Points are picked only at maximal elements (``_extension_from_top``)."""
+    if any(not pts for pts in x.sets.values()):
+        return
+    one = terminal(x.base)
+    for fam in _natural_families(one, x, _extension_from_top(x.base), budget):
+        yield {v: f["*"] for v, f in fam.items()}
 
 
 def global_elements(x: Presheaf) -> list[NatTransform]:
     """All compatible families of points, as arrows from the terminal."""
-    base = x.base
-    space = 1
-    for v in base.elements:
-        space *= len(x.sets[v])
-        if space > GLOBAL_SEARCH_LIMIT:
-            raise SizeLimit(
-                f"global-element search space exceeds {GLOBAL_SEARCH_LIMIT}")
-    if space == 0:
-        return []
-    one = terminal(base)
-    return [nat_transform(one, x, fam)
-            for fam in _natural_families(one, x, _extension_desc(base))]
+    one = terminal(x.base)
+    budget = NodeBudget("global-element search", GLOBAL_SEARCH_LIMIT)
+    return [nat_transform(one, x, {v: {"*": pt} for v, pt in s.items()})
+            for s in global_sections(x, budget)]
 
 
 def _lower_sets_below(base: FinPoset, dv: tuple[str, ...],
@@ -614,11 +655,9 @@ def truth_value_membership(x: NatTransform, k: Subobject) -> LowerSet:
 def truth_value_inclusion(j: Subobject, k: Subobject) -> LowerSet:
     """Hereditary inclusion [[ j <= k ]] as a lower set."""
     x = _same_parent(j, k)
-    members = set()
-    for v in x.base.elements:
-        if all(set(j.parts[u]) <= set(k.parts[u]) for u in x.base.down(v)):
-            members.add(v)
-    return lowerset(x.base, members)
+    return lowerset(x.base, {
+        v for v in x.base.elements
+        if all(set(j.parts[u]) <= set(k.parts[u]) for u in x.base.down(v))})
 
 
 def truth_value_element_of(t: Subobject, k: Subobject) -> LowerSet:
@@ -626,12 +665,9 @@ def truth_value_element_of(t: Subobject, k: Subobject) -> LowerSet:
     x = k.of
     if t.of != power_object(x):
         raise ParentMismatch("first argument is not a subobject of the power object")
-    members = set()
-    for v in x.base.elements:
-        enc = _encode_relative(k.parts, x.base.down(v))
-        if enc in t.parts[v]:
-            members.add(v)
-    return lowerset(x.base, members)
+    return lowerset(x.base, {
+        v for v in x.base.elements
+        if _encode_relative(k.parts, x.base.down(v)) in t.parts[v]})
 
 
 def _same_base(a: LowerSet, b: LowerSet) -> FinPoset:

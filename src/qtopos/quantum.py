@@ -10,6 +10,7 @@ decides whether a noncontextual valuation exists at all.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ from .errors import (
     DownwardClosureViolation,
     NotInContext,
     NotUnitNorm,
-    SizeLimit,
     ValidationError,
 )
 from .numerics import (
@@ -286,57 +286,29 @@ class KsResult:
 
 
 def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8) -> KsResult:
-    """Exhaustive depth-first search for global sections.
+    """Depth-first search for global sections, on ``kernel.global_sections``.
 
-    Contexts are assigned fewest-blocks-first with block indices ascending;
-    ``NoSection`` is reported only after the whole space is exhausted.
+    A section is fixed by its blocks at the maximal contexts: these are
+    picked in key order, block indices ascending, and each smaller context
+    takes its block by restriction right after the last context above it.
+    A node is one block taken at one context, forced ones included; more
+    than ``KS_NODE_LIMIT`` raise ``SizeLimit``.  Beyond ``max_solutions``
+    sections, the first ones in that order are listed, sorted by context
+    key.  ``NoSection`` is reported only after the whole space is exhausted.
     """
     if not presheaf.poset.contexts:
         raise ValidationError("cannot search an empty poset")
     if max_solutions < 1:
         raise ValidationError("max_solutions must be positive")
-    x = presheaf.underlying
-    base = x.base
-    order = sorted(base.elements, key=lambda key: (len(x.sets[key]), key))
-    position = {key: i for i, key in enumerate(order)}
-    # Bind each context's restriction maps to its earlier neighbours once.
-    checks = {key: [] for key in order}
-    for (u, v) in base.strict_pairs():
-        restriction = x.restrictions[(v, u)]
-        if position[u] < position[v]:
-            checks[v].append((u, restriction, "down"))
-        else:
-            checks[u].append((v, restriction, "up"))
-    nodes = 0
-
-    def options(key, chosen):
-        nonlocal nodes
-        for block in x.sets[key]:
-            nodes += 1
-            if nodes > KS_NODE_LIMIT:
-                raise SizeLimit(f"search exceeded {KS_NODE_LIMIT} nodes")
-            for other, restriction, direction in checks[key]:
-                if direction == "down":
-                    # other is below key: key's block must coarsen to it
-                    if restriction[block] != chosen[other]:
-                        break
-                elif restriction[chosen[other]] != block:
-                    break
-            else:
-                yield block
-
-    sections: list[dict] = []
-    for section in kernel.depth_first(order, options):
-        sections.append(section)
-        if len(sections) >= max_solutions:
-            break
+    budget = kernel.NodeBudget("KS search", KS_NODE_LIMIT)
+    sections = itertools.islice(
+        kernel.global_sections(presheaf.underlying, budget), max_solutions)
     found = [TruthAssignment(assignments=s)
              for s in sorted(sections, key=lambda s: tuple(sorted(s.items())))]
-    for sec in found:
-        if not validate_assignment(presheaf, sec):
-            raise ValidationError("search produced an inconsistent section")
+    if not all(validate_assignment(presheaf, sec) for sec in found):
+        raise ValidationError("search produced an inconsistent section")
     status = "SectionsExist" if found else "NoSection"
-    return KsResult(status=status, sections=tuple(found), nodes_explored=nodes)
+    return KsResult(status=status, sections=tuple(found), nodes_explored=budget.nodes)
 
 
 def daseinise_observable(operator, ctx: Context,
@@ -354,17 +326,9 @@ def daseinise_observable(operator, ctx: Context,
     if pairs[0][1].shape[0] != dim:
         raise DimensionMismatch(
             f"operator dimension {pairs[0][1].shape[0]} != context dimension {dim}")
-    zero = np.zeros((dim, dim), dtype=complex)
-    cumulative = []
-    total = zero
-    for _value, proj in pairs:
-        total = total + proj
-        cumulative.append(total)
-    outer = zero
-    inner = zero
-    prev_f = zero
-    prev_g = zero
-    for (value, _proj), e_k in zip(pairs, cumulative):
+    e_k = outer = inner = prev_f = prev_g = np.zeros((dim, dim), dtype=complex)
+    for value, proj in pairs:
+        e_k = e_k + proj
         f_k = _daseinise(e_k, ctx, tol, True)[1]
         g_k = _daseinise(e_k, ctx, tol, False)[1]
         outer = outer + value * (f_k - prev_f)

@@ -171,13 +171,20 @@ def parse_scenario(text: str) -> Scenario:
                 f"projector {name!r}: operator {source!r} is not Hermitian: "
                 f"{exc}") from exc
         total = np.zeros((dim, dim), dtype=complex)
+        taken: set = set()
         for wanted in node["eigenvalues"]:
-            hits = [proj for value, proj in pairs if abs(value - wanted) <= 1e-6]
+            hits = [i for i, (value, _) in enumerate(pairs)
+                    if abs(value - wanted) <= 1e-6]
             if len(hits) != 1:
                 raise ValidationError(
                     f"projector {name!r}: {source!r} has no eigenvalue "
                     f"within 1e-6 of {wanted}")
-            total = total + hits[0]
+            if hits[0] in taken:
+                raise ValidationError(
+                    f"projector {name!r}: {wanted} names an eigenvalue of "
+                    f"{source!r} that is already requested")
+            taken.add(hits[0])
+            total = total + pairs[hits[0]][1]
         operators[name] = (total + total.conj().T) / 2
 
     states: dict = {}

@@ -181,15 +181,26 @@ class TestKs:
         assert doc["status"] == "NoSection"
         assert doc["section_count"] == 0
         assert doc["sections"] == []
-        assert doc["nodes_explored"] == 5054
+        assert doc["nodes_explored"] == 412
 
     @pytest.mark.parametrize("scenario, max_solutions, nodes", [
         (PAULI2, 1, 3), (PAULI2, 3, 6), (PAULI2, 8, 14),
-        (PARITY, 1, 4), (PARITY, 3, 9), (PARITY, 8, 26)])
+        (PARITY, 1, 5), (PARITY, 3, 10), (PARITY, 8, 28)])
     def test_nodes_explored_on_early_stop(self, scenario, max_solutions, nodes):
         code, doc, _ = _run(["ks", scenario, "--max-solutions", str(max_solutions)])
         assert code == 0
         assert doc["nodes_explored"] == nodes
+
+    def test_mermin_coarsenings_has_no_section(self, tmp_path):
+        # 75 contexts: searching only the 6 maximal ones stays far below the cap
+        doc = json.loads(pathlib.Path(MERMIN).read_text())
+        doc["closure"] = "coarsenings"
+        path = tmp_path / "mermin_coarsenings.json"
+        path.write_text(json.dumps(doc))
+        code, doc, err = _run(["ks", str(path)])
+        assert code == 0, err
+        assert doc["status"] == "NoSection"
+        assert doc["nodes_explored"] == 2196
 
     def test_node_limit_is_size_error(self, monkeypatch):
         monkeypatch.setattr(quantum, "KS_NODE_LIMIT", 10)

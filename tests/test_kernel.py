@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtopos import kernel as K
 from qtopos.errors import (
@@ -102,6 +105,12 @@ class TestTerminalAndGlobalElements:
         x = K.presheaf(ANTI2, {"a": (), "b": ("x",)}, {})
         assert K.global_elements(x) == []
 
+    def test_empty_component_ends_the_search_at_once(self, monkeypatch):
+        # searching would take 6 nodes before reaching the empty "c"
+        monkeypatch.setattr(K, "GLOBAL_SEARCH_LIMIT", 4)
+        x = K.presheaf(ANTI3, {"a": ("p", "q"), "b": ("p", "q"), "c": ()}, {})
+        assert K.global_elements(x) == []
+
     def test_constant_two_point_chain(self):
         x = _constant2()
         sections = K.global_elements(x)
@@ -110,10 +119,20 @@ class TestTerminalAndGlobalElements:
         assert picked == ["a", "b"]
 
     def test_size_limit(self, monkeypatch):
+        # top picks a, bottom follows, top picks b: the fourth node trips
         monkeypatch.setattr(K, "GLOBAL_SEARCH_LIMIT", 3)
         x = _constant2()
-        with pytest.raises(SizeLimit):
+        with pytest.raises(SizeLimit, match="global-element search .* 3 nodes at node 4"):
             K.global_elements(x)
+
+    def test_limit_counts_nodes_not_component_sizes(self, monkeypatch):
+        # 20 two-point components below one top: 2^21 by sizes, 42 nodes here
+        monkeypatch.setattr(K, "GLOBAL_SEARCH_LIMIT", 42)
+        lows = [f"low{i:02d}" for i in range(20)]
+        base = K.finposet(["top", *lows], [(u, "top") for u in lows])
+        x = K.presheaf(base, {v: ("a", "b") for v in base.elements},
+                       {("top", u): {"a": "a", "b": "b"} for u in lows})
+        assert [s.at("low07", "*") for s in K.global_elements(x)] == ["a", "b"]
 
     def test_search_deeper_than_recursion_limit(self):
         # one search level per element, past Python's default limit of 1000
@@ -121,7 +140,51 @@ class TestTerminalAndGlobalElements:
         assert len(K.global_elements(K.terminal(base))) == 1
 
 
+def _projections(base, rows):
+    """Each row cut down to the elements below v; restriction drops the rest."""
+    down = {v: base.down(v) for v in base.elements}
+    sets = {v: {tuple(row[u] for u in down[v]) for row in rows}
+            for v in base.elements}
+    return K.presheaf(base, sets, {
+        (frm, to): {pt: tuple(val for u, val in zip(down[frm], pt) if u in down[to])
+                    for pt in sets[frm]}
+        for (frm, to) in base.strict_down_pairs()})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_global_elements_match_brute_force(n, seed):
+    rng = random.Random(seed)
+    names = rng.sample("abcdefghij", n)  # key order unrelated to the order
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.4]
+    base = K.finposet(names, pairs)
+    order = K._extension_from_top(base)
+    position = {u: i for i, u in enumerate(order)}
+    assert sorted(order) == list(base.elements)
+    assert all(position[w] < position[u] for (u, w) in base.leq if u != w)
+    rows = [{u: rng.randrange(3) for u in names} for _ in range(rng.randint(1, 6))]
+    for x in (K.omega(base), K.power_object(K.terminal(base)),
+              _projections(base, rows)):
+        brute = [dict(zip(order, pts))
+                 for pts in itertools.product(*(x.sets[v] for v in order))
+                 if all(x.restrict(pts[position[w]], w, u) == pts[position[u]]
+                        for (u, w) in base.leq)]
+        found = [{v: g.at(v, "*") for v in order} for g in K.global_elements(x)]
+        assert found == brute
+
+
 class TestDepthFirst:
+    def test_budget_counts_every_value_taken(self):
+        budget = K.NodeBudget("test search", 10)
+        out = list(K.depth_first(["a", "b"], lambda e, chosen: (0, 1), budget))
+        assert len(out) == 4 and budget.nodes == 6
+
+    def test_budget_trip_names_search_limit_and_count(self):
+        budget = K.NodeBudget("test search", 5)
+        with pytest.raises(SizeLimit, match="test search exceeded .* 5 nodes at node 6"):
+            list(K.depth_first(["a", "b"], lambda e, chosen: (0, 1), budget))
+
     def test_lexicographic_in_option_order(self):
         out = list(K.depth_first(["a", "b"], lambda e, chosen: (2, 1)))
         assert out == [{"a": 2, "b": 2}, {"a": 2, "b": 1},

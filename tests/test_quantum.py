@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qtopos.errors import (
     ValidationError,
 )
 from qtopos.numerics import eigensystem, proj_leq
+from qtopos.scenario import parse_scenario
 from tests.conftest import SX, SZ, random_projector, random_state
 
 ZPLUS = np.array([1, 0], dtype=complex)
@@ -23,6 +26,7 @@ P_ZPLUS = np.diag([1.0, 0.0]).astype(complex)
 P_XPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 P_XMINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 LOOSE = Q.Tolerance(1e-7)
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +432,19 @@ class TestKsSearch:
         presheaf = Q.spectral_presheaf(mermin_poset, tol)
         with pytest.raises(SizeLimit):
             Q.ks_search(presheaf)
+
+    @pytest.mark.parametrize("name", ["pauli2", "two_qubit_parity", "mermin_square"])
+    @pytest.mark.parametrize("closure", ["intersections", "coarsenings"])
+    def test_agrees_with_global_elements(self, name, closure):
+        scn = parse_scenario((SCENARIOS / f"{name}.json").read_text())
+        poset = C.build_poset(scn.maximal_contexts, closure, scn.tolerance)
+        presheaf = Q.spectral_presheaf(poset, scn.tolerance)
+        result = Q.ks_search(presheaf, max_solutions=10 ** 6)
+        elements = K.global_elements(presheaf.underlying)
+        assert len(result.sections) == len(elements)
+        assert ({sec.items_sorted() for sec in result.sections}
+                == {tuple((v, g.at(v, "*")) for v in presheaf.base.elements)
+                    for g in elements})
 
     def test_empty_poset_rejected(self, tol):
         poset = C.build_poset([], "intersections", tol)

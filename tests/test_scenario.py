@@ -169,6 +169,13 @@ class TestProjectorHelper:
             projectors={"Pall": {"operator": "sz", "eigenvalues": [1, -1]}}))
         assert np.allclose(scn.operator("Pall"), np.eye(2))
 
+    def test_repeated_eigenvalue(self):
+        # 1 and 1 + 1e-7 both match the +1 eigenprojector of sz
+        for values in ([1, 1], [1, -1, 1 + 1e-7]):
+            with pytest.raises(ValidationError, match="'Pdup'"):
+                parse_scenario(_doc(
+                    projectors={"Pdup": {"operator": "sz", "eigenvalues": values}}))
+
     def test_unknown_eigenvalue(self):
         with pytest.raises(ValidationError, match="0.5"):
             parse_scenario(_doc(
