@@ -33,6 +33,7 @@ from .numerics import (
     overlaps,
     proj_leq,  # unused here; kept importable for perfbench/tracer.py
     require_hermitian,
+    same_blocks,
 )
 
 POSET_LIMIT = 4096
@@ -70,6 +71,56 @@ class Context:
         return f"<Context {self.key} dim={self.dim} ranks={self.ranks}{tag}>"
 
 
+def _check_partition(mats: Sequence[np.ndarray], meets: np.ndarray,
+                     bound: float) -> None:
+    """Raise unless blocks that meet as ``meets`` are orthogonal and sum to 1."""
+    off = np.triu(meets, 1)
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        raise ValidationError(
+            f"blocks {i} and {j} are not orthogonal: "
+            f"||p q|| = {frob(mats[i] @ mats[j]):.3e}")
+    defect = frob(sum(mats) - np.eye(mats[0].shape[0]))
+    if defect > bound:
+        raise ValidationError(f"blocks do not sum to identity: defect {defect:.3e}")
+
+
+def _merge(blocks: Sequence[np.ndarray], group) -> np.ndarray:
+    """The sum of the blocks at the indices in ``group``, in that order."""
+    return sum(blocks[i] for i in group)
+
+
+def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray,
+                 bound: float) -> list[np.ndarray] | None:
+    """The meet of two partitions whose blocks meet as ``meets``: one block,
+    summed on ``a``'s side, per connected component (union-find)."""
+    na = len(a_blocks)
+    parent = list(range(na + len(b_blocks)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in np.argwhere(meets):
+        parent[find(int(i))] = find(na + int(j))
+    groups: dict[int, list[int]] = {}
+    for node in range(len(parent)):
+        groups.setdefault(find(node), []).append(node)
+    if len(groups) < 2:
+        return None
+    blocks = []
+    for root in sorted(groups):
+        from_a = _merge(a_blocks, [i for i in groups[root] if i < na])
+        from_b = _merge(b_blocks, [j - na for j in groups[root] if j >= na])
+        if frob(from_a - from_b) > bound:
+            raise ValidationError(
+                "inconsistent intersection component: the two sides disagree")
+        blocks.append(from_a)
+    return blocks
+
+
 def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
                  key: str | None = None, label: str | None = None) -> Context:
     """Validate and canonically order a partition of unity."""
@@ -77,22 +128,12 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
     if len(mats) < 2:
         raise TrivialContext("a context needs at least two blocks")
     dim = mats[0].shape[0]
-    bound = tol.scaled(dim)
     for i, b in enumerate(mats):
         if b.shape[0] != dim:
             raise DimensionMismatch(f"block {i} has dimension {b.shape[0]} != {dim}")
         if not is_projector(b, tol):
             raise NotProjector(f"block {i} is not a projector within tolerance")
-    meets = np.triu(overlaps(mats, mats, tol), 1)
-    if meets.any():
-        i, j = np.argwhere(meets)[0]
-        raise ValidationError(
-            f"blocks {i} and {j} are not orthogonal: "
-            f"||p q|| = {frob(mats[i] @ mats[j]):.3e}")
-    total = sum(mats)
-    defect = frob(total - np.eye(dim))
-    if defect > bound:
-        raise ValidationError(f"blocks do not sum to identity: defect {defect:.3e}")
+    _check_partition(mats, overlaps(mats, mats, tol), tol.scaled(dim))
     ordered = tuple(sorted(mats, key=_block_sort_key))
     return Context(key=key or _fresh_key(), dim=dim, blocks=ordered, label=label)
 
@@ -177,36 +218,10 @@ def context_intersection(a: Context, b: Context, tol: Tolerance = Tolerance(),
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions {a.dim} and {b.dim} differ")
-    bound = tol.scaled(a.dim)
-    na, nb = len(a.blocks), len(b.blocks)
-    parent = list(range(na + nb))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    for i, j in np.argwhere(overlaps(a.blocks, b.blocks, tol)):
-        union(int(i), na + int(j))
-    groups: dict[int, list[int]] = {}
-    for node in range(na + nb):
-        groups.setdefault(find(node), []).append(node)
-    if len(groups) < 2:
+    blocks = _meet_blocks(a.blocks, b.blocks, overlaps(a.blocks, b.blocks, tol),
+                          tol.scaled(a.dim))
+    if blocks is None:
         return None
-
-    blocks = []
-    for root in sorted(groups):
-        members = groups[root]
-        from_a = sum(a.blocks[i] for i in members if i < na)
-        from_b = sum(b.blocks[j - na] for j in members if j >= na)
-        if frob(from_a - from_b) > bound:
-            raise ValidationError(
-                "inconsistent intersection component: the two sides disagree")
-        blocks.append(from_a)
     return make_context(blocks, tol, key=key, label=label)
 
 
@@ -221,17 +236,20 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[head]] + part
 
 
-def coarsenings(ctx: Context, tol: Tolerance = Tolerance()) -> Iterator[Context]:
-    """All proper block-merging coarsenings of a context.
+def _coarsened(blocks: Sequence[np.ndarray]) -> Iterator[list[np.ndarray]]:
+    """The merged blocks of each proper coarsening of a partition.
 
     The all-singletons partition (the context itself) and the one-block
     partition (the excluded trivial algebra) are both skipped.
     """
-    indices = list(range(len(ctx.blocks)))
-    for part in _set_partitions(indices):
-        if len(part) < 2 or len(part) == len(indices):
-            continue
-        merged = [sum(ctx.blocks[i] for i in group) for group in part]
+    for part in _set_partitions(list(range(len(blocks)))):
+        if 1 < len(part) < len(blocks):
+            yield [_merge(blocks, group) for group in part]
+
+
+def coarsenings(ctx: Context, tol: Tolerance = Tolerance()) -> Iterator[Context]:
+    """All proper block-merging coarsenings of a context."""
+    for merged in _coarsened(ctx.blocks):
         yield make_context(merged, tol)
 
 
@@ -259,16 +277,23 @@ class ContextPoset:
         return len(self.contexts)
 
 
-def _context_sort_key(ctx: Context):
-    return (len(ctx.blocks), tuple(_block_sort_key(b) for b in ctx.blocks))
-
-
 def build_poset(maximal: Sequence[Context], closure: str = "intersections",
                 tol: Tolerance = Tolerance()) -> ContextPoset:
     """Close a family of contexts under the chosen policy and order it.
 
     ``intersections`` closes under pairwise intersection to a fixed point;
-    ``coarsenings`` additionally adds every block-merging coarsening.
+    a pass skips the pairs that the pass before already met.
+    ``coarsenings`` takes one meet pass over the given contexts, then every
+    block-merging coarsening of each context so far, in list order.  That
+    set is closed: if X <= A and Y <= B then X ^ Y <= A ^ B, so the meet of
+    two coarsenings lies under a given context or under the meet of two,
+    and every subalgebra of a finite commutative algebra is a coarsening of
+    it.  A coarsening of a coarsening is a coarsening.
+
+    Each distinct block (:func:`qtopos.numerics.same_blocks`) is interned
+    once in a table of matrices, sort keys and meets, so a context is a list
+    of block ids and a duplicate is one set lookup.  A context keeps the
+    matrices it was first formed with.
     """
     if closure not in ("intersections", "coarsenings"):
         raise ValidationError(
@@ -276,48 +301,82 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     if not maximal:
         return ContextPoset(dim=0, contexts=(), leq=frozenset())
     dim = maximal[0].dim
+    bound = tol.scaled(dim)
+    table = np.empty((16, dim, dim), dtype=complex)
+    meets = np.zeros((16, 16), dtype=bool)
+    keys: list = []
     ctxs: list[Context] = []
+    ids_of: list[list[int]] = []
+    seen: set[tuple[int, ...]] = set()
 
-    def absorb(candidate: Context) -> bool:
-        if candidate.dim != dim:
-            raise DimensionMismatch(
-                f"context dimension {candidate.dim} != {dim}")
-        if any(contexts_equal(candidate, seen, tol) for seen in ctxs):
-            return False
-        ctxs.append(candidate)
+    def intern(block: np.ndarray) -> int:
+        nonlocal table, meets
+        n = len(keys)
+        same = np.flatnonzero(same_blocks(table[:n], block, tol))
+        if same.size:
+            return int(same[0])
+        if not is_projector(block, tol):
+            raise NotProjector("a block is not a projector within tolerance")
+        if n == len(table):
+            table, meets = np.concatenate([table, table]), np.pad(meets, (0, n))
+        table[n] = block
+        meets[n, :n + 1] = meets[:n + 1, n] = overlaps(
+            table[:n + 1], block[None], tol)[:, 0]
+        keys.append(_block_sort_key(block))
+        return n
+
+    def add(mats: Sequence[np.ndarray], label: str | None = None) -> None:
+        ids = [intern(m) for m in mats]
+        found = tuple(sorted(ids))
+        if found in seen:
+            return
+        _check_partition(mats, meets[np.ix_(ids, ids)], bound)
+        for m in mats:
+            m.setflags(write=False)
+        order = sorted(range(len(ids)), key=lambda i: keys[ids[i]])
+        seen.add(found)
+        ids_of.append([ids[i] for i in order])
+        ctxs.append(Context(key="", dim=dim, label=label,
+                            blocks=tuple(mats[i] for i in order)))
         if len(ctxs) > POSET_LIMIT:
             raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
-        return True
 
     for ctx in maximal:
-        absorb(ctx)
-
-    while True:
-        added = False
+        if ctx.dim != dim:
+            raise DimensionMismatch(f"context dimension {ctx.dim} != {dim}")
+        add(ctx.blocks, ctx.label)
+    done = 0  # every pair of ctxs[:done] has been met
+    while done < len(ctxs):
         size = len(ctxs)
         for i in range(size):
-            for j in range(i + 1, size):
-                meet = context_intersection(ctxs[i], ctxs[j], tol)
-                if meet is not None and absorb(meet):
-                    added = True
-        if closure == "coarsenings":
-            for ctx in list(ctxs):
-                for coarse in coarsenings(ctx, tol):
-                    if absorb(coarse):
-                        added = True
-        if not added:
-            break
+            for j in range(max(i + 1, done), size):
+                mats = _meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
+                                    meets[np.ix_(ids_of[i], ids_of[j])], bound)
+                if mats is not None:
+                    add(mats)
+        done = size if closure == "intersections" else len(ctxs)
+    for ctx in list(ctxs) if closure == "coarsenings" else ():
+        for mats in _coarsened(ctx.blocks):
+            add(mats)
 
-    ordered = sorted(ctxs, key=_context_sort_key)
-    width = max(2, len(str(len(ordered) - 1)))
-    relabeled = [Context(key=f"V{i:0{width}d}", dim=c.dim, blocks=c.blocks,
-                         label=c.label)
-                 for i, c in enumerate(ordered)]
-    # A subalgebra has no more blocks than the algebra containing it.
-    leq = frozenset((a.key, b.key)
-                    for a in relabeled for b in relabeled
-                    if len(a.blocks) <= len(b.blocks) and context_leq(a, b, tol))
-    return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=leq)
+    order = sorted(range(len(ctxs)), key=lambda i: (
+        len(ids_of[i]), [keys[b] for b in ids_of[i]]))
+    width = max(2, len(str(len(order) - 1)))
+    relabeled = []
+    member = np.zeros((len(order), len(keys)), dtype=np.float32)
+    for r, i in enumerate(order):
+        relabeled.append(Context(key=f"V{r:0{width}d}", dim=dim,
+                                 blocks=ctxs[i].blocks, label=ctxs[i].label))
+        member[r, ids_of[i]] = 1
+    # C <= D iff every block of D meets exactly one block of C (then D has
+    # at least as many blocks, since every block of C meets one of D).
+    misfit = (member @ meets[:len(keys), :len(keys)] != 1).astype(np.float32)
+    leq = set()
+    for lo in range(0, len(order), 512):
+        rows, cols = np.nonzero(misfit[lo:lo + 512] @ member.T == 0)
+        leq.update((relabeled[lo + r].key, relabeled[c].key)
+                   for r, c in zip(rows, cols))
+    return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq))
 
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)

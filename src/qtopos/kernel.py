@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BaseMismatch,
@@ -62,14 +63,26 @@ class FinPoset:
     def down(self, v: str) -> tuple[str, ...]:
         return tuple(u for u in self.elements if self.le(u, v))
 
+    @cached_property
+    def _strict(self) -> tuple[tuple[str, str], ...]:
+        # Bucket the pairs by v, then by u, in element order: O(n + pairs).
+        lowers: dict[str, list[str]] = {e: [] for e in self.elements}
+        uppers: dict[str, list[str]] = {e: [] for e in self.elements}
+        for u, v in self.leq:
+            if u != v:
+                lowers[v].append(u)
+        for v in self.elements:
+            for u in lowers[v]:
+                uppers[u].append(v)
+        return tuple((u, v) for u in self.elements for v in uppers[u])
+
     def strict_pairs(self) -> list[tuple[str, str]]:
         """All (u, v) with u < v, in canonical order."""
-        return [(u, v) for u in self.elements for v in self.elements
-                if u != v and self.le(u, v)]
+        return list(self._strict)
 
     def strict_down_pairs(self) -> list[tuple[str, str]]:
         """All (frm, to) with to < frm: the keys of restriction maps."""
-        return [(v, u) for (u, v) in self.strict_pairs()]
+        return [(v, u) for (u, v) in self._strict]
 
 
 def finposet(elements, pairs=()) -> FinPoset:

@@ -14,6 +14,14 @@ daseinisation all follow.  The test takes norms of products, not traces:
 ``||p q||_F^2 = tr(p q)`` for projectors, but the rounding noise of a trace
 sits above ``(eps * d)^2``, so a squared bound on the trace cannot tell a
 meeting pair from an orthogonal one.
+
+Block equality.  ``build_poset`` stores each distinct block once: p and q
+are the same block iff ``||p - q||_F <= eps * d`` (:func:`same_blocks`).
+This agrees with ``contexts_equal``, whose test is that the meet matrix of
+two partitions is a permutation.  If p meets only q of q's partition and q
+only p of p's, then ``p = p q + sum(p q')`` and ``q = p q + sum(p' q)``
+with every other product below ``eps * d``; in exact arithmetic those
+vanish and p = p q = q.  Conversely equal blocks meet only each other.
 """
 
 from __future__ import annotations
@@ -163,6 +171,12 @@ def overlaps(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
     qs = np.asarray(qs)
     norms = np.linalg.norm(ps[:, None] @ qs[None], axis=(2, 3))
     return norms > tol.scaled(ps.shape[-1])
+
+
+def same_blocks(ps, q, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Which blocks equal ``q``: ``out[i]`` is ``||ps[i] - q||_F <= eps * d``."""
+    gap = (np.asarray(ps) - q).reshape(len(ps), q.size).view(np.float64)
+    return np.einsum("ij,ij->i", gap, gap) <= tol.scaled(q.shape[0]) ** 2
 
 
 def proj_leq(p, q, tol: Tolerance = Tolerance()) -> bool:

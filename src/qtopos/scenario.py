@@ -25,6 +25,10 @@ from .errors import (
 )
 from .numerics import MAX_DIM, Tolerance, eigensystem
 
+# How far a requested eigenvalue may sit from a computed one.  It bounds the
+# precision of a number typed into a scenario, not numerical noise, so it
+# stays the same whatever the scenario's tolerance is.
+EIGENVALUE_MATCH = 1e-6
 
 _TOP_LEVEL_KEYS = {"dimension", "tolerance", "operators", "states",
                    "groups", "closure", "builtins", "projectors"}
@@ -174,7 +178,7 @@ def parse_scenario(text: str) -> Scenario:
         taken: set = set()
         for wanted in node["eigenvalues"]:
             hits = [i for i, (value, _) in enumerate(pairs)
-                    if abs(value - wanted) <= 1e-6]
+                    if abs(value - wanted) <= EIGENVALUE_MATCH]
             if len(hits) != 1:
                 raise ValidationError(
                     f"projector {name!r}: {source!r} has no eigenvalue "

@@ -58,6 +58,35 @@ class TestFinPoset:
         assert CHAIN2.down("bottom") == ("bottom",)
 
 
+def _strict_pairs_by_definition(base):
+    return [(u, v) for u in base.elements for v in base.elements
+            if u != v and base.le(u, v)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_strict_pairs_match_the_definition(n, density, seed):
+    rng = random.Random(seed)
+    # names in random order, so element order is not the order of the pairs
+    names = [f"e{i:03d}" for i in rng.sample(range(1000), n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < density]
+    base = K.finposet(names, pairs)
+    expected = _strict_pairs_by_definition(base)
+    assert base.strict_pairs() == expected
+    assert base.strict_down_pairs() == [(v, u) for (u, v) in expected]
+
+
+def test_strict_pairs_of_a_large_antichain_and_chain():
+    antichain = K.finposet([f"e{i:04d}" for i in range(1100)])
+    assert antichain.strict_pairs() == _strict_pairs_by_definition(antichain) == []
+    names = [f"e{i:02d}" for i in range(40)]
+    chain = K.finposet(reversed(names), list(zip(names, names[1:])))
+    assert chain.strict_pairs() == _strict_pairs_by_definition(chain)
+    assert len(chain.strict_pairs()) == 40 * 39 // 2
+
+
 class TestPresheafValidation:
     def test_missing_component(self):
         with pytest.raises(ValidationError):

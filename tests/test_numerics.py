@@ -19,6 +19,7 @@ from qtopos.numerics import (
     is_projector,
     proj_leq,
     require_projector,
+    same_blocks,
 )
 from tests.conftest import SX, SZ, random_hermitian, random_projector
 
@@ -186,3 +187,18 @@ class TestProjLeq:
                 for k in range(n):
                     if rel[i][j] and rel[j][k]:
                         assert rel[i][k]
+
+
+class TestSameBlocks:
+    def test_distance_bound(self, tol, rng):
+        p = random_projector(4, rng, rank=2)
+        nudge = np.zeros((4, 4), dtype=complex)
+        nudge[0, 1] = nudge[1, 0] = 1.0
+        bound = tol.scaled(4)  # ||nudge|| = sqrt(2), so scale by 1/sqrt(2)
+        near = p + 0.9 * bound / np.sqrt(2) * nudge
+        far = p + 1.1 * bound / np.sqrt(2) * nudge
+        blocks = [np.eye(4) - p, near, far, p]
+        assert same_blocks(blocks, p, tol).tolist() == [False, True, False, True]
+
+    def test_empty_table(self, tol):
+        assert same_blocks(np.empty((0, 2, 2), dtype=complex), np.eye(2), tol).size == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtopos.errors import ParseError, ValidationError
-from qtopos.scenario import parse_scenario
+from qtopos.scenario import EIGENVALUE_MATCH, parse_scenario
 
 MINIMAL = '{"dimension": 2, "builtins": ["pauli2"]}'
 
@@ -180,6 +180,18 @@ class TestProjectorHelper:
         with pytest.raises(ValidationError, match="0.5"):
             parse_scenario(_doc(
                 projectors={"bad": {"operator": "sz", "eigenvalues": [0.5]}}))
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-9, 1e-4])
+    def test_eigenvalue_match_ignores_the_tolerance(self, tolerance):
+        def projector(value):
+            return parse_scenario(_doc(tolerance=tolerance, projectors={
+                "P": {"operator": "sz", "eigenvalues": [value]}})).operator("P")
+
+        for inside in (1 + 0.9 * EIGENVALUE_MATCH, 1 - 0.9 * EIGENVALUE_MATCH):
+            assert np.allclose(projector(inside), np.diag([1.0, 0.0]))
+        for outside in (1 + 1.1 * EIGENVALUE_MATCH, 1 - 1.1 * EIGENVALUE_MATCH):
+            with pytest.raises(ValidationError, match="has no eigenvalue within"):
+                projector(outside)
 
     def test_unknown_source_operator(self):
         with pytest.raises(ValidationError, match="ghost"):
