@@ -140,8 +140,7 @@ def _cmd_poset(args) -> dict:
     report.update({
         "context_count": len(poset),
         "contexts": _context_rows(poset),
-        "relation": [[low, high] for (low, high) in sorted(poset.leq)
-                     if low != high],
+        "relation": [list(pair) for pair in poset.base.strict_pairs()],
     })
     return report
 

@@ -24,6 +24,7 @@ from .errors import (
     UnknownBuiltin,
     ValidationError,
 )
+from .kernel import FinPoset
 from .numerics import (
     Tolerance,
     as_operator,
@@ -255,7 +256,9 @@ def coarsenings(ctx: Context, tol: Tolerance = Tolerance()) -> Iterator[Context]
 
 @dataclass(frozen=True, eq=False)
 class ContextPoset:
-    """Finitely many contexts ordered by algebra inclusion."""
+    """Finitely many contexts ordered by algebra inclusion; ``base`` is the
+    kernel poset on the sorted keys.  ``leq`` must already be closed, as
+    ``build_poset`` returns it: a hand-built poset is taken as given."""
 
     dim: int
     contexts: tuple[Context, ...]
@@ -263,6 +266,8 @@ class ContextPoset:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {c.key: c for c in self.contexts})
+        object.__setattr__(self, "base", FinPoset(
+            elements=tuple(sorted(self._index)), leq=self.leq))
 
     def context(self, key: str) -> Context:
         return self._index[key]

@@ -14,6 +14,8 @@ node budget a space that large takes tens of seconds to refuse, not none.
 Conventions
 -----------
 * Poset elements are strings; ``leq`` holds ``(u, v)`` iff ``u <= v``.
+* Each element's lower and upper lists (itself included, in element order)
+  and the strict pairs are built once per poset; every order scan reads them.
 * Component points may be any value with a stable ``repr``; components are
   stored as tuples sorted by ``repr`` so all enumeration output is
   deterministic.
@@ -52,7 +54,8 @@ def _sorted_points(points) -> tuple:
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset; ``leq`` is reflexive, antisymmetric and transitive."""
+    """A finite poset whose ``leq`` is already reflexive, antisymmetric and
+    transitive; it is taken as given (``finposet`` closes and checks pairs)."""
 
     elements: tuple[str, ...]
     leq: frozenset[tuple[str, str]]
@@ -60,29 +63,32 @@ class FinPoset:
     def le(self, u: str, v: str) -> bool:
         return (u, v) in self.leq
 
-    def down(self, v: str) -> tuple[str, ...]:
-        return tuple(u for u in self.elements if self.le(u, v))
-
     @cached_property
-    def _strict(self) -> tuple[tuple[str, str], ...]:
-        # Bucket the pairs by v, then by u, in element order: O(n + pairs).
+    def _lists(self) -> tuple[dict, dict, tuple]:
+        index = {e: i for i, e in enumerate(self.elements)}
+        pairs = sorted(self.leq, key=lambda p: (index[p[0]], index[p[1]]))
         lowers: dict[str, list[str]] = {e: [] for e in self.elements}
         uppers: dict[str, list[str]] = {e: [] for e in self.elements}
-        for u, v in self.leq:
-            if u != v:
-                lowers[v].append(u)
-        for v in self.elements:
-            for u in lowers[v]:
-                uppers[u].append(v)
-        return tuple((u, v) for u in self.elements for v in uppers[u])
+        for u, v in pairs:
+            lowers[v].append(u)
+            uppers[u].append(v)
+        return ({e: tuple(ls) for e, ls in lowers.items()},
+                {e: tuple(us) for e, us in uppers.items()},
+                tuple((u, v) for u, v in pairs if u != v))
+
+    def down(self, v: str) -> tuple[str, ...]:
+        return self._lists[0][v]
+
+    def up(self, u: str) -> tuple[str, ...]:
+        return self._lists[1][u]
 
     def strict_pairs(self) -> list[tuple[str, str]]:
         """All (u, v) with u < v, in canonical order."""
-        return list(self._strict)
+        return list(self._lists[2])
 
     def strict_down_pairs(self) -> list[tuple[str, str]]:
         """All (frm, to) with to < frm: the keys of restriction maps."""
-        return [(v, u) for (u, v) in self._strict]
+        return [(v, u) for (u, v) in self._lists[2]]
 
 
 def finposet(elements, pairs=()) -> FinPoset:
@@ -161,31 +167,24 @@ def depth_first(order, options, budget: NodeBudget | None = None):
 
 
 def _extension_desc(base: FinPoset) -> list[str]:
-    """A linear extension listing every element after all strictly above it."""
-    placed: list[str] = []
-    remaining = set(base.elements)
-    while remaining:
-        ready = sorted(u for u in remaining
-                       if not any(u != w and base.le(u, w) for w in remaining))
-        placed.extend(ready)
-        remaining.difference_update(ready)
-    return placed
+    """Elements by the length of the longest chain above them, then by key:
+    each element comes after all strictly above it."""
+    height: dict = {}
+    for u in _extension_from_top(base):
+        height[u] = max((height[w] + 1 for w in base.up(u) if w != u), default=0)
+    return sorted(base.elements, key=lambda u: (height[u], u))
 
 
 def _extension_from_top(base: FinPoset) -> list[str]:
     """Maximal elements, each other element right after its last upper (the
     last placed element above it), ties in key order; O(elements + pairs)."""
-    below: dict = {u: [] for u in base.elements}
-    waiting = dict.fromkeys(base.elements, 0)
-    for (u, w) in sorted(base.leq, reverse=True):
-        if u != w:
-            below[w].append(u)
-            waiting[u] += 1
+    waiting = {u: len(base.up(u)) - 1 for u in base.elements}
     placed: list[str] = []
     stack = [u for u in reversed(base.elements) if not waiting[u]]
     while stack:
         placed.append(stack.pop())
-        for u in below[placed[-1]]:
+        # the placed element itself drops to -1 and is never pushed again
+        for u in reversed(base.down(placed[-1])):
             waiting[u] -= 1
             if not waiting[u]:
                 stack.append(u)
@@ -194,7 +193,9 @@ def _extension_from_top(base: FinPoset) -> list[str]:
 
 def _uppers(base: FinPoset, order: list[str]) -> dict:
     """For each element, the earlier elements of ``order`` above it."""
-    return {u: [w for w in order[:i] if base.le(u, w)]
+    pos = {u: i for i, u in enumerate(order)}
+    return {u: sorted((w for w in base.up(u) if pos.get(w, i) < i),
+                      key=pos.__getitem__)
             for i, u in enumerate(order)}
 
 
@@ -246,8 +247,8 @@ def presheaf(base: FinPoset, sets, restrictions) -> Presheaf:
         raise ValidationError("restriction maps given for non-comparable pairs")
 
     for (u, v) in base.strict_pairs():
-        for w in base.elements:
-            if w != u and w != v and base.le(w, u):
+        for w in base.down(u):
+            if w != u:
                 via = maps[(u, w)]
                 direct = maps[(v, w)]
                 step = maps[(v, u)]
@@ -318,8 +319,8 @@ def lowerset(base: FinPoset, members) -> LowerSet:
     for v in mem:
         if v not in base.elements:
             raise ValidationError(f"{v!r} is not an element of the poset")
-        for u in base.elements:
-            if base.le(u, v) and u not in mem:
+        for u in base.down(v):
+            if u not in mem:
                 raise ValidationError(
                     f"not downward closed: {v!r} is in but {u!r} below it is not")
     return LowerSet(base=base, members=mem)
@@ -425,7 +426,7 @@ def _lower_sets_below(base: FinPoset, dv: tuple[str, ...],
                       limit: int) -> list[tuple]:
     """All downward-closed subsets of ``dv``, each as a tuple in dv order."""
     ascending = [u for u in reversed(_extension_desc(base)) if u in dv]
-    preds = {u: [w for w in dv if w != u and base.le(w, u)] for u in dv}
+    preds = {u: [w for w in base.down(u) if w != u] for u in dv}
 
     def options(u, inside):
         return (False, True) if all(inside[w] for w in preds[u]) else (False,)
@@ -441,13 +442,12 @@ def _lower_sets_below(base: FinPoset, dv: tuple[str, ...],
 def omega(base: FinPoset) -> Presheaf:
     """The subobject classifier: sieves (lower sets below each element)."""
     sets = {}
-    down_cache = {v: base.down(v) for v in base.elements}
     for v in base.elements:
-        sieves = _lower_sets_below(base, down_cache[v], COMPONENT_LIMIT)
+        sieves = _lower_sets_below(base, base.down(v), COMPONENT_LIMIT)
         sets[v] = _sorted_points(sieves)
     restr = {}
     for (frm, to) in base.strict_down_pairs():
-        below = set(down_cache[to])
+        below = set(base.down(to))
         restr[(frm, to)] = {s: tuple(u for u in s if u in below)
                             for s in sets[frm]}
     return presheaf(base, sets, restr)

@@ -39,11 +39,6 @@ from .numerics import (
 KS_NODE_LIMIT = 10 ** 7
 
 
-def poset_base(poset: ContextPoset) -> kernel.FinPoset:
-    """The context poset as a bare kernel poset of keys."""
-    return kernel.finposet([c.key for c in poset.contexts], poset.leq)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralPresheaf:
     """Blocks per context, restricted by coarsening."""
@@ -64,7 +59,7 @@ def spectral_presheaf(poset: ContextPoset,
     restriction map to a smaller context sends each block to the unique
     coarser block it meets, and raises ``Ambiguity`` otherwise.
     """
-    base = poset_base(poset)
+    base = poset.base
     sets = {c.key: tuple(range(len(c.blocks))) for c in poset.contexts}
     restrictions = {}
     for (frm, to) in base.strict_down_pairs():
@@ -247,7 +242,7 @@ def truth_value_truthobject(projector, psi, poset: ContextPoset,
     masks = {ctx.key: sum(1 << i for i in _overlap_indices(p, ctx, tol))
              for ctx in poset.contexts}
     members = {key for key, mask in masks.items() if obj.contains(key, mask)}
-    return kernel.lowerset(poset_base(poset), members)
+    return kernel.lowerset(poset.base, members)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtopos import contexts as C
+from qtopos import quantum as Q
 from qtopos.errors import SizeLimit
 from qtopos.numerics import Tolerance
 from qtopos.scenario import parse_scenario
@@ -68,8 +69,21 @@ def reference_build_poset(maximal, closure, tol=TOL) -> C.ContextPoset:
     return C.ContextPoset(dim=ordered[0].dim, contexts=tuple(relabeled), leq=leq)
 
 
+def assert_is_order(poset):
+    # ``ContextPoset.base`` trusts ``leq`` without closing it again
+    keys = set(poset.keys())
+    above = {k: set() for k in keys}
+    for a, b in poset.leq:
+        assert b in keys
+        above[a].add(b)
+    assert all(k in above[k] for k in keys)
+    assert all(a == b or a not in above[b] for a, b in poset.leq)
+    assert all(above[b] <= above[a] for a, b in poset.leq)
+
+
 def assert_same_poset(maximal, closure, tol=TOL):
     new = C.build_poset(maximal, closure, tol)
+    assert_is_order(new)
     old = reference_build_poset(maximal, closure, tol)
     assert new.keys() == old.keys()
     assert new.leq == old.leq
@@ -155,6 +169,17 @@ def test_seven_level_observable_under_coarsenings():
     start = time.perf_counter()
     poset = C.build_poset([_generic_observable(7)], "coarsenings", TOL)
     assert (len(poset), len(poset.leq)) == (876, 18425)
+    assert time.perf_counter() - start < 60
+    assert_is_order(poset)
+
+
+def test_seven_level_observable_presheaf_and_search():
+    # A section picks one block of the one maximal context and is forced
+    # below it, so there are exactly 7, fewer than the 8 asked for.
+    start = time.perf_counter()
+    poset = C.build_poset([_generic_observable(7)], "coarsenings", TOL)
+    result = Q.ks_search(Q.spectral_presheaf(poset, TOL), max_solutions=8)
+    assert (result.status, len(result.sections)) == ("SectionsExist", 7)
     assert time.perf_counter() - start < 60
 
 

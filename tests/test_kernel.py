@@ -63,6 +63,41 @@ def _strict_pairs_by_definition(base):
             if u != v and base.le(u, v)]
 
 
+# The scans the element lists replaced, kept as references.
+def _down_by_scan(base, v):
+    return tuple(u for u in base.elements if base.le(u, v))
+
+
+def _extension_desc_by_layers(base):
+    placed = []
+    remaining = set(base.elements)
+    while remaining:
+        ready = sorted(u for u in remaining
+                       if not any(u != w and base.le(u, w) for w in remaining))
+        placed.extend(ready)
+        remaining.difference_update(ready)
+    return placed
+
+
+def _uppers_by_prefix_scan(base, order):
+    return {u: [w for w in order[:i] if base.le(u, w)]
+            for i, u in enumerate(order)}
+
+
+def _assert_lists_match_the_scans(base):
+    expected = _strict_pairs_by_definition(base)
+    assert base.strict_pairs() == expected
+    assert base.strict_down_pairs() == [(v, u) for (u, v) in expected]
+    assert all(base.down(v) == _down_by_scan(base, v) for v in base.elements)
+    assert K._extension_desc(base) == _extension_desc_by_layers(base)
+    for order in (K._extension_desc(base), K._extension_from_top(base)):
+        assert K._uppers(base, order) == _uppers_by_prefix_scan(base, order)
+        # the order restricted to a down-set, as ``exponential`` takes it
+        below = set(base.down(order[0]))
+        part = [u for u in order if u in below]
+        assert K._uppers(base, part) == _uppers_by_prefix_scan(base, part)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 12), density=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -72,19 +107,17 @@ def test_strict_pairs_match_the_definition(n, density, seed):
     names = [f"e{i:03d}" for i in rng.sample(range(1000), n)]
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
              if rng.random() < density]
-    base = K.finposet(names, pairs)
-    expected = _strict_pairs_by_definition(base)
-    assert base.strict_pairs() == expected
-    assert base.strict_down_pairs() == [(v, u) for (u, v) in expected]
+    _assert_lists_match_the_scans(K.finposet(names, pairs))
 
 
 def test_strict_pairs_of_a_large_antichain_and_chain():
     antichain = K.finposet([f"e{i:04d}" for i in range(1100)])
-    assert antichain.strict_pairs() == _strict_pairs_by_definition(antichain) == []
+    assert antichain.strict_pairs() == []
+    _assert_lists_match_the_scans(antichain)
     names = [f"e{i:02d}" for i in range(40)]
     chain = K.finposet(reversed(names), list(zip(names, names[1:])))
-    assert chain.strict_pairs() == _strict_pairs_by_definition(chain)
     assert len(chain.strict_pairs()) == 40 * 39 // 2
+    _assert_lists_match_the_scans(chain)
 
 
 class TestPresheafValidation:
@@ -108,6 +141,19 @@ class TestPresheafValidation:
         with pytest.raises(ValidationError, match="functoriality"):
             K.presheaf(chain3, {"a": pts, "b": pts, "c": pts},
                        {("c", "b"): swap, ("c", "a"): ident, ("b", "a"): ident})
+
+    def test_first_broken_chain_is_named(self):
+        # d < b < c < a; swapping a -> c breaks b < c < a and d < c < a,
+        # and the chains below one strict pair run in element order
+        chain = K.finposet(["a", "b", "c", "d"],
+                           [("d", "b"), ("b", "c"), ("c", "a")])
+        pts = ("0", "1")
+        ident = {"0": "0", "1": "1"}
+        maps = {pair: ident for pair in chain.strict_down_pairs()}
+        maps[("a", "c")] = {"0": "1", "1": "0"}
+        with pytest.raises(ValidationError, match=(
+                "^functoriality fails on the chain 'b' < 'c' < 'a'$")):
+            K.presheaf(chain, dict.fromkeys("abcd", pts), maps)
 
     def test_extra_restriction_rejected(self):
         with pytest.raises(ValidationError):
