@@ -152,12 +152,11 @@ def _cmd_daseinise(args) -> dict:
     poset = _poset_of(scn)
     tol = scn.tolerance
     variant = "inner" if args.inner else "outer"
-    rows = []
-    for ctx in poset.contexts:
-        indices, approx = quantum._daseinise(proj, ctx, tol, args.inner)
-        rows.append({"id": ctx.key, "label": ctx.label,
-                     "blocks": list(indices),
-                     "matrix": _matrix_json(approx)})
+    rows = [{"id": ctx.key, "label": ctx.label, "blocks": list(indices),
+             "matrix": _matrix_json(approx)}
+            for ctx, (indices, approx) in zip(
+                poset.contexts,
+                quantum._daseinise(proj, poset.contexts, tol, args.inner))]
     report = _envelope("daseinise", scn)
     report.update({"projector": args.projector, "variant": variant,
                    "per_context": rows})

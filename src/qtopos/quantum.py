@@ -3,15 +3,17 @@
 This is the quantum layer on top of the generic kernel: each context
 contributes its blocks as a finite set, restriction coarsens blocks, and
 projectors are approximated per context by the smallest dominating (outer)
-or largest dominated (inner) sums of blocks.  Truth values of propositions
-land in the lower sets of the context poset, and the global-section search
-decides whether a noncontextual valuation exists at all.
+or largest dominated (inner) sums of blocks, the outer ones of all contexts
+from one batched ``overlaps`` call.  Truth values of propositions land in
+the lower sets of the context poset, and the global-section search decides
+whether a noncontextual valuation exists at all.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -104,60 +106,72 @@ def evaluate(element: SpectralElement, operator,
     return float(coeffs[element.block].real)
 
 
-def _overlap_indices(proj: np.ndarray, ctx: Context, tol: Tolerance) -> tuple[int, ...]:
-    if proj.shape[0] != ctx.dim:
-        raise DimensionMismatch(
-            f"projector dimension {proj.shape[0]} != context dimension {ctx.dim}")
-    return tuple(np.flatnonzero(overlaps(ctx.blocks, [proj], tol)).tolist())
+def _outer_indices(p: np.ndarray, contexts: Sequence[Context],
+                   tol: Tolerance) -> list[tuple[int, ...]]:
+    """Per context, the indices of its blocks that meet ``p``, in block order,
+    from one ``overlaps`` call on the blocks of all contexts stacked."""
+    for ctx in contexts:
+        if p.shape[0] != ctx.dim:
+            raise DimensionMismatch(
+                f"projector dimension {p.shape[0]} != context dimension {ctx.dim}")
+    if not contexts:
+        return []
+    hits = overlaps([b for c in contexts for b in c.blocks], [p], tol)[:, 0].tolist()
+    ends = itertools.accumulate(len(c.blocks) for c in contexts)
+    return [tuple(i for i, hit in enumerate(hits[end - len(c.blocks):end]) if hit)
+            for c, end in zip(contexts, ends)]
 
 
-def _daseinise(p: np.ndarray, ctx: Context, tol: Tolerance,
-               inner: bool) -> tuple[tuple[int, ...], np.ndarray]:
-    """Block indices and matrix of an approximation of a checked projector.
+def _daseinise(p: np.ndarray, contexts: Sequence[Context], tol: Tolerance,
+               inner: bool) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Per context, block indices and matrix of an approximation of ``p``.
 
     The outer approximation sums the blocks that meet ``p``; the inner one
     keeps the blocks that miss ``1 - p``.  Its matrix is ``1`` minus the
     dropped blocks: reports print the last bits of that difference.
     """
+    out = []
     if not inner:
-        picked = _overlap_indices(p, ctx, tol)
-        out = sum((ctx.blocks[i] for i in picked),
-                  np.zeros((ctx.dim, ctx.dim), dtype=complex))
-        out.setflags(write=False)
-        return picked, out
+        for ctx, picked in zip(contexts, _outer_indices(p, contexts, tol)):
+            m = sum((ctx.blocks[i] for i in picked),
+                    np.zeros((ctx.dim, ctx.dim), dtype=complex))
+            m.setflags(write=False)
+            out.append((picked, m))
+        return out
     eye = np.eye(p.shape[0], dtype=complex)
-    dropped, outer = _daseinise(eye - p, ctx, tol, False)
-    out = eye - outer
-    out = (out + out.conj().T) / 2
-    out.setflags(write=False)
-    return tuple(i for i in range(len(ctx.blocks)) if i not in dropped), out
+    for ctx, (dropped, outer) in zip(contexts, _daseinise(eye - p, contexts, tol, False)):
+        m = eye - outer
+        m = (m + m.conj().T) / 2
+        m.setflags(write=False)
+        out.append((tuple(i for i in range(len(ctx.blocks)) if i not in dropped), m))
+    return out
 
 
 def daseinise_projector(projector, ctx: Context,
                         tol: Tolerance = Tolerance()) -> np.ndarray:
     """Outer approximation: smallest block sum dominating the projector."""
-    return _daseinise(require_projector(projector, tol, "projector"), ctx, tol, False)[1]
+    return _daseinise(require_projector(projector, tol, "projector"), [ctx], tol, False)[0][1]
 
 
 def daseinise_projector_inner(projector, ctx: Context,
                               tol: Tolerance = Tolerance()) -> np.ndarray:
     """Inner approximation: largest block sum dominated by the projector."""
-    return _daseinise(require_projector(projector, tol, "projector"), ctx, tol, True)[1]
+    return _daseinise(require_projector(projector, tol, "projector"), [ctx], tol, True)[0][1]
 
 
 def daseinise_block_indices(projector, ctx: Context,
                             tol: Tolerance = Tolerance(),
                             inner: bool = False) -> tuple[int, ...]:
     """Indices of the blocks summed by the chosen approximation."""
-    return _daseinise(require_projector(projector, tol, "projector"), ctx, tol, inner)[0]
+    return _daseinise(require_projector(projector, tol, "projector"), [ctx], tol, inner)[0][0]
 
 
 def delta_subobject(projector, presheaf: SpectralPresheaf,
                     tol: Tolerance = Tolerance()) -> kernel.Subobject:
     """The outer approximation of a projector as a subobject of the presheaf."""
     p = require_projector(projector, tol, "projector")
-    parts = {c.key: _overlap_indices(p, c, tol)
-             for c in presheaf.poset.contexts}
+    contexts = presheaf.poset.contexts
+    parts = dict(zip((c.key for c in contexts), _outer_indices(p, contexts, tol)))
     return kernel.subobject(presheaf.underlying, parts)
 
 
@@ -165,7 +179,8 @@ def _unit_state(psi, poset: ContextPoset, tol: Tolerance) -> np.ndarray:
     if not poset.contexts:
         raise ValidationError("cannot place a state on an empty poset")
     vec = as_vector(psi, poset.dim)
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > tol.eps:
         raise NotUnitNorm(f"state norm {norm!r} is not 1 within tolerance")
     return vec
@@ -239,8 +254,8 @@ def truth_value_truthobject(projector, psi, poset: ContextPoset,
     """Contexts where the truth object holds the outer approximation."""
     obj = truth_object(psi, poset, tol)
     p = require_projector(projector, tol, "projector")
-    masks = {ctx.key: sum(1 << i for i in _overlap_indices(p, ctx, tol))
-             for ctx in poset.contexts}
+    masks = {ctx.key: sum(1 << i for i in picked) for ctx, picked
+             in zip(poset.contexts, _outer_indices(p, poset.contexts, tol))}
     members = {key for key, mask in masks.items() if obj.contains(key, mask)}
     return kernel.lowerset(poset.base, members)
 
@@ -324,8 +339,8 @@ def daseinise_observable(operator, ctx: Context,
     e_k = outer = inner = prev_f = prev_g = np.zeros((dim, dim), dtype=complex)
     for value, proj in pairs:
         e_k = e_k + proj
-        f_k = _daseinise(e_k, ctx, tol, True)[1]
-        g_k = _daseinise(e_k, ctx, tol, False)[1]
+        f_k = _daseinise(e_k, [ctx], tol, True)[0][1]
+        g_k = _daseinise(e_k, [ctx], tol, False)[0][1]
         outer = outer + value * (f_k - prev_f)
         inner = inner + value * (g_k - prev_g)
         prev_f, prev_g = f_k, g_k

@@ -199,7 +199,8 @@ def parse_scenario(text: str) -> Scenario:
         if name in operators or name in states:
             raise ValidationError(f"duplicate name {name!r}")
         vec = _vector(node, dim, f"states.{name}")
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > tol.eps:
             raise ValidationError(
                 f"state {name!r} has norm {norm!r}, not 1 within tolerance")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -135,6 +136,23 @@ class TestTruth:
         code, _, err = _run(["truth", PAULI2, "--state", "zplus",
                              "--projector", "Pzplus", "--via", "magic"])
         assert code == 1 and "magic" in err
+
+    def test_overflowing_state_norm_prints_one_error_line(self, tmp_path):
+        # the norm of a state entry near the float limit overflows to inf;
+        # numpy's overflow warning must not reach stderr
+        doc = json.loads(pathlib.Path(PAULI2).read_text())
+        doc["states"]["zplus"] = [[1e300, 0], [0, 0]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["validate", str(path)],
+                         ["truth", str(path), "--state", "zplus",
+                          "--projector", "Pzplus", "--via", "pseudo-state"]):
+                code, out, err = cli.run_command(argv)
+                assert (code, out) == (1, "")
+                assert err == ("error: state 'zplus' has norm inf, "
+                               "not 1 within tolerance\n")
 
 
 class TestEmptyPoset:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,12 @@ class TestTruthObject:
     def test_norm_checked(self, tol, pauli_poset):
         with pytest.raises(NotUnitNorm):
             Q.truth_object([1, 1], pauli_poset, tol)
+
+    def test_overflowing_norm_is_an_error_not_a_warning(self, tol, pauli_poset):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitNorm, match="^state norm inf is not 1"):
+                Q.truth_object([1e300, 0], pauli_poset, tol)
 
 
 class TestTruthValues:
