@@ -298,7 +298,9 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     Each distinct block (:func:`qtopos.numerics.same_blocks`) is interned
     once in a table of matrices, sort keys and meets, so a context is a list
     of block ids and a duplicate is one set lookup.  A context keeps the
-    matrices it was first formed with.
+    matrices it was first formed with.  ``V..`` ids sort contexts by block
+    count, then by block entries rounded to 6 digits: near a rounding boundary
+    ids can change (say under a global unitary); shape, order and verdict hold.
     """
     if closure not in ("intersections", "coarsenings"):
         raise ValidationError(

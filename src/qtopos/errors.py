@@ -68,10 +68,6 @@ class BaseMismatch(ToposError):
     """Two presheaves or lower sets live over different posets."""
 
 
-class DownwardClosureViolation(ToposError):
-    """A pointwise truth set failed to be downward closed."""
-
-
 class ParseError(ToposError):
     """Syntax error in a scenario document or proposition expression.
 

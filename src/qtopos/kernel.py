@@ -19,8 +19,8 @@ Conventions
 * Component points may be any value with a stable ``repr``; components are
   stored as tuples sorted by ``repr`` so all enumeration output is
   deterministic.
-* A sieve at ``v`` is the sorted tuple of its member elements, and the
-  points of ``omega(base)`` at ``v`` are exactly these tuples.
+* ``omega(base)`` is ``P(1)``: a point at ``v`` is a sieve on ``v`` (a
+  subobject of the terminal below ``v``), the tuple of its members in order.
 * Power-object points and exponential points are nested sorted tuples, so
   equality is plain ``==`` everywhere.
 """
@@ -229,7 +229,7 @@ def presheaf(base: FinPoset, sets, restrictions) -> Presheaf:
     if set(sets) - set(base.elements):
         raise ValidationError("components given for elements outside the poset")
 
-    expected = set(base.strict_down_pairs())
+    expected = base.strict_down_pairs()
     maps = {}
     for pair in expected:
         if pair not in restrictions:
@@ -243,7 +243,7 @@ def presheaf(base: FinPoset, sets, restrictions) -> Presheaf:
                 raise ValidationError(
                     f"restriction {pair!r} sends {x!r} outside the target component")
         maps[pair] = mapping
-    if set(restrictions) - expected:
+    if set(restrictions) - set(expected):
         raise ValidationError("restriction maps given for non-comparable pairs")
 
     for (u, v) in base.strict_pairs():
@@ -316,7 +316,7 @@ class LowerSet:
 
 def lowerset(base: FinPoset, members) -> LowerSet:
     mem = frozenset(members)
-    for v in mem:
+    for v in sorted(mem, key=_pkey):
         if v not in base.elements:
             raise ValidationError(f"{v!r} is not an element of the poset")
         for u in base.down(v):
@@ -422,29 +422,15 @@ def global_elements(x: Presheaf) -> list[NatTransform]:
             for s in global_sections(x, budget)]
 
 
-def _lower_sets_below(base: FinPoset, dv: tuple[str, ...],
-                      limit: int) -> list[tuple]:
-    """All downward-closed subsets of ``dv``, each as a tuple in dv order."""
-    ascending = [u for u in reversed(_extension_desc(base)) if u in dv]
-    preds = {u: [w for w in base.down(u) if w != u] for u in dv}
-
-    def options(u, inside):
-        return (False, True) if all(inside[w] for w in preds[u]) else (False,)
-
-    out: list[tuple] = []
-    for inside in depth_first(ascending, options):
-        out.append(tuple(u for u in dv if inside[u]))
-        if len(out) > limit:
-            raise SizeLimit(f"more than {limit} sieves in one component")
-    return out
-
-
 def omega(base: FinPoset) -> Presheaf:
-    """The subobject classifier: sieves (lower sets below each element)."""
+    """The subobject classifier ``P(1)``: at ``v``, the subobjects of the
+    terminal below ``v`` (the sieves), each as the tuple of its members."""
+    one = terminal(base)
     sets = {}
     for v in base.elements:
-        sieves = _lower_sets_below(base, base.down(v), COMPONENT_LIMIT)
-        sets[v] = _sorted_points(sieves)
+        dv = base.down(v)
+        sets[v] = _sorted_points(tuple(u for u in dv if fam[u])
+                                 for fam in _relative_subobjects(one, dv))
     restr = {}
     for (frm, to) in base.strict_down_pairs():
         below = set(base.down(to))
@@ -542,6 +528,17 @@ def product(a: Presheaf, b: Presheaf) -> Presheaf:
     return presheaf(base, sets, restr)
 
 
+def _tagged_presheaf(base: FinPoset, sets: dict) -> Presheaf:
+    """Validate a presheaf whose points are tuples of ``(element, data)``
+    entries; restriction keeps the entries below the target."""
+    restr = {}
+    for (frm, to) in base.strict_down_pairs():
+        below = set(base.down(to))
+        restr[(frm, to)] = {pt: tuple(entry for entry in pt if entry[0] in below)
+                            for pt in sets[frm]}
+    return presheaf(base, sets, restr)
+
+
 def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
     """The presheaf of natural partial families ``b ** a``.
 
@@ -569,17 +566,10 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
                    for u in dv)
                    for fam in families]
         sets[v] = _sorted_points(encoded)
-    restr = {}
-    for (frm, to) in base.strict_down_pairs():
-        below = set(base.down(to))
-        restr[(frm, to)] = {enc: tuple(entry for entry in enc
-                                       if entry[0] in below)
-                            for enc in sets[frm]}
-    return presheaf(base, sets, restr)
+    return _tagged_presheaf(base, sets)
 
 
-def _relative_subobjects(x: Presheaf, elems: tuple[str, ...],
-                         limit: int = COMPONENT_LIMIT) -> list[dict]:
+def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
     """All families S(u) <= x(u) over ``elems`` closed under restriction."""
     order = [u for u in _extension_desc(x.base) if u in elems]
     uppers = _uppers(x.base, order)
@@ -596,15 +586,15 @@ def _relative_subobjects(x: Presheaf, elems: tuple[str, ...],
     families: list[dict] = []
     for fam in depth_first(order, options):
         families.append(fam)
-        if len(families) > limit:
-            raise SizeLimit(f"more than {limit} relative subobjects")
+        if len(families) > COMPONENT_LIMIT:
+            raise SizeLimit(f"more than {COMPONENT_LIMIT} relative subobjects")
     return families
 
 
-def all_subobjects(x: Presheaf, limit: int = COMPONENT_LIMIT) -> list[Subobject]:
+def all_subobjects(x: Presheaf) -> list[Subobject]:
     """Every subobject of ``x``, in a canonical deterministic order."""
     return [Subobject(of=x, parts=fam)
-            for fam in _relative_subobjects(x, x.base.elements, limit)]
+            for fam in _relative_subobjects(x, x.base.elements)]
 
 
 def _encode_relative(parts: dict, elems) -> tuple:
@@ -619,13 +609,7 @@ def power_object(x: Presheaf) -> Presheaf:
         dv = base.down(v)
         fams = _relative_subobjects(x, dv)
         sets[v] = _sorted_points(_encode_relative(fam, dv) for fam in fams)
-    restr = {}
-    for (frm, to) in base.strict_down_pairs():
-        below = set(base.down(to))
-        restr[(frm, to)] = {enc: tuple(entry for entry in enc
-                                       if entry[0] in below)
-                            for enc in sets[frm]}
-    return presheaf(base, sets, restr)
+    return _tagged_presheaf(base, sets)
 
 
 def name_of(k: Subobject) -> NatTransform:

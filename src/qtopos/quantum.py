@@ -22,7 +22,6 @@ from .contexts import Context, ContextPoset
 from .errors import (
     Ambiguity,
     DimensionMismatch,
-    DownwardClosureViolation,
     NotInContext,
     NotUnitNorm,
     ValidationError,
@@ -183,7 +182,7 @@ def _unit_state(psi, poset: ContextPoset, tol: Tolerance) -> np.ndarray:
         norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > tol.eps:
         raise NotUnitNorm(f"state norm {norm!r} is not 1 within tolerance")
-    return vec
+    return vec / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,16 +236,14 @@ def truth_object(psi, poset: ContextPoset,
 
 def truth_value_pseudo(projector, psi, presheaf: SpectralPresheaf,
                        tol: Tolerance = Tolerance()) -> kernel.LowerSet:
-    """Contexts where the state's support lies inside the outer approximation."""
+    """Contexts V with the state's support inside the outer approximation on
+    all of down(V): ``kernel.truth_value_inclusion``, as ``heyting`` has it.
+    That hereditary set is the largest lower set inside the pointwise one
+    (w_V inside delta(P)_V), so the two agree whenever the pointwise set is
+    down-closed, as it is when restriction maps each w_V onto w_U."""
     state = pseudo_state(psi, presheaf, tol)
-    delta = delta_subobject(projector, presheaf, tol)
-    members = {key for key in presheaf.base.elements
-               if set(state.subobject.parts[key]) <= set(delta.parts[key])}
-    for (u, v) in presheaf.base.strict_pairs():
-        if v in members and u not in members:
-            raise DownwardClosureViolation(
-                f"truth set contains {v} but not {u} below it")
-    return kernel.LowerSet(base=presheaf.base, members=frozenset(members))
+    return kernel.truth_value_inclusion(
+        state.subobject, delta_subobject(projector, presheaf, tol))
 
 
 def truth_value_truthobject(projector, psi, poset: ContextPoset,

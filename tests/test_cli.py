@@ -154,6 +154,24 @@ class TestTruth:
                 assert err == ("error: state 'zplus' has norm inf, "
                                "not 1 within tolerance\n")
 
+    def test_state_just_inside_the_norm_tolerance(self, tmp_path):
+        # norm 1 - 0.9e-9 passes the check; unnormalised, its weights would
+        # sum to 1 - 1.8e-9 and miss the truth object's 1 - eps filter
+        doc = json.loads(pathlib.Path(PAULI2).read_text())
+        doc["states"]["edge"] = [[1 - 0.9e-9, 0], [0, 0]]
+        path = str(tmp_path / "edge.json")
+        pathlib.Path(path).write_text(json.dumps(doc))
+        assert _run(["validate", path])[0] == 0
+        docs = []
+        for via in ("pseudo-state", "truth-object"):
+            code, out, err = _run(["truth", path, "--state", "edge",
+                                   "--projector", "Pzplus", "--via", via])
+            assert (code, err) == (0, "")
+            docs.append(out)
+        assert docs[0]["truth_value"] == docs[1]["truth_value"] == [
+            "V00", "V01", "V02"]
+        assert docs[0]["per_context"] == docs[1]["per_context"]
+
 
 class TestEmptyPoset:
     """A scenario with no groups and no builtins closes to an empty poset."""

@@ -157,6 +157,34 @@ def test_random_contexts_before_and_after_a_global_unitary(dim, count, seed):
         assert shapes[0] == shapes[1]
 
 
+def _ks_invariants(maximal, closure, tol):
+    poset = C.build_poset(maximal, closure, tol)
+    result = Q.ks_search(Q.spectral_presheaf(poset, tol), max_solutions=64)
+    return (len(poset), sorted(c.ranks for c in poset.contexts),
+            len(poset.leq), result.status, len(result.sections))
+
+
+def _bundled_maximal_contexts():
+    for name in ("pauli2", "mermin-square"):
+        yield name, C.builtin_scenario(name, TOL)[2], TOL
+    for name in ("pauli2", "mermin_square", "two_qubit_parity"):
+        scn = parse_scenario((SCENARIOS / f"{name}.json").read_text())
+        yield name, scn.maximal_contexts, scn.tolerance
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_kochen_specker_invariants_under_a_global_unitary(closure):
+    # V.. ids follow the rounded block sort key and may move under U; the
+    # shape, the order and the verdict may not
+    rng = np.random.default_rng(6)
+    for name, maximal, tol in _bundled_maximal_contexts():
+        expected = _ks_invariants(maximal, closure, tol)
+        for _ in range(3):
+            u = random_unitary(maximal[0].dim, rng)
+            rotated = [_rotated(c, u) for c in maximal]
+            assert _ks_invariants(rotated, closure, tol) == expected, name
+
+
 def _generic_observable(levels):
     rng = np.random.default_rng(levels)
     u = random_unitary(levels, rng)

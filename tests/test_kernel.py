@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ CHAIN2 = K.finposet(["bottom", "top"], [("bottom", "top")])
 ANTI2 = K.finposet(["a", "b"])
 ANTI3 = K.finposet(["a", "b", "c"])
 POINT = K.finposet(["v"])
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _chain2_presheaf(top_pts, bottom_pts, mapping):
@@ -159,6 +164,45 @@ class TestPresheafValidation:
         with pytest.raises(ValidationError):
             K.presheaf(ANTI2, {"a": ("x",), "b": ("x",)},
                        {("a", "b"): {"x": "x"}})
+
+    def test_restrictions_are_keyed_in_canonical_order(self):
+        vee = K.finposet(["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "b")])
+        maps = {pair: {"*": "*"} for pair in reversed(vee.strict_down_pairs())}
+        built = [K.presheaf(vee, dict.fromkeys("abcd", ("*",)), maps),
+                 K.omega(vee), K.power_object(K.terminal(vee)),
+                 K.exponential(K.terminal(vee), K.omega(vee))]
+        for x in built:
+            assert list(x.restrictions) == x.base.strict_down_pairs()
+
+
+# d sits above a, b and c with no maps given; x and y both miss their lower
+# element.  Each error must name the first offender in element order,
+# whatever the hash seed.
+HASH_SEED_SCRIPT = """
+from qtopos import kernel as K
+from qtopos.errors import ValidationError
+top = K.finposet("abcd", [(u, "d") for u in "abc"])
+vee = K.finposet("abxy", [("a", "x"), ("b", "y")])
+for make in (lambda: K.presheaf(top, dict.fromkeys("abcd", ("*",)), {}),
+             lambda: K.lowerset(vee, {"y", "x"})):
+    try:
+        make()
+    except ValidationError as exc:
+        print(exc)
+"""
+
+
+def test_validation_errors_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == (
+        "missing restriction map for ('d', 'a')\n"
+        "not downward closed: 'x' is in but 'a' below it is not\n")
 
 
 class TestTerminalAndGlobalElements:
@@ -325,6 +369,15 @@ class TestOmega:
                            ("l2", "root"), ("l3", "root")])
         with pytest.raises(SizeLimit):
             K.omega(wide)
+
+    def test_limit_is_read_at_call_time(self, monkeypatch):
+        # chain2 carries 3 sieves at the top and 3 subobjects of the terminal
+        monkeypatch.setattr(K, "COMPONENT_LIMIT", 2)
+        one = K.terminal(CHAIN2)
+        for build in (lambda: K.omega(CHAIN2), lambda: K.power_object(one),
+                      lambda: K.all_subobjects(one)):
+            with pytest.raises(SizeLimit, match="^more than 2 relative subobjects$"):
+                build()
 
 
 class TestCharacteristic:
