@@ -204,22 +204,19 @@ def _cmd_ks(args) -> dict:
 
 def _eval_prop(expr, scn: Scenario, presheaf) -> kernel.Subobject:
     tol = scn.tolerance
-    if isinstance(expr, props.Name):
-        proj = scn.operator(expr.ident)
+
+    def leaf(name: props.Name) -> kernel.Subobject:
         try:
-            proj = require_projector(proj, tol, expr.ident)
+            proj = require_projector(scn.operator(name.ident), tol, name.ident)
         except NotProjector as exc:
-            raise NotProjector(f"{expr.ident!r} is not a projector") from exc
+            raise NotProjector(f"{name.ident!r} is not a projector") from exc
         return quantum.delta_subobject(proj, presheaf, tol)
-    if isinstance(expr, props.Not):
-        return kernel.heyting_not(_eval_prop(expr.operand, scn, presheaf))
-    left = _eval_prop(expr.left, scn, presheaf)
-    right = _eval_prop(expr.right, scn, presheaf)
-    if isinstance(expr, props.And):
-        return kernel.heyting_meet(left, right)
-    if isinstance(expr, props.Or):
-        return kernel.heyting_join(left, right)
-    return kernel.heyting_implies(left, right)
+
+    connective = {props.Not: kernel.heyting_not, props.And: kernel.heyting_meet,
+                  props.Or: kernel.heyting_join,
+                  props.Implies: kernel.heyting_implies}
+    return props.fold(expr, leaf,
+                      lambda node, *parts: connective[type(node)](*parts))
 
 
 def _cmd_heyting(args) -> dict:

@@ -2,12 +2,18 @@
 
 Grammar, loosest to tightest binding: ``=>`` (right associative), ``|``,
 ``&``, ``!``; parentheses group.  Leaves are identifiers naming projectors.
+
+``parse_prop`` parses by operator precedence on two explicit stacks, one of
+operands and one of pending ``!``, ``(`` and binary operators, and every
+tree walk is one ``fold`` on an explicit stack, so no expression is too
+deep to parse, print or evaluate.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParseError
 
@@ -43,6 +49,9 @@ class Implies:
 PropExpr = Name | Not | And | Or | Implies
 
 _TOKEN = re.compile(r"\s*(=>|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
+_BINARY = {"=>": Implies, "|": Or, "&": And}
+_PRECEDENCE = {Implies: 0, Or: 1, And: 2, Not: 3, Name: 4}
+_SYMBOL = {Implies: " => ", Or: " | ", And: " & "}
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -61,128 +70,100 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def column(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return len(self.text) + 1
-
-    def take(self) -> str:
-        token = self.peek()
-        self.pos += 1
-        return token
-
-    def parse(self) -> PropExpr:
-        expr = self.implies()
-        if self.peek() is not None:
-            raise ParseError(f"unexpected token {self.peek()!r}",
-                             f"column {self.column()}")
-        return expr
-
-    def implies(self) -> PropExpr:
-        left = self.disjunction()
-        if self.peek() == "=>":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> PropExpr:
-        expr = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            expr = Or(expr, self.conjunction())
-        return expr
-
-    def conjunction(self) -> PropExpr:
-        expr = self.unary()
-        while self.peek() == "&":
-            self.take()
-            expr = And(expr, self.unary())
-        return expr
-
-    def unary(self) -> PropExpr:
-        if self.peek() == "!":
-            self.take()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> PropExpr:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of expression",
-                             f"column {self.column()}")
-        if token == "(":
-            self.take()
-            expr = self.implies()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", f"column {self.column()}")
-            self.take()
-            return expr
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
-            self.take()
-            return Name(token)
-        raise ParseError(f"unexpected token {token!r}", f"column {self.column()}")
-
-
 def parse_prop(text: str) -> PropExpr:
     """Parse a proposition expression; raises ParseError with a column."""
-    return _Parser(text).parse()
+    operands: list[PropExpr] = []
+    pending: list = []  # Not, a binary node type, or None for "("
+
+    def reduce() -> None:
+        kind = pending.pop()
+        if kind is Not:
+            operands.append(Not(operands.pop()))
+        else:
+            right = operands.pop()
+            operands.append(kind(operands.pop(), right))
+
+    want_operand = True
+    for token, column in _tokenize(text) + [(None, len(text) + 1)]:
+        if want_operand:
+            if token in ("!", "("):
+                pending.append(Not if token == "!" else None)
+            elif token is None:
+                raise ParseError("unexpected end of expression", f"column {column}")
+            elif token in _BINARY or token == ")":
+                raise ParseError(f"unexpected token {token!r}", f"column {column}")
+            else:
+                operands.append(Name(token))
+                want_operand = False
+        elif token in _BINARY:
+            kind = _BINARY[token]
+            # reduce tighter operators, and equal ones unless right associative
+            bound = _PRECEDENCE[kind] + (kind is Implies)
+            while (pending and pending[-1] is not None
+                   and _PRECEDENCE[pending[-1]] >= bound):
+                reduce()
+            pending.append(kind)
+            want_operand = True
+        else:  # ")", the end, or a token that cannot follow an operand
+            while pending and pending[-1] is not None:
+                reduce()
+            if token == ")" and pending:
+                pending.pop()
+            elif pending:
+                raise ParseError("expected ')'", f"column {column}")
+            elif token is not None:
+                raise ParseError(f"unexpected token {token!r}", f"column {column}")
+    return operands.pop()
 
 
-_PRECEDENCE = {Implies: 0, Or: 1, And: 2, Not: 3, Name: 4}
+def fold(expr: PropExpr, leaf: Callable, combine: Callable):
+    """Post-order fold on an explicit stack: ``leaf(name)`` at each leaf and
+    ``combine(node, *child_values)`` at each connective.  Left subtrees come
+    before right ones, so the calls are those of a recursive walk, in order."""
+    values: list = []
+    stack: list = [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Name):
+            values.append(leaf(node))
+        elif ready:
+            arity = 1 if isinstance(node, Not) else 2
+            parts = values[-arity:]
+            del values[-arity:]
+            values.append(combine(node, *parts))
+        else:
+            stack.append((node, True))
+            if isinstance(node, Not):
+                stack.append((node.operand, False))
+            else:
+                stack += [(node.right, False), (node.left, False)]
+    return values.pop()
+
+
+def _pretty_node(node: PropExpr, *parts: tuple[str, int]) -> tuple[str, int]:
+    prec = _PRECEDENCE[type(node)]
+    if isinstance(node, Not):
+        (inner, inner_prec), = parts
+        return ("!" + (f"({inner})" if inner_prec < prec else inner)), prec
+    (left, left_prec), (right, right_prec) = parts
+    # left-assoc operators need parens on an equal-precedence right child,
+    # the right-assoc arrow on an equal-precedence left child
+    arrow = isinstance(node, Implies)
+    if left_prec < prec + arrow:
+        left = f"({left})"
+    if right_prec < prec + (not arrow):
+        right = f"({right})"
+    return f"{left}{_SYMBOL[type(node)]}{right}", prec
 
 
 def pretty(expr: PropExpr) -> str:
     """Render with minimal parentheses; parse_prop(pretty(e)) == e."""
-    prec = _PRECEDENCE[type(expr)]
-    if isinstance(expr, Name):
-        return expr.ident
-    if isinstance(expr, Not):
-        inner = pretty(expr.operand)
-        if _PRECEDENCE[type(expr.operand)] < prec:
-            inner = f"({inner})"
-        return f"!{inner}"
-    if isinstance(expr, And):
-        symbol, left_tight = " & ", False
-    elif isinstance(expr, Or):
-        symbol, left_tight = " | ", False
-    else:
-        symbol, left_tight = " => ", True
-    left = pretty(expr.left)
-    right = pretty(expr.right)
-    # left-assoc operators need parens on an equal-precedence right child,
-    # the right-assoc arrow on an equal-precedence left child
-    if _PRECEDENCE[type(expr.left)] < prec or (
-            left_tight and _PRECEDENCE[type(expr.left)] == prec):
-        left = f"({left})"
-    if _PRECEDENCE[type(expr.right)] < prec or (
-            not left_tight and _PRECEDENCE[type(expr.right)] == prec):
-        right = f"({right})"
-    return f"{left}{symbol}{right}"
+    return fold(expr, lambda name: (name.ident, _PRECEDENCE[Name]),
+                _pretty_node)[0]
 
 
 def leaf_names(expr: PropExpr) -> tuple[str, ...]:
     """Sorted identifiers appearing in the expression."""
     found: set[str] = set()
-
-    def walk(node: PropExpr) -> None:
-        if isinstance(node, Name):
-            found.add(node.ident)
-        elif isinstance(node, Not):
-            walk(node.operand)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
+    fold(expr, lambda name: found.add(name.ident), lambda node, *parts: None)
     return tuple(sorted(found))

@@ -101,6 +101,8 @@ def parse_scenario(text: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          f"line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply", "document") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario must be a JSON object", "document")
     unknown = set(doc) - _TOP_LEVEL_KEYS

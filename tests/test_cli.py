@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import time
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 PAULI2 = str(SCENARIOS / "pauli2.json")
 MERMIN = str(SCENARIOS / "mermin_square.json")
 PARITY = str(SCENARIOS / "two_qubit_parity.json")
+DEPTH = 10_000
 
 
 def _run(argv):
@@ -56,6 +58,16 @@ class TestValidate:
         code, doc, err = _run(["validate", str(bad)])
         assert code == 1
         assert "do not commute" in err
+
+    @pytest.mark.parametrize("command", ["validate", "poset", "ks"])
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    def test_deeply_nested_document(self, tmp_path, command, depth):
+        # json.loads recurses once per level of nesting
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"dimension": 2, "operators": {"a": '
+                        + "[" * depth + "]" * depth + "}}")
+        assert cli.run_command([command, str(deep)]) == (
+            1, "", "error: invalid JSON: nested too deeply (at document)\n")
 
 
 class TestPoset:
@@ -269,6 +281,28 @@ class TestHeyting:
         code, _, err = _run(["heyting", PAULI2, "--expr", "Pzplus &",
                              "--state", "zplus"])
         assert code == 1 and "column 9" in err
+
+    # Each deep expression equals a shallow one in any Heyting algebra:
+    # !!!!p = !!p, a chain of & or | is idempotent, and
+    # a => (b => c) = (a & b) => c.
+    @pytest.mark.parametrize("deep, shallow", [
+        ("(" * DEPTH + "Pzplus" + ")" * DEPTH, "Pzplus"),
+        ("!" * DEPTH + "Pzplus", "!!Pzplus"),
+        (" & ".join(["Pzplus", "Pxplus"] * (DEPTH // 2)), "Pzplus & Pxplus"),
+        (" | ".join(["Pzplus", "Pxplus"] * (DEPTH // 2)), "Pzplus | Pxplus"),
+        (" => ".join(["Pzplus", "Pxplus"] * (DEPTH // 2)),
+         "Pzplus & Pxplus => Pxplus"),
+    ], ids=["parentheses", "negations", "and", "or", "implies"])
+    def test_deep_expression_answers(self, deep, shallow):
+        start = time.perf_counter()
+        answers = []
+        for expr in (deep, shallow):
+            code, doc, err = _run(["heyting", PAULI2, "--expr", expr,
+                                   "--state", "xplus"])
+            assert code == 0, err
+            answers.append((doc["subobject"], doc["truth_value"]))
+        assert answers[0] == answers[1]
+        assert time.perf_counter() - start < 60
 
 
 class TestKernelDemo:

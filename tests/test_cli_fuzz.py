@@ -4,7 +4,8 @@ traceback.
 Each draw takes one bundled scenario, applies a few mutations (drop a key or
 item, swap a value's type, perturb a number, rename a reference) and runs
 every scenario command on it through ``cli.run_command``, with names taken
-from the unmutated document.
+from the unmutated document.  A second test runs ``heyting`` on ``pauli2``
+with expressions, well formed or not, nested up to 10,000 levels deep.
 """
 from __future__ import annotations
 
@@ -110,3 +111,36 @@ def test_mutated_scenarios_end_in_an_answer_or_an_error(name, seed):
             code, out, err = cli.run_command(argv)
             assert code in (0, 1, 2), (argv, doc)
             assert (code == 0) == bool(out) and (code == 0) != bool(err)
+
+
+PAULI2 = str(SCENARIOS / "pauli2.json")
+# the document's projectors, a name it lacks, and an operator that is not a
+# projector
+LEAVES = [*sorted(DOCUMENTS["pauli2.json"]["projectors"]), "nope", "sx"]
+_SYMBOLS = ["!", "&", "|", "=>", "(", ")"]
+_GRAMMATICAL = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda inner: st.one_of(
+        inner.map(lambda text: "!" + text),
+        inner.map(lambda text: f"({text})"),
+        st.tuples(inner, st.sampled_from([" & ", " | ", " => "]),
+                  inner).map("".join)),
+    max_leaves=6)
+_NOISE = st.lists(st.sampled_from(_SYMBOLS + LEAVES), max_size=2).map(" ".join)
+# a well-formed expression with up to two stray tokens on either side
+_BODY = st.tuples(_NOISE, _GRAMMATICAL, _NOISE).map(" ".join)
+# depth 300 already overflows a recursive parser or evaluator
+_NESTING = st.tuples(st.sampled_from([0, 1, 2, 300, 10_000]),
+                     st.sampled_from([("(", ")"), ("!", ""), ("!(", ")")]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(body=_BODY, nesting=_NESTING,
+       state=st.sampled_from(["zplus", "xplus"]))
+def test_expressions_end_in_an_answer_or_an_error(body, nesting, state):
+    depth, (opener, closer) = nesting
+    expr = opener * depth + body + closer * depth
+    code, out, err = cli.run_command(["heyting", PAULI2, "--expr", expr,
+                                      "--state", state])
+    assert code in (0, 1)
+    assert (code == 0) == bool(out) and (code == 0) != bool(err)

@@ -22,7 +22,7 @@ from qtopos import quantum as Q
 from qtopos.errors import SizeLimit
 from qtopos.numerics import Tolerance
 from qtopos.scenario import parse_scenario
-from tests.conftest import random_context, random_unitary
+from tests.conftest import random_context, random_hermitian, random_unitary
 
 TOL = Tolerance()
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -183,6 +183,28 @@ def test_kochen_specker_invariants_under_a_global_unitary(closure):
             u = random_unitary(maximal[0].dim, rng)
             rotated = [_rotated(c, u) for c in maximal]
             assert _ks_invariants(rotated, closure, tol) == expected, name
+
+
+def _near_identity(dim, rng):
+    """exp(i t H) for a random Hermitian H of unit norm, 1e-13 <= t <= 1e-11."""
+    h = random_hermitian(dim, rng)
+    values, vectors = np.linalg.eigh(h / np.linalg.norm(h, 2))
+    t = 10 ** rng.uniform(-13, -11)
+    return (vectors * np.exp(1j * t * values)) @ vectors.conj().T
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_kochen_specker_invariants_under_a_perturbation_below_the_tolerance(
+        closure):
+    # each maximal context moves by its own unitary, so blocks that two
+    # contexts shared now differ by far less than the tolerance
+    rng = np.random.default_rng(11)
+    for name, maximal, tol in _bundled_maximal_contexts():
+        expected = _ks_invariants(maximal, closure, tol)
+        for _ in range(3):
+            perturbed = [_rotated(c, _near_identity(c.dim, rng))
+                         for c in maximal]
+            assert _ks_invariants(perturbed, closure, tol) == expected, name
 
 
 def _generic_observable(levels):
