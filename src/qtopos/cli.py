@@ -10,6 +10,7 @@ problem, 2 size limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -205,17 +206,18 @@ def _cmd_ks(args) -> dict:
 def _eval_prop(expr, scn: Scenario, presheaf) -> kernel.Subobject:
     tol = scn.tolerance
 
-    def leaf(name: props.Name) -> kernel.Subobject:
+    @functools.cache  # each name is validated and built once
+    def leaf(ident: str) -> kernel.Subobject:
         try:
-            proj = require_projector(scn.operator(name.ident), tol, name.ident)
+            proj = require_projector(scn.operator(ident), tol, ident)
         except NotProjector as exc:
-            raise NotProjector(f"{name.ident!r} is not a projector") from exc
+            raise NotProjector(f"{ident!r} is not a projector") from exc
         return quantum.delta_subobject(proj, presheaf, tol)
 
     connective = {props.Not: kernel.heyting_not, props.And: kernel.heyting_meet,
                   props.Or: kernel.heyting_join,
                   props.Implies: kernel.heyting_implies}
-    return props.fold(expr, leaf,
+    return props.fold(expr, lambda name: leaf(name.ident),
                       lambda node, *parts: connective[type(node)](*parts))
 
 

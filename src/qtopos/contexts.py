@@ -10,7 +10,7 @@ block of the larger context meets exactly one block of the smaller one
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,12 +46,12 @@ def _fresh_key() -> str:
     return f"ctx{next(_key_counter)}"
 
 
-def _block_sort_key(block: np.ndarray):
-    trace = round(float(np.trace(block).real), 6)
-    flat = block.reshape(-1)
-    entries = tuple(x for z in flat for x in (round(z.real, 6) + 0.0,
-                                              round(z.imag, 6) + 0.0))
-    return (-trace, entries)
+def _block_sort_keys(stack: np.ndarray) -> list[tuple]:
+    """Per block, minus its trace, then the real and imaginary parts of its
+    entries, all rounded to 6 digits (-0.0 reads as 0.0)."""
+    traces = np.trace(stack, axis1=1, axis2=2).real.tolist()
+    parts = np.round(stack.reshape(len(stack), -1).view(np.float64), 6) + 0.0
+    return [(-round(t, 6), tuple(row)) for t, row in zip(traces, parts.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +135,8 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
         if not is_projector(b, tol):
             raise NotProjector(f"block {i} is not a projector within tolerance")
     _check_partition(mats, overlaps(mats, mats, tol), tol.scaled(dim))
-    ordered = tuple(sorted(mats, key=_block_sort_key))
+    keys = _block_sort_keys(np.stack(mats))
+    ordered = tuple(mats[i] for i in sorted(range(len(mats)), key=keys.__getitem__))
     return Context(key=key or _fresh_key(), dim=dim, blocks=ordered, label=label)
 
 
@@ -254,20 +255,65 @@ def coarsenings(ctx: Context, tol: Tolerance = Tolerance()) -> Iterator[Context]
         yield make_context(merged, tol)
 
 
+class BlockTable:
+    """Distinct blocks (:func:`qtopos.numerics.same_blocks`) at one
+    tolerance, with their sort keys and which of them meet."""
+
+    def __init__(self, dim: int, tol: Tolerance):
+        self.tol = tol
+        self.mats = np.empty((16, dim, dim), dtype=complex)
+        self.meets = np.zeros((16, 16), dtype=bool)
+        self.keys: list[tuple] = []
+
+    def intern(self, blocks: Sequence[np.ndarray]) -> list[int]:
+        """The ids of a context's blocks, adding the blocks not yet held: a
+        last row of ones sends ``argmax`` to ``n`` for each of those."""
+        stack, n = np.asarray(blocks), len(self.keys)
+        same = same_blocks(self.mats[:n], stack, self.tol)
+        ids = np.concatenate([same, np.ones((1, len(stack)), bool)]).argmax(axis=0)
+        new = np.flatnonzero(ids == n)
+        if not new.size:
+            return ids.tolist()
+        if not all(is_projector(stack[i], self.tol) for i in new):
+            raise NotProjector("a block is not a projector within tolerance")
+        m = n + len(new)
+        if m > len(self.mats):
+            self.mats = np.concatenate([self.mats, self.mats, stack])
+            self.meets = np.pad(self.meets, (0, len(self.mats) - len(self.meets)))
+        self.mats[n:m] = stack[new]
+        hits = overlaps(self.mats[:m], self.mats[n:m], self.tol)
+        self.meets[n:m, :m] = hits.T
+        self.meets[:m, n:m] = hits
+        self.keys += _block_sort_keys(self.mats[n:m])
+        ids[new] = np.arange(n, m)
+        return ids.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class ContextPoset:
     """Finitely many contexts ordered by algebra inclusion; ``base`` is the
     kernel poset on the sorted keys.  ``leq`` must already be closed, as
-    ``build_poset`` returns it: a hand-built poset is taken as given."""
+    ``build_poset`` returns it: a hand-built poset is taken as given.
+    ``build_poset`` leaves its ``table`` and ``block_ids`` (see ``blocks_at``)."""
 
     dim: int
     contexts: tuple[Context, ...]
     leq: frozenset[tuple[str, str]]
+    table: BlockTable | None = field(default=None, repr=False)
+    block_ids: dict[str, list[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {c.key: c for c in self.contexts})
         object.__setattr__(self, "base", FinPoset(
             elements=tuple(sorted(self._index)), leq=self.leq))
+
+    def blocks_at(self, tol: Tolerance) -> tuple[BlockTable, dict[str, list[int]]]:
+        """The block table at ``tol`` and each context's ids into it; a
+        table built at another tolerance, or none, is interned afresh."""
+        if self.table is not None and self.table.tol == tol:
+            return self.table, self.block_ids
+        table = BlockTable(self.dim, tol)
+        return table, {c.key: table.intern(c.blocks) for c in self.contexts}
 
     def context(self, key: str) -> Context:
         return self._index[key]
@@ -295,12 +341,12 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     and every subalgebra of a finite commutative algebra is a coarsening of
     it.  A coarsening of a coarsening is a coarsening.
 
-    Each distinct block (:func:`qtopos.numerics.same_blocks`) is interned
-    once in a table of matrices, sort keys and meets, so a context is a list
-    of block ids and a duplicate is one set lookup.  A context keeps the
-    matrices it was first formed with.  ``V..`` ids sort contexts by block
-    count, then by block entries rounded to 6 digits: near a rounding boundary
-    ids can change (say under a global unitary); shape, order and verdict hold.
+    Each distinct block is interned once in a :class:`BlockTable`, so a
+    context is a list of block ids and a duplicate is one set lookup; the
+    poset keeps the table.  A context keeps the matrices it was first formed
+    with.  ``V..`` ids sort contexts by block count, then by block entries
+    rounded to 6 digits: near a rounding boundary ids can change (say under
+    a global unitary); shape, order and verdict hold.
     """
     if closure not in ("intersections", "coarsenings"):
         raise ValidationError(
@@ -309,38 +355,20 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         return ContextPoset(dim=0, contexts=(), leq=frozenset())
     dim = maximal[0].dim
     bound = tol.scaled(dim)
-    table = np.empty((16, dim, dim), dtype=complex)
-    meets = np.zeros((16, 16), dtype=bool)
-    keys: list = []
+    table = BlockTable(dim, tol)
     ctxs: list[Context] = []
     ids_of: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()
 
-    def intern(block: np.ndarray) -> int:
-        nonlocal table, meets
-        n = len(keys)
-        same = np.flatnonzero(same_blocks(table[:n], block, tol))
-        if same.size:
-            return int(same[0])
-        if not is_projector(block, tol):
-            raise NotProjector("a block is not a projector within tolerance")
-        if n == len(table):
-            table, meets = np.concatenate([table, table]), np.pad(meets, (0, n))
-        table[n] = block
-        meets[n, :n + 1] = meets[:n + 1, n] = overlaps(
-            table[:n + 1], block[None], tol)[:, 0]
-        keys.append(_block_sort_key(block))
-        return n
-
     def add(mats: Sequence[np.ndarray], label: str | None = None) -> None:
-        ids = [intern(m) for m in mats]
+        ids = table.intern(mats)
         found = tuple(sorted(ids))
         if found in seen:
             return
-        _check_partition(mats, meets[np.ix_(ids, ids)], bound)
+        _check_partition(mats, table.meets[np.ix_(ids, ids)], bound)
         for m in mats:
             m.setflags(write=False)
-        order = sorted(range(len(ids)), key=lambda i: keys[ids[i]])
+        order = sorted(range(len(ids)), key=lambda i: table.keys[ids[i]])
         seen.add(found)
         ids_of.append([ids[i] for i in order])
         ctxs.append(Context(key="", dim=dim, label=label,
@@ -358,7 +386,7 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         for i in range(size):
             for j in range(max(i + 1, done), size):
                 mats = _meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
-                                    meets[np.ix_(ids_of[i], ids_of[j])], bound)
+                                    table.meets[np.ix_(ids_of[i], ids_of[j])], bound)
                 if mats is not None:
                     add(mats)
         done = size if closure == "intersections" else len(ctxs)
@@ -366,24 +394,27 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         for mats in _coarsened(ctx.blocks):
             add(mats)
 
+    n = len(table.keys)
     order = sorted(range(len(ctxs)), key=lambda i: (
-        len(ids_of[i]), [keys[b] for b in ids_of[i]]))
+        len(ids_of[i]), [table.keys[b] for b in ids_of[i]]))
     width = max(2, len(str(len(order) - 1)))
     relabeled = []
-    member = np.zeros((len(order), len(keys)), dtype=np.float32)
+    member = np.zeros((len(order), n), dtype=np.float32)
     for r, i in enumerate(order):
         relabeled.append(Context(key=f"V{r:0{width}d}", dim=dim,
                                  blocks=ctxs[i].blocks, label=ctxs[i].label))
         member[r, ids_of[i]] = 1
     # C <= D iff every block of D meets exactly one block of C (then D has
     # at least as many blocks, since every block of C meets one of D).
-    misfit = (member @ meets[:len(keys), :len(keys)] != 1).astype(np.float32)
+    misfit = (member @ table.meets[:n, :n] != 1).astype(np.float32)
     leq = set()
     for lo in range(0, len(order), 512):
         rows, cols = np.nonzero(misfit[lo:lo + 512] @ member.T == 0)
         leq.update((relabeled[lo + r].key, relabeled[c].key)
                    for r, c in zip(rows, cols))
-    return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq))
+    return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq),
+                        table=table, block_ids={
+                            c.key: ids_of[i] for c, i in zip(relabeled, order)})
 
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)

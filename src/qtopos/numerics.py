@@ -173,10 +173,10 @@ def overlaps(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
     return norms > tol.scaled(ps.shape[-1])
 
 
-def same_blocks(ps, q, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Which blocks equal ``q``: ``out[i]`` is ``||ps[i] - q||_F <= eps * d``."""
-    gap = (np.asarray(ps) - q).reshape(len(ps), q.size).view(np.float64)
-    return np.einsum("ij,ij->i", gap, gap) <= tol.scaled(q.shape[0]) ** 2
+def same_blocks(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Which blocks are equal: ``out[i, j]`` is ``||ps[i] - qs[j]||_F <= eps * d``."""
+    gap = (np.asarray(ps)[:, None] - np.asarray(qs)[None]).view(np.float64)
+    return np.einsum("ijkl,ijkl->ij", gap, gap) <= tol.scaled(gap.shape[2]) ** 2
 
 
 def proj_leq(p, q, tol: Tolerance = Tolerance()) -> bool:

@@ -58,18 +58,25 @@ def spectral_presheaf(poset: ContextPoset,
 
     The component at a context is the tuple of its block indices; the
     restriction map to a smaller context sends each block to the unique
-    coarser block it meets, and raises ``Ambiguity`` otherwise.
+    coarser block it meets, and raises ``Ambiguity`` otherwise.  The maps
+    into one context are read off the poset's block table in one gather.
     """
     base = poset.base
+    table, ids = poset.blocks_at(tol)
     sets = {c.key: tuple(range(len(c.blocks))) for c in poset.contexts}
     restrictions = {}
-    for (frm, to) in base.strict_down_pairs():
-        meets = overlaps(poset.context(frm).blocks, poset.context(to).blocks, tol)
-        for qi, row in enumerate(meets):
-            if row.sum() != 1:
-                raise Ambiguity(
-                    f"block {qi} of {frm} meets {row.sum()} blocks of {to}")
-        restrictions[(frm, to)] = dict(enumerate(meets.argmax(axis=1).tolist()))
+    for to, pairs in itertools.groupby(base.strict_down_pairs(), lambda p: p[1]):
+        above = [frm for frm, _ in pairs]
+        meets = table.meets[np.ix_([b for frm in above for b in ids[frm]], ids[to])]
+        counts, targets = meets.sum(axis=1), meets.argmax(axis=1).tolist()
+        bad, start = np.flatnonzero(counts != 1), 0
+        for frm in above:
+            stop = start + len(ids[frm])
+            if bad.size and bad[0] < stop:
+                raise Ambiguity(f"block {bad[0] - start} of {frm} meets "
+                                f"{counts[bad[0]]} blocks of {to}")
+            restrictions[(frm, to)] = dict(enumerate(targets[start:stop]))
+            start = stop
     underlying = kernel.presheaf(base, sets, restrictions)
     return SpectralPresheaf(poset=poset, underlying=underlying)
 

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from qtopos import cli, quantum
+from qtopos import cli, props, quantum
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 PAULI2 = str(SCENARIOS / "pauli2.json")
@@ -281,6 +281,35 @@ class TestHeyting:
         code, _, err = _run(["heyting", PAULI2, "--expr", "Pzplus &",
                              "--state", "zplus"])
         assert code == 1 and "column 9" in err
+
+    def test_each_name_is_built_once(self, monkeypatch):
+        calls = []
+        delta = quantum.delta_subobject
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return delta(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "delta_subobject", counting)
+        expr = " & ".join(["Pzplus", "Pxplus"] * 5000)
+        scn = cli._load_scenario(PAULI2)
+        presheaf = quantum.spectral_presheaf(cli._poset_of(scn), scn.tolerance)
+        cli._eval_prop(props.parse_prop(expr), scn, presheaf)
+        assert len(calls) == 2
+        code, out, err = cli.run_command(["heyting", PAULI2, "--expr", expr,
+                                          "--state", "zplus"])
+        assert (code, err) == (0, "")
+        # the report as it was when every leaf built its own delta
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "aaccdf3fe14912dddba5ac38bd211f2bfb40c74d323eaab14b92fbbfd38a290f")
+
+    @pytest.mark.parametrize("expr, message", [
+        ("Pzplus & sx & nope & sx", "error: 'sx' is not a projector\n"),
+        ("Pzplus & nope & sx & Pzplus", "error: unknown operator 'nope'\n"),
+    ])
+    def test_first_bad_leaf_is_named(self, expr, message):
+        assert cli.run_command(["heyting", PAULI2, "--expr", expr,
+                                "--state", "zplus"]) == (1, "", message)
 
     # Each deep expression equals a shallow one in any Heyting algebra:
     # !!!!p = !!p, a chain of & or | is idempotent, and

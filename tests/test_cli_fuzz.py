@@ -2,7 +2,8 @@
 traceback.
 
 Each draw takes one bundled scenario, applies a few mutations (drop a key or
-item, swap a value's type, perturb a number, rename a reference) and runs
+item, swap a value's type, perturb a number, rename a reference, retype a
+matrix row or a complex entry) and runs
 every scenario command on it through ``cli.run_command``, with names taken
 from the unmutated document.  A second test runs ``heyting`` on ``pauli2``
 with expressions, well formed or not, nested up to 10,000 levels deep.
@@ -24,7 +25,11 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 DOCUMENTS = {path.name: json.loads(path.read_text())
              for path in sorted(SCENARIOS.glob("*.json"))}
 OTHER_TYPES = (None, True, "x", 0, -1, 2.5, [], {}, [[1, 0]], {"x": 1})
-MUTATIONS = ("drop", "swap type", "perturb number", "rename reference")
+MUTATIONS = ("drop", "swap type", "perturb number", "rename reference",
+             "retype matrix part")
+# a matrix row that is no list, a complex entry that is no [re, im] pair
+ROW_SWAPS = (0, 2.5, "x", "ab")
+ENTRY_SWAPS = ("x", [1, 2, 3], None)
 
 
 def _paths(node, path=()):
@@ -50,8 +55,19 @@ def _names(doc) -> list:
     return sorted(found)
 
 
+def _matrix_part(path) -> tuple:
+    """The replacements for a matrix row or a complex entry at ``path``."""
+    if path[0] == "operators" and len(path) == 3:
+        return ROW_SWAPS
+    if (path[0], len(path)) in (("operators", 4), ("states", 3)):
+        return ENTRY_SWAPS
+    return ()
+
+
 def _applies(kind, doc, path) -> bool:
     value = _at(doc, path)
+    if kind == "retype matrix part":
+        return bool(_matrix_part(path))
     if kind == "perturb number":
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "rename reference":  # a name, or the key of a named entry
@@ -75,6 +91,8 @@ def _mutate(doc, rng: random.Random) -> None:
         parent[key] = rng.choice(OTHER_TYPES)
     elif kind == "perturb number":
         parent[key] = rng.choice((value + 1e-3, -value, value * 1e6, 0, 17, 1e300))
+    elif kind == "retype matrix part":
+        parent[key] = rng.choice(_matrix_part(path))
     else:
         name = rng.choice(_names(doc) + ["nope"])
         if isinstance(value, str):

@@ -4,8 +4,10 @@
 each candidate by comparing it with every context kept so far
 (``contexts_equal``), re-meets every pair and re-coarsens every context on
 each pass until a pass adds nothing, and orders contexts pairwise with
-``context_leq``.  The closure in ``qtopos.contexts`` must give the same
-contexts, with the same matrices, under the same ids, and the same order.
+``context_leq``.  It sorts blocks by ``reference_block_sort_key``, the
+earlier per-entry sort key.  The closure in ``qtopos.contexts`` must give
+the same contexts, with the same matrices, under the same ids, and the same
+order.
 """
 from __future__ import annotations
 
@@ -27,6 +29,14 @@ from tests.conftest import random_context, random_hermitian, random_unitary
 TOL = Tolerance()
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 CLOSURES = ("intersections", "coarsenings")
+
+
+def reference_block_sort_key(block: np.ndarray):
+    trace = round(float(np.trace(block).real), 6)
+    flat = block.reshape(-1)
+    entries = tuple(x for z in flat for x in (round(z.real, 6) + 0.0,
+                                              round(z.imag, 6) + 0.0))
+    return (-trace, entries)
 
 
 def reference_build_poset(maximal, closure, tol=TOL) -> C.ContextPoset:
@@ -59,7 +69,7 @@ def reference_build_poset(maximal, closure, tol=TOL) -> C.ContextPoset:
             break
 
     ordered = sorted(ctxs, key=lambda c: (
-        len(c.blocks), tuple(C._block_sort_key(b) for b in c.blocks)))
+        len(c.blocks), tuple(reference_block_sort_key(b) for b in c.blocks)))
     width = max(2, len(str(len(ordered) - 1)))
     relabeled = [C.Context(key=f"V{i:0{width}d}", dim=c.dim, blocks=c.blocks,
                            label=c.label)
@@ -106,6 +116,35 @@ def test_builtin_scenarios(name, closure):
 def test_bundled_scenario_files(name, closure):
     scn = parse_scenario((SCENARIOS / f"{name}.json").read_text())
     assert_same_poset(scn.maximal_contexts, closure, scn.tolerance)
+
+
+def _tricky_entries(size, rng):
+    """Entries at a 6-digit rounding tie, within 1e-12 of one, -0.0 or 0.0,
+    or anywhere in [-1, 1]."""
+    ties = (rng.integers(-2 * 10 ** 6, 2 * 10 ** 6, size) + 0.5) * 1e-6
+    kind = rng.integers(0, 5, size)
+    return np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [ties, ties + rng.uniform(-1e-12, 1e-12, size), np.full(size, -0.0),
+         rng.uniform(-1, 1, size)], 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 16), count=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1), rotated=st.booleans())
+def test_block_sort_keys_match_the_per_entry_key(dim, count, seed, rotated):
+    rng = np.random.default_rng(seed)
+    if rotated:  # the blocks of a context after a global unitary
+        ctx = random_context(max(dim, 2), rng, TOL)
+        u = random_unitary(ctx.dim, rng)
+        stack = np.array([u @ b @ u.conj().T for b in ctx.blocks])
+    else:
+        stack = _tricky_entries(2 * count * dim * dim, rng).view(complex)
+        stack = stack.reshape(count, dim, dim)
+    expected = [(trace, tuple(float(x) for x in entries))
+                for trace, entries in map(reference_block_sort_key, stack)]
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(C._block_sort_keys(stack)) == repr(expected)
 
 
 def _grouping(basis, groups):

@@ -198,7 +198,12 @@ class TestSameBlocks:
         near = p + 0.9 * bound / np.sqrt(2) * nudge
         far = p + 1.1 * bound / np.sqrt(2) * nudge
         blocks = [np.eye(4) - p, near, far, p]
-        assert same_blocks(blocks, p, tol).tolist() == [False, True, False, True]
+        assert same_blocks(blocks, [p], tol)[:, 0].tolist() == [
+            False, True, False, True]
+        # every query at once: one column per query
+        assert same_blocks(blocks, [far, p], tol).tolist() == [
+            [False, False], [True, True], [True, False], [False, True]]
 
     def test_empty_table(self, tol):
-        assert same_blocks(np.empty((0, 2, 2), dtype=complex), np.eye(2), tol).size == 0
+        empty = np.empty((0, 2, 2), dtype=complex)
+        assert same_blocks(empty, [np.eye(2)], tol).shape == (0, 1)

@@ -1,0 +1,120 @@
+"""Print one digest line per run of a fixed CLI corpus.
+
+Usage, from the root of a checkout::
+
+    python3 tools/cli_corpus.py SRC_DIR > corpus.txt
+
+``SRC_DIR`` is the directory that holds the ``qtopos`` package to run, such
+as ``src`` of this or another checkout.  The corpus always comes from this
+checkout, so two outputs compare two programs on the same inputs with
+``diff``.  It is:
+
+* the bundled scenarios, each under both closures;
+* the ``poset-closure`` and ``ks-search`` families of seeds 1-3, written by
+  ``perfbench/gen.py`` (imported, not changed), each given the +-1
+  projectors of two of its observables and one state.
+
+Every scenario document runs ``poset``, ``ks --max-solutions 1`` and ``64``,
+``daseinise`` of two projectors with and without ``--inner``, ``truth`` of
+two projectors by both routes, and ``heyting``, each through
+``qtopos.cli.run_command``.  A line is ``sha256(exit code, stdout, stderr)``
+and the run's label.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+WORKLOADS = ("poset-closure", "ks-search")
+
+
+def _with_queries(doc: dict) -> dict:
+    """A family document with the projectors of two observables and a state."""
+    first, second = sorted(doc["operators"])[:2]
+    doc["projectors"] = {f"P{name}{tag}": {"operator": name,
+                                           "eigenvalues": [value]}
+                         for name in (first, second)
+                         for tag, value in (("p", 1), ("m", -1))}
+    op = np.array([[complex(*z) for z in row] for row in doc["operators"][first]])
+    vec = np.linalg.eigh(op)[1][:, -1]
+    doc["states"] = {"s0": [[float(z.real), float(z.imag)] for z in vec]}
+    return doc
+
+
+def _documents(workdir: Path) -> list[tuple[str, dict]]:
+    docs = []
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        for closure in ("intersections", "coarsenings"):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["closure"] = closure
+            docs.append((f"{path.stem}-{closure}", doc))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            outdir = workdir / f"{workload}-{seed}"
+            outdir.mkdir()
+            gen.make_inputs(workload, seed, outdir)
+            for path in sorted(outdir.glob("*.json")):
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                docs.append((f"{workload}-{seed}-{path.stem}", _with_queries(doc)))
+    return docs
+
+
+def _runs(name: str, doc: dict) -> list[list[str]]:
+    projectors = sorted(doc["projectors"])
+    picked = (projectors[0], projectors[-1])
+    state = sorted(doc["states"])[0]
+    runs = [["poset", name], ["ks", name, "--max-solutions", "1"],
+            ["ks", name, "--max-solutions", "64"]]
+    for proj in picked:
+        runs += [["daseinise", name, "--projector", proj],
+                 ["daseinise", name, "--projector", proj, "--inner"]]
+        runs += [["truth", name, "--state", state, "--projector", proj,
+                  "--via", via] for via in ("pseudo-state", "truth-object")]
+    runs.append(["heyting", name, "--state", state, "--expr",
+                 f"({picked[0]} => !{picked[1]}) | {picked[1]} & {picked[0]}"])
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 1
+    src = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
+    from qtopos import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"error: qtopos was not imported from {src}", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        docs = _documents(workdir)
+        os.chdir(workdir)  # runs name their scenario by a relative path
+        for name, doc in docs:
+            Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        for name, doc in docs:
+            for argv_ in _runs(f"{name}.json", doc):
+                code, out, err = cli.run_command(argv_)
+                digest = hashlib.sha256(
+                    json.dumps([code, out, err]).encode("utf-8")).hexdigest()
+                print(digest, " ".join(argv_))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
