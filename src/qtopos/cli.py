@@ -57,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message, "command line")
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qtopos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -155,9 +156,8 @@ def _cmd_daseinise(args) -> dict:
     variant = "inner" if args.inner else "outer"
     rows = [{"id": ctx.key, "label": ctx.label, "blocks": list(indices),
              "matrix": _matrix_json(approx)}
-            for ctx, (indices, approx) in zip(
-                poset.contexts,
-                quantum._daseinise(proj, poset.contexts, tol, args.inner))]
+            for ctx, (indices, approx) in zip(poset.contexts, quantum._daseinise(
+                proj, poset.contexts, *poset.blocks_at(tol), tol, args.inner))]
     report = _envelope("daseinise", scn)
     report.update({"projector": args.projector, "variant": variant,
                    "per_context": rows})

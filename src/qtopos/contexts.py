@@ -264,6 +264,7 @@ class BlockTable:
         self.mats = np.empty((16, dim, dim), dtype=complex)
         self.meets = np.zeros((16, 16), dtype=bool)
         self.keys: list[tuple] = []
+        self.blocks = self.mats[:0]  # the distinct blocks, stacked in id order
 
     def intern(self, blocks: Sequence[np.ndarray]) -> list[int]:
         """The ids of a context's blocks, adding the blocks not yet held: a
@@ -285,6 +286,7 @@ class BlockTable:
         self.meets[n:m, :m] = hits.T
         self.meets[:m, n:m] = hits
         self.keys += _block_sort_keys(self.mats[n:m])
+        self.blocks = self.mats[:m]
         ids[new] = np.arange(n, m)
         return ids.tolist()
 

@@ -107,19 +107,20 @@ def require_hermitian(matrix, tol: Tolerance = Tolerance()) -> np.ndarray:
     return m
 
 
+def _projector_ok(p: np.ndarray, tol: Tolerance) -> bool:  # p: from as_operator
+    bound = tol.scaled(p.shape[0])
+    return hermiticity_defect(p) <= bound and frob(p @ p - p) <= bound
+
+
 def is_projector(matrix, tol: Tolerance = Tolerance()) -> bool:
     """True iff the matrix is Hermitian and idempotent within tolerance."""
-    p = as_operator(matrix)
-    bound = tol.scaled(p.shape[0])
-    if hermiticity_defect(p) > bound:
-        return False
-    return frob(p @ p - p) <= bound
+    return _projector_ok(as_operator(matrix), tol)
 
 
 def require_projector(matrix, tol: Tolerance = Tolerance(),
                       name: str = "operator") -> np.ndarray:
     p = as_operator(matrix)
-    if not is_projector(p, tol):
+    if not _projector_ok(p, tol):
         raise NotProjector(f"{name} is not a projector within tolerance")
     return p
 

@@ -3,9 +3,10 @@
 This is the quantum layer on top of the generic kernel: each context
 contributes its blocks as a finite set, restriction coarsens blocks, and
 projectors are approximated per context by the smallest dominating (outer)
-or largest dominated (inner) sums of blocks, the outer ones of all contexts
-from one batched ``overlaps`` call.  Truth values of propositions land in
-the lower sets of the context poset, and the global-section search decides
+or largest dominated (inner) sums of blocks.  Over a poset, the outer hits are
+one ``overlaps`` row per distinct block of its table, and closure is checked
+on the table's "lies under" edges.  Truth values of propositions land in the
+lower sets of the context poset, and the global-section search decides
 whether a noncontextual valuation exists at all.
 """
 
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import kernel
-from .contexts import Context, ContextPoset
+from .contexts import BlockTable, Context, ContextPoset
 from .errors import (
     Ambiguity,
     DimensionMismatch,
@@ -42,14 +44,24 @@ KS_NODE_LIMIT = 10 ** 7
 
 @dataclass(frozen=True, eq=False)
 class SpectralPresheaf:
-    """Blocks per context, restricted by coarsening."""
+    """Blocks per context, restricted by coarsening, at tolerance ``tol``."""
 
     poset: ContextPoset
     underlying: kernel.Presheaf
+    tol: Tolerance = Tolerance()
 
     @property
     def base(self) -> kernel.FinPoset:
         return self.underlying.base
+
+    @cached_property
+    def table(self) -> tuple:
+        """The poset's block table at ``tol``, each context's ids into it, and
+        as ``lo, hi`` id arrays the distinct edges "block lo restricts to hi"."""
+        table, ids = self.poset.blocks_at(self.tol)
+        edges = {(ids[frm][x], ids[to][y]) for (frm, to), mapping
+                 in self.underlying.restrictions.items() for x, y in mapping.items()}
+        return table, ids, *np.array(sorted(edges), dtype=int).reshape(-1, 2).T
 
 
 def spectral_presheaf(poset: ContextPoset,
@@ -78,7 +90,7 @@ def spectral_presheaf(poset: ContextPoset,
             restrictions[(frm, to)] = dict(enumerate(targets[start:stop]))
             start = stop
     underlying = kernel.presheaf(base, sets, restrictions)
-    return SpectralPresheaf(poset=poset, underlying=underlying)
+    return SpectralPresheaf(poset=poset, underlying=underlying, tol=tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,73 +124,77 @@ def evaluate(element: SpectralElement, operator,
     return float(coeffs[element.block].real)
 
 
-def _outer_indices(p: np.ndarray, contexts: Sequence[Context],
-                   tol: Tolerance) -> list[tuple[int, ...]]:
-    """Per context, the indices of its blocks that meet ``p``, in block order,
-    from one ``overlaps`` call on the blocks of all contexts stacked."""
-    for ctx in contexts:
-        if p.shape[0] != ctx.dim:
-            raise DimensionMismatch(
-                f"projector dimension {p.shape[0]} != context dimension {ctx.dim}")
-    if not contexts:
-        return []
-    hits = overlaps([b for c in contexts for b in c.blocks], [p], tol)[:, 0].tolist()
-    ends = itertools.accumulate(len(c.blocks) for c in contexts)
-    return [tuple(i for i, hit in enumerate(hits[end - len(c.blocks):end]) if hit)
-            for c, end in zip(contexts, ends)]
+def _outer_hits(p: np.ndarray, stack: BlockTable | Context, ids: dict,
+                tol: Tolerance) -> tuple[np.ndarray, dict[str, tuple[int, ...]]]:
+    """Which of ``stack.blocks`` (a table's distinct blocks or a context's own)
+    meet ``p``, in one ``overlaps`` call, and which of each ``ids`` row do."""
+    if not ids:
+        return np.zeros(0, dtype=bool), {}
+    if p.shape[0] != len(stack.blocks[0]):
+        raise DimensionMismatch(f"projector dimension {p.shape[0]} != "
+                                f"context dimension {len(stack.blocks[0])}")
+    hit = overlaps(stack.blocks, [p], tol)[:, 0]
+    flags = hit.tolist()
+    return hit, {k: tuple(i for i, b in enumerate(row) if flags[b])
+                 for k, row in ids.items()}
 
 
-def _daseinise(p: np.ndarray, contexts: Sequence[Context], tol: Tolerance,
+def _daseinise(p: np.ndarray, contexts: Sequence[Context], stack, ids, tol: Tolerance,
                inner: bool) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Per context, block indices and matrix of an approximation of ``p``.
 
-    The outer approximation sums the blocks that meet ``p``; the inner one
-    keeps the blocks that miss ``1 - p``.  Its matrix is ``1`` minus the
-    dropped blocks: reports print the last bits of that difference.
+    The outer approximation sums the blocks that meet ``p`` (``_outer_hits``);
+    the inner one keeps the blocks that miss ``1 - p``.  Its matrix is ``1``
+    minus the dropped blocks: reports print the last bits of that difference.
     """
-    out = []
-    if not inner:
-        for ctx, picked in zip(contexts, _outer_indices(p, contexts, tol)):
-            m = sum((ctx.blocks[i] for i in picked),
-                    np.zeros((ctx.dim, ctx.dim), dtype=complex))
-            m.setflags(write=False)
-            out.append((picked, m))
-        return out
     eye = np.eye(p.shape[0], dtype=complex)
-    for ctx, (dropped, outer) in zip(contexts, _daseinise(eye - p, contexts, tol, False)):
-        m = eye - outer
-        m = (m + m.conj().T) / 2
+    hits = _outer_hits(eye - p if inner else p, stack, ids, tol)[1]
+    out = []
+    for ctx in contexts:
+        picked = hits[ctx.key]
+        m = sum((ctx.blocks[i] for i in picked),
+                np.zeros((ctx.dim, ctx.dim), dtype=complex))
+        if inner:
+            m = eye - m
+            m = (m + m.conj().T) / 2
+            picked = tuple(i for i in range(len(ctx.blocks)) if i not in picked)
         m.setflags(write=False)
-        out.append((tuple(i for i in range(len(ctx.blocks)) if i not in dropped), m))
+        out.append((picked, m))
     return out
+
+
+def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
+    return _daseinise(p, [ctx], ctx, {ctx.key: range(len(ctx.blocks))}, tol, inner)[0]
 
 
 def daseinise_projector(projector, ctx: Context,
                         tol: Tolerance = Tolerance()) -> np.ndarray:
     """Outer approximation: smallest block sum dominating the projector."""
-    return _daseinise(require_projector(projector, tol, "projector"), [ctx], tol, False)[0][1]
+    return _in_context(require_projector(projector, tol, "projector"), ctx, tol, False)[1]
 
 
 def daseinise_projector_inner(projector, ctx: Context,
                               tol: Tolerance = Tolerance()) -> np.ndarray:
     """Inner approximation: largest block sum dominated by the projector."""
-    return _daseinise(require_projector(projector, tol, "projector"), [ctx], tol, True)[0][1]
+    return _in_context(require_projector(projector, tol, "projector"), ctx, tol, True)[1]
 
 
 def daseinise_block_indices(projector, ctx: Context,
                             tol: Tolerance = Tolerance(),
                             inner: bool = False) -> tuple[int, ...]:
     """Indices of the blocks summed by the chosen approximation."""
-    return _daseinise(require_projector(projector, tol, "projector"), [ctx], tol, inner)[0][0]
+    return _in_context(require_projector(projector, tol, "projector"), ctx, tol, inner)[0]
 
 
 def delta_subobject(projector, presheaf: SpectralPresheaf,
                     tol: Tolerance = Tolerance()) -> kernel.Subobject:
     """The outer approximation of a projector as a subobject of the presheaf."""
     p = require_projector(projector, tol, "projector")
-    contexts = presheaf.poset.contexts
-    parts = dict(zip((c.key for c in contexts), _outer_indices(p, contexts, tol)))
-    return kernel.subobject(presheaf.underlying, parts)
+    x, (table, ids, lo, hi) = presheaf.underlying, presheaf.table
+    hit, picked = _outer_hits(p, table, ids, tol)
+    parts = {v: tuple(i for i in x.sets[v] if i in picked[v]) for v in x.base.elements}
+    closed = not (hit[lo] & ~hit[hi]).any()  # else ``kernel.subobject`` raises
+    return kernel.Subobject(of=x, parts=parts) if closed else kernel.subobject(x, parts)
 
 
 def _unit_state(psi, poset: ContextPoset, tol: Tolerance) -> np.ndarray:
@@ -232,8 +248,9 @@ class TruthObject:
 def truth_object(psi, poset: ContextPoset,
                  tol: Tolerance = Tolerance()) -> TruthObject:
     vec = _unit_state(psi, poset, tol)
-    weights = {ctx.key: [float(np.vdot(vec, p @ vec).real) for p in ctx.blocks]
-               for ctx in poset.contexts}
+    table, ids = poset.blocks_at(tol)
+    per_block = ((table.blocks @ vec) @ vec.conj()).real.tolist()
+    weights = {c.key: [per_block[b] for b in ids[c.key]] for c in poset.contexts}
     obj = TruthObject(psi=vec, weights=weights, tol=tol)
     for ctx in poset.contexts:
         if not obj.contains(ctx.key, 2 ** len(ctx.blocks) - 1):
@@ -258,9 +275,9 @@ def truth_value_truthobject(projector, psi, poset: ContextPoset,
     """Contexts where the truth object holds the outer approximation."""
     obj = truth_object(psi, poset, tol)
     p = require_projector(projector, tol, "projector")
-    masks = {ctx.key: sum(1 << i for i in picked) for ctx, picked
-             in zip(poset.contexts, _outer_indices(p, poset.contexts, tol))}
-    members = {key for key, mask in masks.items() if obj.contains(key, mask)}
+    picked = _outer_hits(p, *poset.blocks_at(tol), tol)[1]
+    members = {k for k, got in picked.items()
+               if obj.contains(k, sum(1 << i for i in got))}
     return kernel.lowerset(poset.base, members)
 
 
@@ -343,8 +360,8 @@ def daseinise_observable(operator, ctx: Context,
     e_k = outer = inner = prev_f = prev_g = np.zeros((dim, dim), dtype=complex)
     for value, proj in pairs:
         e_k = e_k + proj
-        f_k = _daseinise(e_k, [ctx], tol, True)[0][1]
-        g_k = _daseinise(e_k, [ctx], tol, False)[0][1]
+        f_k = _in_context(e_k, ctx, tol, True)[1]
+        g_k = _in_context(e_k, ctx, tol, False)[1]
         outer = outer + value * (f_k - prev_f)
         inner = inner + value * (g_k - prev_g)
         prev_f, prev_g = f_k, g_k

@@ -393,6 +393,18 @@ class TestCliContract:
         assert first == second
         assert first[0] == 0
 
+    def test_one_parser_serves_every_run(self):
+        # a failed parse leaves nothing behind in the process-wide parser
+        cli._build_parser.cache_clear()
+        valid = [["poset", MERMIN], ["ks", MERMIN]]
+        first = [cli.run_command(argv) for argv in valid]
+        assert [run[0] for run in first] == [0, 0]
+        code, out, err = cli.run_command(["poset", MERMIN, "--bogus"])
+        assert (code, out) == (1, "")
+        assert err == "error: unrecognized arguments: --bogus (at command line)\n"
+        assert [cli.run_command(argv) for argv in valid] == first
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_output_ends_with_newline(self):
         _, out, _ = cli.run_command(["validate", PAULI2])
         assert out.endswith("\n")

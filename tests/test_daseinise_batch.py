@@ -2,8 +2,9 @@
 
 ``reference_indices`` below is the earlier per-context path: one
 ``overlaps`` call per context, hits read off with ``np.flatnonzero``.
-``quantum._outer_indices`` stacks the blocks of every context and must give
-the same indices, context by context, in block order.
+``quantum._outer_hits`` tests the distinct blocks of the poset's block table
+once each and gathers the hits per context; it must give the same indices,
+context by context, in block order.
 """
 from __future__ import annotations
 
@@ -38,8 +39,14 @@ def reference_indices(p, poset, tol=TOL):
     return out
 
 
+def batch_indices(p, poset, tol=TOL):
+    table, ids = poset.blocks_at(tol)
+    picked = Q._outer_hits(p, table, ids, tol)[1]
+    return [picked[c.key] for c in poset.contexts]
+
+
 def assert_batch_matches(p, poset, tol=TOL):
-    got = Q._outer_indices(p, poset.contexts, tol)
+    got = batch_indices(p, poset, tol)
     assert got == reference_indices(p, poset, tol)
     return got
 
@@ -112,7 +119,7 @@ def test_empty_poset_calls_no_numpy(monkeypatch):
         raise AssertionError("overlaps called on an empty poset")
 
     monkeypatch.setattr(Q, "overlaps", refuse)
-    assert Q._outer_indices(np.eye(2, dtype=complex), poset.contexts, TOL) == []
+    assert batch_indices(np.eye(2, dtype=complex), poset) == []
     assert reference_indices(np.eye(2, dtype=complex), poset) == []
 
 
@@ -123,7 +130,7 @@ def test_wrong_dimension_gives_the_same_message():
     with pytest.raises(DimensionMismatch) as old:
         reference_indices(p, poset)
     with pytest.raises(DimensionMismatch) as new:
-        Q._outer_indices(p, poset.contexts, TOL)
+        batch_indices(p, poset)
     assert str(new.value) == str(old.value) == (
         "projector dimension 3 != context dimension 2")
     presheaf = Q.spectral_presheaf(poset, TOL)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qtopos import numerics
 from qtopos.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -78,8 +79,27 @@ class TestIsProjector:
         assert not is_projector(np.array([[1, 1], [0, 0]]), tol)
 
     def test_require_projector_names_offender(self, tol):
-        with pytest.raises(NotProjector, match="witness"):
+        with pytest.raises(NotProjector, match="^witness is not a projector "
+                                               "within tolerance$"):
             require_projector(np.diag([1.0, 0.5]), tol, "witness")
+
+    def test_require_projector_coerces_once(self, tol, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return as_operator(matrix)
+
+        monkeypatch.setattr(numerics, "as_operator", counting)
+        for matrix in (np.eye(2), [[0.5, 0.5], [0.5, 0.5]], np.diag([1.0, 0.5]),
+                       np.array([[1, 1], [0, 0]])):
+            before = len(calls)
+            try:
+                require_projector(matrix, tol)
+            except NotProjector:
+                pass
+            assert len(calls) - before == 1
+        assert is_projector(np.eye(2), tol) and len(calls) == 5
 
 
 class TestEigensystem:

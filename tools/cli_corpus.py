@@ -12,13 +12,18 @@ checkout, so two outputs compare two programs on the same inputs with
 * the bundled scenarios, each under both closures;
 * the ``poset-closure`` and ``ks-search`` families of seeds 1-3, written by
   ``perfbench/gen.py`` (imported, not changed), each given the +-1
-  projectors of two of its observables and one state.
+  projectors of two of its observables and one state;
+* the ``prop-logic`` families of seeds 1-3 (the rotated square under both
+  closures, with their 4 states), also from ``perfbench/gen.py``.
 
-Every scenario document runs ``poset``, ``ks --max-solutions 1`` and ``64``,
-``daseinise`` of two projectors with and without ``--inner``, ``truth`` of
-two projectors by both routes, and ``heyting``, each through
-``qtopos.cli.run_command``.  A line is ``sha256(exit code, stdout, stderr)``
-and the run's label.
+Each document of the first two kinds runs ``poset``, ``ks --max-solutions
+1`` and ``64``, ``daseinise`` of two projectors with and without
+``--inner``, ``truth`` of two projectors by both routes, and ``heyting``.
+A ``prop-logic`` family runs ``daseinise`` of two projectors with and
+without ``--inner`` and, for each op of its seed, ``heyting`` of the op's
+expression in its state and ``truth`` of its projector by both routes.
+Every run goes through ``qtopos.cli.run_command``.  A line is
+``sha256(exit code, stdout, stderr)`` and the run's label.
 """
 
 from __future__ import annotations
@@ -53,38 +58,58 @@ def _with_queries(doc: dict) -> dict:
     return doc
 
 
-def _documents(workdir: Path) -> list[tuple[str, dict]]:
+def _documents(workdir: Path) -> list[tuple[str, dict, list[dict]]]:
+    """Each document with its name and, for a prop-logic family, its ops."""
     docs = []
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         for closure in ("intersections", "coarsenings"):
             doc = json.loads(path.read_text(encoding="utf-8"))
             doc["closure"] = closure
-            docs.append((f"{path.stem}-{closure}", doc))
+            docs.append((f"{path.stem}-{closure}", doc, []))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
 
-    for workload in WORKLOADS:
+    for workload in WORKLOADS + ("prop-logic",):
         for seed in SEEDS:
             outdir = workdir / f"{workload}-{seed}"
             outdir.mkdir()
-            gen.make_inputs(workload, seed, outdir)
-            for path in sorted(outdir.glob("*.json")):
+            manifest = gen.make_inputs(workload, seed, outdir)
+            for i, path in enumerate(sorted(outdir.glob("*.json"))):
                 doc = json.loads(path.read_text(encoding="utf-8"))
-                docs.append((f"{workload}-{seed}-{path.stem}", _with_queries(doc)))
+                name = f"{workload}-{seed}-{path.stem}"
+                if workload == "prop-logic":
+                    docs.append((name, doc, [op for op in manifest["ops"]
+                                             if op["family"] == i]))
+                else:
+                    docs.append((name, _with_queries(doc), []))
     return docs
 
 
-def _runs(name: str, doc: dict) -> list[list[str]]:
+def _daseinise_runs(name: str, picked) -> list[list[str]]:
+    return [["daseinise", name, "--projector", proj, *inner]
+            for proj in picked for inner in ([], ["--inner"])]
+
+
+def _truth_runs(name: str, state: str, proj: str) -> list[list[str]]:
+    return [["truth", name, "--state", state, "--projector", proj, "--via", via]
+            for via in ("pseudo-state", "truth-object")]
+
+
+def _runs(name: str, doc: dict, ops: list[dict]) -> list[list[str]]:
     projectors = sorted(doc["projectors"])
     picked = (projectors[0], projectors[-1])
+    if ops:
+        runs = _daseinise_runs(name, picked)
+        for op in ops:
+            runs.append(["heyting", name, "--state", op["state"],
+                         "--expr", op["expr"]])
+            runs += _truth_runs(name, op["state"], op["projector"])
+        return runs
     state = sorted(doc["states"])[0]
     runs = [["poset", name], ["ks", name, "--max-solutions", "1"],
             ["ks", name, "--max-solutions", "64"]]
     for proj in picked:
-        runs += [["daseinise", name, "--projector", proj],
-                 ["daseinise", name, "--projector", proj, "--inner"]]
-        runs += [["truth", name, "--state", state, "--projector", proj,
-                  "--via", via] for via in ("pseudo-state", "truth-object")]
+        runs += _daseinise_runs(name, [proj]) + _truth_runs(name, state, proj)
     runs.append(["heyting", name, "--state", state, "--expr",
                  f"({picked[0]} => !{picked[1]}) | {picked[1]} & {picked[0]}"])
     return runs
@@ -105,10 +130,10 @@ def main(argv: list[str]) -> int:
         workdir = Path(tmp)
         docs = _documents(workdir)
         os.chdir(workdir)  # runs name their scenario by a relative path
-        for name, doc in docs:
+        for name, doc, _ in docs:
             Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
-        for name, doc in docs:
-            for argv_ in _runs(f"{name}.json", doc):
+        for name, doc, ops in docs:
+            for argv_ in _runs(f"{name}.json", doc, ops):
                 code, out, err = cli.run_command(argv_)
                 digest = hashlib.sha256(
                     json.dumps([code, out, err]).encode("utf-8")).hexdigest()
