@@ -320,12 +320,6 @@ class ContextPoset:
     def context(self, key: str) -> Context:
         return self._index[key]
 
-    def keys(self) -> tuple[str, ...]:
-        return tuple(c.key for c in self.contexts)
-
-    def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
-
     def __len__(self) -> int:
         return len(self.contexts)
 

@@ -56,10 +56,6 @@ class NotNatural(ToposError):
     """A family of component maps fails the naturality squares."""
 
 
-class NotGlobalElement(ToposError):
-    """A transformation is not a global element of the expected presheaf."""
-
-
 class ParentMismatch(ToposError):
     """Two subobjects (or related data) live over different parents."""
 

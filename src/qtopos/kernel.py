@@ -2,7 +2,8 @@
 
 Implements presheaves of finite sets together with the categorical
 structure the quantum layer needs: subobjects, the subobject classifier,
-Heyting operations, exponentials, power objects and lower-set truth values.
+Heyting operations on subobjects, exponentials, power objects and truth
+values as lower sets (``truth_value_inclusion``).
 Everything is enumerated on the one explicit-stack engine ``depth_first``,
 free of Python's recursion limit; guards turn blow-ups into ``SizeLimit``
 errors instead of hangs.  The global-section search, also the quantum
@@ -33,7 +34,6 @@ from functools import cached_property
 
 from .errors import (
     BaseMismatch,
-    NotGlobalElement,
     NotNatural,
     ParentMismatch,
     SizeLimit,
@@ -266,9 +266,6 @@ class Subobject:
     of: Presheaf
     parts: dict
 
-    def part(self, v: str) -> tuple:
-        return self.parts[v]
-
 
 def subobject(of: Presheaf, parts) -> Subobject:
     norm = {}
@@ -316,22 +313,15 @@ class LowerSet:
 
 def lowerset(base: FinPoset, members) -> LowerSet:
     mem = frozenset(members)
+    lowers = base._lists[0]
     for v in sorted(mem, key=_pkey):
-        if v not in base.elements:
+        if v not in lowers:
             raise ValidationError(f"{v!r} is not an element of the poset")
-        for u in base.down(v):
+        for u in lowers[v]:
             if u not in mem:
                 raise ValidationError(
                     f"not downward closed: {v!r} is in but {u!r} below it is not")
     return LowerSet(base=base, members=mem)
-
-
-def full_lowerset(base: FinPoset) -> LowerSet:
-    return LowerSet(base=base, members=frozenset(base.elements))
-
-
-def empty_lowerset(base: FinPoset) -> LowerSet:
-    return LowerSet(base=base, members=frozenset())
 
 
 @dataclass(frozen=True)
@@ -437,32 +427,6 @@ def omega(base: FinPoset) -> Presheaf:
         restr[(frm, to)] = {s: tuple(u for u in s if u in below)
                             for s in sets[frm]}
     return presheaf(base, sets, restr)
-
-
-def characteristic(k: Subobject) -> NatTransform:
-    """The classifying arrow of a subobject, landing in ``omega``."""
-    x = k.of
-    om = omega(x.base)
-    comps = {}
-    for v in x.base.elements:
-        dv = x.base.down(v)
-        comps[v] = {pt: tuple(u for u in dv
-                              if x.restrict(pt, v, u) in k.parts[u])
-                    for pt in x.sets[v]}
-    return nat_transform(x, om, comps)
-
-
-def subobject_from_characteristic(chi: NatTransform) -> Subobject:
-    """Pull the maximal sieve back along a classifying arrow."""
-    x = chi.source
-    if chi.target != omega(x.base):
-        raise NotNatural("arrow does not land in the subobject classifier")
-    parts = {}
-    for v in x.base.elements:
-        principal = x.base.down(v)
-        parts[v] = tuple(pt for pt in x.sets[v]
-                         if chi.components[v][pt] == principal)
-    return subobject(x, parts)
 
 
 def _same_parent(j: Subobject, k: Subobject) -> Presheaf:
@@ -612,15 +576,6 @@ def power_object(x: Presheaf) -> Presheaf:
     return _tagged_presheaf(base, sets)
 
 
-def name_of(k: Subobject) -> NatTransform:
-    """The global element of the power object that picks out ``k``."""
-    x = k.of
-    px = power_object(x)
-    comps = {v: {"*": _encode_relative(k.parts, x.base.down(v))}
-             for v in x.base.elements}
-    return nat_transform(terminal(x.base), px, comps)
-
-
 def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     """All natural transformations x -> y, in lexicographic order."""
     if x.base != y.base:
@@ -637,72 +592,9 @@ def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
             for comps in _natural_families(x, y, _extension_desc(base))]
 
 
-def truth_value_membership(x: NatTransform, k: Subobject) -> LowerSet:
-    """Where a global element lies inside a subobject, as a lower set."""
-    parent = k.of
-    if x.target != parent:
-        raise NotGlobalElement("the element does not live in the subobject's parent")
-    if x.source != terminal(parent.base):
-        raise NotGlobalElement("the transformation is not a global element")
-    members = {v for v in parent.base.elements
-               if x.components[v]["*"] in k.parts[v]}
-    return lowerset(parent.base, members)
-
-
 def truth_value_inclusion(j: Subobject, k: Subobject) -> LowerSet:
     """Hereditary inclusion [[ j <= k ]] as a lower set."""
     x = _same_parent(j, k)
     return lowerset(x.base, {
         v for v in x.base.elements
         if all(set(j.parts[u]) <= set(k.parts[u]) for u in x.base.down(v))})
-
-
-def truth_value_element_of(t: Subobject, k: Subobject) -> LowerSet:
-    """Where ``k``'s name lies inside a subobject of the power object."""
-    x = k.of
-    if t.of != power_object(x):
-        raise ParentMismatch("first argument is not a subobject of the power object")
-    return lowerset(x.base, {
-        v for v in x.base.elements
-        if _encode_relative(k.parts, x.base.down(v)) in t.parts[v]})
-
-
-def _same_base(a: LowerSet, b: LowerSet) -> FinPoset:
-    if a.base != b.base:
-        raise BaseMismatch("lower sets live over different posets")
-    return a.base
-
-
-def lowerset_meet(a: LowerSet, b: LowerSet) -> LowerSet:
-    return LowerSet(base=_same_base(a, b), members=a.members & b.members)
-
-
-def lowerset_join(a: LowerSet, b: LowerSet) -> LowerSet:
-    return LowerSet(base=_same_base(a, b), members=a.members | b.members)
-
-
-def lowerset_implies(a: LowerSet, b: LowerSet) -> LowerSet:
-    base = _same_base(a, b)
-    members = {v for v in base.elements
-               if all(u in b.members or u not in a.members
-                      for u in base.down(v))}
-    return LowerSet(base=base, members=frozenset(members))
-
-
-def lowerset_not(a: LowerSet) -> LowerSet:
-    return lowerset_implies(a, empty_lowerset(a.base))
-
-
-def lowerset_heyting(op: str, a: LowerSet, b: LowerSet | None = None) -> LowerSet:
-    """Dispatch on 'meet' | 'join' | 'implies' | 'not'."""
-    if op == "not":
-        if b is not None:
-            raise ValidationError("'not' is unary")
-        return lowerset_not(a)
-    if b is None:
-        raise ValidationError(f"{op!r} needs two arguments")
-    table = {"meet": lowerset_meet, "join": lowerset_join,
-             "implies": lowerset_implies}
-    if op not in table:
-        raise ValidationError(f"unknown lower-set operation {op!r}")
-    return table[op](a, b)

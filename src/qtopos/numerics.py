@@ -93,11 +93,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return frob(a - a.conj().T)
 
 
-def is_hermitian(matrix, tol: Tolerance = Tolerance()) -> bool:
-    m = as_operator(matrix)
-    return hermiticity_defect(m) <= tol.scaled(m.shape[0])
-
-
 def require_hermitian(matrix, tol: Tolerance = Tolerance()) -> np.ndarray:
     m = as_operator(matrix)
     defect = hermiticity_defect(m)

@@ -161,9 +161,3 @@ def pretty(expr: PropExpr) -> str:
     return fold(expr, lambda name: (name.ident, _PRECEDENCE[Name]),
                 _pretty_node)[0]
 
-
-def leaf_names(expr: PropExpr) -> tuple[str, ...]:
-    """Sorted identifiers appearing in the expression."""
-    found: set[str] = set()
-    fold(expr, lambda name: found.add(name.ident), lambda node, *parts: None)
-    return tuple(sorted(found))

@@ -179,13 +179,6 @@ def daseinise_projector_inner(projector, ctx: Context,
     return _in_context(require_projector(projector, tol, "projector"), ctx, tol, True)[1]
 
 
-def daseinise_block_indices(projector, ctx: Context,
-                            tol: Tolerance = Tolerance(),
-                            inner: bool = False) -> tuple[int, ...]:
-    """Indices of the blocks summed by the chosen approximation."""
-    return _in_context(require_projector(projector, tol, "projector"), ctx, tol, inner)[0]
-
-
 def delta_subobject(projector, presheaf: SpectralPresheaf,
                     tol: Tolerance = Tolerance()) -> kernel.Subobject:
     """The outer approximation of a projector as a subobject of the presheaf."""

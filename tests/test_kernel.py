@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from qtopos import kernel as K
 from qtopos.errors import (
     BaseMismatch,
-    NotGlobalElement,
     NotNatural,
     ParentMismatch,
     SizeLimit,
@@ -35,6 +34,49 @@ def _chain2_presheaf(top_pts, bottom_pts, mapping):
 
 def _constant2():
     return _chain2_presheaf(("a", "b"), ("a", "b"), {"a": "a", "b": "b"})
+
+
+# The classifying arrow, its pull-back and the name of a subobject, kept here
+# as the oracles that ``omega`` and ``power_object`` must agree with.
+def characteristic(k: K.Subobject) -> K.NatTransform:
+    """The classifying arrow of a subobject, landing in ``omega``."""
+    x = k.of
+    om = K.omega(x.base)
+    comps = {}
+    for v in x.base.elements:
+        dv = x.base.down(v)
+        comps[v] = {pt: tuple(u for u in dv
+                              if x.restrict(pt, v, u) in k.parts[u])
+                    for pt in x.sets[v]}
+    return K.nat_transform(x, om, comps)
+
+
+def subobject_from_characteristic(chi: K.NatTransform) -> K.Subobject:
+    """Pull the maximal sieve back along a classifying arrow."""
+    x = chi.source
+    if chi.target != K.omega(x.base):
+        raise NotNatural("arrow does not land in the subobject classifier")
+    parts = {}
+    for v in x.base.elements:
+        principal = x.base.down(v)
+        parts[v] = tuple(pt for pt in x.sets[v]
+                         if chi.components[v][pt] == principal)
+    return K.subobject(x, parts)
+
+
+def name_of(k: K.Subobject) -> K.NatTransform:
+    """The global element of the power object that picks out ``k``."""
+    x = k.of
+    px = K.power_object(x)
+    comps = {v: {"*": K._encode_relative(k.parts, x.base.down(v))}
+             for v in x.base.elements}
+    return K.nat_transform(K.terminal(x.base), px, comps)
+
+
+def _image(point: K.NatTransform) -> K.Subobject:
+    """The subobject a global element picks out: its one point everywhere."""
+    x = point.target
+    return K.subobject(x, {v: (point.at(v, "*"),) for v in x.base.elements})
 
 
 class TestFinPoset:
@@ -383,19 +425,19 @@ class TestOmega:
 class TestCharacteristic:
     def test_whole_maps_to_principal(self):
         x = _constant2()
-        chi = K.characteristic(K.full_subobject(x))
+        chi = characteristic(K.full_subobject(x))
         assert chi.at("top", "a") == ("bottom", "top")
         assert chi.at("bottom", "a") == ("bottom",)
 
     def test_empty_maps_to_empty_sieve(self):
         x = _constant2()
-        chi = K.characteristic(K.empty_subobject(x))
+        chi = characteristic(K.empty_subobject(x))
         assert chi.at("top", "a") == ()
 
     def test_half_subobject(self):
         one = K.terminal(CHAIN2)
         k = K.subobject(one, {"bottom": ("*",), "top": ()})
-        chi = K.characteristic(k)
+        chi = characteristic(k)
         assert chi.at("top", "*") == ("bottom",)
         assert chi.at("bottom", "*") == ("bottom",)
 
@@ -404,7 +446,7 @@ class TestCharacteristic:
                   _chain2_presheaf(("p", "q", "r"), ("s", "t"),
                                   {"p": "s", "q": "s", "r": "t"})):
             for k in K.all_subobjects(x):
-                back = K.subobject_from_characteristic(K.characteristic(k))
+                back = subobject_from_characteristic(characteristic(k))
                 assert back.parts == k.parts
 
     def test_wrong_target_rejected(self):
@@ -412,12 +454,12 @@ class TestCharacteristic:
         ident = K.nat_transform(x, x, {
             v: {pt: pt for pt in x.sets[v]} for v in x.base.elements})
         with pytest.raises(NotNatural):
-            K.subobject_from_characteristic(ident)
+            subobject_from_characteristic(ident)
 
     def test_classifies_membership_sieve(self):
         x = _chain2_presheaf(("p", "q"), ("s",), {"p": "s", "q": "s"})
         k = K.subobject(x, {"top": ("p",), "bottom": ("s",)})
-        chi = K.characteristic(k)
+        chi = characteristic(k)
         assert chi.at("top", "p") == ("bottom", "top")
         assert chi.at("top", "q") == ("bottom",)
 
@@ -584,7 +626,7 @@ class TestPowerObject:
     def test_name_of_round_trip(self):
         x = _constant2()
         for k in K.all_subobjects(x):
-            nm = K.name_of(k)
+            nm = name_of(k)
             bottom_entry = dict(nm.at("bottom", "*"))
             assert bottom_entry["bottom"] == k.parts["bottom"]
             top_entry = dict(nm.at("top", "*"))
@@ -594,30 +636,35 @@ class TestPowerObject:
 class TestTruthValues:
     def test_membership_whole_and_empty(self):
         x = _constant2()
-        section = K.global_elements(x)[0]
-        assert K.truth_value_membership(section, K.full_subobject(x)).is_full
-        assert K.truth_value_membership(section, K.empty_subobject(x)).is_empty
+        point = _image(K.global_elements(x)[0])
+        assert K.truth_value_inclusion(point, K.full_subobject(x)).is_full
+        assert K.truth_value_inclusion(point, K.empty_subobject(x)).is_empty
 
     def test_membership_partial(self):
         x = _constant2()
         section = [s for s in K.global_elements(x) if s.at("top", "*") == "a"][0]
         k = K.subobject(x, {"bottom": ("a",), "top": ()})
-        value = K.truth_value_membership(section, k)
+        value = K.truth_value_inclusion(_image(section), k)
         assert value.sorted_members == ("bottom",)
-
-    def test_membership_requires_global_element(self):
-        x = _constant2()
-        ident = K.nat_transform(x, x, {
-            v: {pt: pt for pt in x.sets[v]} for v in x.base.elements})
-        with pytest.raises(NotGlobalElement):
-            K.truth_value_membership(ident, K.full_subobject(x))
 
     def test_membership_wrong_parent(self):
         x = _constant2()
-        other = K.terminal(CHAIN2)
-        section = K.global_elements(other)[0]
-        with pytest.raises(NotGlobalElement):
-            K.truth_value_membership(section, K.full_subobject(x))
+        section = K.global_elements(K.terminal(CHAIN2))[0]
+        with pytest.raises(ParentMismatch):
+            K.truth_value_inclusion(_image(section), K.full_subobject(x))
+
+    def test_membership_is_pointwise(self):
+        # a subobject holding a natural point at v holds it below v too, so
+        # the hereditary inclusion of the point's image is plain membership
+        for x in (_constant2(), K.terminal(ANTI3),
+                  _chain2_presheaf(("p", "q", "r"), ("s", "t"),
+                                   {"p": "s", "q": "s", "r": "t"})):
+            for section in K.global_elements(x):
+                for k in K.all_subobjects(x):
+                    value = K.truth_value_inclusion(_image(section), k)
+                    assert value.members == {
+                        v for v in x.base.elements
+                        if section.at(v, "*") in k.parts[v]}
 
     def test_inclusion_reflexive(self):
         x = _constant2()
@@ -644,8 +691,9 @@ class TestTruthValues:
         full_t = K.full_subobject(px)
         empty_t = K.empty_subobject(px)
         for k in K.all_subobjects(x):
-            assert K.truth_value_element_of(full_t, k).is_full
-            assert K.truth_value_element_of(empty_t, k).is_empty
+            name = _image(name_of(k))
+            assert K.truth_value_inclusion(name, full_t).is_full
+            assert K.truth_value_inclusion(name, empty_t).is_empty
 
     def test_element_of_principal_filter(self):
         x = K.terminal(CHAIN2)
@@ -654,70 +702,67 @@ class TestTruthValues:
                           if ("bottom", ("*",)) in enc)
                  for v in px.base.elements}
         t = K.subobject(px, parts)
-        assert K.truth_value_element_of(t, K.full_subobject(x)).is_full
-        assert K.truth_value_element_of(t, K.empty_subobject(x)).is_empty
+        full_name = _image(name_of(K.full_subobject(x)))
+        empty_name = _image(name_of(K.empty_subobject(x)))
+        assert K.truth_value_inclusion(full_name, t).is_full
+        assert K.truth_value_inclusion(empty_name, t).is_empty
 
     def test_element_of_parent_checked(self):
         x = K.terminal(CHAIN2)
+        name = _image(name_of(K.full_subobject(x)))
         with pytest.raises(ParentMismatch):
-            K.truth_value_element_of(K.full_subobject(x), K.full_subobject(x))
-
-
-def _all_lowersets(base):
-    out = []
-    for mask in range(2 ** len(base.elements)):
-        members = {v for i, v in enumerate(base.elements) if mask >> i & 1}
-        if all(u in members for v in members for u in base.elements
-               if base.le(u, v)):
-            out.append(K.lowerset(base, members))
-    return out
+            K.truth_value_inclusion(name, K.full_subobject(x))
 
 
 class TestLowerSetAlgebra:
+    """Truth values are the lower sets, that is the subobjects of the
+    terminal presheaf, Sub(1); their Heyting algebra is ``heyting_*``."""
+
     def test_implies_reflexive(self):
-        for a in _all_lowersets(CHAIN2):
-            assert K.lowerset_implies(a, a).is_full
+        one = K.terminal(CHAIN2)
+        for a in K.all_subobjects(one):
+            assert K.heyting_implies(a, a).parts == K.full_subobject(one).parts
 
     def test_chain_excluded_middle_witness(self):
-        a = K.lowerset(CHAIN2, {"bottom"})
-        na = K.lowerset_not(a)
-        assert na.is_empty
-        assert K.lowerset_join(a, na).sorted_members == ("bottom",)
+        one = K.terminal(CHAIN2)
+        a = K.subobject(one, {"bottom": ("*",), "top": ()})
+        na = K.heyting_not(a)
+        assert na.parts == K.empty_subobject(one).parts
+        a_or_na = K.heyting_join(a, na)
+        assert a_or_na.parts == a.parts
+        assert K.truth_value_inclusion(K.full_subobject(one),
+                                       a_or_na).sorted_members == ("bottom",)
 
     def test_meet_with_full(self):
-        full = K.full_lowerset(CHAIN2)
-        for a in _all_lowersets(CHAIN2):
-            assert K.lowerset_meet(full, a).members == a.members
+        one = K.terminal(CHAIN2)
+        full = K.full_subobject(one)
+        for a in K.all_subobjects(one):
+            assert K.heyting_meet(full, a).parts == a.parts
+            assert K.heyting_meet(a, full).parts == a.parts
 
     def test_adjunction_on_three_element_poset(self):
         vee = K.finposet(["a", "b", "c"], [("c", "a"), ("c", "b")])
-        downs = _all_lowersets(vee)
-        for a, b, g in itertools.product(downs, repeat=3):
-            lhs = g.members <= K.lowerset_implies(a, b).members
-            rhs = (g.members & a.members) <= b.members
+        subs = K.all_subobjects(K.terminal(vee))
+        for a, b, g in itertools.product(subs, repeat=3):
+            lhs = K.subobject_leq(g, K.heyting_implies(a, b))
+            rhs = K.subobject_leq(K.heyting_meet(g, a), b)
             assert lhs == rhs
 
     def test_downward_closure_validated(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^not downward closed: 'top' is in but "
+                                 "'bottom' below it is not$"):
             K.lowerset(CHAIN2, {"top"})
 
-    def test_dispatcher(self):
-        a = K.lowerset(CHAIN2, {"bottom"})
-        full = K.full_lowerset(CHAIN2)
-        assert K.lowerset_heyting("meet", a, full).members == a.members
-        assert K.lowerset_heyting("join", a, full).is_full
-        assert K.lowerset_heyting("implies", full, a).members == a.members
-        assert K.lowerset_heyting("not", a).is_empty
-        with pytest.raises(ValidationError):
-            K.lowerset_heyting("xor", a, full)
-        with pytest.raises(ValidationError):
-            K.lowerset_heyting("not", a, full)
-        with pytest.raises(ValidationError):
-            K.lowerset_heyting("meet", a)
+    def test_unknown_element_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^'nope' is not an element of the poset$"):
+            K.lowerset(CHAIN2, {"nope", "top"})
 
     def test_base_mismatch(self):
-        with pytest.raises(BaseMismatch):
-            K.lowerset_meet(K.full_lowerset(CHAIN2), K.full_lowerset(ANTI2))
+        with pytest.raises(ParentMismatch):
+            K.heyting_meet(K.full_subobject(K.terminal(CHAIN2)),
+                           K.full_subobject(K.terminal(ANTI2)))
 
 
 class TestNatTransformValidation:

@@ -1,11 +1,11 @@
 """The proposition language: parsing, printing and folding.
 
-``reference_parse_prop``, ``reference_pretty`` and ``reference_leaf_names``
-below are the earlier recursive versions, kept verbatim as the reference the
-explicit-stack versions in ``qtopos.props`` must agree with.  They recurse,
-so they only ever see shallow trees here; deep trees are compared through
-``pretty`` strings or fold results, since dataclass ``==``, ``hash`` and
-``repr`` recurse too.
+``reference_parse_prop`` and ``reference_pretty`` below are the earlier
+recursive versions, kept verbatim as the reference the explicit-stack
+versions in ``qtopos.props`` must agree with.  They recurse, so they only
+ever see shallow trees here; deep trees are compared through ``pretty``
+strings or fold results, since dataclass ``==``, ``hash`` and ``repr``
+recurse too.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from qtopos.props import (
     PropExpr,
     _tokenize,
     fold,
-    leaf_names,
     parse_prop,
     pretty,
 )
@@ -142,23 +141,6 @@ def reference_pretty(expr: PropExpr) -> str:
     return f"{left}{symbol}{right}"
 
 
-def reference_leaf_names(expr: PropExpr) -> tuple[str, ...]:
-    """Sorted identifiers appearing in the expression."""
-    found: set[str] = set()
-
-    def walk(node: PropExpr) -> None:
-        if isinstance(node, Name):
-            found.add(node.ident)
-        elif isinstance(node, Not):
-            walk(node.operand)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
-    return tuple(sorted(found))
-
-
 class TestParsing:
     def test_precedence_and_over_implies(self):
         assert parse_prop("P & Q => R") == \
@@ -242,10 +224,6 @@ class TestPretty:
             "A & (B | C)"
         assert pretty(Not(And(Name("A"), Name("B")))) == "!(A & B)"
 
-    def test_leaf_names(self):
-        expr = parse_prop("!P & (Q => P) | R")
-        assert leaf_names(expr) == ("P", "Q", "R")
-
 
 _TOKENS = ["!", "&", "|", "=>", "(", ")", "P", "Q", "R_1"]
 _GRAMMATICAL = st.recursive(
@@ -290,12 +268,11 @@ class TestAgainstReference:
         else:
             assert pretty(parse_prop(text)) == expected
 
-    def test_random_trees_print_and_list_names_alike(self):
+    def test_random_trees_print_alike(self):
         rng = np.random.default_rng(1961)
         for _ in range(2000):
             expr = _random_expr(rng, depth=int(rng.integers(0, 7)))
             assert pretty(expr) == reference_pretty(expr)
-            assert leaf_names(expr) == reference_leaf_names(expr)
             assert parse_prop(pretty(expr)) == expr
 
 
@@ -354,7 +331,6 @@ class TestDeepExpressions:
         text = "!" * DEPTH + "P"
         expr = parse_prop(text)
         assert pretty(expr) == text
-        assert leaf_names(expr) == ("P",)
 
     @pytest.mark.parametrize("symbol", [" & ", " | ", " => "])
     def test_long_chains(self, symbol):
@@ -363,7 +339,6 @@ class TestDeepExpressions:
         text = symbol.join(f"P{i % 7}" for i in range(DEPTH))
         expr = parse_prop(text)
         assert pretty(expr) == text
-        assert leaf_names(expr) == tuple(f"P{i}" for i in range(7))
         assert fold(expr, lambda name: 1,
                     lambda node, *parts: sum(parts)) == DEPTH
 

@@ -1,0 +1,69 @@
+"""No public name under ``src/`` is there only for the tests.
+
+Every public module-level function or class of ``src/qtopos`` must be
+referenced somewhere outside its own definition: in a ``src/`` module, in
+``qtopos.__all__``, or in ``demos/``, ``perfbench/``, ``tools/`` or the
+acceptance gate ``tests/test_acceptance.py``.  A reference is a name, an
+attribute, an imported name or a string equal to the name, since
+``perfbench/tracer.py`` wraps functions by their attribute names.  A
+construct that only the other tests call belongs in those tests.
+"""
+from __future__ import annotations
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qtopos"
+USERS = ("demos", "perfbench", "tools")
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every identifier ``tree`` mentions, leaving out the subtree ``skip``."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def unreferenced_public_names() -> list[str]:
+    modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    outside: set[str] = set()
+    for path in [ROOT / "tests" / "test_acceptance.py",
+                 *(p for d in USERS for p in sorted((ROOT / d).rglob("*.py")))]:
+        outside |= _references(_parse(path))
+    unused = []
+    for path, tree in modules.items():
+        seen = set(outside)
+        for other, other_tree in modules.items():
+            if other != path:
+                seen |= _references(other_tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in seen:
+                continue
+            if node.name not in _references(tree, skip=node):
+                unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = unreferenced_public_names()
+    assert not unused, "called only from tests: " + ", ".join(unused)

@@ -225,7 +225,7 @@ class TestDaseinisation:
             p = random_projector(4, rng)
             ctx = mermin_poset.contexts[int(rng.integers(0, 15))]
             for inner in (False, True):
-                indices = Q.daseinise_block_indices(p, ctx, tol, inner=inner)
+                indices = Q._in_context(p, ctx, tol, inner)[0]
                 total = sum((ctx.blocks[i] for i in indices),
                             np.zeros((4, 4), dtype=complex))
                 if inner:
