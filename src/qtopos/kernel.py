@@ -7,10 +7,11 @@ values as lower sets (``truth_value_inclusion``).
 Everything is enumerated on the one explicit-stack engine ``depth_first``,
 free of Python's recursion limit; guards turn blow-ups into ``SizeLimit``
 errors instead of hangs.  The global-section search, also the quantum
-layer's, picks only at maximal elements and counts the nodes it takes
-against a ``NodeBudget``, often far below the product of component sizes.
-``hom_set`` and ``exponential`` keep product-of-sizes pre-checks: under a
-node budget a space that large takes tens of seconds to refuse, not none.
+layer's, picks only at maximal elements, keeps the constraints between them
+arc consistent after each pick (MAC) and counts its picks against a
+``NodeBudget``.  ``hom_set`` and ``exponential`` keep product-of-sizes
+pre-checks: under a node budget a space that large takes tens of seconds to
+refuse, not none.
 
 Conventions
 -----------
@@ -169,26 +170,10 @@ def depth_first(order, options, budget: NodeBudget | None = None):
 def _extension_desc(base: FinPoset) -> list[str]:
     """Elements by the length of the longest chain above them, then by key:
     each element comes after all strictly above it."""
-    height: dict = {}
-    for u in _extension_from_top(base):
+    height: dict = {}  # u < w makes down(w) larger, so w is done before u
+    for u in sorted(base.elements, key=lambda u: -len(base.down(u))):
         height[u] = max((height[w] + 1 for w in base.up(u) if w != u), default=0)
     return sorted(base.elements, key=lambda u: (height[u], u))
-
-
-def _extension_from_top(base: FinPoset) -> list[str]:
-    """Maximal elements, each other element right after its last upper (the
-    last placed element above it), ties in key order; O(elements + pairs)."""
-    waiting = {u: len(base.up(u)) - 1 for u in base.elements}
-    placed: list[str] = []
-    stack = [u for u in reversed(base.elements) if not waiting[u]]
-    while stack:
-        placed.append(stack.pop())
-        # the placed element itself drops to -1 and is never pushed again
-        for u in reversed(base.down(placed[-1])):
-            waiting[u] -= 1
-            if not waiting[u]:
-                stack.append(u)
-    return placed
 
 
 def _uppers(base: FinPoset, order: list[str]) -> dict:
@@ -306,10 +291,6 @@ class LowerSet:
     def is_full(self) -> bool:
         return len(self.members) == len(self.base.elements)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
 
 def lowerset(base: FinPoset, members) -> LowerSet:
     mem = frozenset(members)
@@ -359,8 +340,7 @@ def nat_transform(source: Presheaf, target: Presheaf, components) -> NatTransfor
     return NatTransform(source=source, target=target, components=comps)
 
 
-def _natural_families(x: Presheaf, y: Presheaf, order: list[str],
-                      budget: NodeBudget | None = None):
+def _natural_families(x: Presheaf, y: Presheaf, order: list[str]):
     """All natural families ``f_u : x(u) -> y(u)`` over the elements of ``order``.
 
     ``order`` lists a down-closed set of elements, each after all above it.
@@ -383,7 +363,7 @@ def _natural_families(x: Presheaf, y: Presheaf, order: list[str],
                                           else y.sets[u] for pt in points)):
             yield dict(zip(points, images))
 
-    return depth_first(order, options, budget)
+    return depth_first(order, options)
 
 
 def terminal(base: FinPoset) -> Presheaf:
@@ -393,22 +373,81 @@ def terminal(base: FinPoset) -> Presheaf:
     return Presheaf(base=base, sets=sets, restrictions=restr)
 
 
+def _arcs(x: Presheaf, tops) -> dict:
+    """Per maximal ``v`` in ``tops``, ``(w, mine, theirs)`` for each maximal
+    ``w`` sharing a lower element with it (found from the elements' maximal
+    uppers).  ``mine`` and ``theirs`` send points at ``v`` and ``w`` to their
+    restrictions to the pair's maximal common lower elements; two points agree
+    on every common lower element iff these are equal (functoriality)."""
+    base = x.base
+    common: dict = {}
+    for u in base.elements:
+        for pair in itertools.combinations(
+                [w for w in base.up(u) if w in tops], 2):
+            common.setdefault(pair, {})[u] = None
+    arcs: dict = {v: [] for v in tops}
+    for (a, b), lower in common.items():
+        meets = [u for u in lower
+                 if not any(w in lower for w in base.up(u) if w != u)]
+        sig = {v: {pt: tuple(x.restrict(pt, v, u) for u in meets)
+                   for pt in x.sets[v]} for v in (a, b)}
+        arcs[a].append((b, sig[a], sig[b]))
+        arcs[b].append((a, sig[b], sig[a]))
+    return arcs
+
+
+def _revise(arcs: dict, domains: dict, changed: dict) -> dict | None:
+    """AC-3 from the ``changed`` elements, each revising its neighbours'
+    domains in turn: ``domains`` narrowed, or None once one runs empty."""
+    while changed:
+        v = changed.popitem()[0]
+        for w, mine, theirs in arcs[v]:
+            support = {mine[pt] for pt in domains[v]}
+            kept = [pt for pt in domains[w] if theirs[pt] in support]
+            if not kept:
+                return None
+            if len(kept) < len(domains[w]):
+                domains[w], changed[w] = kept, None
+    return domains
+
+
 def global_sections(x: Presheaf, budget: NodeBudget):
     """Every global section of ``x``, lazily, as a dict element -> point.
 
-    Points are picked only at maximal elements (``_extension_from_top``)."""
+    MAC: picks at the maximal elements in key order, points in component
+    order, offering only those that survive AC-3 with the earlier picks
+    fixed; the other elements follow by restriction (keys in element
+    order).  AC-3 drops no point of a section, so sections come out in
+    the lexicographic order of the picks.  A node of ``budget`` is one pick;
+    AC-3 is polynomial per node, so the cap bounds the whole work.
+    """
     if any(not pts for pts in x.sets.values()):
         return
-    one = terminal(x.base)
-    for fam in _natural_families(one, x, _extension_from_top(x.base), budget):
-        yield {v: f["*"] for v, f in fam.items()}
+    base = x.base
+    tops = {v: i for i, v in enumerate(
+        u for u in base.elements if len(base.up(u)) == 1)}
+    order, arcs = list(tops), _arcs(x, tops)
+    states = [_revise(arcs, {v: list(x.sets[v]) for v in tops}, dict.fromkeys(tops))]
+
+    def options(v, chosen):  # states[d]: the domains with d picks fixed
+        depth = tops[v]
+        if depth:
+            del states[depth:]
+            last = order[depth - 1]
+            states.append(_revise(arcs, {**states[-1], last: [chosen[last]]},
+                                  {last: None}))
+        return states[depth][v] if states[depth] else ()
+
+    lift = {u: next(w for w in base.up(u) if w in tops) for u in base.elements}
+    for picks in depth_first(order, options, budget):
+        yield {u: x.restrict(picks[w], w, u) for u, w in lift.items()}
 
 
 def global_elements(x: Presheaf) -> list[NatTransform]:
-    """All compatible families of points, as arrows from the terminal."""
+    """All global sections, as arrows from the terminal (natural as built)."""
     one = terminal(x.base)
     budget = NodeBudget("global-element search", GLOBAL_SEARCH_LIMIT)
-    return [nat_transform(one, x, {v: {"*": pt} for v, pt in s.items()})
+    return [NatTransform(one, x, {v: {"*": s[v]} for v in x.base.elements})
             for s in global_sections(x, budget)]
 
 

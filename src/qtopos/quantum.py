@@ -310,15 +310,14 @@ class KsResult:
 
 
 def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8) -> KsResult:
-    """Depth-first search for global sections, on ``kernel.global_sections``.
-
-    A section is fixed by its blocks at the maximal contexts: these are
-    picked in key order, block indices ascending, and each smaller context
-    takes its block by restriction right after the last context above it.
-    A node is one block taken at one context, forced ones included; more
-    than ``KS_NODE_LIMIT`` raise ``SizeLimit``.  Beyond ``max_solutions``
-    sections, the first ones in that order are listed, sorted by context
-    key.  ``NoSection`` is reported only after the whole space is exhausted.
+    """Global sections by ``kernel.global_sections``: blocks are picked at the
+    maximal contexts in key order, block indices ascending, keeping every
+    two maximal contexts' blocks consistent on their common lower contexts
+    (MAC); smaller contexts take their blocks by restriction.  A node is one
+    block taken at a maximal context; more than ``KS_NODE_LIMIT`` raise
+    ``SizeLimit``.  The first ``max_solutions`` sections in that order are
+    listed, sorted by context key.  ``NoSection`` means the space is
+    exhausted.
     """
     if not presheaf.poset.contexts:
         raise ValidationError("cannot search an empty poset")

@@ -229,11 +229,11 @@ class TestKs:
         assert doc["status"] == "NoSection"
         assert doc["section_count"] == 0
         assert doc["sections"] == []
-        assert doc["nodes_explored"] == 412
+        assert doc["nodes_explored"] == 28
 
     @pytest.mark.parametrize("scenario, max_solutions, nodes", [
         (PAULI2, 1, 3), (PAULI2, 3, 6), (PAULI2, 8, 14),
-        (PARITY, 1, 5), (PARITY, 3, 10), (PARITY, 8, 28)])
+        (PARITY, 1, 2), (PARITY, 3, 5), (PARITY, 8, 12)])
     def test_nodes_explored_on_early_stop(self, scenario, max_solutions, nodes):
         code, doc, _ = _run(["ks", scenario, "--max-solutions", str(max_solutions)])
         assert code == 0
@@ -248,7 +248,24 @@ class TestKs:
         code, doc, err = _run(["ks", str(path)])
         assert code == 0, err
         assert doc["status"] == "NoSection"
-        assert doc["nodes_explored"] == 2196
+        assert doc["nodes_explored"] == 28
+
+    @pytest.mark.parametrize("closure", ["intersections", "coarsenings"])
+    @pytest.mark.parametrize("name, nodes", [("peres33", 20), ("cabello18", 45)])
+    def test_kochen_specker_sets_have_no_section(self, tmp_path, name, nodes,
+                                                 closure):
+        # Peres' 33 rays took the search past its 10M-node cap (about 45 s)
+        # before each pick kept the arcs between maximal contexts consistent
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        doc["closure"] = closure
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, doc, err = _run(["ks", str(path)])
+        assert time.perf_counter() - start < 20
+        assert code == 0, err
+        assert doc["status"] == "NoSection" and doc["sections"] == []
+        assert doc["nodes_explored"] == nodes
 
     def test_node_limit_is_size_error(self, monkeypatch):
         monkeypatch.setattr(quantum, "KS_NODE_LIMIT", 10)

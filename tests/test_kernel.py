@@ -137,7 +137,7 @@ def _assert_lists_match_the_scans(base):
     assert base.strict_down_pairs() == [(v, u) for (u, v) in expected]
     assert all(base.down(v) == _down_by_scan(base, v) for v in base.elements)
     assert K._extension_desc(base) == _extension_desc_by_layers(base)
-    for order in (K._extension_desc(base), K._extension_from_top(base)):
+    for order in (K._extension_desc(base), _reference_extension_from_top(base)):
         assert K._uppers(base, order) == _uppers_by_prefix_scan(base, order)
         # the order restricted to a down-set, as ``exponential`` takes it
         below = set(base.down(order[0]))
@@ -280,15 +280,15 @@ class TestTerminalAndGlobalElements:
         assert picked == ["a", "b"]
 
     def test_size_limit(self, monkeypatch):
-        # top picks a, bottom follows, top picks b: the fourth node trips
-        monkeypatch.setattr(K, "GLOBAL_SEARCH_LIMIT", 3)
+        # top picks a, then b (bottom follows by restriction): the second trips
+        monkeypatch.setattr(K, "GLOBAL_SEARCH_LIMIT", 1)
         x = _constant2()
-        with pytest.raises(SizeLimit, match="global-element search .* 3 nodes at node 4"):
+        with pytest.raises(SizeLimit, match="global-element search .* 1 nodes at node 2"):
             K.global_elements(x)
 
     def test_limit_counts_nodes_not_component_sizes(self, monkeypatch):
-        # 20 two-point components below one top: 2^21 by sizes, 42 nodes here
-        monkeypatch.setattr(K, "GLOBAL_SEARCH_LIMIT", 42)
+        # 20 two-point components below one top: 2^21 by sizes, 2 nodes here
+        monkeypatch.setattr(K, "GLOBAL_SEARCH_LIMIT", 2)
         lows = [f"low{i:02d}" for i in range(20)]
         base = K.finposet(["top", *lows], [(u, "top") for u in lows])
         x = K.presheaf(base, {v: ("a", "b") for v in base.elements},
@@ -301,10 +301,12 @@ class TestTerminalAndGlobalElements:
         assert len(K.global_elements(K.terminal(base))) == 1
 
 
-def _projections(base, rows):
-    """Each row cut down to the elements below v; restriction drops the rest."""
+def _projections(base, rows, present=None):
+    """Each row cut down to the elements below v; restriction drops the rest.
+    Row ``i`` appears only on the lower set ``present[i]``, if given."""
     down = {v: base.down(v) for v in base.elements}
-    sets = {v: {tuple(row[u] for u in down[v]) for row in rows}
+    sets = {v: {tuple(row[u] for u in down[v]) for i, row in enumerate(rows)
+                if present is None or v in present[i]}
             for v in base.elements}
     return K.presheaf(base, sets, {
         (frm, to): {pt: tuple(val for u, val in zip(down[frm], pt) if u in down[to])
@@ -320,7 +322,7 @@ def test_global_elements_match_brute_force(n, seed):
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
              if rng.random() < 0.4]
     base = K.finposet(names, pairs)
-    order = K._extension_from_top(base)
+    order = K._extension_desc(base)
     position = {u: i for i, u in enumerate(order)}
     assert sorted(order) == list(base.elements)
     assert all(position[w] < position[u] for (u, w) in base.leq if u != w)
@@ -333,6 +335,108 @@ def test_global_elements_match_brute_force(n, seed):
                         for (u, w) in base.leq)]
         found = [{v: g.at(v, "*") for v in order} for g in K.global_elements(x)]
         assert found == brute
+
+
+# The global-section search before arc consistency, kept verbatim (with the
+# engine's natural-family helper and the element order it ran on) as the
+# reference that ``global_sections`` must list the same sections as, in the
+# same order.
+def _reference_extension_from_top(base: K.FinPoset) -> list[str]:
+    """Maximal elements, each other element right after its last upper (the
+    last placed element above it), ties in key order; O(elements + pairs)."""
+    waiting = {u: len(base.up(u)) - 1 for u in base.elements}
+    placed: list[str] = []
+    stack = [u for u in reversed(base.elements) if not waiting[u]]
+    while stack:
+        placed.append(stack.pop())
+        # the placed element itself drops to -1 and is never pushed again
+        for u in reversed(base.down(placed[-1])):
+            waiting[u] -= 1
+            if not waiting[u]:
+                stack.append(u)
+    return placed
+
+
+def _reference_natural_families(x, y, order, budget=None):
+    uppers = K._uppers(x.base, order)
+
+    def options(u, chosen):
+        fixed: dict = {}
+        for w in uppers[u]:
+            fw = chosen[w]
+            for pt in x.sets[w]:
+                image = y.restrict(fw[pt], w, u)
+                if fixed.setdefault(x.restrict(pt, w, u), image) != image:
+                    return
+        points = x.sets[u]
+        for images in itertools.product(*((fixed[pt],) if pt in fixed
+                                          else y.sets[u] for pt in points)):
+            yield dict(zip(points, images))
+
+    return K.depth_first(order, options, budget)
+
+
+def reference_global_sections(x, budget):
+    """Every global section of ``x``, lazily, as a dict element -> point.
+
+    Points are picked only at maximal elements (``_extension_from_top``)."""
+    if any(not pts for pts in x.sets.values()):
+        return
+    one = K.terminal(x.base)
+    for fam in _reference_natural_families(
+            one, x, _reference_extension_from_top(x.base), budget):
+        yield {v: f["*"] for v, f in fam.items()}
+
+
+def _random_presheaf(rng, names, pairs):
+    """``_projections`` of random rows, each present on a random lower set:
+    components may be empty, and then so is every one above them."""
+    base = K.finposet(names, pairs)
+    rows, present = [], []
+    for _ in range(rng.randint(0, 7)):
+        tops = (names if rng.random() < 0.5
+                else rng.sample(names, rng.randint(0, len(names))))
+        present.append({u for v in tops for u in base.down(v)})
+        rows.append({u: rng.randrange(rng.choice((2, 3))) for u in names})
+    return _projections(base, rows, present)
+
+
+def _relabelled(x, names):
+    base = K.finposet([names[v] for v in x.base.elements],
+                      [(names[u], names[v]) for (u, v) in x.base.leq])
+    return K.presheaf(base, {names[v]: pts for v, pts in x.sets.items()},
+                      {(names[frm], names[to]): m
+                       for (frm, to), m in x.restrictions.items()})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), density=st.sampled_from((0.0, 0.2, 0.4, 0.7)),
+       layered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_global_sections_match_the_reference_search(n, density, layered, seed):
+    rng = random.Random(seed)
+    names = rng.sample("abcdefghij", n)
+    # layered: only pairs from a lower half to an upper half, so many
+    # maximal elements share lower ones and the search has arcs to revise
+    cut = rng.randint(1, max(1, n - 1)) if layered else n
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if (j >= cut or not layered) and i < cut
+             and rng.random() < (0.5 if layered else density)]
+    x = _random_presheaf(rng, names, pairs)
+    ours, theirs = K.NodeBudget("new", 10 ** 6), K.NodeBudget("old", 10 ** 6)
+    found = list(K.global_sections(x, ours))
+    assert found == list(reference_global_sections(x, theirs))
+    assert ours.nodes <= theirs.nodes
+    one = K.terminal(x.base)
+    assert K.global_elements(x) == [
+        K.nat_transform(one, x, {v: {"*": pt} for v, pt in s.items()})
+        for s in found]
+    # another key order searches in another order, for the same sections
+    fresh = rng.sample("klmnopqrst", n)
+    names = dict(zip(x.base.elements, fresh))
+    back = {new: old for old, new in names.items()}
+    relabelled = K.global_sections(_relabelled(x, names), K.NodeBudget("r", 10 ** 6))
+    assert ({frozenset((back[v], pt) for v, pt in s.items()) for s in relabelled}
+            == {frozenset(s.items()) for s in found})
 
 
 class TestDepthFirst:
@@ -638,7 +742,7 @@ class TestTruthValues:
         x = _constant2()
         point = _image(K.global_elements(x)[0])
         assert K.truth_value_inclusion(point, K.full_subobject(x)).is_full
-        assert K.truth_value_inclusion(point, K.empty_subobject(x)).is_empty
+        assert not K.truth_value_inclusion(point, K.empty_subobject(x)).members
 
     def test_membership_partial(self):
         x = _constant2()
@@ -675,7 +779,7 @@ class TestTruthValues:
         x = _constant2()
         value = K.truth_value_inclusion(K.full_subobject(x),
                                         K.empty_subobject(x))
-        assert value.is_empty
+        assert not value.members
 
     def test_inclusion_hereditary_failure(self):
         x = _constant2()
@@ -683,7 +787,7 @@ class TestTruthValues:
         k = K.empty_subobject(x)
         # At the top the inclusion holds pointwise but fails below.
         value = K.truth_value_inclusion(j, k)
-        assert value.is_empty
+        assert not value.members
 
     def test_element_of_extremes(self):
         x = K.terminal(CHAIN2)
@@ -693,7 +797,7 @@ class TestTruthValues:
         for k in K.all_subobjects(x):
             name = _image(name_of(k))
             assert K.truth_value_inclusion(name, full_t).is_full
-            assert K.truth_value_inclusion(name, empty_t).is_empty
+            assert not K.truth_value_inclusion(name, empty_t).members
 
     def test_element_of_principal_filter(self):
         x = K.terminal(CHAIN2)
@@ -705,7 +809,7 @@ class TestTruthValues:
         full_name = _image(name_of(K.full_subobject(x)))
         empty_name = _image(name_of(K.empty_subobject(x)))
         assert K.truth_value_inclusion(full_name, t).is_full
-        assert K.truth_value_inclusion(empty_name, t).is_empty
+        assert not K.truth_value_inclusion(empty_name, t).members
 
     def test_element_of_parent_checked(self):
         x = K.terminal(CHAIN2)

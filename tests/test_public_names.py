@@ -1,7 +1,8 @@
 """No public name under ``src/`` is there only for the tests.
 
-Every public module-level function or class of ``src/qtopos`` must be
-referenced somewhere outside its own definition: in a ``src/`` module, in
+Every public module-level function or class of ``src/qtopos``, and every
+public method or property of a public class, must be referenced somewhere
+outside its own definition: in a ``src/`` module, in
 ``qtopos.__all__``, or in ``demos/``, ``perfbench/``, ``tools/`` or the
 acceptance gate ``tests/test_acceptance.py``.  A reference is a name, an
 attribute, an imported name or a string equal to the name, since
@@ -42,6 +43,20 @@ def _parse(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function or class
+    and of each public method or property of a public class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_public_names() -> list[str]:
     modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
     outside: set[str] = set()
@@ -54,16 +69,21 @@ def unreferenced_public_names() -> list[str]:
         for other, other_tree in modules.items():
             if other != path:
                 seen |= _references(other_tree)
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") or node.name in seen:
+        for qualified, node in _public_definitions(tree):
+            if node.name in seen:
                 continue
             if node.name not in _references(tree, skip=node):
-                unused.append(f"{path.stem}.{node.name}")
+                unused.append(f"{path.stem}.{qualified}")
     return unused
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     unused = unreferenced_public_names()
     assert not unused, "called only from tests: " + ", ".join(unused)
+
+
+def test_methods_and_properties_of_public_classes_are_checked():
+    names = {name for name, _ in _public_definitions(_parse(SRC / "kernel.py"))}
+    assert {"FinPoset.down", "Presheaf.restrict",
+            "LowerSet.sorted_members", "LowerSet.is_full"} <= names
+    assert not any(name.split(".")[-1].startswith("_") for name in names)

@@ -354,7 +354,7 @@ class TestTruthValues:
     def test_zero_totally_false(self, tol, rng, pauli_poset):
         psi = random_state(2, rng)
         value = Q.truth_value_truthobject(np.zeros((2, 2)), psi, pauli_poset, tol)
-        assert value.is_empty
+        assert not value.members
 
     def test_certain_proposition(self, tol, pauli_presheaf, pauli_poset):
         assert Q.truth_value_pseudo(P_ZPLUS, ZPLUS, pauli_presheaf, tol).is_full
