@@ -29,7 +29,7 @@ def show(name, projector):
     via_state = truth_value_pseudo(projector, ZPLUS, presheaf)
     via_tobj = truth_value_truthobject(projector, ZPLUS, poset)
     assert via_state == via_tobj
-    holds = [labels[k] for k in via_state.members]
+    holds = [labels[k] for k in via_state.sorted_members]
     total = len(via_state.members) == len(poset.contexts)
     print(f"  [{name}] holds in {holds or 'no contexts'}"
           f"{'  (totally true)' if total else ''}")

@@ -8,10 +8,11 @@ Everything is enumerated on the one explicit-stack engine ``depth_first``,
 free of Python's recursion limit; guards turn blow-ups into ``SizeLimit``
 errors instead of hangs.  The global-section search, also the quantum
 layer's, picks only at maximal elements, keeps the constraints between them
-arc consistent after each pick (MAC) and counts its picks against a
-``NodeBudget``.  ``hom_set`` and ``exponential`` keep product-of-sizes
-pre-checks: under a node budget a space that large takes tens of seconds to
-refuse, not none.
+arc consistent after each pick (MAC) and may count its picks against a
+``NodeBudget``.  It serves ``hom_set`` and ``exponential`` too: an arrow
+``x -> y`` is a global section of ``y`` on the elements of ``x`` (``_elements``).
+Their limit stays a product-of-sizes pre-check: under a node budget a space
+that large takes tens of seconds to refuse, not none.
 
 Conventions
 -----------
@@ -340,32 +341,6 @@ def nat_transform(source: Presheaf, target: Presheaf, components) -> NatTransfor
     return NatTransform(source=source, target=target, components=comps)
 
 
-def _natural_families(x: Presheaf, y: Presheaf, order: list[str]):
-    """All natural families ``f_u : x(u) -> y(u)`` over the elements of ``order``.
-
-    ``order`` lists a down-closed set of elements, each after all above it.
-    Naturality against the chosen ``f_w`` above ``u`` fixes ``f_u`` on the
-    images of ``x(w)``; only the other points of ``x(u)`` are enumerated, so
-    families come out in the lexicographic order of their graphs.
-    """
-    uppers = _uppers(x.base, order)
-
-    def options(u, chosen):
-        fixed: dict = {}
-        for w in uppers[u]:
-            fw = chosen[w]
-            for pt in x.sets[w]:
-                image = y.restrict(fw[pt], w, u)
-                if fixed.setdefault(x.restrict(pt, w, u), image) != image:
-                    return
-        points = x.sets[u]
-        for images in itertools.product(*((fixed[pt],) if pt in fixed
-                                          else y.sets[u] for pt in points)):
-            yield dict(zip(points, images))
-
-    return depth_first(order, options)
-
-
 def terminal(base: FinPoset) -> Presheaf:
     """The terminal presheaf: one point everywhere (valid by construction)."""
     sets = {v: ("*",) for v in base.elements}
@@ -411,15 +386,15 @@ def _revise(arcs: dict, domains: dict, changed: dict) -> dict | None:
     return domains
 
 
-def global_sections(x: Presheaf, budget: NodeBudget):
+def global_sections(x: Presheaf, budget: NodeBudget | None = None):
     """Every global section of ``x``, lazily, as a dict element -> point.
 
     MAC: picks at the maximal elements in key order, points in component
     order, offering only those that survive AC-3 with the earlier picks
     fixed; the other elements follow by restriction (keys in element
     order).  AC-3 drops no point of a section, so sections come out in
-    the lexicographic order of the picks.  A node of ``budget`` is one pick;
-    AC-3 is polynomial per node, so the cap bounds the whole work.
+    the lexicographic order of the picks.  A node of ``budget``, if given, is
+    one pick; AC-3 is polynomial per node, so the cap bounds the whole work.
     """
     if any(not pts for pts in x.sets.values()):
         return
@@ -441,6 +416,26 @@ def global_sections(x: Presheaf, budget: NodeBudget):
     lift = {u: next(w for w in base.up(u) if w in tops) for u in base.elements}
     for picks in depth_first(order, options, budget):
         yield {u: x.restrict(picks[w], w, u) for u, w in lift.items()}
+
+
+def _elements(x: Presheaf, y: Presheaf, elems) -> tuple[Presheaf, dict]:
+    """``y`` on the category of elements of ``x`` over the down-closed ``elems``:
+    one element per ``(u, pt)``, ``pt`` in ``x(u)``, named by its zero-padded
+    index in (``elems``, component) order, with ``(w, pt|w) <= (u, pt)`` for
+    ``w <= u``, carrying ``y(u)`` and ``y``'s maps; its global sections are the
+    natural families ``x -> y`` over ``elems``.  Valid by construction: ``x``'s
+    functoriality closes the order, ``y``'s makes the maps functorial."""
+    pairs = [(u, pt) for u in elems for pt in x.sets[u]]
+    names = {p: f"{i:0{len(str(len(pairs)))}d}" for i, p in enumerate(pairs)}
+    leq, restr = set(), {}
+    for (u, pt), top in names.items():
+        for w in x.base.down(u):
+            low = names[w, x.restrict(pt, u, w)]
+            leq.add((low, top))
+            if w != u:
+                restr[top, low] = y.restrictions[u, w]
+    base = FinPoset(tuple(names.values()), frozenset(leq))
+    return Presheaf(base, {names[p]: y.sets[p[0]] for p in pairs}, restr), names
 
 
 def global_elements(x: Presheaf) -> list[NatTransform]:
@@ -546,13 +541,13 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
     """The presheaf of natural partial families ``b ** a``.
 
     The component at ``v`` consists of families of functions
-    ``f_u : a(u) -> b(u)`` for every ``u <= v``, natural in ``u``; points are
-    encoded as sorted tuples of ``(u, graph)`` pairs.
+    ``f_u : a(u) -> b(u)`` for every ``u <= v``, natural in ``u``: the global
+    sections of ``_elements(a, b, down(v))``.  Points are encoded as sorted
+    tuples of ``(u, graph)`` pairs.
     """
     if a.base != b.base:
         raise BaseMismatch("exponential factors live over different posets")
     base = a.base
-    order_all = _extension_desc(base)
     sets = {}
     for v in base.elements:
         dv = base.down(v)
@@ -564,10 +559,10 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
         if bound > COMPONENT_LIMIT:
             raise SizeLimit(
                 f"exponential component at {v!r} exceeds {COMPONENT_LIMIT}")
-        families = _natural_families(a, b, [u for u in order_all if u in dv])
-        encoded = [tuple((u, tuple((pt, fam[u][pt]) for pt in a.sets[u]))
+        ex, names = _elements(a, b, dv)
+        encoded = [tuple((u, tuple((pt, s[names[u, pt]]) for pt in a.sets[u]))
                    for u in dv)
-                   for fam in families]
+                   for s in global_sections(ex)]
         sets[v] = _sorted_points(encoded)
     return _tagged_presheaf(base, sets)
 
@@ -616,7 +611,10 @@ def power_object(x: Presheaf) -> Presheaf:
 
 
 def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
-    """All natural transformations x -> y, in lexicographic order."""
+    """All natural transformations x -> y: the global sections of
+    ``_elements(x, y, elements)``, in the lexicographic order of their picks at
+    the maximal elements of that category of elements (the points of ``x``
+    that restrict from no point above, in element then component order)."""
     if x.base != y.base:
         raise BaseMismatch("presheaves live over different posets")
     base = x.base
@@ -627,8 +625,10 @@ def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
             return []
         if bound > GLOBAL_SEARCH_LIMIT:
             raise SizeLimit(f"hom-set search space exceeds {GLOBAL_SEARCH_LIMIT}")
-    return [nat_transform(x, y, comps)
-            for comps in _natural_families(x, y, _extension_desc(base))]
+    ex, names = _elements(x, y, base.elements)
+    return [nat_transform(x, y, {v: {pt: s[names[v, pt]] for pt in x.sets[v]}
+                                 for v in base.elements})
+            for s in global_sections(ex)]
 
 
 def truth_value_inclusion(j: Subobject, k: Subobject) -> LowerSet:

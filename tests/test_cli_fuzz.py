@@ -5,11 +5,16 @@ Each draw takes one bundled scenario, applies a few mutations (drop a key or
 item, swap a value's type, perturb a number, rename a reference, retype a
 matrix row or a complex entry) and runs
 every scenario command on it through ``cli.run_command``, with names taken
-from the unmutated document.  A second test runs ``heyting`` on ``pauli2``
-with expressions, well formed or not, nested up to 10,000 levels deep.
+from the unmutated document; the projector and state commands run only when
+it names them, so a copy of ``cabello18`` without projectors or states is
+fuzzed too.  A second test runs that copy unmutated, through these commands
+and through the runs ``tools/cli_corpus.py`` lists for it.  The last test
+runs ``heyting`` on ``pauli2`` with expressions, well formed or not, nested
+up to 10,000 levels deep.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import pathlib
 import random
@@ -21,9 +26,18 @@ from hypothesis import strategies as st
 
 from qtopos import cli
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+_SPEC = importlib.util.spec_from_file_location("cli_corpus",
+                                               ROOT / "tools" / "cli_corpus.py")
+cli_corpus = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_corpus)
 DOCUMENTS = {path.name: json.loads(path.read_text())
              for path in sorted(SCENARIOS.glob("*.json"))}
+# a KS set as it may be bundled: operators and groups only
+BARE = {key: value for key, value in DOCUMENTS["cabello18.json"].items()
+        if key not in ("projectors", "states")}
+FUZZED = {**DOCUMENTS, "cabello18-bare.json": BARE}
 OTHER_TYPES = (None, True, "x", 0, -1, 2.5, [], {}, [[1, 0]], {"x": 1})
 MUTATIONS = ("drop", "swap type", "perturb number", "rename reference",
              "retype matrix part")
@@ -101,34 +115,55 @@ def _mutate(doc, rng: random.Random) -> None:
             parent[name] = parent.pop(key)
 
 
+def _commands(path: str, original: dict, rng: random.Random) -> list[list[str]]:
+    """``validate``, ``poset`` and ``ks``, then the projector and state
+    commands for the names ``original`` has."""
+    argvs = [["validate", path], ["poset", path],
+             ["ks", path, "--max-solutions", "8"]]
+    projectors = sorted(original.get("projectors", {}))
+    if not projectors:
+        return argvs
+    first, second = projectors[0], projectors[-1]
+    via = rng.choice(["pseudo-state", "truth-object"])
+    inner = rng.choice([[], ["--inner"]])
+    for state in sorted(original.get("states", {}))[:1]:
+        argvs += [["truth", path, "--state", state, "--projector", first,
+                   "--via", via],
+                  ["heyting", path, "--expr", f"{first} => !{second}",
+                   "--state", state]]
+    return argvs + [["daseinise", path, "--projector", second, *inner]]
+
+
 # A state entry near the float limit overflows numpy's norm on its way to
 # the unit-norm check, which then rejects the state with exit 1.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(sorted(DOCUMENTS)), seed=st.integers(0, 2 ** 32 - 1))
+@given(name=st.sampled_from(sorted(FUZZED)), seed=st.integers(0, 2 ** 32 - 1))
 def test_mutated_scenarios_end_in_an_answer_or_an_error(name, seed):
     rng = random.Random(seed)
-    original = DOCUMENTS[name]
+    original = FUZZED[name]
     doc = json.loads(json.dumps(original))
     for _ in range(rng.randint(1, 3)):
         _mutate(doc, rng)
-    state = sorted(original["states"])[0]
-    first, second = sorted(original["projectors"])
-    via = rng.choice(["pseudo-state", "truth-object"])
-    inner = rng.choice([[], ["--inner"]])
     with tempfile.TemporaryDirectory() as tmp:
         path = str(pathlib.Path(tmp) / name)
         pathlib.Path(path).write_text(json.dumps(doc))
-        for argv in (["validate", path], ["poset", path],
-                     ["ks", path, "--max-solutions", "8"],
-                     ["truth", path, "--state", state, "--projector", first,
-                      "--via", via],
-                     ["heyting", path, "--expr", f"{first} => !{second}",
-                      "--state", state],
-                     ["daseinise", path, "--projector", second, *inner]):
+        for argv in _commands(path, original, rng):
             code, out, err = cli.run_command(argv)
             assert code in (0, 1, 2), (argv, doc)
             assert (code == 0) == bool(out) and (code == 0) != bool(err)
+
+
+def test_a_scenario_without_projectors_or_states_runs():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "bare.json")
+        pathlib.Path(path).write_text(json.dumps(BARE))
+        argvs = _commands(path, BARE, random.Random(0))
+        assert [argv[0] for argv in argvs] == ["validate", "poset", "ks"]
+        corpus = cli_corpus._runs(path, BARE, [])
+        assert [argv[0] for argv in corpus] == ["poset", "ks", "ks"]
+        for argv in argvs + corpus:
+            assert cli.run_command(argv)[0] == 0, argv
 
 
 PAULI2 = str(SCENARIOS / "pauli2.json")

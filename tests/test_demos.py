@@ -1,4 +1,5 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints the same under any hash
+seed."""
 from __future__ import annotations
 
 import os
@@ -18,9 +19,14 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

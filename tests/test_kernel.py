@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -8,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtopos import kernel as K
@@ -139,7 +140,8 @@ def _assert_lists_match_the_scans(base):
     assert K._extension_desc(base) == _extension_desc_by_layers(base)
     for order in (K._extension_desc(base), _reference_extension_from_top(base)):
         assert K._uppers(base, order) == _uppers_by_prefix_scan(base, order)
-        # the order restricted to a down-set, as ``exponential`` takes it
+        # the order restricted to a down-set, as ``_relative_subobjects``
+        # takes it for ``omega`` and ``power_object``
         below = set(base.down(order[0]))
         part = [u for u in order if u in below]
         assert K._uppers(base, part) == _uppers_by_prefix_scan(base, part)
@@ -340,7 +342,8 @@ def test_global_elements_match_brute_force(n, seed):
 # The global-section search before arc consistency, kept verbatim (with the
 # engine's natural-family helper and the element order it ran on) as the
 # reference that ``global_sections`` must list the same sections as, in the
-# same order.
+# same order.  The natural-family helper is also the reference for
+# ``hom_set`` and ``exponential``, which it used to serve.
 def _reference_extension_from_top(base: K.FinPoset) -> list[str]:
     """Maximal elements, each other element right after its last upper (the
     last placed element above it), ties in key order; O(elements + pairs)."""
@@ -409,11 +412,8 @@ def _relabelled(x, names):
                        for (frm, to), m in x.restrictions.items()})
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 8), density=st.sampled_from((0.0, 0.2, 0.4, 0.7)),
-       layered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_global_sections_match_the_reference_search(n, density, layered, seed):
-    rng = random.Random(seed)
+def _random_order(rng, n, density, layered):
+    """``n`` names in random key order and order pairs between them."""
     names = rng.sample("abcdefghij", n)
     # layered: only pairs from a lower half to an upper half, so many
     # maximal elements share lower ones and the search has arcs to revise
@@ -421,6 +421,15 @@ def test_global_sections_match_the_reference_search(n, density, layered, seed):
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
              if (j >= cut or not layered) and i < cut
              and rng.random() < (0.5 if layered else density)]
+    return names, pairs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), density=st.sampled_from((0.0, 0.2, 0.4, 0.7)),
+       layered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_global_sections_match_the_reference_search(n, density, layered, seed):
+    rng = random.Random(seed)
+    names, pairs = _random_order(rng, n, density, layered)
     x = _random_presheaf(rng, names, pairs)
     ours, theirs = K.NodeBudget("new", 10 ** 6), K.NodeBudget("old", 10 ** 6)
     found = list(K.global_sections(x, ours))
@@ -437,6 +446,66 @@ def test_global_sections_match_the_reference_search(n, density, layered, seed):
     relabelled = K.global_sections(_relabelled(x, names), K.NodeBudget("r", 10 ** 6))
     assert ({frozenset((back[v], pt) for v, pt in s.items()) for s in relabelled}
             == {frozenset(s.items()) for s in found})
+
+
+def _graphs(families, x, elems) -> list:
+    """Each family ``f_u : x(u) -> y(u)`` over ``elems`` as a hashable graph,
+    encoded as ``exponential`` encodes its points."""
+    return [tuple((u, tuple((pt, fam[u][pt]) for pt in x.sets[u])) for u in elems)
+            for fam in families]
+
+
+def _reference_families(x, y, elems) -> list:
+    order = [u for u in _reference_extension_from_top(x.base) if u in elems]
+    return _graphs(_reference_natural_families(x, y, order), x, elems)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 7), density=st.sampled_from((0.0, 0.2, 0.4, 0.7)),
+       layered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_hom_sets_and_exponentials_match_the_reference_search(
+        n, density, layered, seed):
+    rng = random.Random(seed)
+    names, pairs = _random_order(rng, n, density, layered)
+    x, y = _random_presheaf(rng, names, pairs), _random_presheaf(rng, names, pairs)
+    # the reference enumerates every free point of x(u), so keep it small
+    assume(math.prod(max(1, len(y.sets[v])) ** len(x.sets[v])
+                     for v in names) <= 10 ** 4)
+    base = x.base
+    found = _graphs((t.components for t in K.hom_set(x, y)), x, base.elements)
+    expected = _reference_families(x, y, base.elements)
+    assert len(set(found)) == len(found)
+    assert set(found) == set(expected)
+    power = K.exponential(x, y)
+    for v in base.elements:
+        assert power.sets[v] == K._sorted_points(
+            _reference_families(x, y, base.down(v)))
+    for (frm, to) in base.strict_down_pairs():
+        below = set(base.down(to))
+        assert power.restrictions[(frm, to)] == {
+            pt: tuple(entry for entry in pt if entry[0] in below)
+            for pt in power.sets[frm]}
+
+
+class TestHomSetEdges:
+    VEE = K.finposet(["a", "b", "c"], [("a", "b"), ("a", "c")])
+
+    def test_empty_source_has_one_transformation(self):
+        for base in (self.VEE, ANTI3, CHAIN2):
+            x = K.presheaf(base, {v: () for v in base.elements},
+                           {pair: {} for pair in base.strict_down_pairs()})
+            y = _constant2() if base == CHAIN2 else K.terminal(base)
+            (only,) = K.hom_set(x, y)
+            assert only.components == {v: {} for v in base.elements}
+            assert all(len(pts) == 1 for pts in K.exponential(x, y).sets.values())
+
+    def test_empty_target_under_a_point_has_none(self):
+        x = K.terminal(self.VEE)
+        y = K.presheaf(self.VEE, {"a": ("p",), "b": ("q",), "c": ()},
+                       {("b", "a"): {"q": "p"}, ("c", "a"): {}})
+        assert K.hom_set(x, y) == []
+        power = K.exponential(x, y)
+        assert [len(power.sets[v]) for v in "abc"] == [1, 1, 0]
 
 
 class TestDepthFirst:

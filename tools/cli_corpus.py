@@ -18,7 +18,8 @@ checkout, so two outputs compare two programs on the same inputs with
 
 Each document of the first two kinds runs ``poset``, ``ks --max-solutions
 1`` and ``64``, ``daseinise`` of two projectors with and without
-``--inner``, ``truth`` of two projectors by both routes, and ``heyting``.
+``--inner``, ``truth`` of two projectors by both routes, and ``heyting``;
+the last three only as far as the document names projectors and a state.
 A ``prop-logic`` family runs ``daseinise`` of two projectors with and
 without ``--inner`` and, for each op of its seed, ``heyting`` of the op's
 expression in its state and ``truth`` of its projector by both routes.
@@ -96,8 +97,8 @@ def _truth_runs(name: str, state: str, proj: str) -> list[list[str]]:
 
 
 def _runs(name: str, doc: dict, ops: list[dict]) -> list[list[str]]:
-    projectors = sorted(doc["projectors"])
-    picked = (projectors[0], projectors[-1])
+    projectors = sorted(doc.get("projectors", {}))
+    picked = (projectors[0], projectors[-1]) if projectors else ()
     if ops:
         runs = _daseinise_runs(name, picked)
         for op in ops:
@@ -105,13 +106,16 @@ def _runs(name: str, doc: dict, ops: list[dict]) -> list[list[str]]:
                          "--expr", op["expr"]])
             runs += _truth_runs(name, op["state"], op["projector"])
         return runs
-    state = sorted(doc["states"])[0]
+    states = sorted(doc.get("states", {}))[:1]
     runs = [["poset", name], ["ks", name, "--max-solutions", "1"],
             ["ks", name, "--max-solutions", "64"]]
     for proj in picked:
-        runs += _daseinise_runs(name, [proj]) + _truth_runs(name, state, proj)
-    runs.append(["heyting", name, "--state", state, "--expr",
-                 f"({picked[0]} => !{picked[1]}) | {picked[1]} & {picked[0]}"])
+        runs += _daseinise_runs(name, [proj])
+        runs += [run for state in states for run in _truth_runs(name, state, proj)]
+    if picked:
+        runs += [["heyting", name, "--state", state, "--expr",
+                  f"({picked[0]} => !{picked[1]}) | {picked[1]} & {picked[0]}"]
+                 for state in states]
     return runs
 
 
