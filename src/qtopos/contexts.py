@@ -122,6 +122,15 @@ def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray,
     return blocks
 
 
+def _block_values(op: np.ndarray, blocks, bound: float) -> list[float] | None:
+    """tr(p op) / tr(p) per block p, or None unless ``op`` is the real
+    combination of the blocks with these values, within ``bound``."""
+    coeffs = [complex(np.trace(p @ op)) / float(np.trace(p).real) for p in blocks]
+    recon = sum(c.real * p for c, p in zip(coeffs, blocks))
+    bad = frob(recon - op) > bound or max(abs(c.imag) for c in coeffs) > bound
+    return None if bad else [c.real for c in coeffs]
+
+
 def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
                  key: str | None = None, label: str | None = None) -> Context:
     """Validate and canonically order a partition of unity."""
@@ -188,9 +197,7 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
 
     ctx = make_context(blocks, tol, key=key, label=label)
     for i, op in enumerate(ops):
-        coeffs = [np.trace(p @ op) / np.trace(p).real for p in ctx.blocks]
-        recon = sum(c.real * p for c, p in zip(coeffs, ctx.blocks))
-        if frob(recon - op) > bound or max(abs(c.imag) for c in coeffs) > bound:
+        if _block_values(op, ctx.blocks, bound) is None:
             raise ValidationError(
                 f"operator {i} is not a real combination of the refined blocks")
     return ctx

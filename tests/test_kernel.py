@@ -12,7 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qtopos import contexts as C
 from qtopos import kernel as K
+from qtopos import quantum as Q
 from qtopos.errors import (
     BaseMismatch,
     NotNatural,
@@ -78,6 +80,26 @@ def _image(point: K.NatTransform) -> K.Subobject:
     """The subobject a global element picks out: its one point everywhere."""
     x = point.target
     return K.subobject(x, {v: (point.at(v, "*"),) for v in x.base.elements})
+
+
+def count_validator_calls(monkeypatch) -> list[str]:
+    """Wrap the validating constructors; each call appends its name."""
+    calls: list[str] = []
+    for name in ("finposet", "presheaf", "subobject", "nat_transform", "lowerset"):
+        def counting(*args, _name=name, _real=getattr(K, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(K, name, counting)
+    return calls
+
+
+def assert_valid_as_built(x: K.Presheaf) -> None:
+    """The validating ``presheaf`` accepts a presheaf the package built
+    directly and gives back an equal one, with its keys in the same order."""
+    again = K.presheaf(x.base, x.sets, x.restrictions)
+    assert again == x
+    assert list(again.sets) == list(x.sets)
+    assert list(again.restrictions) == list(x.restrictions)
 
 
 class TestFinPoset:
@@ -212,10 +234,14 @@ class TestPresheafValidation:
     def test_restrictions_are_keyed_in_canonical_order(self):
         vee = K.finposet(["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "b")])
         maps = {pair: {"*": "*"} for pair in reversed(vee.strict_down_pairs())}
-        built = [K.presheaf(vee, dict.fromkeys("abcd", ("*",)), maps),
-                 K.omega(vee), K.power_object(K.terminal(vee)),
-                 K.exponential(K.terminal(vee), K.omega(vee))]
+        given_ = K.presheaf(vee, dict.fromkeys("abcd", ("*",)), maps)
+        square = C.build_poset(C.builtin_scenario("mermin-square")[2], "coarsenings")
+        built = [given_, K.omega(vee), K.power_object(K.terminal(vee)),
+                 K.exponential(K.terminal(vee), K.omega(vee)),
+                 K.product(K.omega(vee), given_),
+                 Q.spectral_presheaf(square).underlying]
         for x in built:
+            assert list(x.sets) == list(x.base.elements)
             assert list(x.restrictions) == x.base.strict_down_pairs()
 
 
@@ -485,6 +511,55 @@ def test_hom_sets_and_exponentials_match_the_reference_search(
         assert power.restrictions[(frm, to)] == {
             pt: tuple(entry for entry in pt if entry[0] in below)
             for pt in power.sets[frm]}
+
+
+def _hom_space(x, y) -> int:
+    return math.prod(max(1, len(y.sets[v])) ** len(x.sets[v]) for v in x.base.elements)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), density=st.sampled_from((0.0, 0.2, 0.4, 0.7)),
+       layered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_constructions_equal_their_validated_copies(n, density, layered, seed):
+    # what the kernel builds directly, the validators accept unchanged
+    rng = random.Random(seed)
+    names, pairs = _random_order(rng, n, density, layered)
+    x, y = _random_presheaf(rng, names, pairs), _random_presheaf(rng, names, pairs)
+    om = K.omega(x.base)
+    small = sum(map(len, x.sets.values())) <= 10
+    built = [om, K.product(x, y), K.product(y, om)]
+    if small:
+        built.append(K.power_object(x))
+    if _hom_space(x, y) <= 10 ** 4:
+        built.append(K.exponential(x, y))
+    for z in built:
+        assert_valid_as_built(z)
+    arrows = [t for target in (y, om) if _hom_space(x, target) <= 10 ** 4
+              for t in K.hom_set(x, target)]
+    for t in arrows:
+        again = K.nat_transform(t.source, t.target, t.components)
+        assert again == t and list(again.components) == list(t.components)
+    subs = (K.all_subobjects(x) if small
+            else [K.full_subobject(x), K.empty_subobject(x)])
+    for _ in range(20):
+        value = K.truth_value_inclusion(rng.choice(subs), rng.choice(subs))
+        assert K.lowerset(value.base, value.members) == value
+
+
+def test_constructions_call_no_validator(monkeypatch):
+    vee = K.finposet(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    x = _projections(vee, [{"a": 0, "b": 0, "c": 1}, {"a": 1, "b": 0, "c": 0}])
+    calls = count_validator_calls(monkeypatch)
+    om = K.omega(vee)
+    power, prod = K.power_object(x), K.product(x, om)
+    K.exponential(x, om)
+    K.hom_set(x, om)
+    K.hom_set(prod, x)
+    K.global_elements(power)
+    subs = K.all_subobjects(x)
+    for j, k in itertools.product(subs, repeat=2):
+        K.truth_value_inclusion(j, k)
+    assert calls == []
 
 
 class TestHomSetEdges:

@@ -5,7 +5,8 @@ replaced.
 ``overlaps`` call per strict pair on the two contexts' own matrices.
 ``spectral_presheaf`` reads the same maps off the meets that ``build_poset``
 keeps, and must give equal restriction dicts and the same ``Ambiguity``
-message.
+message.  It builds its kernel presheaf directly, and the validating
+``kernel.presheaf`` must give back an equal one.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from qtopos.errors import Ambiguity
 from qtopos.numerics import Tolerance, overlaps
 from qtopos.scenario import parse_scenario
 from tests.test_closure import CLOSURES, SCENARIOS, TOL, _generic_observable
+from tests.test_kernel import assert_valid_as_built, count_validator_calls
 
 
 def reference_restrictions(poset, tol=TOL) -> dict:
@@ -118,3 +120,37 @@ def test_no_overlaps_calls_on_a_built_poset(monkeypatch):
     before = len(calls)
     Q.spectral_presheaf(hand, tol)
     assert 0 < len(calls) - before <= len(hand)
+
+
+def _scenario_posets():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scn = parse_scenario(path.read_text())
+        for closure in CLOSURES:
+            yield (C.build_poset(scn.maximal_contexts, closure, scn.tolerance),
+                   scn.tolerance)
+
+
+def test_presheaf_is_valid_as_built():
+    posets = [*((poset, tol) for _, poset, tol in _bundled_posets()),
+              *_scenario_posets()]
+    for built, tol in posets:
+        hand = C.ContextPoset(dim=built.dim, contexts=built.contexts, leq=built.leq)
+        for poset, at in ((built, tol), (hand, tol), (built, Tolerance(tol.eps * 10))):
+            assert_valid_as_built(Q.spectral_presheaf(poset, at).underlying)
+
+
+def test_twelve_blocks_read_in_the_kernel_order():
+    ctx = _generic_observable(12)
+    poset = C.build_poset([ctx, next(C.coarsenings(ctx, TOL))], "intersections", TOL)
+    x = Q.spectral_presheaf(poset, TOL).underlying
+    assert x.sets["V01"] == (0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9)
+    assert_valid_as_built(x)
+
+
+def test_no_validator_calls(monkeypatch):
+    calls = count_validator_calls(monkeypatch)
+    for _, poset, tol in _bundled_posets():
+        Q.spectral_presheaf(poset, tol)
+        Q.spectral_presheaf(C.ContextPoset(dim=poset.dim, contexts=poset.contexts,
+                                           leq=poset.leq), tol)
+    assert calls == []

@@ -23,6 +23,7 @@ the last three only as far as the document names projectors and a state.
 A ``prop-logic`` family runs ``daseinise`` of two projectors with and
 without ``--inner`` and, for each op of its seed, ``heyting`` of the op's
 expression in its state and ``truth`` of its projector by both routes.
+Last come ``kernel-demo --poset chain2`` and ``--poset antichain3``.
 Every run goes through ``qtopos.cli.run_command``.  A line is
 ``sha256(exit code, stdout, stderr)`` and the run's label.
 """
@@ -136,12 +137,14 @@ def main(argv: list[str]) -> int:
         os.chdir(workdir)  # runs name their scenario by a relative path
         for name, doc, _ in docs:
             Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
-        for name, doc, ops in docs:
-            for argv_ in _runs(f"{name}.json", doc, ops):
-                code, out, err = cli.run_command(argv_)
-                digest = hashlib.sha256(
-                    json.dumps([code, out, err]).encode("utf-8")).hexdigest()
-                print(digest, " ".join(argv_))
+        runs = [argv_ for name, doc, ops in docs
+                for argv_ in _runs(f"{name}.json", doc, ops)]
+        for argv_ in runs + [["kernel-demo", "--poset", poset]
+                             for poset in ("chain2", "antichain3")]:
+            code, out, err = cli.run_command(argv_)
+            digest = hashlib.sha256(
+                json.dumps([code, out, err]).encode("utf-8")).hexdigest()
+            print(digest, " ".join(argv_))
     return 0
 
 
