@@ -12,7 +12,8 @@ elements, keeps the constraints between them arc consistent after each pick
 ``hom_set`` and ``exponential`` too: an arrow ``x -> y`` is a global section
 of ``y`` on the elements of ``x`` (``_elements``).  Their limit is still a
 pre-check on the size of the space, not on work: a 10^6-pick budget refuses
-a 4^21-section hom-set in about 2 s.
+a 4^21-section hom-set in about 2 s.  Subobjects are enumerated on bit masks,
+one int per component, and handed out as tuples of points.
 
 Conventions
 -----------
@@ -76,6 +77,15 @@ class FinPoset:
         return ({e: tuple(ls) for e, ls in lowers.items()},
                 {e: tuple(us) for e, us in uppers.items()},
                 tuple((u, v) for u, v in pairs if u != v))
+
+    @cached_property
+    def _descending(self) -> tuple[str, ...]:
+        """Elements by the length of the longest chain above them, then by
+        key: each element comes after all strictly above it."""
+        height: dict = {}  # u < w makes down(w) larger, so w is done before u
+        for u in sorted(self.elements, key=lambda u: -len(self.down(u))):
+            height[u] = max((height[w] + 1 for w in self.up(u) if w != u), default=0)
+        return tuple(sorted(self.elements, key=lambda u: (height[u], u)))
 
     def down(self, v: str) -> tuple[str, ...]:
         return self._lists[0][v]
@@ -168,12 +178,8 @@ def depth_first(order, options, budget: NodeBudget | None = None):
 
 
 def _extension_desc(base: FinPoset) -> list[str]:
-    """Elements by the length of the longest chain above them, then by key:
-    each element comes after all strictly above it."""
-    height: dict = {}  # u < w makes down(w) larger, so w is done before u
-    for u in sorted(base.elements, key=lambda u: -len(base.down(u))):
-        height[u] = max((height[w] + 1 for w in base.up(u) if w != u), default=0)
-    return sorted(base.elements, key=lambda u: (height[u], u))
+    """``base._descending`` as a list: built once per poset."""
+    return list(base._descending)
 
 
 def _uppers(base: FinPoset, order: list[str]) -> dict:
@@ -561,22 +567,51 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
 
 
 def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
-    """All families S(u) <= x(u) over ``elems`` closed under restriction."""
-    order = [u for u in _extension_desc(x.base) if u in elems]
+    """All families S(u) <= x(u) over ``elems`` closed under restriction.
+
+    Enumerated on bit masks: point ``i`` of ``x(u)`` is bit ``i``.  The points
+    forced at ``u`` are the images of the masks chosen above it; the options
+    are ``forced | sub`` for the submasks ``sub`` of the free bits in
+    increasing order, so the mask bits count up over the free points in
+    component order.  Each mask becomes its tuple of points, in component
+    (so ``repr``) order, once per call."""
+    order = [u for u in x.base._descending if u in elems]
     uppers = _uppers(x.base, order)
+    bits = {}  # (w, u) -> the bit in x(u) of each point of x(w), restricted
+    for u in order:
+        index = {pt: 1 << i for i, pt in enumerate(x.sets[u])}
+        for w in uppers[u]:
+            bits[w, u] = [index[x.restrictions[w, u][pt]] for pt in x.sets[w]]
+    images: dict = {}  # (w, u, mask at w) -> its image at u
+    points: dict = {u: {} for u in order}  # per u, mask -> tuple of points
 
     def options(u, chosen):
-        forced = set()
+        forced = 0
         for w in uppers[u]:
-            forced.update(x.restrict(pt, w, u) for pt in chosen[w])
-        free = [pt for pt in x.sets[u] if pt not in forced]
-        for mask in range(2 ** len(free)):
-            yield _sorted_points(forced.union(
-                pt for i, pt in enumerate(free) if mask >> i & 1))
+            above = chosen[w]
+            key = (w, u, above)
+            if key not in images:
+                image = 0
+                for i, bit in enumerate(bits[w, u]):
+                    if above >> i & 1:
+                        image |= bit
+                images[key] = image
+            forced |= images[key]
+        pts, seen = x.sets[u], points[u]
+        free = ((1 << len(pts)) - 1) & ~forced
+        sub = 0
+        while True:
+            mask = forced | sub
+            if mask not in seen:
+                seen[mask] = tuple(pt for i, pt in enumerate(pts) if mask >> i & 1)
+            yield mask
+            if sub == free:
+                return
+            sub = (sub - free) & free
 
     families: list[dict] = []
     for fam in depth_first(order, options):
-        families.append(fam)
+        families.append({u: points[u][mask] for u, mask in fam.items()})
         if len(families) > COMPONENT_LIMIT:
             raise SizeLimit(f"more than {COMPONENT_LIMIT} relative subobjects")
     return families
@@ -612,11 +647,11 @@ def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     if x.base != y.base:
         raise BaseMismatch("presheaves live over different posets")
     base = x.base
+    if any(x.sets[v] and not y.sets[v] for v in base.elements):
+        return []  # a point with nowhere to go, whatever the bound says
     bound = 1
     for v in base.elements:
-        bound *= max(1, len(y.sets[v])) ** len(x.sets[v])
-        if len(y.sets[v]) == 0 and len(x.sets[v]) > 0:
-            return []
+        bound *= len(y.sets[v]) ** len(x.sets[v])
         if bound > GLOBAL_SEARCH_LIMIT:
             raise SizeLimit(f"hom-set search space exceeds {GLOBAL_SEARCH_LIMIT}")
     ex, names = _elements(x, y, base.elements)

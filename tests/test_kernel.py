@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -582,6 +583,102 @@ class TestHomSetEdges:
         power = K.exponential(x, y)
         assert [len(power.sets[v]) for v in "abc"] == [1, 1, 0]
 
+    @pytest.mark.parametrize("wide, narrow", [("a", "b"), ("b", "a")])
+    def test_empty_target_answers_before_the_size_bound(self, wide, narrow):
+        # 5 ** 12 maps at the wide element pass the search bound, but the one
+        # point at the narrow element has nowhere to go, in either key order
+        x = K.presheaf(ANTI2, {wide: range(12), narrow: ("p",)}, {})
+        y = K.presheaf(ANTI2, {wide: range(5), narrow: ()}, {})
+        assert K.hom_set(x, y) == []
+
+
+# ``_relative_subobjects`` as it was before it ran on bit masks, kept
+# verbatim as the reference: the same families, in the same order.
+def reference_relative_subobjects(x, elems):
+    """All families S(u) <= x(u) over ``elems`` closed under restriction."""
+    order = [u for u in K._extension_desc(x.base) if u in elems]
+    uppers = K._uppers(x.base, order)
+
+    def options(u, chosen):
+        forced = set()
+        for w in uppers[u]:
+            forced.update(x.restrict(pt, w, u) for pt in chosen[w])
+        free = [pt for pt in x.sets[u] if pt not in forced]
+        for mask in range(2 ** len(free)):
+            yield K._sorted_points(forced.union(
+                pt for i, pt in enumerate(free) if mask >> i & 1))
+
+    families: list[dict] = []
+    for fam in K.depth_first(order, options):
+        families.append(fam)
+        if len(families) > K.COMPONENT_LIMIT:
+            raise SizeLimit(f"more than {K.COMPONENT_LIMIT} relative subobjects")
+    return families
+
+
+def _outcome(build):
+    """What ``build()`` gives, key order included, or its ``SizeLimit``."""
+    try:
+        out = build()
+    except SizeLimit as exc:
+        return str(exc)
+    if isinstance(out, K.Presheaf):
+        return list(out.sets.items()), list(out.restrictions.items())
+    return [list(getattr(fam, "parts", fam).items()) for fam in out]
+
+
+def _shaped_presheaf(rng, shape, n):
+    """A presheaf on a chain, an antichain or a random order of ``n`` names
+    in random key order: ``_projections`` of up to 6 rows, each on a random
+    lower set, so components hold 0-6 points."""
+    names = rng.sample("abcdefghij", n)
+    if shape == "chain":
+        pairs = list(zip(names, names[1:]))
+    elif shape == "antichain":
+        pairs = []
+    else:
+        pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4]
+    base = K.finposet(names, pairs)
+    spread = rng.choice((2, 3, 6, None))  # None: rows differ everywhere
+    rows, present = [], []
+    for i in range(rng.randint(0, 6)):
+        tops = (names if rng.random() < 0.5
+                else rng.sample(names, rng.randint(0, n)))
+        present.append({u for v in tops for u in base.down(v)})
+        rows.append({u: i if spread is None else rng.randrange(spread)
+                     for u in names})
+    return _projections(base, rows, present)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), shape=st.sampled_from(("chain", "antichain", "random")),
+       cut=st.sampled_from(("all", "down", "lower")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_relative_subobjects_match_the_reference(n, shape, cut, seed):
+    rng = random.Random(seed)
+    x = _shaped_presheaf(rng, shape, n)
+    base = x.base
+    if cut == "all":
+        elems = base.elements
+    elif cut == "down":
+        elems = base.down(rng.choice(base.elements))
+    else:  # the down-closure of a random set, often a proper down-set
+        tops = rng.sample(base.elements, rng.randint(0, n))
+        elems = tuple(u for u in base.elements
+                      if any(base.le(u, v) for v in tops))
+    builds = (lambda: K._relative_subobjects(x, elems),
+              lambda: K.all_subobjects(x),
+              lambda: K.omega(base),
+              lambda: K.power_object(x))
+    with pytest.MonkeyPatch.context() as mp:
+        # both sides stop at the same count where the families are too many
+        mp.setattr(K, "COMPONENT_LIMIT", 4096)
+        found = [_outcome(build) for build in builds]
+        mp.setattr(K, "_relative_subobjects", reference_relative_subobjects)
+        expected = [_outcome(build) for build in builds]
+    assert found == expected
+
 
 class TestDepthFirst:
     def test_budget_counts_every_value_taken(self):
@@ -659,6 +756,16 @@ class TestOmega:
                            ("l2", "root"), ("l3", "root")])
         with pytest.raises(SizeLimit):
             K.omega(wide)
+
+    def test_limit_needs_no_table_of_masks(self, monkeypatch):
+        # 2 ** 40 subsets of one component: the limit must trip long before
+        # anything of that size could be built
+        monkeypatch.setattr(K, "COMPONENT_LIMIT", 1000)
+        x = K.presheaf(POINT, {"v": range(40)}, {})
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit, match="^more than 1000 relative subobjects$"):
+            K.all_subobjects(x)
+        assert time.perf_counter() - start < 2.0
 
     def test_limit_is_read_at_call_time(self, monkeypatch):
         # chain2 carries 3 sieves at the top and 3 subobjects of the terminal
