@@ -21,7 +21,7 @@ import numpy as np
 from . import kernel, props, quantum
 from .contexts import ContextPoset, build_poset
 from .errors import NotProjector, ParseError, SizeLimit, ToposError
-from .numerics import require_projector
+from .numerics import Tolerance, require_projector
 from .scenario import Scenario, parse_scenario
 
 
@@ -62,34 +62,40 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qtopos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_scenario(name: str, help_text: str):
+    def with_scenario(name: str, help_text: str, run):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a scenario JSON file")
+        p.set_defaults(run=run)
         return p
 
-    with_scenario("validate", "parse and validate a scenario")
-    with_scenario("poset", "emit contexts, block ranks and the order relation")
+    with_scenario("validate", "parse and validate a scenario", _cmd_validate)
+    with_scenario("poset", "emit contexts, block ranks and the order relation",
+                  _cmd_poset)
 
-    p = with_scenario("daseinise", "per-context approximations of a projector")
+    p = with_scenario("daseinise", "per-context approximations of a projector",
+                      _cmd_daseinise)
     p.add_argument("--projector", required=True, help="name of a projector")
     p.add_argument("--inner", action="store_true",
                    help="largest dominated instead of smallest dominating")
 
-    p = with_scenario("truth", "truth value of a proposition in a state")
+    p = with_scenario("truth", "truth value of a proposition in a state",
+                      _cmd_truth)
     p.add_argument("--state", required=True)
     p.add_argument("--projector", required=True)
     p.add_argument("--via", required=True,
                    choices=["pseudo-state", "truth-object"])
 
-    p = with_scenario("ks", "search for global sections")
+    p = with_scenario("ks", "search for global sections", _cmd_ks)
     p.add_argument("--max-solutions", type=int, default=8)
 
-    p = with_scenario("heyting", "evaluate a proposition expression")
+    p = with_scenario("heyting", "evaluate a proposition expression",
+                      _cmd_heyting)
     p.add_argument("--expr", required=True)
     p.add_argument("--state", required=True)
 
     p = sub.add_parser("kernel-demo", help="structure of a tiny presheaf topos")
     p.add_argument("--poset", required=True, choices=["chain2", "antichain3"])
+    p.set_defaults(run=_cmd_kernel_demo)
     return parser
 
 
@@ -101,28 +107,25 @@ def _load_scenario(path: str) -> Scenario:
     return parse_scenario(text)
 
 
-def _envelope(command: str, scn: Scenario | None, digest: str | None = None) -> dict:
-    if scn is not None:
-        digest = scn.digest
-        eps = scn.tolerance.eps
-    else:
-        eps = 1e-9
-    return {"command": command, "scenario_digest": digest, "tolerance": eps}
-
-
 def _poset_of(scn: Scenario) -> ContextPoset:
     return build_poset(scn.maximal_contexts, scn.closure, scn.tolerance)
 
 
-def _context_rows(poset: ContextPoset) -> list[dict]:
-    return [{"id": c.key, "label": c.label, "block_ranks": list(c.ranks)}
-            for c in poset.contexts]
+def _projector(scn: Scenario, name: str) -> np.ndarray:
+    return require_projector(scn.operator(name), scn.tolerance, name)
 
 
-def _cmd_validate(args) -> dict:
-    scn = _load_scenario(args.scenario)
-    report = _envelope("validate", scn)
-    report.update({
+def _truth_fields(value: kernel.LowerSet, poset: ContextPoset) -> dict:
+    return {
+        "truth_value": list(value.sorted_members),
+        "totally_true": value.is_full,
+        "per_context": [{"id": c.key, "holds": c.key in value.members}
+                        for c in poset.contexts],
+    }
+
+
+def _cmd_validate(args, scn: Scenario) -> dict:
+    return {
         "dimension": scn.dimension,
         "closure": scn.closure,
         "builtins": list(scn.builtins),
@@ -131,26 +134,21 @@ def _cmd_validate(args) -> dict:
         "maximal_contexts": [
             {"label": c.label, "block_ranks": list(c.ranks)}
             for c in scn.maximal_contexts],
-    })
-    return report
+    }
 
 
-def _cmd_poset(args) -> dict:
-    scn = _load_scenario(args.scenario)
+def _cmd_poset(args, scn: Scenario) -> dict:
     poset = _poset_of(scn)
-    report = _envelope("poset", scn)
-    report.update({
+    return {
         "context_count": len(poset),
-        "contexts": _context_rows(poset),
+        "contexts": [{"id": c.key, "label": c.label,
+                      "block_ranks": list(c.ranks)} for c in poset.contexts],
         "relation": [list(pair) for pair in poset.base.strict_pairs()],
-    })
-    return report
+    }
 
 
-def _cmd_daseinise(args) -> dict:
-    scn = _load_scenario(args.scenario)
-    proj = require_projector(scn.operator(args.projector), scn.tolerance,
-                             args.projector)
+def _cmd_daseinise(args, scn: Scenario) -> dict:
+    proj = _projector(scn, args.projector)
     poset = _poset_of(scn)
     tol = scn.tolerance
     variant = "inner" if args.inner else "outer"
@@ -158,16 +156,13 @@ def _cmd_daseinise(args) -> dict:
              "matrix": _matrix_json(approx)}
             for ctx, (indices, approx) in zip(poset.contexts, quantum._daseinise(
                 proj, poset.contexts, *poset.blocks_at(tol), tol, args.inner))]
-    report = _envelope("daseinise", scn)
-    report.update({"projector": args.projector, "variant": variant,
-                   "per_context": rows})
-    return report
+    return {"projector": args.projector, "variant": variant,
+            "per_context": rows}
 
 
-def _cmd_truth(args) -> dict:
-    scn = _load_scenario(args.scenario)
+def _cmd_truth(args, scn: Scenario) -> dict:
     tol = scn.tolerance
-    proj = require_projector(scn.operator(args.projector), tol, args.projector)
+    proj = _projector(scn, args.projector)
     psi = scn.state(args.state)
     poset = _poset_of(scn)
     if args.via == "pseudo-state":
@@ -175,44 +170,34 @@ def _cmd_truth(args) -> dict:
         value = quantum.truth_value_pseudo(proj, psi, presheaf, tol)
     else:
         value = quantum.truth_value_truthobject(proj, psi, poset, tol)
-    report = _envelope("truth", scn)
-    report.update({
+    return {
         "state": args.state,
         "projector": args.projector,
         "via": args.via,
-        "truth_value": list(value.sorted_members),
-        "totally_true": value.is_full,
-        "per_context": [{"id": c.key, "holds": c.key in value.members}
-                        for c in poset.contexts],
-    })
-    return report
+        **_truth_fields(value, poset),
+    }
 
 
-def _cmd_ks(args) -> dict:
-    scn = _load_scenario(args.scenario)
+def _cmd_ks(args, scn: Scenario) -> dict:
     poset = _poset_of(scn)
     presheaf = quantum.spectral_presheaf(poset, scn.tolerance)
     result = quantum.ks_search(presheaf, max_solutions=args.max_solutions)
-    report = _envelope("ks", scn)
-    report.update({
+    return {
         "status": result.status,
         "nodes_explored": result.nodes_explored,
         "section_count": len(result.sections),
         "sections": [dict(sec.items_sorted()) for sec in result.sections],
-    })
-    return report
+    }
 
 
 def _eval_prop(expr, scn: Scenario, presheaf) -> kernel.Subobject:
-    tol = scn.tolerance
-
     @functools.cache  # each name is validated and built once
     def leaf(ident: str) -> kernel.Subobject:
         try:
-            proj = require_projector(scn.operator(ident), tol, ident)
+            proj = _projector(scn, ident)
         except NotProjector as exc:
             raise NotProjector(f"{ident!r} is not a projector") from exc
-        return quantum.delta_subobject(proj, presheaf, tol)
+        return quantum.delta_subobject(proj, presheaf, scn.tolerance)
 
     connective = {props.Not: kernel.heyting_not, props.And: kernel.heyting_meet,
                   props.Or: kernel.heyting_join,
@@ -221,8 +206,7 @@ def _eval_prop(expr, scn: Scenario, presheaf) -> kernel.Subobject:
                       lambda node, *parts: connective[type(node)](*parts))
 
 
-def _cmd_heyting(args) -> dict:
-    scn = _load_scenario(args.scenario)
+def _cmd_heyting(args, scn: Scenario) -> dict:
     expr = props.parse_prop(args.expr)
     psi = scn.state(args.state)
     poset = _poset_of(scn)
@@ -230,18 +214,13 @@ def _cmd_heyting(args) -> dict:
     result = _eval_prop(expr, scn, presheaf)
     state = quantum.pseudo_state(psi, presheaf, scn.tolerance)
     value = kernel.truth_value_inclusion(state.subobject, result)
-    report = _envelope("heyting", scn)
-    report.update({
+    return {
         "expr": props.pretty(expr),
         "state": args.state,
         "subobject": [{"id": c.key, "blocks": list(result.parts[c.key])}
                       for c in poset.contexts],
-        "truth_value": list(value.sorted_members),
-        "totally_true": value.is_full,
-        "per_context": [{"id": c.key, "holds": c.key in value.members}
-                        for c in poset.contexts],
-    })
-    return report
+        **_truth_fields(value, poset),
+    }
 
 
 _DEMO_POSETS = {
@@ -255,7 +234,7 @@ def _parts_json(sub: kernel.Subobject) -> dict:
             for v in sub.of.base.elements}
 
 
-def _cmd_kernel_demo(args) -> dict:
+def _cmd_kernel_demo(args, scn: None) -> dict:
     elements, pairs = _DEMO_POSETS[args.poset]
     base = kernel.finposet(elements, pairs)
     one = kernel.terminal(base)
@@ -267,16 +246,14 @@ def _cmd_kernel_demo(args) -> dict:
         if joined.parts != kernel.full_subobject(one).parts:
             witness = j
             break
-    digest = hashlib.sha256(args.poset.encode("utf-8")).hexdigest()
-    report = _envelope("kernel-demo", None, digest)
-    report.update({
+    report = {
         "poset": args.poset,
         "elements": list(base.elements),
         "omega_sizes": {v: len(om.sets[v]) for v in base.elements},
         "subobjects_of_terminal": len(subs),
         "global_elements_of_omega": len(kernel.global_elements(om)),
         "excluded_middle": {"witness_found": witness is not None},
-    })
+    }
     if witness is not None:
         negation = kernel.heyting_not(witness)
         joined = kernel.heyting_join(witness, negation)
@@ -291,23 +268,24 @@ def _cmd_kernel_demo(args) -> dict:
     return report
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "poset": _cmd_poset,
-    "daseinise": _cmd_daseinise,
-    "truth": _cmd_truth,
-    "ks": _cmd_ks,
-    "heyting": _cmd_heyting,
-    "kernel-demo": _cmd_kernel_demo,
-}
-
-
 def run_command(argv: list[str]) -> tuple[int, str, str]:
-    """Run one command; returns (exit code, stdout text, stderr text)."""
+    """Run one command; returns (exit code, stdout text, stderr text).
+
+    Parse the arguments, load the scenario (``kernel-demo`` takes none) and
+    render the command's own fields after the shared envelope.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        report = _DISPATCH[args.command](args)
+        if "scenario" in args:
+            scn = _load_scenario(args.scenario)
+            digest, tol = scn.digest, scn.tolerance
+        else:  # kernel-demo: the poset name stands in for a scenario
+            scn = None
+            digest = hashlib.sha256(args.poset.encode("utf-8")).hexdigest()
+            tol = Tolerance()
+        report = {"command": args.command, "scenario_digest": digest,
+                  "tolerance": tol.eps, **args.run(args, scn)}
         return 0, _render(report), ""
     except SizeLimit as exc:
         return 2, "", f"error: size limit: {exc}\n"

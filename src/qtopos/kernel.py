@@ -177,11 +177,6 @@ def depth_first(order, options, budget: NodeBudget | None = None):
             stack.pop()
 
 
-def _extension_desc(base: FinPoset) -> list[str]:
-    """``base._descending`` as a list: built once per poset."""
-    return list(base._descending)
-
-
 def _uppers(base: FinPoset, order: list[str]) -> dict:
     """For each element, the earlier elements of ``order`` above it."""
     pos = {u: i for i, u in enumerate(order)}

@@ -45,7 +45,7 @@ class Tolerance:
     def __post_init__(self):
         eps = self.eps
         ok = isinstance(eps, (int, float)) and not isinstance(eps, bool)
-        if not ok or not np.isfinite(eps) or not 0.0 < eps < 1e-3:
+        if not ok or not 0.0 < eps < 1e-3:  # also refuses nan and inf
             raise ValidationError(f"tolerance must lie in (0, 1e-3), got {eps!r}")
 
     def scaled(self, dim: int) -> float:

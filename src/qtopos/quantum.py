@@ -13,6 +13,7 @@ whether a noncontextual valuation exists at all.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -325,8 +326,9 @@ def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8) -> KsResult:
     if max_solutions < 1:
         raise ValidationError("max_solutions must be positive")
     budget = kernel.NodeBudget("KS search", KS_NODE_LIMIT)
-    sections = itertools.islice(
-        kernel.global_sections(presheaf.underlying, budget), max_solutions)
+    sections = itertools.islice(  # islice takes at most sys.maxsize
+        kernel.global_sections(presheaf.underlying, budget),
+        min(max_solutions, sys.maxsize))
     found = [TruthAssignment(assignments=s)
              for s in sorted(sections, key=lambda s: tuple(sorted(s.items())))]
     status = "SectionsExist" if found else "NoSection"

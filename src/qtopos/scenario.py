@@ -38,12 +38,20 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _real(node, path: str) -> float:
+    """A JSON number as a float; an integer beyond float range is refused."""
+    try:
+        return float(node)
+    except OverflowError as exc:
+        raise ParseError("number beyond float range", path) from exc
+
+
 def _entry(node, path: str) -> complex:
     if _is_number(node):
-        return complex(node)
+        return complex(_real(node, path))
     if (isinstance(node, list) and len(node) == 2
             and all(_is_number(part) for part in node)):
-        return complex(node[0], node[1])
+        return complex(_real(node[0], path), _real(node[1], path))
     raise ParseError(f"malformed complex entry {node!r}", path)
 
 
@@ -103,6 +111,9 @@ def parse_scenario(text: str) -> Scenario:
                          f"line {exc.lineno} column {exc.colno}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply", "document") from exc
+    except ValueError as exc:  # int() refuses integers of over 4300 digits
+        raise ParseError("invalid JSON: integer has too many digits",
+                         "document") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario must be a JSON object", "document")
     unknown = set(doc) - _TOP_LEVEL_KEYS
@@ -120,7 +131,7 @@ def parse_scenario(text: str) -> Scenario:
     tol_value = doc.get("tolerance", 1e-9)
     if not _is_number(tol_value):
         raise ParseError("tolerance must be a number", "tolerance")
-    tol = Tolerance(float(tol_value))
+    tol = Tolerance(_real(tol_value, "tolerance"))
 
     closure = doc.get("closure", "intersections")
     if closure not in ("intersections", "coarsenings"):
@@ -178,9 +189,10 @@ def parse_scenario(text: str) -> Scenario:
                 f"{exc}") from exc
         total = np.zeros((dim, dim), dtype=complex)
         taken: set = set()
-        for wanted in node["eigenvalues"]:
+        for k, wanted in enumerate(node["eigenvalues"]):
+            target = _real(wanted, f"projectors.{name}.eigenvalues[{k}]")
             hits = [i for i, (value, _) in enumerate(pairs)
-                    if abs(value - wanted) <= EIGENVALUE_MATCH]
+                    if abs(value - target) <= EIGENVALUE_MATCH]
             if len(hits) != 1:
                 raise ValidationError(
                     f"projector {name!r}: {source!r} has no eigenvalue "

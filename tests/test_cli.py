@@ -69,6 +69,28 @@ class TestValidate:
         assert cli.run_command([command, str(deep)]) == (
             1, "", "error: invalid JSON: nested too deeply (at document)\n")
 
+    @pytest.mark.parametrize("field, path", [
+        ('"operators": {"a": [[BIG, 0], [0, 1]]}', "operators.a[0][0]"),
+        ('"states": {"s": [[1, BIG], 0]}', "states.s[0]"),
+        ('"tolerance": BIG', "tolerance"),
+        ('"projectors": {"P": {"operator": "sz", "eigenvalues": [BIG]}}',
+         "projectors.P.eigenvalues[0]"),
+    ], ids=["operator", "state", "tolerance", "eigenvalue"])
+    def test_number_beyond_float_range(self, tmp_path, field, path):
+        doc = tmp_path / "big.json"
+        doc.write_text('{"dimension": 2, "builtins": ["pauli2"], '
+                       + field.replace("BIG", str(10 ** 400)) + "}")
+        assert cli.run_command(["validate", str(doc)]) == (
+            1, "", f"error: number beyond float range (at {path})\n")
+
+    def test_integer_with_too_many_digits(self, tmp_path):
+        # json.loads raises a bare ValueError past int()'s 4300-digit limit
+        doc = tmp_path / "long.json"
+        doc.write_text('{"dimension": 2, "tolerance": ' + "1" * 5000 + "}")
+        assert cli.run_command(["validate", str(doc)]) == (
+            1, "", "error: invalid JSON: integer has too many digits"
+                   " (at document)\n")
+
 
 class TestPoset:
     def test_pauli2_antichain(self):
@@ -222,6 +244,21 @@ class TestKs:
         assert code == 0
         assert doc["section_count"] == 3
         assert len(doc["sections"]) == 3
+
+    @pytest.mark.parametrize("huge", [2 ** 63, 10 ** 30])
+    def test_max_solutions_beyond_sys_maxsize(self, huge):
+        # itertools.islice refuses a stop above sys.maxsize
+        expected = cli.run_command(["ks", PAULI2, "--max-solutions", "64"])
+        assert expected[0] == 0
+        assert cli.run_command(
+            ["ks", PAULI2, "--max-solutions", str(huge)]) == expected
+        scn = cli._load_scenario(PAULI2)
+        presheaf = quantum.spectral_presheaf(cli._poset_of(scn), scn.tolerance)
+        big, small = (quantum.ks_search(presheaf, n) for n in (huge, 64))
+        assert (big.status, big.nodes_explored) == (small.status,
+                                                    small.nodes_explored)
+        assert ([s.items_sorted() for s in big.sections]
+                == [s.items_sorted() for s in small.sections])
 
     def test_mermin_obstruction(self):
         code, doc, _ = _run(["ks", MERMIN])

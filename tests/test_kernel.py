@@ -160,8 +160,8 @@ def _assert_lists_match_the_scans(base):
     assert base.strict_pairs() == expected
     assert base.strict_down_pairs() == [(v, u) for (u, v) in expected]
     assert all(base.down(v) == _down_by_scan(base, v) for v in base.elements)
-    assert K._extension_desc(base) == _extension_desc_by_layers(base)
-    for order in (K._extension_desc(base), _reference_extension_from_top(base)):
+    assert list(base._descending) == _extension_desc_by_layers(base)
+    for order in (list(base._descending), _reference_extension_from_top(base)):
         assert K._uppers(base, order) == _uppers_by_prefix_scan(base, order)
         # the order restricted to a down-set, as ``_relative_subobjects``
         # takes it for ``omega`` and ``power_object``
@@ -351,7 +351,7 @@ def test_global_elements_match_brute_force(n, seed):
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
              if rng.random() < 0.4]
     base = K.finposet(names, pairs)
-    order = K._extension_desc(base)
+    order = list(base._descending)
     position = {u: i for i, u in enumerate(order)}
     assert sorted(order) == list(base.elements)
     assert all(position[w] < position[u] for (u, w) in base.leq if u != w)
@@ -596,7 +596,7 @@ class TestHomSetEdges:
 # verbatim as the reference: the same families, in the same order.
 def reference_relative_subobjects(x, elems):
     """All families S(u) <= x(u) over ``elems`` closed under restriction."""
-    order = [u for u in K._extension_desc(x.base) if u in elems]
+    order = [u for u in x.base._descending if u in elems]
     uppers = K._uppers(x.base, order)
 
     def options(u, chosen):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,9 @@ class TestTolerance:
     def test_scaled(self):
         assert Tolerance(1e-8).scaled(4) == pytest.approx(4e-8)
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-3, 0.5, True])
+    @pytest.mark.parametrize("bad", [
+        0.0, -1e-9, 1e-3, 0.5, True, math.nan, math.inf,
+        pytest.param(10 ** 20, id="1e20"), pytest.param(10 ** 400, id="1e400")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValidationError):
             Tolerance(bad)
