@@ -5,15 +5,16 @@ structure the quantum layer needs: subobjects, the subobject classifier,
 Heyting operations on subobjects, exponentials, power objects and truth
 values as lower sets (``truth_value_inclusion``).  Everything is enumerated
 on the one explicit-stack engine ``depth_first``, free of Python's recursion
-limit; guards turn blow-ups into ``SizeLimit`` errors instead of hangs.  The
-global-section search, also the quantum layer's, picks only at maximal
-elements, keeps the constraints between them arc consistent after each pick
-(MAC) and may count its picks against a ``NodeBudget``.  It serves
-``hom_set`` and ``exponential`` too: an arrow ``x -> y`` is a global section
-of ``y`` on the elements of ``x`` (``_elements``).  Their limit is still a
-pre-check on the size of the space, not on work: a 10^6-pick budget refuses
-a 4^21-section hom-set in about 2 s.  Subobjects are enumerated on bit masks,
-one int per component, and handed out as tuples of points.
+limit, in blocks (one live dict of the picks but the last, then the last
+element's values), so a leaf costs O(1) steps; guards turn blow-ups into
+``SizeLimit`` errors.  The global-section search, also the quantum layer's,
+picks only at maximal elements, keeps their int-mask domains arc consistent
+after each pick (MAC) and may count its picks against a ``NodeBudget``; a
+section is one concatenation of precomputed rows.  It serves ``hom_set`` and
+``exponential``: an arrow ``x -> y`` is a global section of ``y`` on the
+elements of ``x`` (``_elements``).  Their limit is a pre-check on the size of
+the space: a 10^6-pick budget refuses a 4^21-section hom-set in about 4 s.
+Subobjects are enumerated on bit masks, one int per component.
 
 Conventions
 -----------
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,37 +144,43 @@ class NodeBudget:
     limit: int
     nodes: int = 0
 
+    def taken(self, values):
+        """``values``, each one node as it is taken; past the limit, ``SizeLimit``."""
+        for value in values:
+            self.nodes += 1
+            if self.nodes > self.limit:
+                raise SizeLimit(f"{self.search} exceeded its limit of "
+                                f"{self.limit} nodes at node {self.nodes}")
+            yield value
+
 
 def depth_first(order, options, budget: NodeBudget | None = None):
     """Every assignment to ``order`` that ``options`` allows, depth first.
 
     ``options(element, chosen)`` gives the values open to ``element``; it may
     read ``chosen`` only at the elements before it in ``order``.  Assignments
-    come out as fresh dicts keyed in ``order``, ordered lexicographically by
-    the option sequences.  The search keeps an explicit stack and asks for
-    options lazily, so a caller that stops early leaves the rest unasked.
-    Each value taken is one node of ``budget``; past its limit, ``SizeLimit``.
+    come in blocks ``(chosen, values)``, lexicographic in the option sequences:
+    the live dict of the picks before the last element, keyed in ``order``, and
+    a lazy iterator over the last element's values, good until the next block
+    (the empty order has one, ``({}, None)``).  Options are asked lazily, so a
+    caller that stops early leaves the rest unasked.  Each value taken, at every
+    element, is one node of ``budget``; past its limit, ``SizeLimit``.
     """
     if not order:
-        yield {}
+        yield {}, None
         return
-    last = len(order) - 1
     chosen: dict = {}
-    stack = [iter(options(order[0], chosen))]
+    take = iter if budget is None else budget.taken
+    stack = [take(options(order[0], chosen))]
     while stack:
+        if len(stack) == len(order):
+            yield chosen, stack.pop()
+            continue
         depth = len(stack) - 1
         for value in stack[-1]:
-            if budget is not None:
-                budget.nodes += 1
-                if budget.nodes > budget.limit:
-                    raise SizeLimit(f"{budget.search} exceeded its limit of "
-                                    f"{budget.limit} nodes at node {budget.nodes}")
             chosen[order[depth]] = value
-            if depth == last:
-                yield dict(chosen)
-            else:
-                stack.append(iter(options(order[depth + 1], chosen)))
-                break
+            stack.append(take(options(order[depth + 1], chosen)))
+            break
         else:
             stack.pop()
 
@@ -349,11 +357,11 @@ def terminal(base: FinPoset) -> Presheaf:
 
 
 def _arcs(x: Presheaf, tops) -> dict:
-    """Per maximal ``v`` in ``tops``, ``(w, mine, theirs)`` for each maximal
-    ``w`` sharing a lower element with it (found from the elements' maximal
-    uppers).  ``mine`` and ``theirs`` send points at ``v`` and ``w`` to their
-    restrictions to the pair's maximal common lower elements; two points agree
-    on every common lower element iff these are equal (functoriality)."""
+    """Per maximal ``v`` in ``tops``, ``(w, pairs)`` for each maximal ``w``
+    sharing a lower element with it (found from the elements' maximal uppers).
+    Two points agree on every common lower element iff they restrict alike to
+    the pair's maximal common lower elements (functoriality); ``pairs`` holds,
+    per such signature met at both, the masks of its points at ``v`` and ``w``."""
     base = x.base
     common: dict = {}
     for u in base.elements:
@@ -364,26 +372,70 @@ def _arcs(x: Presheaf, tops) -> dict:
     for (a, b), lower in common.items():
         meets = [u for u in lower
                  if not any(w in lower for w in base.up(u) if w != u)]
-        sig = {v: {pt: tuple(x.restrict(pt, v, u) for u in meets)
-                   for pt in x.sets[v]} for v in (a, b)}
-        arcs[a].append((b, sig[a], sig[b]))
-        arcs[b].append((a, sig[b], sig[a]))
+        sig: dict = {a: {}, b: {}}
+        for v in (a, b):
+            for i, pt in enumerate(x.sets[v]):
+                key = tuple(x.restrict(pt, v, u) for u in meets)
+                sig[v][key] = sig[v].get(key, 0) | 1 << i
+        pairs = [(mine, sig[b][key]) for key, mine in sig[a].items() if key in sig[b]]
+        arcs[a].append((b, pairs))
+        arcs[b].append((a, [(theirs, mine) for mine, theirs in pairs]))
     return arcs
 
 
 def _revise(arcs: dict, domains: dict, changed: dict) -> dict | None:
-    """AC-3 from the ``changed`` elements, each revising its neighbours'
-    domains in turn: ``domains`` narrowed, or None once one runs empty."""
+    """AC-3 on int masks from the ``changed`` elements, each revising its
+    neighbours' domains in turn: ``domains`` narrowed, or None once one runs empty."""
     while changed:
         v = changed.popitem()[0]
-        for w, mine, theirs in arcs[v]:
-            support = {mine[pt] for pt in domains[v]}
-            kept = [pt for pt in domains[w] if theirs[pt] in support]
+        for w, pairs in arcs[v]:
+            kept = domains[w] & sum(theirs for mine, theirs in pairs if mine & domains[v])
             if not kept:
                 return None
-            if len(kept) < len(domains[w]):
+            if kept != domains[w]:
                 domains[w], changed[w] = kept, None
     return domains
+
+
+def _section_rows(x: Presheaf, budget: NodeBudget | None):
+    """``global_sections`` as tuples in element order: one row per maximal ``w``
+    and point (its restrictions to the elements lifting to ``w``); a block joins
+    its head's rows once, then a section is a tuple ``+`` and an ``itemgetter``."""
+    if any(not pts for pts in x.sets.values()):
+        return
+    base = x.base
+    tops = {v: i for i, v in enumerate(
+        u for u in base.elements if len(base.up(u)) == 1)}
+    if not tops:  # the empty poset has one, empty, section
+        yield ()
+        return
+    order, arcs = list(tops), _arcs(x, tops)
+    full = {v: (1 << len(x.sets[v])) - 1 for v in tops}  # point i is bit i
+    states = [_revise(arcs, full, dict.fromkeys(tops))]
+
+    def options(v, chosen):  # states[d]: the domains with d picks fixed
+        depth = tops[v]
+        if depth:
+            del states[depth:]
+            last = order[depth - 1]
+            states.append(_revise(arcs, {**states[-1], last: 1 << chosen[last]},
+                                  {last: None}))
+        mask = states[depth][v] if states[depth] else 0
+        return [i for i in range(len(x.sets[v])) if mask >> i & 1]
+
+    lifted: dict = {w: [] for w in order}
+    for u in base.elements:
+        lifted[next(w for w in base.up(u) if w in tops)].append(u)
+    rows = {w: [tuple(x.restrict(pt, w, u) for u in lifted[w]) for pt in x.sets[w]]
+            for w in order}
+    place = {u: i for i, u in enumerate(itertools.chain(*lifted.values()))}
+    # an itemgetter of one index gives the bare point; one element needs no reordering
+    get = operator.itemgetter(*map(place.get, base.elements)) if len(place) > 1 else tuple
+    ends = rows[order[-1]]
+    for head, picks in depth_first(order, options, budget):
+        start = tuple(itertools.chain.from_iterable(rows[w][i] for w, i in head.items()))
+        for i in picks:
+            yield get(start + ends[i])
 
 
 def global_sections(x: Presheaf, budget: NodeBudget | None = None):
@@ -396,29 +448,11 @@ def global_sections(x: Presheaf, budget: NodeBudget | None = None):
     the lexicographic order of the picks.  A node of ``budget``, if given, is
     one pick; AC-3 is polynomial per node, so the cap bounds the whole work.
     """
-    if any(not pts for pts in x.sets.values()):
-        return
-    base = x.base
-    tops = {v: i for i, v in enumerate(
-        u for u in base.elements if len(base.up(u)) == 1)}
-    order, arcs = list(tops), _arcs(x, tops)
-    states = [_revise(arcs, {v: list(x.sets[v]) for v in tops}, dict.fromkeys(tops))]
-
-    def options(v, chosen):  # states[d]: the domains with d picks fixed
-        depth = tops[v]
-        if depth:
-            del states[depth:]
-            last = order[depth - 1]
-            states.append(_revise(arcs, {**states[-1], last: [chosen[last]]},
-                                  {last: None}))
-        return states[depth][v] if states[depth] else ()
-
-    lift = {u: next(w for w in base.up(u) if w in tops) for u in base.elements}
-    for picks in depth_first(order, options, budget):
-        yield {u: x.restrict(picks[w], w, u) for u, w in lift.items()}
+    for row in _section_rows(x, budget):
+        yield dict(zip(x.base.elements, row))
 
 
-def _elements(x: Presheaf, y: Presheaf, elems) -> tuple[Presheaf, dict]:
+def _elements(x: Presheaf, y: Presheaf, elems) -> Presheaf:
     """``y`` on the category of elements of ``x`` over the down-closed ``elems``:
     one element per ``(u, pt)``, ``pt`` in ``x(u)``, named by its zero-padded
     index in (``elems``, component) order, with ``(w, pt|w) <= (u, pt)`` for
@@ -435,15 +469,15 @@ def _elements(x: Presheaf, y: Presheaf, elems) -> tuple[Presheaf, dict]:
             if w != u:
                 restr[top, low] = y.restrictions[u, w]
     base = FinPoset(tuple(names.values()), frozenset(leq))
-    return Presheaf(base, {names[p]: y.sets[p[0]] for p in pairs}, restr), names
+    return Presheaf(base, {names[p]: y.sets[p[0]] for p in pairs}, restr)
 
 
 def global_elements(x: Presheaf) -> list[NatTransform]:
     """All global sections, as arrows from the terminal (natural as built)."""
     one = terminal(x.base)
     budget = NodeBudget("global-element search", GLOBAL_SEARCH_LIMIT)
-    return [NatTransform(one, x, {v: {"*": s[v]} for v in x.base.elements})
-            for s in global_sections(x, budget)]
+    return [NatTransform(one, x, {v: {"*": pt} for v, pt in zip(x.base.elements, row)})
+            for row in _section_rows(x, budget)]
 
 
 def omega(base: FinPoset) -> Presheaf:
@@ -553,10 +587,8 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
         if math.prod(len(b.sets[u]) ** len(a.sets[u]) for u in dv) > COMPONENT_LIMIT:
             raise SizeLimit(
                 f"exponential component at {v!r} exceeds {COMPONENT_LIMIT}")
-        ex, names = _elements(a, b, dv)
-        encoded = [tuple((u, tuple((pt, s[names[u, pt]]) for pt in a.sets[u]))
-                   for u in dv)
-                   for s in global_sections(ex)]
+        encoded = [tuple((u, tuple(zip(a.sets[u], points))) for u in dv)
+                   for points in map(iter, _section_rows(_elements(a, b, dv), None))]
         sets[v] = _sorted_points(encoded)
     return _tagged_presheaf(base, sets)
 
@@ -604,11 +636,17 @@ def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
                 return
             sub = (sub - free) & free
 
-    families: list[dict] = []
-    for fam in depth_first(order, options):
-        families.append({u: points[u][mask] for u, mask in fam.items()})
-        if len(families) > COMPONENT_LIMIT:
-            raise SizeLimit(f"more than {COMPONENT_LIMIT} relative subobjects")
+    if not order:
+        return [{}]
+    last, families = order[-1], []
+    for head, masks in depth_first(order, options):
+        fixed = {u: points[u][mask] for u, mask in head.items()}
+        for mask in masks:
+            family = fixed.copy()
+            family[last] = points[last][mask]
+            families.append(family)
+            if len(families) > COMPONENT_LIMIT:
+                raise SizeLimit(f"more than {COMPONENT_LIMIT} relative subobjects")
     return families
 
 
@@ -644,15 +682,13 @@ def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
     base = x.base
     if any(x.sets[v] and not y.sets[v] for v in base.elements):
         return []  # a point with nowhere to go, whatever the bound says
-    bound = 1
-    for v in base.elements:
-        bound *= len(y.sets[v]) ** len(x.sets[v])
-        if bound > GLOBAL_SEARCH_LIMIT:
-            raise SizeLimit(f"hom-set search space exceeds {GLOBAL_SEARCH_LIMIT}")
-    ex, names = _elements(x, y, base.elements)
-    return [NatTransform(x, y, {v: {pt: s[names[v, pt]] for pt in x.sets[v]}
-                                for v in base.elements})
-            for s in global_sections(ex)]
+    if math.prod(len(y.sets[v]) ** len(x.sets[v])
+                 for v in base.elements) > GLOBAL_SEARCH_LIMIT:
+        raise SizeLimit(f"hom-set search space exceeds {GLOBAL_SEARCH_LIMIT}")
+    ex = _elements(x, y, base.elements)  # its elements in (v, point) order
+    comps = [(v, x.sets[v]) for v in base.elements]
+    return [NatTransform(x, y, {v: dict(zip(pts, points)) for v, pts in comps})
+            for points in map(iter, _section_rows(ex, None))]
 
 
 def truth_value_inclusion(j: Subobject, k: Subobject) -> LowerSet:

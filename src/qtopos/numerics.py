@@ -46,7 +46,11 @@ class Tolerance:
         eps = self.eps
         ok = isinstance(eps, (int, float)) and not isinstance(eps, bool)
         if not ok or not 0.0 < eps < 1e-3:  # also refuses nan and inf
-            raise ValidationError(f"tolerance must lie in (0, 1e-3), got {eps!r}")
+            try:
+                shown = repr(eps)
+            except Exception:  # an int past the digit limit, or a broken __repr__
+                shown = f"an unprintable {type(eps).__name__}"
+            raise ValidationError(f"tolerance must lie in (0, 1e-3), got {shown}")
 
     def scaled(self, dim: int) -> float:
         return self.eps * dim

@@ -366,6 +366,43 @@ def test_global_elements_match_brute_force(n, seed):
         assert found == brute
 
 
+# ``depth_first`` as it was before it handed out blocks, kept verbatim as the
+# engine of the references below, so that they do not run on the code they
+# check.
+def reference_depth_first(order, options, budget: K.NodeBudget | None = None):
+    """Every assignment to ``order`` that ``options`` allows, depth first.
+
+    ``options(element, chosen)`` gives the values open to ``element``; it may
+    read ``chosen`` only at the elements before it in ``order``.  Assignments
+    come out as fresh dicts keyed in ``order``, ordered lexicographically by
+    the option sequences.  The search keeps an explicit stack and asks for
+    options lazily, so a caller that stops early leaves the rest unasked.
+    Each value taken is one node of ``budget``; past its limit, ``SizeLimit``.
+    """
+    if not order:
+        yield {}
+        return
+    last = len(order) - 1
+    chosen: dict = {}
+    stack = [iter(options(order[0], chosen))]
+    while stack:
+        depth = len(stack) - 1
+        for value in stack[-1]:
+            if budget is not None:
+                budget.nodes += 1
+                if budget.nodes > budget.limit:
+                    raise SizeLimit(f"{budget.search} exceeded its limit of "
+                                    f"{budget.limit} nodes at node {budget.nodes}")
+            chosen[order[depth]] = value
+            if depth == last:
+                yield dict(chosen)
+            else:
+                stack.append(iter(options(order[depth + 1], chosen)))
+                break
+        else:
+            stack.pop()
+
+
 # The global-section search before arc consistency, kept verbatim (with the
 # engine's natural-family helper and the element order it ran on) as the
 # reference that ``global_sections`` must list the same sections as, in the
@@ -403,7 +440,7 @@ def _reference_natural_families(x, y, order, budget=None):
                                           else y.sets[u] for pt in points)):
             yield dict(zip(points, images))
 
-    return K.depth_first(order, options, budget)
+    return reference_depth_first(order, options, budget)
 
 
 def reference_global_sections(x, budget):
@@ -473,6 +510,97 @@ def test_global_sections_match_the_reference_search(n, density, layered, seed):
     relabelled = K.global_sections(_relabelled(x, names), K.NodeBudget("r", 10 ** 6))
     assert ({frozenset((back[v], pt) for v, pt in s.items()) for s in relabelled}
             == {frozenset(s.items()) for s in found})
+
+
+# The MAC search as it was before its domains were int masks and its leaves
+# came block-wise, kept verbatim (on ``reference_depth_first``): the same
+# sections in the same order, after the same number of nodes.
+def reference_arcs(x: K.Presheaf, tops) -> dict:
+    """Per maximal ``v`` in ``tops``, ``(w, mine, theirs)`` for each maximal
+    ``w`` sharing a lower element with it (found from the elements' maximal
+    uppers).  ``mine`` and ``theirs`` send points at ``v`` and ``w`` to their
+    restrictions to the pair's maximal common lower elements; two points agree
+    on every common lower element iff these are equal (functoriality)."""
+    base = x.base
+    common: dict = {}
+    for u in base.elements:
+        for pair in itertools.combinations(
+                [w for w in base.up(u) if w in tops], 2):
+            common.setdefault(pair, {})[u] = None
+    arcs: dict = {v: [] for v in tops}
+    for (a, b), lower in common.items():
+        meets = [u for u in lower
+                 if not any(w in lower for w in base.up(u) if w != u)]
+        sig = {v: {pt: tuple(x.restrict(pt, v, u) for u in meets)
+                   for pt in x.sets[v]} for v in (a, b)}
+        arcs[a].append((b, sig[a], sig[b]))
+        arcs[b].append((a, sig[b], sig[a]))
+    return arcs
+
+
+def reference_revise(arcs: dict, domains: dict, changed: dict) -> dict | None:
+    """AC-3 from the ``changed`` elements, each revising its neighbours'
+    domains in turn: ``domains`` narrowed, or None once one runs empty."""
+    while changed:
+        v = changed.popitem()[0]
+        for w, mine, theirs in arcs[v]:
+            support = {mine[pt] for pt in domains[v]}
+            kept = [pt for pt in domains[w] if theirs[pt] in support]
+            if not kept:
+                return None
+            if len(kept) < len(domains[w]):
+                domains[w], changed[w] = kept, None
+    return domains
+
+
+def reference_mac_global_sections(x: K.Presheaf, budget: K.NodeBudget | None = None):
+    """Every global section of ``x``, lazily, as a dict element -> point.
+
+    MAC: picks at the maximal elements in key order, points in component
+    order, offering only those that survive AC-3 with the earlier picks
+    fixed; the other elements follow by restriction (keys in element
+    order).  AC-3 drops no point of a section, so sections come out in
+    the lexicographic order of the picks.  A node of ``budget``, if given, is
+    one pick; AC-3 is polynomial per node, so the cap bounds the whole work.
+    """
+    if any(not pts for pts in x.sets.values()):
+        return
+    base = x.base
+    tops = {v: i for i, v in enumerate(
+        u for u in base.elements if len(base.up(u)) == 1)}
+    order, arcs = list(tops), reference_arcs(x, tops)
+    states = [reference_revise(arcs, {v: list(x.sets[v]) for v in tops},
+                               dict.fromkeys(tops))]
+
+    def options(v, chosen):  # states[d]: the domains with d picks fixed
+        depth = tops[v]
+        if depth:
+            del states[depth:]
+            last = order[depth - 1]
+            states.append(reference_revise(arcs, {**states[-1], last: [chosen[last]]},
+                                           {last: None}))
+        return states[depth][v] if states[depth] else ()
+
+    lift = {u: next(w for w in base.up(u) if w in tops) for u in base.elements}
+    for picks in reference_depth_first(order, options, budget):
+        yield {u: x.restrict(picks[w], w, u) for u, w in lift.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), density=st.sampled_from((0.0, 0.2, 0.4, 0.7)),
+       layered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.integers(1, 12))
+def test_global_sections_match_the_mac_reference(n, density, layered, seed, k):
+    rng = random.Random(seed)
+    names, pairs = _random_order(rng, n, density, layered)
+    x = _random_presheaf(rng, names, pairs)
+    for stop in (None, k):  # in full, then stopping at the k-th section
+        ours, theirs = K.NodeBudget("new", 10 ** 6), K.NodeBudget("old", 10 ** 6)
+        found = list(itertools.islice(K.global_sections(x, ours), stop))
+        expected = list(itertools.islice(reference_mac_global_sections(x, theirs), stop))
+        assert found == expected
+        assert [list(s) for s in found] == [list(s) for s in expected]
+        assert ours.nodes == theirs.nodes
 
 
 def _graphs(families, x, elems) -> list:
@@ -609,7 +737,7 @@ def reference_relative_subobjects(x, elems):
                 pt for i, pt in enumerate(free) if mask >> i & 1))
 
     families: list[dict] = []
-    for fam in K.depth_first(order, options):
+    for fam in reference_depth_first(order, options):
         families.append(fam)
         if len(families) > K.COMPONENT_LIMIT:
             raise SizeLimit(f"more than {K.COMPONENT_LIMIT} relative subobjects")
@@ -680,33 +808,43 @@ def test_relative_subobjects_match_the_reference(n, shape, cut, seed):
     assert found == expected
 
 
+def flattened(order, options, budget=None):
+    """``depth_first``'s blocks as one fresh dict per assignment, lazily."""
+    for head, values in K.depth_first(order, options, budget):
+        if values is None:  # the empty order: its one, empty, assignment
+            yield dict(head)
+            continue
+        for value in values:
+            yield {**head, order[-1]: value}
+
+
 class TestDepthFirst:
     def test_budget_counts_every_value_taken(self):
         budget = K.NodeBudget("test search", 10)
-        out = list(K.depth_first(["a", "b"], lambda e, chosen: (0, 1), budget))
+        out = list(flattened(["a", "b"], lambda e, chosen: (0, 1), budget))
         assert len(out) == 4 and budget.nodes == 6
 
     def test_budget_trip_names_search_limit_and_count(self):
         budget = K.NodeBudget("test search", 5)
         with pytest.raises(SizeLimit, match="test search exceeded .* 5 nodes at node 6"):
-            list(K.depth_first(["a", "b"], lambda e, chosen: (0, 1), budget))
+            list(flattened(["a", "b"], lambda e, chosen: (0, 1), budget))
 
     def test_lexicographic_in_option_order(self):
-        out = list(K.depth_first(["a", "b"], lambda e, chosen: (2, 1)))
+        out = list(flattened(["a", "b"], lambda e, chosen: (2, 1)))
         assert out == [{"a": 2, "b": 2}, {"a": 2, "b": 1},
                        {"a": 1, "b": 2}, {"a": 1, "b": 1}]
 
     def test_options_see_earlier_choices(self):
         def options(e, chosen):
             return range(chosen["a"] + 1, 3) if e == "b" else range(3)
-        out = list(K.depth_first(["a", "b"], options))
+        out = list(flattened(["a", "b"], options))
         assert [(s["a"], s["b"]) for s in out] == [(0, 1), (0, 2), (1, 2)]
 
     def test_empty_order_has_one_assignment(self):
-        assert list(K.depth_first([], lambda e, chosen: ())) == [{}]
+        assert list(flattened([], lambda e, chosen: ())) == [{}]
 
     def test_dead_end_yields_nothing(self):
-        out = K.depth_first(["a", "b"], lambda e, chosen: (0,) if e == "a" else ())
+        out = flattened(["a", "b"], lambda e, chosen: (0,) if e == "a" else ())
         assert list(out) == []
 
     def test_early_stop_leaves_options_unasked(self):
@@ -717,9 +855,15 @@ class TestDepthFirst:
                 asked.append((e, value))
                 yield value
 
-        first = next(K.depth_first(["a", "b"], options))
+        first = next(flattened(["a", "b"], options))
         assert first == {"a": 0, "b": 0}
         assert asked == [("a", 0), ("b", 0)]
+
+    def test_blocks_share_all_but_the_last_value(self):
+        blocks = [(dict(head), list(values)) for head, values
+                  in K.depth_first(["a", "b", "c"], lambda e, chosen: (0, 1))]
+        assert blocks == [({"a": 0, "b": 0}, [0, 1]), ({"a": 0, "b": 1}, [0, 1]),
+                          ({"a": 1, "b": 0}, [0, 1]), ({"a": 1, "b": 1}, [0, 1])]
 
 
 class TestOmega:

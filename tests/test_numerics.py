@@ -36,7 +36,8 @@ class TestTolerance:
 
     @pytest.mark.parametrize("bad", [
         0.0, -1e-9, 1e-3, 0.5, True, math.nan, math.inf,
-        pytest.param(10 ** 20, id="1e20"), pytest.param(10 ** 400, id="1e400")])
+        pytest.param(10 ** 20, id="1e20"), pytest.param(10 ** 400, id="1e400"),
+        pytest.param(10 ** 5000, id="1e5000")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValidationError):
             Tolerance(bad)
