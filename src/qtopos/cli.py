@@ -104,6 +104,8 @@ def _load_scenario(path: str) -> Scenario:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read scenario file: {exc}", path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario file is not UTF-8: {exc.reason}", path) from exc
     return parse_scenario(text)
 
 
@@ -243,7 +245,7 @@ def _cmd_kernel_demo(args, scn: None) -> dict:
     witness = None
     for j in subs:
         joined = kernel.heyting_join(j, kernel.heyting_not(j))
-        if joined.parts != kernel.full_subobject(one).parts:
+        if joined != kernel.full_subobject(one):
             witness = j
             break
     report = {

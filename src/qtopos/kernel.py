@@ -14,7 +14,8 @@ section is one concatenation of precomputed rows.  It serves ``hom_set`` and
 ``exponential``: an arrow ``x -> y`` is a global section of ``y`` on the
 elements of ``x`` (``_elements``).  Their limit is a pre-check on the size of
 the space: a 10^6-pick budget refuses a 4^21-section hom-set in about 4 s.
-Subobjects are enumerated on bit masks, one int per component.
+A subobject is one int mask per element, from its enumeration through the
+Heyting operations; its tuples of points are a derived view.
 
 Conventions
 -----------
@@ -26,6 +27,8 @@ Conventions
   and the strict pairs are built once per poset; every order scan reads them.
 * Component points may be any value with a stable ``repr``; components are
   tuples sorted by ``repr``, so all enumeration output is deterministic.
+* A mask over ``x(v)`` has bit ``i`` for point ``i`` of ``x.sets[v]``, in
+  subobjects, the section search's domains and the enumerator's options.
 * ``omega(base)`` is ``P(1)``: a point at ``v`` is a sieve on ``v`` (a
   subobject of the terminal below ``v``), the tuple of its members in order.
 * Power-object points and exponential points are nested sorted tuples, so
@@ -38,7 +41,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (
     BaseMismatch,
@@ -185,14 +188,6 @@ def depth_first(order, options, budget: NodeBudget | None = None):
             stack.pop()
 
 
-def _uppers(base: FinPoset, order: list[str]) -> dict:
-    """For each element, the earlier elements of ``order`` above it."""
-    pos = {u: i for i, u in enumerate(order)}
-    return {u: sorted((w for w in base.up(u) if pos.get(w, i) < i),
-                      key=pos.__getitem__)
-            for i, u in enumerate(order)}
-
-
 @dataclass(frozen=True)
 class Presheaf:
     """Finite sets indexed by poset elements, with restriction maps downward."""
@@ -208,6 +203,24 @@ class Presheaf:
         if frm == to:
             return x
         return self.restrictions[(frm, to)][x]
+
+    @cached_property
+    def _bits(self) -> dict:
+        """Per element, each point's bit: point i of ``sets[v]`` is bit i."""
+        return {v: {pt: 1 << i for i, pt in enumerate(pts)}
+                for v, pts in self.sets.items()}
+
+    def _image(self, frm: str, to: str, mask: int) -> int:
+        """The mask at ``to`` of the restrictions of ``mask``'s points at ``frm``."""
+        bits, mapping, image = self._bits[to], self.restrictions[frm, to], 0
+        for i, pt in enumerate(self.sets[frm]):
+            if mask >> i & 1:
+                image |= bits[mapping[pt]]
+        return image
+
+    def _points(self, v: str, mask: int) -> tuple:
+        """The points of ``sets[v]`` that ``mask`` holds, in component order."""
+        return tuple(pt for i, pt in enumerate(self.sets[v]) if mask >> i & 1)
 
 
 def presheaf(base: FinPoset, sets, restrictions) -> Presheaf:
@@ -255,34 +268,44 @@ def presheaf(base: FinPoset, sets, restrictions) -> Presheaf:
 
 @dataclass(frozen=True)
 class Subobject:
-    """A sub-presheaf: componentwise subsets closed under restriction."""
+    """A sub-presheaf: per element, the mask of its points, closed under restriction."""
 
     of: Presheaf
-    parts: dict
+    masks: dict
+
+    @cached_property
+    def parts(self) -> dict:
+        """Per element, in the masks' key order, its points in component order."""
+        return {v: self.of._points(v, mask) for v, mask in self.masks.items()}
 
 
 def subobject(of: Presheaf, parts) -> Subobject:
-    norm = {}
+    """Validate parts given as points per element (missing ones are empty)."""
+    if set(parts) - set(of.base.elements):
+        raise ValidationError("parts given for elements outside the poset")
+    masks = {}
     for v in of.base.elements:
-        pts = _sorted_points(parts.get(v, ()))
-        for x in pts:
+        bits, mask = of._bits[v], 0
+        for x in _sorted_points(parts.get(v, ())):
             if x not in of.sets[v]:
                 raise ValidationError(f"point {x!r} at {v!r} is not in the parent")
-        norm[v] = pts
+            if mask & bits[x]:
+                raise ValidationError(f"duplicate points in part {v!r}")
+            mask |= bits[x]
+        masks[v] = mask
     for (frm, to) in of.base.strict_down_pairs():
-        for x in norm[frm]:
-            if of.restrict(x, frm, to) not in norm[to]:
-                raise ValidationError(
-                    f"parts are not closed under restriction {frm!r} -> {to!r}")
-    return Subobject(of=of, parts=norm)
+        if of._image(frm, to, masks[frm]) & ~masks[to]:
+            raise ValidationError(
+                f"parts are not closed under restriction {frm!r} -> {to!r}")
+    return Subobject(of, masks)
 
 
 def full_subobject(x: Presheaf) -> Subobject:
-    return Subobject(of=x, parts={v: x.sets[v] for v in x.base.elements})
+    return Subobject(x, {v: (1 << len(x.sets[v])) - 1 for v in x.base.elements})
 
 
 def empty_subobject(x: Presheaf) -> Subobject:
-    return Subobject(of=x, parts={v: () for v in x.base.elements})
+    return Subobject(x, dict.fromkeys(x.base.elements, 0))
 
 
 @dataclass(frozen=True)
@@ -340,6 +363,8 @@ def nat_transform(source: Presheaf, target: Presheaf, components) -> NatTransfor
             if y not in target.sets[v]:
                 raise NotNatural(f"component at {v!r} lands outside the target")
         comps[v] = mapping
+    if set(components) - set(source.base.elements):
+        raise NotNatural("components given for elements outside the poset")
     for (u, v) in source.base.strict_pairs():
         for x in source.sets[v]:
             left = target.restrict(comps[v][x], v, u)
@@ -506,35 +531,32 @@ def _same_parent(j: Subobject, k: Subobject) -> Presheaf:
 
 def heyting_meet(j: Subobject, k: Subobject) -> Subobject:
     x = _same_parent(j, k)
-    return Subobject(of=x, parts={
-        v: tuple(pt for pt in j.parts[v] if pt in k.parts[v])
-        for v in x.base.elements})
+    return Subobject(x, {v: j.masks[v] & k.masks[v] for v in x.base.elements})
 
 
 def heyting_join(j: Subobject, k: Subobject) -> Subobject:
     x = _same_parent(j, k)
-    return Subobject(of=x, parts={
-        v: _sorted_points(set(j.parts[v]) | set(k.parts[v]))
-        for v in x.base.elements})
+    return Subobject(x, {v: j.masks[v] | k.masks[v] for v in x.base.elements})
 
 
 def heyting_implies(j: Subobject, k: Subobject) -> Subobject:
-    """Largest subobject whose meet with ``j`` lies inside ``k``."""
+    """Largest subobject whose meet with ``j`` lies inside ``k``: at ``v``, the
+    points whose restriction to each ``u <= v`` misses ``j(u) - k(u)``."""
     x = _same_parent(j, k)
-    parts = {}
+    bad = {u: j.masks[u] & ~k.masks[u] for u in x.base.elements}
+    masks = {}
     for v in x.base.elements:
-        good = []
-        for pt in x.sets[v]:
-            ok = True
-            for u in x.base.down(v):
-                y = x.restrict(pt, v, u)
-                if y in j.parts[u] and y not in k.parts[u]:
-                    ok = False
-                    break
-            if ok:
-                good.append(pt)
-        parts[v] = tuple(good)
-    return Subobject(of=x, parts=parts)
+        pts = x.sets[v]
+        keep = (1 << len(pts)) - 1 & ~bad[v]
+        for u in x.base.down(v):
+            if not keep:
+                break
+            if bad[u] and u != v:
+                bits, mapping = x._bits[u], x.restrictions[v, u]
+                keep &= ~sum(1 << i for i, pt in enumerate(pts)
+                             if bits[mapping[pt]] & bad[u])
+        masks[v] = keep
+    return Subobject(x, masks)
 
 
 def heyting_not(j: Subobject) -> Subobject:
@@ -543,7 +565,7 @@ def heyting_not(j: Subobject) -> Subobject:
 
 def subobject_leq(j: Subobject, k: Subobject) -> bool:
     x = _same_parent(j, k)
-    return all(set(j.parts[v]) <= set(k.parts[v]) for v in x.base.elements)
+    return not any(j.masks[v] & ~k.masks[v] for v in x.base.elements)
 
 
 def product(a: Presheaf, b: Presheaf) -> Presheaf:
@@ -594,44 +616,29 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
 
 
 def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
-    """All families S(u) <= x(u) over ``elems`` closed under restriction.
+    """All families S(u) <= x(u) over ``elems`` closed under restriction, as
+    masks keyed in ``_descending`` order (point ``i`` of ``x(u)`` is bit ``i``).
 
-    Enumerated on bit masks: point ``i`` of ``x(u)`` is bit ``i``.  The points
-    forced at ``u`` are the images of the masks chosen above it; the options
-    are ``forced | sub`` for the submasks ``sub`` of the free bits in
-    increasing order, so the mask bits count up over the free points in
-    component order.  Each mask becomes its tuple of points, in component
-    (so ``repr``) order, once per call."""
-    order = [u for u in x.base._descending if u in elems]
-    uppers = _uppers(x.base, order)
-    bits = {}  # (w, u) -> the bit in x(u) of each point of x(w), restricted
-    for u in order:
-        index = {pt: 1 << i for i, pt in enumerate(x.sets[u])}
-        for w in uppers[u]:
-            bits[w, u] = [index[x.restrictions[w, u][pt]] for pt in x.sets[w]]
+    The points forced at ``u`` are the images of the masks chosen above it;
+    the options are ``forced | sub`` for the submasks ``sub`` of the free bits
+    in increasing order, so the mask bits count up over the free points in
+    component order."""
+    inside = set(elems)
+    order = [u for u in x.base._descending if u in inside]
+    uppers = {u: [w for w in x.base.up(u) if w != u and w in inside] for u in order}
     images: dict = {}  # (w, u, mask at w) -> its image at u
-    points: dict = {u: {} for u in order}  # per u, mask -> tuple of points
 
     def options(u, chosen):
         forced = 0
         for w in uppers[u]:
-            above = chosen[w]
-            key = (w, u, above)
+            key = (w, u, chosen[w])
             if key not in images:
-                image = 0
-                for i, bit in enumerate(bits[w, u]):
-                    if above >> i & 1:
-                        image |= bit
-                images[key] = image
+                images[key] = x._image(*key)
             forced |= images[key]
-        pts, seen = x.sets[u], points[u]
-        free = ((1 << len(pts)) - 1) & ~forced
+        free = ((1 << len(x.sets[u])) - 1) & ~forced
         sub = 0
         while True:
-            mask = forced | sub
-            if mask not in seen:
-                seen[mask] = tuple(pt for i, pt in enumerate(pts) if mask >> i & 1)
-            yield mask
+            yield forced | sub
             if sub == free:
                 return
             sub = (sub - free) & free
@@ -640,11 +647,8 @@ def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
         return [{}]
     last, families = order[-1], []
     for head, masks in depth_first(order, options):
-        fixed = {u: points[u][mask] for u, mask in head.items()}
         for mask in masks:
-            family = fixed.copy()
-            family[last] = points[last][mask]
-            families.append(family)
+            families.append({**head, last: mask})
             if len(families) > COMPONENT_LIMIT:
                 raise SizeLimit(f"more than {COMPONENT_LIMIT} relative subobjects")
     return families
@@ -652,22 +656,17 @@ def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
 
 def all_subobjects(x: Presheaf) -> list[Subobject]:
     """Every subobject of ``x``, in a canonical deterministic order."""
-    return [Subobject(of=x, parts=fam)
-            for fam in _relative_subobjects(x, x.base.elements)]
-
-
-def _encode_relative(parts: dict, elems) -> tuple:
-    return tuple((u, parts[u]) for u in sorted(elems))
+    return [Subobject(x, fam) for fam in _relative_subobjects(x, x.base.elements)]
 
 
 def power_object(x: Presheaf) -> Presheaf:
-    """The power object: at ``v``, all subobjects of ``x`` below ``v``."""
-    base = x.base
-    sets = {}
+    """The power object: at ``v``, all subobjects of ``x`` below ``v``, each as
+    its ``(u, points)`` pairs in key order (each mask's points made once)."""
+    base, sets, points = x.base, {}, cache(x._points)
     for v in base.elements:
-        dv = base.down(v)
-        fams = _relative_subobjects(x, dv)
-        sets[v] = _sorted_points(_encode_relative(fam, dv) for fam in fams)
+        dv, keys = base.down(v), sorted(base.down(v))
+        sets[v] = _sorted_points(tuple((u, points(u, fam[u])) for u in keys)
+                                 for fam in _relative_subobjects(x, dv))
     return _tagged_presheaf(base, sets)
 
 
@@ -694,6 +693,6 @@ def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
 def truth_value_inclusion(j: Subobject, k: Subobject) -> LowerSet:
     """Hereditary inclusion [[ j <= k ]]: a hereditary set is a lower set."""
     x = _same_parent(j, k)
-    return LowerSet(x.base, frozenset(
-        v for v in x.base.elements
-        if all(set(j.parts[u]) <= set(k.parts[u]) for u in x.base.down(v))))
+    outside = {w for u in x.base.elements if j.masks[u] & ~k.masks[u]
+               for w in x.base.up(u)}
+    return LowerSet(x.base, frozenset(x.base.elements) - outside)

@@ -187,9 +187,9 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
     p = require_projector(projector, tol, "projector")
     x, (table, ids, lo, hi) = presheaf.underlying, presheaf.table
     hit, picked = _outer_hits(p, table, ids, tol)
-    parts = {v: tuple(i for i in x.sets[v] if i in picked[v]) for v in x.base.elements}
+    masks = {v: sum(x._bits[v][i] for i in picked[v]) for v in x.base.elements}
     closed = not (hit[lo] & ~hit[hi]).any()  # else ``kernel.subobject`` raises
-    return kernel.Subobject(of=x, parts=parts) if closed else kernel.subobject(x, parts)
+    return kernel.Subobject(x, masks) if closed else kernel.subobject(x, picked)
 
 
 def _unit_state(psi, poset: ContextPoset, tol: Tolerance) -> np.ndarray:
@@ -216,8 +216,8 @@ def pseudo_state(psi, presheaf: SpectralPresheaf,
     vec = _unit_state(psi, presheaf.poset, tol)
     proj = np.outer(vec, vec.conj())
     sub = delta_subobject(proj, presheaf, tol)
-    for key, part in sub.parts.items():
-        if not part:
+    for key, mask in sub.masks.items():
+        if not mask:
             raise ValidationError(f"pseudo-state is empty at context {key}")
     return PseudoState(psi=vec, subobject=sub)
 

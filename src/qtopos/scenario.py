@@ -82,7 +82,6 @@ class Scenario:
     tolerance: Tolerance
     operators: dict
     states: dict
-    groups: list
     closure: str
     builtins: tuple[str, ...]
     maximal_contexts: list[Context] = field(default_factory=list)
@@ -223,7 +222,6 @@ def parse_scenario(text: str) -> Scenario:
     groups_node = doc.get("groups", [])
     if not isinstance(groups_node, list):
         raise ParseError("groups must be a list of name lists", "groups")
-    groups: list = []
     for gi, group in enumerate(groups_node):
         if not isinstance(group, list) or not group or not all(
                 isinstance(nm, str) for nm in group):
@@ -248,10 +246,9 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(
                 f"group {gi} generates the trivial algebra: {exc}") from exc
         maximal.append(ctx)
-        groups.append((label, tuple(group)))
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return Scenario(dimension=dim, tolerance=tol, operators=operators,
-                    states=states, groups=groups, closure=closure,
+                    states=states, closure=closure,
                     builtins=tuple(builtins_node), maximal_contexts=maximal,
                     digest=digest)

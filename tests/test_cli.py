@@ -51,6 +51,14 @@ class TestValidate:
         code, doc, err = _run(["validate", str(tmp_path / "nope.json")])
         assert code == 1 and "cannot read" in err
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"dimension": 2}')
+        code, doc, err = _run(["validate", str(bad)])
+        assert code == 1 and doc is None
+        assert err == ("error: scenario file is not UTF-8: invalid start byte "
+                       f"(at {bad})\n")
+
     def test_validation_failure(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dimension": 2, "builtins": ["pauli2"],'

@@ -8,7 +8,9 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from qtopos.errors import (
     SizeLimit,
     ValidationError,
 )
+from tests.conftest import random_unitary
 
 CHAIN2 = K.finposet(["bottom", "top"], [("bottom", "top")])
 ANTI2 = K.finposet(["a", "b"])
@@ -72,7 +75,7 @@ def name_of(k: K.Subobject) -> K.NatTransform:
     """The global element of the power object that picks out ``k``."""
     x = k.of
     px = K.power_object(x)
-    comps = {v: {"*": K._encode_relative(k.parts, x.base.down(v))}
+    comps = {v: {"*": tuple((u, k.parts[u]) for u in sorted(x.base.down(v)))}
              for v in x.base.elements}
     return K.nat_transform(K.terminal(x.base), px, comps)
 
@@ -151,6 +154,7 @@ def _extension_desc_by_layers(base):
 
 
 def _uppers_by_prefix_scan(base, order):
+    """For each element, the earlier elements of ``order`` above it."""
     return {u: [w for w in order[:i] if base.le(u, w)]
             for i, u in enumerate(order)}
 
@@ -161,13 +165,6 @@ def _assert_lists_match_the_scans(base):
     assert base.strict_down_pairs() == [(v, u) for (u, v) in expected]
     assert all(base.down(v) == _down_by_scan(base, v) for v in base.elements)
     assert list(base._descending) == _extension_desc_by_layers(base)
-    for order in (list(base._descending), _reference_extension_from_top(base)):
-        assert K._uppers(base, order) == _uppers_by_prefix_scan(base, order)
-        # the order restricted to a down-set, as ``_relative_subobjects``
-        # takes it for ``omega`` and ``power_object``
-        below = set(base.down(order[0]))
-        part = [u for u in order if u in below]
-        assert K._uppers(base, part) == _uppers_by_prefix_scan(base, part)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -425,7 +422,7 @@ def _reference_extension_from_top(base: K.FinPoset) -> list[str]:
 
 
 def _reference_natural_families(x, y, order, budget=None):
-    uppers = K._uppers(x.base, order)
+    uppers = _uppers_by_prefix_scan(x.base, order)
 
     def options(u, chosen):
         fixed: dict = {}
@@ -725,7 +722,7 @@ class TestHomSetEdges:
 def reference_relative_subobjects(x, elems):
     """All families S(u) <= x(u) over ``elems`` closed under restriction."""
     order = [u for u in x.base._descending if u in elems]
-    uppers = K._uppers(x.base, order)
+    uppers = _uppers_by_prefix_scan(x.base, order)
 
     def options(u, chosen):
         forced = set()
@@ -742,6 +739,13 @@ def reference_relative_subobjects(x, elems):
         if len(families) > K.COMPONENT_LIMIT:
             raise SizeLimit(f"more than {K.COMPONENT_LIMIT} relative subobjects")
     return families
+
+
+def reference_relative_masks(x, elems):
+    """The reference's families with each tuple of points as its mask (point
+    ``i`` of ``x(u)`` is bit ``i``), keys in the reference's order."""
+    return [{u: sum(1 << x.sets[u].index(pt) for pt in pts) for u, pts in fam.items()}
+            for fam in reference_relative_subobjects(x, elems)]
 
 
 def _outcome(build):
@@ -803,9 +807,125 @@ def test_relative_subobjects_match_the_reference(n, shape, cut, seed):
         # both sides stop at the same count where the families are too many
         mp.setattr(K, "COMPONENT_LIMIT", 4096)
         found = [_outcome(build) for build in builds]
-        mp.setattr(K, "_relative_subobjects", reference_relative_subobjects)
+        mp.setattr(K, "_relative_subobjects", reference_relative_masks)
         expected = [_outcome(build) for build in builds]
     assert found == expected
+
+
+# The Heyting operations, ``subobject_leq`` and ``truth_value_inclusion`` as
+# they were on tuples of points, kept verbatim as the reference for the mask
+# operations; ``_TupleSubobject`` is the ``Subobject`` they built.
+@dataclass(frozen=True)
+class _TupleSubobject:
+    of: K.Presheaf
+    parts: dict
+
+
+def reference_empty_subobject(x: K.Presheaf) -> _TupleSubobject:
+    return _TupleSubobject(of=x, parts={v: () for v in x.base.elements})
+
+
+def reference_heyting_meet(j, k) -> _TupleSubobject:
+    x = K._same_parent(j, k)
+    return _TupleSubobject(of=x, parts={
+        v: tuple(pt for pt in j.parts[v] if pt in k.parts[v])
+        for v in x.base.elements})
+
+
+def reference_heyting_join(j, k) -> _TupleSubobject:
+    x = K._same_parent(j, k)
+    return _TupleSubobject(of=x, parts={
+        v: K._sorted_points(set(j.parts[v]) | set(k.parts[v]))
+        for v in x.base.elements})
+
+
+def reference_heyting_implies(j, k) -> _TupleSubobject:
+    """Largest subobject whose meet with ``j`` lies inside ``k``."""
+    x = K._same_parent(j, k)
+    parts = {}
+    for v in x.base.elements:
+        good = []
+        for pt in x.sets[v]:
+            ok = True
+            for u in x.base.down(v):
+                y = x.restrict(pt, v, u)
+                if y in j.parts[u] and y not in k.parts[u]:
+                    ok = False
+                    break
+            if ok:
+                good.append(pt)
+        parts[v] = tuple(good)
+    return _TupleSubobject(of=x, parts=parts)
+
+
+def reference_heyting_not(j) -> _TupleSubobject:
+    return reference_heyting_implies(j, reference_empty_subobject(j.of))
+
+
+def reference_subobject_leq(j, k) -> bool:
+    x = K._same_parent(j, k)
+    return all(set(j.parts[v]) <= set(k.parts[v]) for v in x.base.elements)
+
+
+def reference_truth_value_inclusion(j, k) -> K.LowerSet:
+    """Hereditary inclusion [[ j <= k ]]: a hereditary set is a lower set."""
+    x = K._same_parent(j, k)
+    return K.LowerSet(x.base, frozenset(
+        v for v in x.base.elements
+        if all(set(j.parts[u]) <= set(k.parts[u]) for u in x.base.down(v))))
+
+
+def assert_heyting_matches_the_reference(subs):
+    """Every operation on every pair of ``subs``: the same parts as the tuple
+    reference, key order included, the same order and the same truth value."""
+    for j in subs:
+        assert list(K.heyting_not(j).parts.items()) == list(
+            reference_heyting_not(j).parts.items())
+        for k in subs:
+            for live, ref in ((K.heyting_meet, reference_heyting_meet),
+                              (K.heyting_join, reference_heyting_join),
+                              (K.heyting_implies, reference_heyting_implies)):
+                assert list(live(j, k).parts.items()) == list(ref(j, k).parts.items())
+            assert K.subobject_leq(j, k) == reference_subobject_leq(j, k)
+            assert (K.truth_value_inclusion(j, k)
+                    == reference_truth_value_inclusion(j, k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), shape=st.sampled_from(("chain", "antichain", "random")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_heyting_operations_match_the_tuple_reference(n, shape, seed):
+    x = _shaped_presheaf(random.Random(seed), shape, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "COMPONENT_LIMIT", 48)  # all pairs stay quick
+        try:
+            subs = K.all_subobjects(x)
+        except SizeLimit:
+            assume(False)
+    assert_heyting_matches_the_reference(subs)
+
+
+def test_masks_follow_the_component_order_past_ten_blocks():
+    # the spectral presheaf sorts block indices by repr, 0, 1, 10, 11, 2, ...
+    # in a 12-block context, so block i is bit ``sets.index(i)``, not bit i
+    u = random_unitary(12, np.random.default_rng(12))
+    rank1 = [np.outer(u[:, i], u[:, i].conj()) for i in range(12)]
+    fine = C.make_context(rank1)
+    coarse = C.make_context(rank1[:10] + [rank1[10] + rank1[11]])
+    presheaf = Q.spectral_presheaf(C.build_poset([fine, coarse], "intersections"))
+    x = presheaf.underlying
+    ctx = next(c for c in presheaf.poset.contexts if len(c.blocks) == 12)
+    key = ctx.key
+    assert x.sets[key][:5] == (0, 1, 10, 11, 2)
+    subs = [K.empty_subobject(x), K.full_subobject(x),
+            Q.pseudo_state(u[:, 11], presheaf).subobject]
+    for blocks in ((0, 3, 10, 11), (2, 10), (1, 11), (11,)):
+        sub = Q.delta_subobject(sum(ctx.blocks[i] for i in blocks), presheaf)
+        assert sub.masks[key] == sum(1 << x.sets[key].index(i) for i in blocks)
+        assert sub.parts[key] == tuple(i for i in x.sets[key] if i in blocks)
+        assert sub == K.subobject(x, sub.parts)
+        subs.append(sub)
+    assert_heyting_matches_the_reference(subs)
 
 
 def flattened(order, options, budget=None):
@@ -1060,6 +1180,18 @@ class TestSubobjectValidation:
         with pytest.raises(ValidationError):
             K.subobject(x, {"top": ("p",), "bottom": ()})
 
+    def test_duplicate_point_rejected_as_presheaf_rejects_it(self):
+        x = _constant2()
+        with pytest.raises(ValidationError, match="duplicate points in part 'top'"):
+            K.subobject(x, {"top": ("a", "a"), "bottom": ("a",)})
+        with pytest.raises(ValidationError, match="duplicate points"):
+            K.presheaf(POINT, {"v": ("a", "a")}, {})
+
+    def test_parts_outside_the_poset_rejected(self):
+        x = _constant2()
+        with pytest.raises(ValidationError, match="outside the poset"):
+            K.subobject(x, {"top": ("a",), "bottom": ("a",), "side": ()})
+
 
 class TestProductAndExponential:
     def test_product_sizes(self):
@@ -1277,6 +1409,12 @@ class TestNatTransformValidation:
         with pytest.raises(NotNatural):
             K.nat_transform(x, x, {"top": {"a": "a"},
                                    "bottom": {"a": "a", "b": "b"}})
+
+    def test_components_outside_the_poset_rejected(self):
+        x = _constant2()
+        ident = {"a": "a", "b": "b"}
+        with pytest.raises(NotNatural, match="outside the poset"):
+            K.nat_transform(x, x, {"top": ident, "bottom": ident, "side": {}})
 
     def test_base_mismatch(self):
         with pytest.raises(BaseMismatch):

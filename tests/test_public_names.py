@@ -84,6 +84,6 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_methods_and_properties_of_public_classes_are_checked():
     names = {name for name, _ in _public_definitions(_parse(SRC / "kernel.py"))}
-    assert {"FinPoset.down", "Presheaf.restrict",
+    assert {"FinPoset.down", "Presheaf.restrict", "Subobject.parts",
             "LowerSet.sorted_members", "LowerSet.is_full"} <= names
     assert not any(name.split(".")[-1].startswith("_") for name in names)

@@ -60,6 +60,29 @@ def _with_queries(doc: dict) -> dict:
     return doc
 
 
+def _family_documents(workload: str, seed: int,
+                      workdir: Path) -> list[tuple[str, dict, list[dict]]]:
+    """The families ``perfbench/gen.py`` writes for one workload and seed,
+    each with its name and, for a prop-logic family, its ops."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+
+    outdir = workdir / f"{workload}-{seed}"
+    outdir.mkdir()
+    manifest = gen.make_inputs(workload, seed, outdir)
+    docs = []
+    for i, path in enumerate(sorted(outdir.glob("*.json"))):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        name = f"{workload}-{seed}-{path.stem}"
+        if workload == "prop-logic":
+            docs.append((name, doc, [op for op in manifest["ops"]
+                                     if op["family"] == i]))
+        else:
+            docs.append((name, _with_queries(doc), []))
+    return docs
+
+
 def _documents(workdir: Path) -> list[tuple[str, dict, list[dict]]]:
     """Each document with its name and, for a prop-logic family, its ops."""
     docs = []
@@ -68,22 +91,9 @@ def _documents(workdir: Path) -> list[tuple[str, dict, list[dict]]]:
             doc = json.loads(path.read_text(encoding="utf-8"))
             doc["closure"] = closure
             docs.append((f"{path.stem}-{closure}", doc, []))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import gen
-
     for workload in WORKLOADS + ("prop-logic",):
         for seed in SEEDS:
-            outdir = workdir / f"{workload}-{seed}"
-            outdir.mkdir()
-            manifest = gen.make_inputs(workload, seed, outdir)
-            for i, path in enumerate(sorted(outdir.glob("*.json"))):
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                name = f"{workload}-{seed}-{path.stem}"
-                if workload == "prop-logic":
-                    docs.append((name, doc, [op for op in manifest["ops"]
-                                             if op["family"] == i]))
-                else:
-                    docs.append((name, _with_queries(doc), []))
+            docs += _family_documents(workload, seed, workdir)
     return docs
 
 
@@ -120,6 +130,13 @@ def _runs(name: str, doc: dict, ops: list[dict]) -> list[list[str]]:
     return runs
 
 
+def _line(cli, argv: list[str]) -> str:
+    """The run's digest line: ``sha256(exit code, stdout, stderr)`` and label."""
+    code, out, err = cli.run_command(argv)
+    digest = hashlib.sha256(json.dumps([code, out, err]).encode("utf-8")).hexdigest()
+    return f"{digest} {' '.join(argv)}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -141,10 +158,7 @@ def main(argv: list[str]) -> int:
                 for argv_ in _runs(f"{name}.json", doc, ops)]
         for argv_ in runs + [["kernel-demo", "--poset", poset]
                              for poset in ("chain2", "antichain3")]:
-            code, out, err = cli.run_command(argv_)
-            digest = hashlib.sha256(
-                json.dumps([code, out, err]).encode("utf-8")).hexdigest()
-            print(digest, " ".join(argv_))
+            print(_line(cli, argv_))
     return 0
 
 
