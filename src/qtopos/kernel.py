@@ -10,12 +10,14 @@ element's values), so a leaf costs O(1) steps; guards turn blow-ups into
 ``SizeLimit`` errors.  The global-section search, also the quantum layer's,
 picks only at maximal elements, keeps their int-mask domains arc consistent
 after each pick (MAC) and may count its picks against a ``NodeBudget``; a
-section is one concatenation of precomputed rows.  It serves ``hom_set`` and
-``exponential``: an arrow ``x -> y`` is a global section of ``y`` on the
-elements of ``x`` (``_elements``).  Their limit is a pre-check on the size of
-the space: a 10^6-pick budget refuses a 4^21-section hom-set in about 4 s.
-A subobject is one int mask per element, from its enumeration through the
-Heyting operations; its tuples of points are a derived view.
+section is a tuple in element order, one concatenation of precomputed rows.
+It serves ``hom_set`` and ``exponential``: an arrow ``x -> y`` is a global
+section of ``y`` on the elements of ``x`` (``_elements``), and a
+``NatTransform`` is that row, with its components a derived view.  Their
+limit is a pre-check on the size of the space: a 10^6-pick budget refuses a
+4^21-section hom-set in about 4 s.  A subobject is one int mask per element,
+from its enumeration through the Heyting operations; its tuples of points are
+a derived view.
 
 Conventions
 -----------
@@ -339,14 +341,19 @@ def lowerset(base: FinPoset, members) -> LowerSet:
 
 @dataclass(frozen=True)
 class NatTransform:
-    """A natural transformation between presheaves on the same poset."""
+    """A natural transformation between presheaves on the same poset: ``row``
+    holds the image of each ``(v, x)`` of the source's elements, in element
+    then component order (a global section of the target over them)."""
 
     source: Presheaf
     target: Presheaf
-    components: dict
+    row: tuple
 
-    def at(self, v: str, x):
-        return self.components[v][x]
+    @cached_property
+    def components(self) -> dict:
+        """Per element, in element order, each point's image in component order."""
+        images, sets = iter(self.row), self.source.sets
+        return {v: dict(zip(sets[v], images)) for v in self.source.base.elements}
 
 
 def nat_transform(source: Presheaf, target: Presheaf, components) -> NatTransform:
@@ -371,7 +378,8 @@ def nat_transform(source: Presheaf, target: Presheaf, components) -> NatTransfor
             right = comps[u][source.restrict(x, v, u)]
             if left != right:
                 raise NotNatural(f"naturality square fails for {u!r} <= {v!r}")
-    return NatTransform(source=source, target=target, components=comps)
+    return NatTransform(source, target, tuple(
+        comps[v][x] for v in source.base.elements for x in source.sets[v]))
 
 
 def terminal(base: FinPoset) -> Presheaf:
@@ -422,9 +430,16 @@ def _revise(arcs: dict, domains: dict, changed: dict) -> dict | None:
     return domains
 
 
-def _section_rows(x: Presheaf, budget: NodeBudget | None):
-    """``global_sections`` as tuples in element order: one row per maximal ``w``
-    and point (its restrictions to the elements lifting to ``w``); a block joins
+def global_sections(x: Presheaf, budget: NodeBudget | None = None):
+    """Every global section of ``x``, lazily, as a tuple in element order.
+
+    MAC: picks at the maximal elements in key order, points in component
+    order, offering only those that survive AC-3 with the earlier picks
+    fixed; the other elements follow by restriction.  AC-3 drops no point of
+    a section, so sections come out in the lexicographic order of the picks.
+    A node of ``budget``, if given, is one pick; AC-3 is polynomial per node,
+    so the cap bounds the whole work.  Each maximal ``w`` has one row per
+    point (its restrictions to the elements lifting to ``w``); a block joins
     its head's rows once, then a section is a tuple ``+`` and an ``itemgetter``."""
     if any(not pts for pts in x.sets.values()):
         return
@@ -463,20 +478,6 @@ def _section_rows(x: Presheaf, budget: NodeBudget | None):
             yield get(start + ends[i])
 
 
-def global_sections(x: Presheaf, budget: NodeBudget | None = None):
-    """Every global section of ``x``, lazily, as a dict element -> point.
-
-    MAC: picks at the maximal elements in key order, points in component
-    order, offering only those that survive AC-3 with the earlier picks
-    fixed; the other elements follow by restriction (keys in element
-    order).  AC-3 drops no point of a section, so sections come out in
-    the lexicographic order of the picks.  A node of ``budget``, if given, is
-    one pick; AC-3 is polynomial per node, so the cap bounds the whole work.
-    """
-    for row in _section_rows(x, budget):
-        yield dict(zip(x.base.elements, row))
-
-
 def _elements(x: Presheaf, y: Presheaf, elems) -> Presheaf:
     """``y`` on the category of elements of ``x`` over the down-closed ``elems``:
     one element per ``(u, pt)``, ``pt`` in ``x(u)``, named by its zero-padded
@@ -501,8 +502,7 @@ def global_elements(x: Presheaf) -> list[NatTransform]:
     """All global sections, as arrows from the terminal (natural as built)."""
     one = terminal(x.base)
     budget = NodeBudget("global-element search", GLOBAL_SEARCH_LIMIT)
-    return [NatTransform(one, x, {v: {"*": pt} for v, pt in zip(x.base.elements, row)})
-            for row in _section_rows(x, budget)]
+    return [NatTransform(one, x, row) for row in global_sections(x, budget)]
 
 
 def omega(base: FinPoset) -> Presheaf:
@@ -610,7 +610,7 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
             raise SizeLimit(
                 f"exponential component at {v!r} exceeds {COMPONENT_LIMIT}")
         encoded = [tuple((u, tuple(zip(a.sets[u], points))) for u in dv)
-                   for points in map(iter, _section_rows(_elements(a, b, dv), None))]
+                   for points in map(iter, global_sections(_elements(a, b, dv)))]
         sets[v] = _sorted_points(encoded)
     return _tagged_presheaf(base, sets)
 
@@ -685,9 +685,7 @@ def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
                  for v in base.elements) > GLOBAL_SEARCH_LIMIT:
         raise SizeLimit(f"hom-set search space exceeds {GLOBAL_SEARCH_LIMIT}")
     ex = _elements(x, y, base.elements)  # its elements in (v, point) order
-    comps = [(v, x.sets[v]) for v in base.elements]
-    return [NatTransform(x, y, {v: dict(zip(pts, points)) for v, pts in comps})
-            for points in map(iter, _section_rows(ex, None))]
+    return [NatTransform(x, y, row) for row in global_sections(ex)]
 
 
 def truth_value_inclusion(j: Subobject, k: Subobject) -> LowerSet:

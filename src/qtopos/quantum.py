@@ -126,19 +126,16 @@ def evaluate(element: SpectralElement, operator,
     return values[element.block]
 
 
-def _outer_hits(p: np.ndarray, stack: BlockTable | Context, ids: dict,
-                tol: Tolerance) -> tuple[np.ndarray, dict[str, tuple[int, ...]]]:
+def _outer_hits(p: np.ndarray, stack: BlockTable | Context,
+                tol: Tolerance) -> np.ndarray:
     """Which of ``stack.blocks`` (a table's distinct blocks or a context's own)
-    meet ``p``, in one ``overlaps`` call, and which of each ``ids`` row do."""
-    if not ids:
-        return np.zeros(0, dtype=bool), {}
+    meet ``p``, as flags from one ``overlaps`` call."""
+    if not len(stack.blocks):
+        return np.zeros(0, dtype=bool)
     if p.shape[0] != len(stack.blocks[0]):
         raise DimensionMismatch(f"projector dimension {p.shape[0]} != "
                                 f"context dimension {len(stack.blocks[0])}")
-    hit = overlaps(stack.blocks, [p], tol)[:, 0]
-    flags = hit.tolist()
-    return hit, {k: tuple(i for i, b in enumerate(row) if flags[b])
-                 for k, row in ids.items()}
+    return overlaps(stack.blocks, [p], tol)[:, 0]
 
 
 def _daseinise(p: np.ndarray, contexts: Sequence[Context], stack, ids, tol: Tolerance,
@@ -150,10 +147,10 @@ def _daseinise(p: np.ndarray, contexts: Sequence[Context], stack, ids, tol: Tole
     minus the dropped blocks: reports print the last bits of that difference.
     """
     eye = np.eye(p.shape[0], dtype=complex)
-    hits = _outer_hits(eye - p if inner else p, stack, ids, tol)[1]
+    flags = _outer_hits(eye - p if inner else p, stack, tol).tolist()
     out = []
     for ctx in contexts:
-        picked = hits[ctx.key]
+        picked = tuple(i for i, b in enumerate(ids[ctx.key]) if flags[b])
         m = sum((ctx.blocks[i] for i in picked),
                 np.zeros((ctx.dim, ctx.dim), dtype=complex))
         if inner:
@@ -186,10 +183,12 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
     """The outer approximation of a projector as a subobject of the presheaf."""
     p = require_projector(projector, tol, "projector")
     x, (table, ids, lo, hi) = presheaf.underlying, presheaf.table
-    hit, picked = _outer_hits(p, table, ids, tol)
-    masks = {v: sum(x._bits[v][i] for i in picked[v]) for v in x.base.elements}
+    hit = _outer_hits(p, table, tol)
+    flags = hit.tolist()  # Σ(v)'s points are block indices, their bits in repr order
+    sub = kernel.Subobject(x, {v: sum(bit for i, bit in x._bits[v].items()
+                                      if flags[ids[v][i]]) for v in x.base.elements})
     closed = not (hit[lo] & ~hit[hi]).any()  # else ``kernel.subobject`` raises
-    return kernel.Subobject(x, masks) if closed else kernel.subobject(x, picked)
+    return sub if closed else kernel.subobject(x, sub.parts)
 
 
 def _unit_state(psi, poset: ContextPoset, tol: Tolerance) -> np.ndarray:
@@ -270,9 +269,10 @@ def truth_value_truthobject(projector, psi, poset: ContextPoset,
     """Contexts where the truth object holds the outer approximation."""
     obj = truth_object(psi, poset, tol)
     p = require_projector(projector, tol, "projector")
-    picked = _outer_hits(p, *poset.blocks_at(tol), tol)[1]
-    members = {k for k, got in picked.items()
-               if obj.contains(k, sum(1 << i for i in got))}
+    table, ids = poset.blocks_at(tol)
+    flags = _outer_hits(p, table, tol).tolist()
+    members = {k for k, row in ids.items()
+               if obj.contains(k, sum(1 << i for i, b in enumerate(row) if flags[b]))}
     return kernel.lowerset(poset.base, members)
 
 
@@ -326,11 +326,12 @@ def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8) -> KsResult:
     if max_solutions < 1:
         raise ValidationError("max_solutions must be positive")
     budget = kernel.NodeBudget("KS search", KS_NODE_LIMIT)
-    sections = itertools.islice(  # islice takes at most sys.maxsize
+    rows = itertools.islice(  # islice takes at most sys.maxsize
         kernel.global_sections(presheaf.underlying, budget),
         min(max_solutions, sys.maxsize))
-    found = [TruthAssignment(assignments=s)
-             for s in sorted(sections, key=lambda s: tuple(sorted(s.items())))]
+    # a ContextPoset's elements are its sorted keys: rows sort as their items do
+    found = [TruthAssignment(assignments=dict(zip(presheaf.base.elements, row)))
+             for row in sorted(rows)]
     status = "SectionsExist" if found else "NoSection"
     return KsResult(status=status, sections=tuple(found), nodes_explored=budget.nodes)
 

@@ -1,12 +1,18 @@
-"""The ``heyting`` and ``truth`` reports of the CLI corpus, pinned on seed 1.
+"""Reports of the CLI corpus, pinned on seed 1.
 
 ``tools/cli_corpus.py`` prints one digest per CLI run; comparing two programs
-means running it twice by hand.  This test makes the ``heyting`` and
-``truth`` runs it makes for the ``prop-logic`` families of seed 1 (the
-rotated Mermin square under both closures, its Heyting expressions, states
-and projectors) and compares one SHA-256 over their lines with the value
-the program gave while subobjects were tuples of points.  A change to the
-bytes of a subobject or truth-value report fails here.
+means running it twice by hand.  This test makes two slices of the runs it
+makes for seed 1 and compares one SHA-256 over each slice's lines with the
+value the program gave before:
+
+* the ``heyting`` and ``truth`` runs of the ``prop-logic`` families (the
+  rotated Mermin square under both closures, its Heyting expressions, states
+  and projectors), pinned while subobjects were tuples of points;
+* the 22 ``ks`` runs of the ``ks-search`` families (``--max-solutions`` 1 and
+  64 on each), pinned while global sections were dicts.
+
+A change to the bytes of a subobject, truth-value or section listing fails
+here.
 """
 from __future__ import annotations
 
@@ -15,10 +21,17 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 from qtopos import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PINNED = "418cef4b4ccc3b056bb3956e606977d83de93024e19e6dd0610252a73f1553e1"
+PINNED = {  # workload: the commands of its runs, how many there are, their digest
+    "prop-logic": (("heyting", "truth"), 36,
+                   "418cef4b4ccc3b056bb3956e606977d83de93024e19e6dd0610252a73f1553e1"),
+    "ks-search": (("ks",), 22,
+                  "78b7c1ddc5161ee2d90c609899257ab4b4906fd1c23f70b15c012030c72bd17a"),
+}
 
 
 def _load(name: str, path: pathlib.Path):
@@ -31,12 +44,15 @@ def _load(name: str, path: pathlib.Path):
 cli_corpus = _load("cli_corpus", ROOT / "tools" / "cli_corpus.py")
 
 
-def test_prop_logic_runs_of_seed_1_match_the_pinned_digest(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", PINNED)
+def test_runs_of_seed_1_match_the_pinned_digest(workload, tmp_path, monkeypatch):
+    commands, count, pinned = PINNED[workload]
     monkeypatch.chdir(tmp_path)  # runs name their scenario by a relative path
-    digest = hashlib.sha256()
-    for name, doc, ops in cli_corpus._family_documents("prop-logic", 1, tmp_path):
+    digest, runs = hashlib.sha256(), 0
+    for name, doc, ops in cli_corpus._family_documents(workload, 1, tmp_path):
         pathlib.Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
         for argv in cli_corpus._runs(f"{name}.json", doc, ops):
-            if argv[0] in ("heyting", "truth"):
+            if argv[0] in commands:
                 digest.update(f"{cli_corpus._line(cli, argv)}\n".encode("utf-8"))
-    assert digest.hexdigest() == PINNED
+                runs += 1
+    assert (runs, digest.hexdigest()) == (count, pinned)

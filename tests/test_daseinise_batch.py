@@ -3,8 +3,8 @@
 ``reference_indices`` below is the earlier per-context path: one
 ``overlaps`` call per context, hits read off with ``np.flatnonzero``.
 ``quantum._outer_hits`` tests the distinct blocks of the poset's block table
-once each and gathers the hits per context; it must give the same indices,
-context by context, in block order.
+once each; the flags, read through each context's block ids, must give the
+same indices, context by context, in block order.
 """
 from __future__ import annotations
 
@@ -41,8 +41,9 @@ def reference_indices(p, poset, tol=TOL):
 
 def batch_indices(p, poset, tol=TOL):
     table, ids = poset.blocks_at(tol)
-    picked = Q._outer_hits(p, table, ids, tol)[1]
-    return [picked[c.key] for c in poset.contexts]
+    flags = Q._outer_hits(p, table, tol).tolist()
+    return [tuple(i for i, b in enumerate(ids[c.key]) if flags[b])
+            for c in poset.contexts]
 
 
 def assert_batch_matches(p, poset, tol=TOL):

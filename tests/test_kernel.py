@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import os
@@ -83,7 +84,7 @@ def name_of(k: K.Subobject) -> K.NatTransform:
 def _image(point: K.NatTransform) -> K.Subobject:
     """The subobject a global element picks out: its one point everywhere."""
     x = point.target
-    return K.subobject(x, {v: (point.at(v, "*"),) for v in x.base.elements})
+    return K.subobject(x, {v: (point.components[v]["*"],) for v in x.base.elements})
 
 
 def count_validator_calls(monkeypatch) -> list[str]:
@@ -285,7 +286,7 @@ class TestTerminalAndGlobalElements:
 
     def test_terminal_chain(self):
         one = K.terminal(CHAIN2)
-        assert K.global_elements(one)[0].at("top", "*") == "*"
+        assert K.global_elements(one)[0].components["top"]["*"] == "*"
         assert len(K.global_elements(one)) == 1
 
     def test_empty_component_blocks_sections(self):
@@ -302,7 +303,7 @@ class TestTerminalAndGlobalElements:
         x = _constant2()
         sections = K.global_elements(x)
         assert len(sections) == 2
-        picked = sorted(s.at("top", "*") for s in sections)
+        picked = sorted(s.components["top"]["*"] for s in sections)
         assert picked == ["a", "b"]
 
     def test_size_limit(self, monkeypatch):
@@ -319,7 +320,7 @@ class TestTerminalAndGlobalElements:
         base = K.finposet(["top", *lows], [(u, "top") for u in lows])
         x = K.presheaf(base, {v: ("a", "b") for v in base.elements},
                        {("top", u): {"a": "a", "b": "b"} for u in lows})
-        assert [s.at("low07", "*") for s in K.global_elements(x)] == ["a", "b"]
+        assert [s.components["low07"]["*"] for s in K.global_elements(x)] == ["a", "b"]
 
     def test_search_deeper_than_recursion_limit(self):
         # one search level per element, past Python's default limit of 1000
@@ -359,7 +360,7 @@ def test_global_elements_match_brute_force(n, seed):
                  for pts in itertools.product(*(x.sets[v] for v in order))
                  if all(x.restrict(pts[position[w]], w, u) == pts[position[u]]
                         for (u, w) in base.leq)]
-        found = [{v: g.at(v, "*") for v in order} for g in K.global_elements(x)]
+        found = [{v: g.components[v]["*"] for v in order} for g in K.global_elements(x)]
         assert found == brute
 
 
@@ -493,7 +494,7 @@ def test_global_sections_match_the_reference_search(n, density, layered, seed):
     names, pairs = _random_order(rng, n, density, layered)
     x = _random_presheaf(rng, names, pairs)
     ours, theirs = K.NodeBudget("new", 10 ** 6), K.NodeBudget("old", 10 ** 6)
-    found = list(K.global_sections(x, ours))
+    found = [dict(zip(x.base.elements, row)) for row in K.global_sections(x, ours)]
     assert found == list(reference_global_sections(x, theirs))
     assert ours.nodes <= theirs.nodes
     one = K.terminal(x.base)
@@ -504,9 +505,10 @@ def test_global_sections_match_the_reference_search(n, density, layered, seed):
     fresh = rng.sample("klmnopqrst", n)
     names = dict(zip(x.base.elements, fresh))
     back = {new: old for old, new in names.items()}
-    relabelled = K.global_sections(_relabelled(x, names), K.NodeBudget("r", 10 ** 6))
-    assert ({frozenset((back[v], pt) for v, pt in s.items()) for s in relabelled}
-            == {frozenset(s.items()) for s in found})
+    other = _relabelled(x, names)
+    relabelled = K.global_sections(other, K.NodeBudget("r", 10 ** 6))
+    assert ({frozenset((back[v], pt) for v, pt in zip(other.base.elements, row))
+             for row in relabelled} == {frozenset(s.items()) for s in found})
 
 
 # The MAC search as it was before its domains were int masks and its leaves
@@ -593,7 +595,8 @@ def test_global_sections_match_the_mac_reference(n, density, layered, seed, k):
     x = _random_presheaf(rng, names, pairs)
     for stop in (None, k):  # in full, then stopping at the k-th section
         ours, theirs = K.NodeBudget("new", 10 ** 6), K.NodeBudget("old", 10 ** 6)
-        found = list(itertools.islice(K.global_sections(x, ours), stop))
+        found = [dict(zip(x.base.elements, row))
+                 for row in itertools.islice(K.global_sections(x, ours), stop)]
         expected = list(itertools.islice(reference_mac_global_sections(x, theirs), stop))
         assert found == expected
         assert [list(s) for s in found] == [list(s) for s in expected]
@@ -670,6 +673,34 @@ def test_constructions_equal_their_validated_copies(n, density, layered, seed):
     for _ in range(20):
         value = K.truth_value_inclusion(rng.choice(subs), rng.choice(subs))
         assert K.lowerset(value.base, value.members) == value
+
+
+def test_arrows_of_the_corpus_slots_equal_their_validated_copies(tmp_path):
+    # the first 12 seed-7 slots of ``tools/kernel_corpus.py``: each arrow is
+    # built as a row, and its components give back the same row when validated
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", SRC.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    checked = 0
+    for op in gen.make_inputs("kernel-count", 7, tmp_path)["ops"][:12]:
+        base = K.finposet(op["elements"], op["pairs"])
+        x, a, b, c = (K.presheaf(base, op[key]["sets"], {
+            (frm, to): dict(mapping) for frm, to, mapping in op[key]["restrictions"]})
+            for key in "XABC")
+        for make in (lambda: K.global_elements(K.power_object(x)),
+                     lambda: K.hom_set(x, K.omega(base)),
+                     lambda: K.hom_set(c, K.exponential(a, b)),
+                     lambda: K.hom_set(K.product(c, a), b)):
+            try:
+                arrows = make()
+            except SizeLimit:
+                continue
+            for t in arrows:
+                again = K.nat_transform(t.source, t.target, t.components)
+                assert again == t and again.row == t.row
+            checked += len(arrows)
+    assert checked == 5817
 
 
 def test_constructions_call_no_validator(monkeypatch):
@@ -1045,20 +1076,20 @@ class TestCharacteristic:
     def test_whole_maps_to_principal(self):
         x = _constant2()
         chi = characteristic(K.full_subobject(x))
-        assert chi.at("top", "a") == ("bottom", "top")
-        assert chi.at("bottom", "a") == ("bottom",)
+        assert chi.components["top"]["a"] == ("bottom", "top")
+        assert chi.components["bottom"]["a"] == ("bottom",)
 
     def test_empty_maps_to_empty_sieve(self):
         x = _constant2()
         chi = characteristic(K.empty_subobject(x))
-        assert chi.at("top", "a") == ()
+        assert chi.components["top"]["a"] == ()
 
     def test_half_subobject(self):
         one = K.terminal(CHAIN2)
         k = K.subobject(one, {"bottom": ("*",), "top": ()})
         chi = characteristic(k)
-        assert chi.at("top", "*") == ("bottom",)
-        assert chi.at("bottom", "*") == ("bottom",)
+        assert chi.components["top"]["*"] == ("bottom",)
+        assert chi.components["bottom"]["*"] == ("bottom",)
 
     def test_round_trip_all_subobjects(self):
         for x in (_constant2(), K.terminal(CHAIN2), K.terminal(ANTI3),
@@ -1079,8 +1110,8 @@ class TestCharacteristic:
         x = _chain2_presheaf(("p", "q"), ("s",), {"p": "s", "q": "s"})
         k = K.subobject(x, {"top": ("p",), "bottom": ("s",)})
         chi = characteristic(k)
-        assert chi.at("top", "p") == ("bottom", "top")
-        assert chi.at("top", "q") == ("bottom",)
+        assert chi.components["top"]["p"] == ("bottom", "top")
+        assert chi.components["top"]["q"] == ("bottom",)
 
 
 class TestHeytingSubobjects:
@@ -1258,9 +1289,9 @@ class TestPowerObject:
         x = _constant2()
         for k in K.all_subobjects(x):
             nm = name_of(k)
-            bottom_entry = dict(nm.at("bottom", "*"))
+            bottom_entry = dict(nm.components["bottom"]["*"])
             assert bottom_entry["bottom"] == k.parts["bottom"]
-            top_entry = dict(nm.at("top", "*"))
+            top_entry = dict(nm.components["top"]["*"])
             assert top_entry == k.parts
 
 
@@ -1273,7 +1304,7 @@ class TestTruthValues:
 
     def test_membership_partial(self):
         x = _constant2()
-        section = [s for s in K.global_elements(x) if s.at("top", "*") == "a"][0]
+        (section,) = [s for s in K.global_elements(x) if s.row == ("a", "a")]
         k = K.subobject(x, {"bottom": ("a",), "top": ()})
         value = K.truth_value_inclusion(_image(section), k)
         assert value.sorted_members == ("bottom",)
@@ -1295,7 +1326,7 @@ class TestTruthValues:
                     value = K.truth_value_inclusion(_image(section), k)
                     assert value.members == {
                         v for v in x.base.elements
-                        if section.at(v, "*") in k.parts[v]}
+                        if section.components[v]["*"] in k.parts[v]}
 
     def test_inclusion_reflexive(self):
         x = _constant2()

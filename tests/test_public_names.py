@@ -4,9 +4,11 @@ Every public module-level function or class of ``src/qtopos``, and every
 public method or property of a public class, must be referenced somewhere
 outside its own definition: in a ``src/`` module, in
 ``qtopos.__all__``, or in ``demos/``, ``perfbench/``, ``tools/`` or the
-acceptance gate ``tests/test_acceptance.py``.  A reference is a name, an
-attribute, an imported name or a string equal to the name, since
-``perfbench/tracer.py`` wraps functions by their attribute names.  A
+acceptance gate ``tests/test_acceptance.py``.  A function or class is
+referenced by a name, an attribute, an imported name or a string equal to
+its name, since ``perfbench/tracer.py`` wraps functions by their attribute
+names.  A method or property is referenced only by an attribute or a
+string: a bare name of the same spelling is some other variable.  A
 construct that only the other tests call belongs in those tests.
 """
 from __future__ import annotations
@@ -19,24 +21,26 @@ SRC = ROOT / "src" / "qtopos"
 USERS = ("demos", "perfbench", "tools")
 
 
-def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Every identifier ``tree`` mentions, leaving out the subtree ``skip``."""
-    found: set[str] = set()
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> tuple[set, set]:
+    """Every identifier ``tree`` mentions, leaving out the subtree ``skip``:
+    the bare and imported names, and the attributes and strings."""
+    names: set[str] = set()
+    attributes: set[str] = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            found.add(node.name.rpartition(".")[2])
+            names.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.add(node.value)
+            attributes.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return names, attributes
 
 
 def _parse(path: pathlib.Path) -> ast.Module:
@@ -59,20 +63,17 @@ def _public_definitions(tree: ast.Module):
 
 def unreferenced_public_names() -> list[str]:
     modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
-    outside: set[str] = set()
-    for path in [ROOT / "tests" / "test_acceptance.py",
-                 *(p for d in USERS for p in sorted((ROOT / d).rglob("*.py")))]:
-        outside |= _references(_parse(path))
+    outside = [_references(_parse(path)) for path in [
+        ROOT / "tests" / "test_acceptance.py",
+        *(p for d in USERS for p in sorted((ROOT / d).rglob("*.py")))]]
     unused = []
     for path, tree in modules.items():
-        seen = set(outside)
-        for other, other_tree in modules.items():
-            if other != path:
-                seen |= _references(other_tree)
+        seen = outside + [_references(other_tree)
+                          for other, other_tree in modules.items() if other != path]
         for qualified, node in _public_definitions(tree):
-            if node.name in seen:
-                continue
-            if node.name not in _references(tree, skip=node):
+            method = "." in qualified
+            if not any(node.name in attributes or (not method and node.name in names)
+                       for names, attributes in [*seen, _references(tree, skip=node)]):
                 unused.append(f"{path.stem}.{qualified}")
     return unused
 
@@ -85,5 +86,6 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_methods_and_properties_of_public_classes_are_checked():
     names = {name for name, _ in _public_definitions(_parse(SRC / "kernel.py"))}
     assert {"FinPoset.down", "Presheaf.restrict", "Subobject.parts",
-            "LowerSet.sorted_members", "LowerSet.is_full"} <= names
+            "NatTransform.components", "LowerSet.sorted_members",
+            "LowerSet.is_full"} <= names
     assert not any(name.split(".")[-1].startswith("_") for name in names)

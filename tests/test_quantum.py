@@ -450,7 +450,7 @@ class TestKsSearch:
         elements = K.global_elements(presheaf.underlying)
         assert len(result.sections) == len(elements)
         assert ({sec.items_sorted() for sec in result.sections}
-                == {tuple((v, g.at(v, "*")) for v in presheaf.base.elements)
+                == {tuple((v, g.components[v]["*"]) for v in presheaf.base.elements)
                     for g in elements})
 
     def test_empty_poset_rejected(self, tol):
