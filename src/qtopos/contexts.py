@@ -27,6 +27,7 @@ from .errors import (
 from .kernel import FinPoset
 from .numerics import (
     Tolerance,
+    _projector_ok,
     as_operator,
     eigensystem,
     frob,
@@ -245,21 +246,31 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[head]] + part
 
 
-def _coarsened(blocks: Sequence[np.ndarray]) -> Iterator[list[np.ndarray]]:
-    """The merged blocks of each proper coarsening of a partition.
+def _proper_partitions(k: int) -> tuple[list[tuple], list[tuple]]:
+    """The proper coarsenings of ``k`` blocks as groups of block positions,
+    in ``_set_partitions`` order, and the groups of two or more blocks in
+    order of first appearance.  The all-singletons partition (the context
+    itself) and the one-block partition (the trivial algebra) are skipped."""
+    parts = [tuple(map(tuple, part)) for part in _set_partitions(list(range(k)))
+             if 1 < len(part) < k]
+    sums = dict.fromkeys(group for part in parts for group in part if len(group) > 1)
+    return parts, list(sums)
 
-    The all-singletons partition (the context itself) and the one-block
-    partition (the excluded trivial algebra) are both skipped.
-    """
-    for part in _set_partitions(list(range(len(blocks)))):
-        if 1 < len(part) < len(blocks):
-            yield [_merge(blocks, group) for group in part]
+
+def _bell(k: int) -> int:
+    """The number of partitions of ``k`` things (Bell triangle)."""
+    row = [1]
+    for _ in range(k - 1):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[-1]
 
 
 def coarsenings(ctx: Context, tol: Tolerance = Tolerance()) -> Iterator[Context]:
-    """All proper block-merging coarsenings of a context."""
-    for merged in _coarsened(ctx.blocks):
-        yield make_context(merged, tol)
+    """All proper block-merging coarsenings of a context, one at a time."""
+    k = len(ctx.blocks)
+    for part in _set_partitions(list(range(k))):
+        if 1 < len(part) < k:
+            yield make_context([_merge(ctx.blocks, group) for group in part], tol)
 
 
 class BlockTable:
@@ -282,7 +293,7 @@ class BlockTable:
         new = np.flatnonzero(ids == n)
         if not new.size:
             return ids.tolist()
-        if not all(is_projector(stack[i], self.tol) for i in new):
+        if not _projector_ok(stack[new], self.tol).all():
             raise NotProjector("a block is not a projector within tolerance")
         m = n + len(new)
         if m > len(self.mats):
@@ -350,6 +361,15 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     with.  ``V..`` ids sort contexts by block count, then by block entries
     rounded to 6 digits: near a rounding boundary ids can change (say under
     a global unitary); shape, order and verdict hold.
+
+    The coarsenings of a context of k blocks are its Bell(k) - 2 proper set
+    partitions, but their blocks are only its 2^k - k - 2 proper subset
+    sums.  Those are formed once, groups in ascending positions in order of
+    first appearance, and interned in one call; memos from a group's
+    positions to its sum and block id give each partition's matrices and
+    ids, so a duplicate is one set lookup.  Such a context forces
+    Bell(k) - 1 contexts, so one that would pass ``POSET_LIMIT`` trips it
+    before any sum is formed.
     """
     if closure not in ("intersections", "coarsenings"):
         raise ValidationError(
@@ -363,12 +383,13 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     ids_of: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()
 
-    def add(mats: Sequence[np.ndarray], label: str | None = None) -> None:
-        ids = table.intern(mats)
+    def add(mats: Sequence[np.ndarray], label: str | None = None,
+            ids: list[int] | None = None) -> None:
+        ids = table.intern(mats) if ids is None else ids
         found = tuple(sorted(ids))
         if found in seen:
             return
-        _check_partition(mats, table.meets[np.ix_(ids, ids)], bound)
+        _check_partition(mats, table.meets[ids][:, ids], bound)
         for m in mats:
             m.setflags(write=False)
         order = sorted(range(len(ids)), key=lambda i: table.keys[ids[i]])
@@ -389,13 +410,23 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         for i in range(size):
             for j in range(max(i + 1, done), size):
                 mats = _meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
-                                    table.meets[np.ix_(ids_of[i], ids_of[j])], bound)
+                                    table.meets[ids_of[i]][:, ids_of[j]], bound)
                 if mats is not None:
                     add(mats)
         done = size if closure == "intersections" else len(ctxs)
-    for ctx in list(ctxs) if closure == "coarsenings" else ():
-        for mats in _coarsened(ctx.blocks):
-            add(mats)
+    for i in range(len(ctxs) if closure == "coarsenings" else 0):
+        atoms, blocks = ids_of[i], ctxs[i].blocks
+        if _bell(len(atoms)) - 1 > POSET_LIMIT:
+            raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
+        parts, groups = _proper_partitions(len(atoms))
+        sums = {group: _merge(blocks, group) for group in groups}
+        memo = dict(zip(groups, table.intern(list(sums.values())) if sums else ()))
+        sums.update(((j,), b) for j, b in enumerate(blocks))
+        memo.update(((j,), a) for j, a in enumerate(atoms))
+        for part in parts:
+            ids = [memo[group] for group in part]
+            if tuple(sorted(ids)) not in seen:
+                add([sums[group] for group in part], ids=ids)
 
     n = len(table.keys)
     order = sorted(range(len(ctxs)), key=lambda i: (

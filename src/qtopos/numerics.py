@@ -26,6 +26,7 @@ vanish and p = p q = q.  Conversely equal blocks meet only each other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,14 +107,17 @@ def require_hermitian(matrix, tol: Tolerance = Tolerance()) -> np.ndarray:
     return m
 
 
-def _projector_ok(p: np.ndarray, tol: Tolerance) -> bool:  # p: from as_operator
-    bound = tol.scaled(p.shape[0])
-    return hermiticity_defect(p) <= bound and frob(p @ p - p) <= bound
+def _projector_ok(p: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Per matrix of ``p`` (one from ``as_operator``, or a stack of them):
+    Hermitian and idempotent within tolerance."""
+    bound = tol.scaled(p.shape[-1])
+    herm = np.linalg.norm(p - p.conj().swapaxes(-2, -1), axis=(-2, -1))
+    return (herm <= bound) & (np.linalg.norm(p @ p - p, axis=(-2, -1)) <= bound)
 
 
 def is_projector(matrix, tol: Tolerance = Tolerance()) -> bool:
     """True iff the matrix is Hermitian and idempotent within tolerance."""
-    return _projector_ok(as_operator(matrix), tol)
+    return bool(_projector_ok(as_operator(matrix), tol))
 
 
 def require_projector(matrix, tol: Tolerance = Tolerance(),
@@ -161,21 +165,41 @@ def apply_function(matrix, h: Callable[[float], float],
     return out
 
 
+PAIR_ENTRIES = 1 << 20  # matrix entries in one batch of pairwise results
+
+
+def _pairwise(test: Callable) -> Callable:
+    """``test(ps, qs, tol)`` with a row per matrix of ``ps``, run on slices of
+    ``ps`` so that no batch holds more than ``PAIR_ENTRIES`` matrix entries.
+    Each pair is computed on its own, so the slicing changes no bit."""
+
+    @functools.wraps(test)
+    def batched(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
+        ps, qs = np.asarray(ps), np.asarray(qs)
+        rows = max(1, PAIR_ENTRIES // max(1, qs.size))
+        if len(ps) <= rows:
+            return test(ps, qs, tol)
+        return np.concatenate([test(ps[lo:lo + rows], qs, tol)
+                               for lo in range(0, len(ps), rows)])
+
+    return batched
+
+
+@_pairwise
 def overlaps(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Which blocks meet: ``out[i, j]`` is ``||ps[i] qs[j]||_F > eps * d``.
 
     Takes sequences of already-validated projectors of one dimension and
-    forms all products in one batched multiplication.
+    forms the products in batched multiplications.
     """
-    ps = np.asarray(ps)
-    qs = np.asarray(qs)
     norms = np.linalg.norm(ps[:, None] @ qs[None], axis=(2, 3))
     return norms > tol.scaled(ps.shape[-1])
 
 
+@_pairwise
 def same_blocks(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Which blocks are equal: ``out[i, j]`` is ``||ps[i] - qs[j]||_F <= eps * d``."""
-    gap = (np.asarray(ps)[:, None] - np.asarray(qs)[None]).view(np.float64)
+    gap = (ps[:, None] - qs[None]).view(np.float64)
     return np.einsum("ijkl,ijkl->ij", gap, gap) <= tol.scaled(gap.shape[2]) ** 2
 
 

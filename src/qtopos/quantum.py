@@ -63,6 +63,16 @@ class SpectralPresheaf:
                  in self.underlying.restrictions.items() for x, y in mapping.items()}
         return table, ids, *np.array(sorted(edges), dtype=int).reshape(-1, 2).T
 
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every context's block ids into ``table``, contexts in element order,
+        each block's bit in its context's masks, and where each context starts."""
+        x, ids = self.underlying, self.table[1]
+        pairs = np.array([(ids[v][i], bit) for v in x.base.elements
+                          for i, bit in x._bits[v].items()], dtype=np.int64)
+        sizes = np.array([len(x.sets[v]) for v in x.base.elements], dtype=np.intp)
+        return *pairs.reshape(-1, 2).T, np.cumsum(sizes) - sizes
+
 
 def spectral_presheaf(poset: ContextPoset,
                       tol: Tolerance = Tolerance()) -> SpectralPresheaf:
@@ -182,11 +192,11 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
                     tol: Tolerance = Tolerance()) -> kernel.Subobject:
     """The outer approximation of a projector as a subobject of the presheaf."""
     p = require_projector(projector, tol, "projector")
-    x, (table, ids, lo, hi) = presheaf.underlying, presheaf.table
+    x, (table, _, lo, hi) = presheaf.underlying, presheaf.table
     hit = _outer_hits(p, table, tol)
-    flags = hit.tolist()  # Σ(v)'s points are block indices, their bits in repr order
-    sub = kernel.Subobject(x, {v: sum(bit for i, bit in x._bits[v].items()
-                                      if flags[ids[v][i]]) for v in x.base.elements})
+    flat, bits, starts = presheaf._gather  # Σ(v)'s points are block indices
+    masks = np.add.reduceat(np.where(hit[flat], bits, 0), starts)
+    sub = kernel.Subobject(x, dict(zip(x.base.elements, masks.tolist())))
     closed = not (hit[lo] & ~hit[hi]).any()  # else ``kernel.subobject`` raises
     return sub if closed else kernel.subobject(x, sub.parts)
 

@@ -1,7 +1,7 @@
 """Reports of the CLI corpus, pinned on seed 1.
 
 ``tools/cli_corpus.py`` prints one digest per CLI run; comparing two programs
-means running it twice by hand.  This test makes two slices of the runs it
+means running it twice by hand.  This test makes three slices of the runs it
 makes for seed 1 and compares one SHA-256 over each slice's lines with the
 value the program gave before:
 
@@ -9,7 +9,11 @@ value the program gave before:
   rotated Mermin square under both closures, its Heyting expressions, states
   and projectors), pinned while subobjects were tuples of points;
 * the 22 ``ks`` runs of the ``ks-search`` families (``--max-solutions`` 1 and
-  64 on each), pinned while global sections were dicts.
+  64 on each), pinned while global sections were dicts;
+* the 20 ``poset`` and ``daseinise`` runs of the ``poset-closure`` families
+  (the ``coarsenings`` closure; ``daseinise`` prints the last bits of the
+  blocks a context keeps), pinned while the closure interned one partition
+  at a time.
 
 A change to the bytes of a subobject, truth-value or section listing fails
 here.
@@ -31,6 +35,8 @@ PINNED = {  # workload: the commands of its runs, how many there are, their dige
                    "418cef4b4ccc3b056bb3956e606977d83de93024e19e6dd0610252a73f1553e1"),
     "ks-search": (("ks",), 22,
                   "78b7c1ddc5161ee2d90c609899257ab4b4906fd1c23f70b15c012030c72bd17a"),
+    "poset-closure": (("poset", "daseinise"), 20,
+                      "4437bc0a550285a92476a0bd72d874a415f0b51bbebcd58dc15c5305e0aef1c9"),
 }
 
 

@@ -11,6 +11,7 @@ order.
 """
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 import time
 
@@ -278,3 +279,171 @@ def test_eight_level_observable_trips_the_limit():
     with pytest.raises(SizeLimit, match="^closure exceeded 4096 contexts$"):
         C.build_poset([_generic_observable(8)], "coarsenings", TOL)
     assert time.perf_counter() - start < 60
+
+
+# The closure as it was before the coarsening pass interned each context's
+# subset sums at once: one ``BlockTable.intern`` per proper partition.
+
+
+def per_partition_coarsened(blocks):
+    for part in C._set_partitions(list(range(len(blocks)))):
+        if 1 < len(part) < len(blocks):
+            yield [C._merge(blocks, group) for group in part]
+
+
+def per_partition_build_poset(maximal, closure="coarsenings", tol=TOL):
+    dim = maximal[0].dim
+    bound = tol.scaled(dim)
+    table = C.BlockTable(dim, tol)
+    ctxs, ids_of, seen = [], [], set()
+
+    def add(mats, label=None):
+        ids = table.intern(mats)
+        found = tuple(sorted(ids))
+        if found in seen:
+            return
+        C._check_partition(mats, table.meets[np.ix_(ids, ids)], bound)
+        for m in mats:
+            m.setflags(write=False)
+        order = sorted(range(len(ids)), key=lambda i: table.keys[ids[i]])
+        seen.add(found)
+        ids_of.append([ids[i] for i in order])
+        ctxs.append(C.Context(key="", dim=dim, label=label,
+                              blocks=tuple(mats[i] for i in order)))
+        if len(ctxs) > C.POSET_LIMIT:
+            raise SizeLimit(f"closure exceeded {C.POSET_LIMIT} contexts")
+
+    for ctx in maximal:
+        add(ctx.blocks, ctx.label)
+    done = 0
+    while done < len(ctxs):
+        size = len(ctxs)
+        for i in range(size):
+            for j in range(max(i + 1, done), size):
+                mats = C._meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
+                                      table.meets[np.ix_(ids_of[i], ids_of[j])],
+                                      bound)
+                if mats is not None:
+                    add(mats)
+        done = size if closure == "intersections" else len(ctxs)
+    for ctx in list(ctxs) if closure == "coarsenings" else ():
+        for mats in per_partition_coarsened(ctx.blocks):
+            add(mats)
+
+    n = len(table.keys)
+    order = sorted(range(len(ctxs)), key=lambda i: (
+        len(ids_of[i]), [table.keys[b] for b in ids_of[i]]))
+    width = max(2, len(str(len(order) - 1)))
+    relabeled = []
+    member = np.zeros((len(order), n), dtype=np.float32)
+    for r, i in enumerate(order):
+        relabeled.append(C.Context(key=f"V{r:0{width}d}", dim=dim,
+                                   blocks=ctxs[i].blocks, label=ctxs[i].label))
+        member[r, ids_of[i]] = 1
+    misfit = (member @ table.meets[:n, :n] != 1).astype(np.float32)
+    leq = set()
+    for lo in range(0, len(order), 512):
+        rows, cols = np.nonzero(misfit[lo:lo + 512] @ member.T == 0)
+        leq.update((relabeled[lo + r].key, relabeled[c].key)
+                   for r, c in zip(rows, cols))
+    return C.ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq),
+                          table=table, block_ids={
+                              c.key: ids_of[i] for c, i in zip(relabeled, order)})
+
+
+def _counting_interns(monkeypatch):
+    """Log ``intern`` calls, and an ``expand`` as the coarsening pass takes
+    up each context (``_bell`` is asked once per context)."""
+    events = []
+    intern, bell = C.BlockTable.intern, C._bell
+    monkeypatch.setattr(C.BlockTable, "intern", lambda self, blocks: (
+        events.append("intern"), intern(self, blocks))[1])
+    monkeypatch.setattr(C, "_bell", lambda k: (events.append("expand"), bell(k))[1])
+    return events
+
+
+def assert_same_closure(maximal, tol, monkeypatch):
+    reference = per_partition_build_poset(maximal, "coarsenings", tol)
+    events = _counting_interns(monkeypatch)
+    new = C.build_poset(maximal, "coarsenings", tol)
+    monkeypatch.undo()
+    assert [c.key for c in new.contexts] == [c.key for c in reference.contexts]
+    for a, b in zip(new.contexts, reference.contexts):
+        assert a.label == b.label
+        assert len(a.blocks) == len(b.blocks)
+        assert all(np.array_equal(p, q) for p, q in zip(a.blocks, b.blocks))
+    assert new.leq == reference.leq
+    assert new.block_ids == reference.block_ids
+    n = len(reference.table.keys)
+    assert new.table.keys == reference.table.keys
+    assert np.array_equal(new.table.meets[:n, :n], reference.table.meets[:n, :n])
+    assert np.array_equal(new.table.blocks, reference.table.blocks)
+    # at most one intern per context the coarsening pass takes up
+    pass_events = events[events.index("expand"):] if "expand" in events else []
+    assert "intern intern" not in " ".join(pass_events)
+    return events
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", SCENARIOS.parent / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["builtin:pauli2", "builtin:mermin-square", *sorted(
+    path.name for path in SCENARIOS.glob("*.json"))])
+def test_subset_sums_match_the_per_partition_closure_on_scenarios(
+        name, monkeypatch):
+    if name.startswith("builtin:"):
+        maximal, tol = C.builtin_scenario(name[8:], TOL)[2], TOL
+    else:
+        scn = parse_scenario((SCENARIOS / name).read_text())
+        maximal, tol = scn.maximal_contexts, scn.tolerance
+    assert_same_closure(maximal, tol, monkeypatch)
+
+
+@pytest.mark.parametrize("workload", ["poset-closure", "ks-search"])
+def test_subset_sums_match_the_per_partition_closure_on_families(
+        workload, tmp_path, monkeypatch):
+    _load_gen().make_inputs(workload, 1, tmp_path)
+    for path in sorted(tmp_path.glob("*.json")):
+        scn = parse_scenario(path.read_text(encoding="utf-8"))
+        assert_same_closure(scn.maximal_contexts, scn.tolerance, monkeypatch)
+
+
+@pytest.mark.parametrize("levels", range(2, 8))
+def test_subset_sums_match_the_per_partition_closure_on_observables(
+        levels, monkeypatch):
+    events = assert_same_closure([_generic_observable(levels)], TOL, monkeypatch)
+    # the maximal context's own intern, then one for its 2^k - k - 2 sums
+    assert events == ["intern", "expand"] + ["intern"] * (levels > 2)
+
+
+@pytest.mark.parametrize("levels", [12, 16])
+def test_large_observables_trip_the_limit_before_any_subset_sum(levels):
+    observable = _generic_observable(levels)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match="^closure exceeded 4096 contexts$"):
+        C.build_poset([observable], "coarsenings", TOL)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("levels", range(2, 8))
+def test_the_early_trip_agrees_with_the_per_partition_count(levels, monkeypatch):
+    # a k-block context forces Bell(k) - 1 contexts: the trip fires exactly
+    # when the count of the per-partition closure passes the limit
+    maximal = [_generic_observable(levels)]
+    bell = C._bell(levels)
+    for limit in (bell - 2, bell - 1):
+        monkeypatch.setattr(C, "POSET_LIMIT", limit)
+        verdicts = []
+        for build in (per_partition_build_poset, C.build_poset):
+            try:
+                verdicts.append(len(build(maximal, "coarsenings", TOL)))
+            except SizeLimit as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0] == (bell - 1 if limit == bell - 1 else
+                               f"closure exceeded {limit} contexts")

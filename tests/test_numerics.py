@@ -232,3 +232,15 @@ class TestSameBlocks:
     def test_empty_table(self, tol):
         empty = np.empty((0, 2, 2), dtype=complex)
         assert same_blocks(empty, [np.eye(2)], tol).shape == (0, 1)
+
+    @pytest.mark.parametrize("entries", [1, 160, 1440])
+    def test_bounded_batches_change_no_bit(self, tol, rng, monkeypatch, entries):
+        # one batch of 37 x 5 pairs against batches of 1, 2 and 18 rows
+        ps = np.array([random_projector(4, rng, rank=2) for _ in range(37)])
+        qs = np.array([random_projector(4, rng, rank=1) for _ in range(5)])
+        ps[3], qs[2] = qs[1], ps[5]  # equal pairs, far from the bounds
+        whole = [f(ps, qs, tol) for f in (numerics.overlaps, same_blocks)]
+        monkeypatch.setattr(numerics, "PAIR_ENTRIES", entries)
+        for f, expected in zip((numerics.overlaps, same_blocks), whole):
+            assert np.array_equal(f(ps, qs, tol), expected)
+        assert whole[1][3, 1] and whole[1][5, 2] and whole[1].sum() == 2
