@@ -33,6 +33,7 @@ from .quantum import (
     SpectralPresheaf,
     TruthAssignment,
     TruthObject,
+    daseinise,
     daseinise_observable,
     daseinise_projector,
     daseinise_projector_inner,
@@ -67,6 +68,7 @@ __all__ = [
     "context_leq",
     "contexts",
     "contexts_equal",
+    "daseinise",
     "daseinise_observable",
     "daseinise_projector",
     "daseinise_projector_inner",

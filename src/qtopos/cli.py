@@ -30,25 +30,8 @@ def _round12(x: float) -> float:
     return 0.0 if value == 0 else value
 
 
-def _clean(node):
-    """Normalise floats recursively so rendering is deterministic."""
-    if isinstance(node, bool) or node is None or isinstance(node, (int, str)):
-        return node
-    if isinstance(node, float):
-        return _round12(node)
-    if isinstance(node, (list, tuple)):
-        return [_clean(item) for item in node]
-    if isinstance(node, dict):
-        return {key: _clean(value) for key, value in node.items()}
-    raise TypeError(f"cannot serialise {type(node).__name__}")
-
-
-def _render(report: dict) -> str:
-    return json.dumps(_clean(report), indent=2) + "\n"
-
-
 def _matrix_json(matrix: np.ndarray) -> list:
-    return [[[float(cell.real), float(cell.imag)] for cell in row]
+    return [[[_round12(cell.real), _round12(cell.imag)] for cell in row]
             for row in np.asarray(matrix, dtype=complex)]
 
 
@@ -152,14 +135,12 @@ def _cmd_poset(args, scn: Scenario) -> dict:
 def _cmd_daseinise(args, scn: Scenario) -> dict:
     proj = _projector(scn, args.projector)
     poset = _poset_of(scn)
-    tol = scn.tolerance
-    variant = "inner" if args.inner else "outer"
     rows = [{"id": ctx.key, "label": ctx.label, "blocks": list(indices),
              "matrix": _matrix_json(approx)}
-            for ctx, (indices, approx) in zip(poset.contexts, quantum._daseinise(
-                proj, poset.contexts, *poset.blocks_at(tol), tol, args.inner))]
-    return {"projector": args.projector, "variant": variant,
-            "per_context": rows}
+            for ctx, (indices, approx) in zip(poset.contexts, quantum.daseinise(
+                proj, poset, scn.tolerance, args.inner))]
+    return {"projector": args.projector,
+            "variant": "inner" if args.inner else "outer", "per_context": rows}
 
 
 def _cmd_truth(args, scn: Scenario) -> dict:
@@ -287,8 +268,8 @@ def run_command(argv: list[str]) -> tuple[int, str, str]:
             digest = hashlib.sha256(args.poset.encode("utf-8")).hexdigest()
             tol = Tolerance()
         report = {"command": args.command, "scenario_digest": digest,
-                  "tolerance": tol.eps, **args.run(args, scn)}
-        return 0, _render(report), ""
+                  "tolerance": _round12(tol.eps), **args.run(args, scn)}
+        return 0, json.dumps(report, indent=2) + "\n", ""
     except SizeLimit as exc:
         return 2, "", f"error: size limit: {exc}\n"
     except ToposError as exc:

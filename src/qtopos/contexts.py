@@ -133,8 +133,9 @@ def _block_values(op: np.ndarray, blocks, bound: float) -> list[float] | None:
 
 
 def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
-                 key: str | None = None, label: str | None = None) -> Context:
-    """Validate and canonically order a partition of unity."""
+                 label: str | None = None) -> Context:
+    """Validate and canonically order a partition of unity, keyed by its
+    ``label`` or, without one, by a fresh ``ctxN`` key."""
     mats = [as_operator(b) for b in blocks]
     if len(mats) < 2:
         raise TrivialContext("a context needs at least two blocks")
@@ -147,7 +148,7 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
     _check_partition(mats, overlaps(mats, mats, tol), tol.scaled(dim))
     keys = _block_sort_keys(np.stack(mats))
     ordered = tuple(mats[i] for i in sorted(range(len(mats)), key=keys.__getitem__))
-    return Context(key=key or _fresh_key(), dim=dim, blocks=ordered, label=label)
+    return Context(key=label or _fresh_key(), dim=dim, blocks=ordered, label=label)
 
 
 def contexts_equal(a: Context, b: Context, tol: Tolerance = Tolerance()) -> bool:
@@ -159,7 +160,6 @@ def contexts_equal(a: Context, b: Context, tol: Tolerance = Tolerance()) -> bool
 
 
 def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance(),
-                               key: str | None = None,
                                label: str | None = None) -> Context:
     """The context generated by a commuting family of Hermitian operators.
 
@@ -196,7 +196,7 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
     if len(blocks) < 2:
         raise TrivialContext("the generated algebra is trivial (one block)")
 
-    ctx = make_context(blocks, tol, key=key, label=label)
+    ctx = make_context(blocks, tol, label=label)
     for i, op in enumerate(ops):
         if _block_values(op, ctx.blocks, bound) is None:
             raise ValidationError(
@@ -219,7 +219,6 @@ def context_leq(smaller: Context, larger: Context,
 
 
 def context_intersection(a: Context, b: Context, tol: Tolerance = Tolerance(),
-                         key: str | None = None,
                          label: str | None = None) -> Context | None:
     """Largest common coarsening of two contexts, or None when trivial.
 
@@ -232,7 +231,7 @@ def context_intersection(a: Context, b: Context, tol: Tolerance = Tolerance(),
                           tol.scaled(a.dim))
     if blocks is None:
         return None
-    return make_context(blocks, tol, key=key, label=label)
+    return make_context(blocks, tol, label=label)
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:
@@ -461,7 +460,7 @@ def builtin_scenario(name: str, tol: Tolerance = Tolerance()):
     """Return (dim, named operators, maximal contexts) for a builtin setup."""
     if name == "pauli2":
         operators = {"sx": _SX, "sy": _SY, "sz": _SZ}
-        contexts = [context_from_commuting_set([op], tol, key=nm, label=nm)
+        contexts = [context_from_commuting_set([op], tol, label=nm)
                     for nm, op in operators.items()]
         return 2, operators, contexts
     if name == "mermin-square":
@@ -480,7 +479,7 @@ def builtin_scenario(name: str, tol: Tolerance = Tolerance()):
             "col2": ("XX", "YY", "ZZ"),
         }
         contexts = [context_from_commuting_set([operators[nm] for nm in names],
-                                               tol, key=line, label=line)
+                                               tol, label=line)
                     for line, names in lines.items()]
         return 4, operators, contexts
     raise UnknownBuiltin(f"unknown builtin scenario {name!r}")

@@ -14,10 +14,12 @@ section is a tuple in element order, one concatenation of precomputed rows.
 It serves ``hom_set`` and ``exponential``: an arrow ``x -> y`` is a global
 section of ``y`` on the elements of ``x`` (``_elements``), and a
 ``NatTransform`` is that row, with its components a derived view.  Their
-limit is a pre-check on the size of the space: a 10^6-pick budget refuses a
-4^21-section hom-set in about 4 s.  A subobject is one int mask per element,
-from its enumeration through the Heyting operations; its tuples of points are
-a derived view.
+limits are pre-checks on the size of the space: ``hom_set`` refuses when
+prod_v |y(v)|^|x(v)| exceeds ``GLOBAL_SEARCH_LIMIT``, and ``exponential``
+when that product over the down-set of one element exceeds
+``COMPONENT_LIMIT``.  A subobject is one int mask per element, from its
+enumeration through the Heyting operations; its tuples of points are a
+derived view.
 
 Conventions
 -----------

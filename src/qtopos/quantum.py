@@ -172,6 +172,15 @@ def _daseinise(p: np.ndarray, contexts: Sequence[Context], stack, ids, tol: Tole
     return out
 
 
+def daseinise(projector, poset: ContextPoset, tol: Tolerance = Tolerance(),
+              inner: bool = False) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Outer (or ``inner``) daseinisation of a projector over the whole poset:
+    per context, in ``poset.contexts`` order, block indices and matrix, from
+    one ``overlaps`` call against the poset's distinct blocks."""
+    p = require_projector(projector, tol, "projector")
+    return _daseinise(p, poset.contexts, *poset.blocks_at(tol), tol, inner)
+
+
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
     return _daseinise(p, [ctx], ctx, {ctx.key: range(len(ctx.blocks))}, tol, inner)[0]
 

@@ -234,7 +234,7 @@ def parse_scenario(text: str) -> Scenario:
         label = ",".join(group)
         try:
             ctx = context_from_commuting_set(
-                [operators[nm] for nm in group], tol, key=label, label=label)
+                [operators[nm] for nm in group], tol, label=label)
         except NonCommuting as exc:
             pair = (group[exc.i], group[exc.j])
             raise ValidationError(

@@ -148,6 +148,23 @@ class TestDaseinise:
         code, _, err = _run(["daseinise", PAULI2, "--projector", "nope"])
         assert code == 1 and "nope" in err
 
+    @pytest.mark.parametrize("name, code, message", [
+        ("nosuch", 1, "unknown operator 'nosuch'"),
+        ("A", 1, "A is not a projector within tolerance"),
+        ("P0", 2, "size limit: closure exceeded 4096 contexts"),
+    ])
+    def test_projector_is_checked_before_the_poset(self, tmp_path, name, code,
+                                                   message):
+        # the coarsenings of one 8-level observable trip POSET_LIMIT at once
+        doc = {"dimension": 8, "closure": "coarsenings", "groups": [["A"]],
+               "operators": {"A": [[float(i) if i == j else 0.0 for j in range(8)]
+                                   for i in range(8)]},
+               "projectors": {"P0": {"operator": "A", "eigenvalues": [0]}}}
+        path = tmp_path / "levels8.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run_command(["daseinise", str(path), "--projector", name]) == (
+            code, "", f"error: {message}\n")
+
 
 class TestTruth:
     def test_certain_proposition(self):

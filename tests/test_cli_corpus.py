@@ -1,7 +1,7 @@
 """Reports of the CLI corpus, pinned on seed 1.
 
 ``tools/cli_corpus.py`` prints one digest per CLI run; comparing two programs
-means running it twice by hand.  This test makes three slices of the runs it
+means running it twice by hand.  This test makes four slices of the runs it
 makes for seed 1 and compares one SHA-256 over each slice's lines with the
 value the program gave before:
 
@@ -13,7 +13,9 @@ value the program gave before:
 * the 20 ``poset`` and ``daseinise`` runs of the ``poset-closure`` families
   (the ``coarsenings`` closure; ``daseinise`` prints the last bits of the
   blocks a context keeps), pinned while the closure interned one partition
-  at a time.
+  at a time;
+* the 11 ``validate`` runs of the ``ks-search`` families, pinned while
+  reports went through a recursive float-rounding walk.
 
 A change to the bytes of a subobject, truth-value or section listing fails
 here.
@@ -30,13 +32,15 @@ import pytest
 from qtopos import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PINNED = {  # workload: the commands of its runs, how many there are, their digest
-    "prop-logic": (("heyting", "truth"), 36,
+PINNED = {  # slice: its workload, the commands of its runs, how many, their digest
+    "prop-logic": ("prop-logic", ("heyting", "truth"), 36,
                    "418cef4b4ccc3b056bb3956e606977d83de93024e19e6dd0610252a73f1553e1"),
-    "ks-search": (("ks",), 22,
+    "ks-search": ("ks-search", ("ks",), 22,
                   "78b7c1ddc5161ee2d90c609899257ab4b4906fd1c23f70b15c012030c72bd17a"),
-    "poset-closure": (("poset", "daseinise"), 20,
+    "poset-closure": ("poset-closure", ("poset", "daseinise"), 20,
                       "4437bc0a550285a92476a0bd72d874a415f0b51bbebcd58dc15c5305e0aef1c9"),
+    "ks-search-validate": ("ks-search", ("validate",), 11,
+                           "7a1953f2712873a3404019ca192f0b4175d559429019811f1837e56379228b4b"),
 }
 
 
@@ -50,9 +54,9 @@ def _load(name: str, path: pathlib.Path):
 cli_corpus = _load("cli_corpus", ROOT / "tools" / "cli_corpus.py")
 
 
-@pytest.mark.parametrize("workload", PINNED)
-def test_runs_of_seed_1_match_the_pinned_digest(workload, tmp_path, monkeypatch):
-    commands, count, pinned = PINNED[workload]
+@pytest.mark.parametrize("slice_", PINNED)
+def test_runs_of_seed_1_match_the_pinned_digest(slice_, tmp_path, monkeypatch):
+    workload, commands, count, pinned = PINNED[slice_]
     monkeypatch.chdir(tmp_path)  # runs name their scenario by a relative path
     digest, runs = hashlib.sha256(), 0
     for name, doc, ops in cli_corpus._family_documents(workload, 1, tmp_path):

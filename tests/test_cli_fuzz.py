@@ -161,7 +161,7 @@ def test_a_scenario_without_projectors_or_states_runs():
         argvs = _commands(path, BARE, random.Random(0))
         assert [argv[0] for argv in argvs] == ["validate", "poset", "ks"]
         corpus = cli_corpus._runs(path, BARE, [])
-        assert [argv[0] for argv in corpus] == ["poset", "ks", "ks"]
+        assert [argv[0] for argv in corpus] == ["validate", "poset", "ks", "ks"]
         for argv in argvs + corpus:
             assert cli.run_command(argv)[0] == 0, argv
 

@@ -8,8 +8,8 @@ and point by point.  ``reference_daseinise`` and the two ``reference_truth_*``
 functions are the earlier ``_daseinise`` and truth-value routes on top of
 them.  The live code tests each distinct block of the block table once and
 checks closure on the table's "lies under" edges; its ``delta_subobject``
-parts, both truth values and ``_daseinise`` indices and matrices must be
-equal to these.
+parts, both truth values and the public ``daseinise`` indices and matrices
+must be equal to these.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import pytest
 from qtopos import contexts as C
 from qtopos import kernel
 from qtopos import quantum as Q
-from qtopos.errors import DimensionMismatch, ValidationError
+from qtopos.errors import DimensionMismatch, NotProjector, ValidationError
 from qtopos.numerics import (
     Tolerance,
     is_projector,
@@ -113,14 +113,13 @@ def _probes(poset, rng, n_sums=6):
 def assert_same_answers(presheaf, projectors, states, tol=TOL):
     """Live and reference answers agree on every projector and state."""
     poset = presheaf.poset
-    table, ids = poset.blocks_at(tol)
     for p in projectors:
         live = Q.delta_subobject(p, presheaf, tol)
         ref = reference_delta_subobject(p, presheaf, tol)
         assert list(live.parts.items()) == list(ref.parts.items())
         p = require_projector(p, tol)
         for inner in (False, True):
-            got = Q._daseinise(p, poset.contexts, table, ids, tol, inner)
+            got = Q.daseinise(p, poset, tol, inner)
             want = reference_daseinise(p, poset.contexts, tol, inner)
             assert [g[0] for g in got] == [w[0] for w in want]
             assert all(np.array_equal(g[1], w[1]) for g, w in zip(got, want))
@@ -280,3 +279,13 @@ def test_unclosed_parts_raise_the_kernel_message(square, monkeypatch):
         Q.delta_subobject(p, presheaf)
     assert str(live.value) == str(ref.value) == (
         "parts are not closed under restriction 'V61' -> 'V27'")
+
+
+@pytest.mark.parametrize("inner", [False, True])
+def test_daseinise_checks_its_projector(square, inner):
+    poset, _ = square
+    with pytest.raises(NotProjector, match="^projector is not a projector"):
+        Q.daseinise(2 * np.eye(4), poset, TOL, inner)
+    with pytest.raises(DimensionMismatch,
+                       match="^projector dimension 2 != context dimension 4$"):
+        Q.daseinise(np.diag([1.0, 0.0]), poset, TOL, inner)

@@ -88,11 +88,11 @@ def test_straddling_blocks_name_the_first_bad_block():
     # (e0 - e2) / sqrt 2, so the first bad block is block 1 of c.
     e0, e1, e2 = np.eye(3)
     a = C.make_context([_projector(e0) + _projector(e1), _projector(e2)],
-                       TOL, key="a")
+                       TOL, label="a")
     b = C.make_context([_projector(e0), _projector(e1), _projector(e2)],
-                       TOL, key="b")
+                       TOL, label="b")
     c = C.make_context([_projector(e1), _projector(e0 + e2),
-                        _projector(e0 - e2)], TOL, key="c")
+                        _projector(e0 - e2)], TOL, label="c")
     leq = frozenset([("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("a", "c")])
     bogus = C.ContextPoset(dim=3, contexts=(a, b, c), leq=leq)
     message = "^block 1 of c meets 2 blocks of a$"

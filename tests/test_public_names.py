@@ -89,3 +89,17 @@ def test_methods_and_properties_of_public_classes_are_checked():
             "NatTransform.components", "LowerSet.sorted_members",
             "LowerSet.is_full"} <= names
     assert not any(name.split(".")[-1].startswith("_") for name in names)
+
+
+def test_cli_uses_only_public_names_of_the_package():
+    private = []
+    for node in ast.walk(_parse(SRC / "cli.py")):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("kernel", "props", "quantum")):
+            private.append(f"{node.value.id}.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.level or (node.module or "").startswith("qtopos"))):
+            private += [alias.name for alias in node.names
+                        if alias.name.startswith("_")]
+    assert not private, "cli.py reaches past the public API: " + ", ".join(private)

@@ -16,14 +16,15 @@ checkout, so two outputs compare two programs on the same inputs with
 * the ``prop-logic`` families of seeds 1-3 (the rotated square under both
   closures, with their 4 states), also from ``perfbench/gen.py``.
 
-Each document of the first two kinds runs ``poset``, ``ks --max-solutions
-1`` and ``64``, ``daseinise`` of two projectors with and without
-``--inner``, ``truth`` of two projectors by both routes, and ``heyting``;
-the last three only as far as the document names projectors and a state.
-A ``prop-logic`` family runs ``daseinise`` of two projectors with and
-without ``--inner`` and, for each op of its seed, ``heyting`` of the op's
-expression in its state and ``truth`` of its projector by both routes.
-Last come ``kernel-demo --poset chain2`` and ``--poset antichain3``.
+Every document first runs ``validate``.  Each document of the first two
+kinds then runs ``poset``, ``ks --max-solutions 1`` and ``64``,
+``daseinise`` of two projectors with and without ``--inner``, ``truth`` of
+two projectors by both routes, and ``heyting``; the last three only as far
+as the document names projectors and a state.  A ``prop-logic`` family runs
+``daseinise`` of two projectors with and without ``--inner`` and, for each
+op of its seed, ``heyting`` of the op's expression in its state and
+``truth`` of its projector by both routes.  Last come ``kernel-demo
+--poset chain2`` and ``--poset antichain3``, so every command is run.
 Every run goes through ``qtopos.cli.run_command``.  A line is
 ``sha256(exit code, stdout, stderr)`` and the run's label.
 """
@@ -110,16 +111,17 @@ def _truth_runs(name: str, state: str, proj: str) -> list[list[str]]:
 def _runs(name: str, doc: dict, ops: list[dict]) -> list[list[str]]:
     projectors = sorted(doc.get("projectors", {}))
     picked = (projectors[0], projectors[-1]) if projectors else ()
+    runs = [["validate", name]]
     if ops:
-        runs = _daseinise_runs(name, picked)
+        runs += _daseinise_runs(name, picked)
         for op in ops:
             runs.append(["heyting", name, "--state", op["state"],
                          "--expr", op["expr"]])
             runs += _truth_runs(name, op["state"], op["projector"])
         return runs
     states = sorted(doc.get("states", {}))[:1]
-    runs = [["poset", name], ["ks", name, "--max-solutions", "1"],
-            ["ks", name, "--max-solutions", "64"]]
+    runs += [["poset", name], ["ks", name, "--max-solutions", "1"],
+             ["ks", name, "--max-solutions", "64"]]
     for proj in picked:
         runs += _daseinise_runs(name, [proj])
         runs += [run for state in states for run in _truth_runs(name, state, proj)]
