@@ -9,9 +9,10 @@ block of the larger context meets exactly one block of the smaller one
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .numerics import (
     as_operator,
     eigensystem,
     frob,
-    is_projector,
     overlaps,
     proj_leq,  # unused here; kept importable for perfbench/tracer.py
     require_hermitian,
@@ -64,7 +64,7 @@ class Context:
     blocks: tuple[np.ndarray, ...]
     label: str | None = None
 
-    @property
+    @functools.cached_property
     def ranks(self) -> tuple[int, ...]:
         return tuple(int(round(float(np.trace(b).real))) for b in self.blocks)
 
@@ -73,18 +73,28 @@ class Context:
         return f"<Context {self.key} dim={self.dim} ranks={self.ranks}{tag}>"
 
 
-def _check_partition(mats: Sequence[np.ndarray], meets: np.ndarray,
-                     bound: float) -> None:
-    """Raise unless blocks that meet as ``meets`` are orthogonal and sum to 1."""
-    off = np.triu(meets, 1)
-    if off.any():
-        i, j = np.argwhere(off)[0]
-        raise ValidationError(
-            f"blocks {i} and {j} are not orthogonal: "
-            f"||p q|| = {frob(mats[i] @ mats[j]):.3e}")
-    defect = frob(sum(mats) - np.eye(mats[0].shape[0]))
+def _check_partition(blocks: Sequence[np.ndarray], meets: np.ndarray, bound: float,
+                     member: np.ndarray | None = None) -> np.ndarray:
+    """Per row of the 0/1 matrix ``member`` (by default one row of all): do the
+    ``blocks`` it picks, which meet as ``meets``, fail to be orthogonal or to
+    sum to 1?  Without ``member`` a fault raises, naming the first pair that
+    meets or the defect of ``sum(blocks)``; with it, nothing is raised."""
+    stack = np.asarray(blocks)
+    rows = np.ones((1, len(stack))) if member is None else member
+    clash = (rows @ (meets & ~np.eye(len(meets), dtype=bool)) * rows).any(axis=1)
+    totals = rows @ stack.reshape(len(stack), -1) - np.eye(stack.shape[-1]).reshape(-1)
+    faults = clash | (np.linalg.norm(totals, axis=1) > bound)
+    if member is not None or not faults[0]:
+        return faults
+    pairs = np.argwhere(np.triu(meets, 1))
+    if len(pairs):
+        i, j = pairs[0]
+        raise ValidationError(f"blocks {i} and {j} are not orthogonal: "
+                              f"||p q|| = {frob(blocks[i] @ blocks[j]):.3e}")
+    defect = frob(sum(blocks) - np.eye(stack.shape[-1]))
     if defect > bound:
         raise ValidationError(f"blocks do not sum to identity: defect {defect:.3e}")
+    return faults
 
 
 def _merge(blocks: Sequence[np.ndarray], group) -> np.ndarray:
@@ -123,13 +133,14 @@ def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray,
     return blocks
 
 
-def _block_values(op: np.ndarray, blocks, bound: float) -> list[float] | None:
-    """tr(p op) / tr(p) per block p, or None unless ``op`` is the real
-    combination of the blocks with these values, within ``bound``."""
-    coeffs = [complex(np.trace(p @ op)) / float(np.trace(p).real) for p in blocks]
-    recon = sum(c.real * p for c, p in zip(coeffs, blocks))
-    bad = frob(recon - op) > bound or max(abs(c.imag) for c in coeffs) > bound
-    return None if bad else [c.real for c in coeffs]
+def _block_values(ops: np.ndarray, blocks, bound: float):
+    """Per operator of the stack ``ops``: tr(p op) / tr(p) per block p, and
+    whether it is the real combination of the blocks with those values."""
+    blocks = np.asarray(blocks)
+    coeffs = np.einsum("kab,nba->nk", blocks, ops) / np.einsum("kaa->k", blocks).real
+    recon = np.einsum("nk,kab->nab", coeffs.real, blocks)
+    return coeffs.real, ((np.linalg.norm(recon - ops, axis=(1, 2)) <= bound)
+                         & (np.abs(coeffs.imag).max(axis=1) <= bound))
 
 
 def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
@@ -140,11 +151,13 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
     if len(mats) < 2:
         raise TrivialContext("a context needs at least two blocks")
     dim = mats[0].shape[0]
-    for i, b in enumerate(mats):
-        if b.shape[0] != dim:
-            raise DimensionMismatch(f"block {i} has dimension {b.shape[0]} != {dim}")
-        if not is_projector(b, tol):
-            raise NotProjector(f"block {i} is not a projector within tolerance")
+    size = next((i for i, b in enumerate(mats) if b.shape[0] != dim), len(mats))
+    bad = np.flatnonzero(~_projector_ok(np.stack(mats[:size]), tol))
+    if bad.size:
+        raise NotProjector(f"block {bad[0]} is not a projector within tolerance")
+    if size < len(mats):
+        raise DimensionMismatch(
+            f"block {size} has dimension {mats[size].shape[0]} != {dim}")
     _check_partition(mats, overlaps(mats, mats, tol), tol.scaled(dim))
     keys = _block_sort_keys(np.stack(mats))
     ordered = tuple(mats[i] for i in sorted(range(len(mats)), key=keys.__getitem__))
@@ -166,6 +179,13 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
     Blocks are the joint eigenprojectors, obtained as the common refinement
     of each operator's eigenprojectors.
     """
+    return _generated_context(operators, tol, label, lambda i, op: eigensystem(op, tol))
+
+
+def _generated_context(operators: Sequence, tol: Tolerance, label: str | None,
+                       spectrum: Callable[[int, np.ndarray], list]) -> Context:
+    """``context_from_commuting_set`` with ``spectrum(i, op)`` as operator i's
+    eigensystem, which a caller may memoise; each check is one batched product."""
     ops = [require_hermitian(op, tol) for op in operators]
     if not ops:
         raise ValidationError("cannot generate a context from no operators")
@@ -174,33 +194,29 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
         if op.shape[0] != dim:
             raise DimensionMismatch(f"operator {i} has dimension {op.shape[0]} != {dim}")
     bound = tol.scaled(dim)
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            norm = frob(ops[i] @ ops[j] - ops[j] @ ops[i])
-            if norm > bound:
-                raise NonCommuting(
-                    f"operators {i} and {j} do not commute: "
-                    f"commutator norm {norm:.6e}", i=i, j=j, norm=norm)
+    stack = np.stack(ops)
+    prods = stack[:, None] @ stack[None]
+    norms = np.linalg.norm(prods - prods.swapaxes(0, 1), axis=(2, 3))
+    bad = np.argwhere(np.triu(norms > bound, 1)).tolist()
+    if bad:
+        i, j = bad[0]
+        raise NonCommuting(f"operators {i} and {j} do not commute: commutator "
+                           f"norm {norms[i, j]:.6e}", i=i, j=j, norm=float(norms[i, j]))
 
-    blocks: list[np.ndarray] = [np.eye(dim, dtype=complex)]
-    for op in ops:
-        projs = [proj for _value, proj in eigensystem(op, tol)]
-        refined = []
-        for b in blocks:
-            for proj in projs:
-                q = b @ proj
-                q = (q + q.conj().T) / 2
-                if float(np.trace(q).real) > 0.5:
-                    refined.append(q)
-        blocks = refined
+    blocks = np.eye(dim, dtype=complex)[None]
+    for i, op in enumerate(ops):
+        projs = np.stack([proj for _value, proj in spectrum(i, op)])
+        q = (blocks[:, None] @ projs[None]).reshape(-1, dim, dim)
+        q = (q + q.conj().swapaxes(1, 2)) / 2
+        blocks = q[np.trace(q, axis1=1, axis2=2).real > 0.5]
     if len(blocks) < 2:
         raise TrivialContext("the generated algebra is trivial (one block)")
 
     ctx = make_context(blocks, tol, label=label)
-    for i, op in enumerate(ops):
-        if _block_values(op, ctx.blocks, bound) is None:
-            raise ValidationError(
-                f"operator {i} is not a real combination of the refined blocks")
+    bad = np.flatnonzero(~_block_values(stack, ctx.blocks, bound)[1])
+    if bad.size:
+        raise ValidationError(
+            f"operator {bad[0]} is not a real combination of the refined blocks")
     return ctx
 
 
@@ -245,15 +261,17 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[head]] + part
 
 
-def _proper_partitions(k: int) -> tuple[list[tuple], list[tuple]]:
-    """The proper coarsenings of ``k`` blocks as groups of block positions,
-    in ``_set_partitions`` order, and the groups of two or more blocks in
-    order of first appearance.  The all-singletons partition (the context
-    itself) and the one-block partition (the trivial algebra) are skipped."""
+@functools.cache
+def _proper_partitions(k: int) -> tuple[list[tuple], list[tuple], np.ndarray]:
+    """The proper coarsenings of ``k`` blocks (not the blocks themselves nor
+    the trivial algebra) as groups of positions, in ``_set_partitions``
+    order; the groups of two or more, in order of first appearance; and a
+    0/1 matrix of which of those groups, then singletons, each one takes."""
     parts = [tuple(map(tuple, part)) for part in _set_partitions(list(range(k)))
              if 1 < len(part) < k]
-    sums = dict.fromkeys(group for part in parts for group in part if len(group) > 1)
-    return parts, list(sums)
+    groups = list(dict.fromkeys(g for part in parts for g in part if len(g) > 1))
+    cols = groups + [(j,) for j in range(k)]
+    return parts, groups, np.array([[g in part for g in cols] for part in parts], float)
 
 
 def _bell(k: int) -> int:
@@ -366,9 +384,11 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     sums.  Those are formed once, groups in ascending positions in order of
     first appearance, and interned in one call; memos from a group's
     positions to its sum and block id give each partition's matrices and
-    ids, so a duplicate is one set lookup.  Such a context forces
-    Bell(k) - 1 contexts, so one that would pass ``POSET_LIMIT`` trips it
-    before any sum is formed.
+    ids, so a duplicate is one set lookup.  The new partitions are checked
+    at once, with a 0/1 matrix of their groups over the sums and the
+    table's meets; only a flagged one is checked again alone, to be named.
+    Such a context forces Bell(k) - 1 contexts, so one that would pass
+    ``POSET_LIMIT`` trips it before any sum is formed.
     """
     if closure not in ("intersections", "coarsenings"):
         raise ValidationError(
@@ -383,12 +403,13 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     seen: set[tuple[int, ...]] = set()
 
     def add(mats: Sequence[np.ndarray], label: str | None = None,
-            ids: list[int] | None = None) -> None:
+            ids: list[int] | None = None, checked: bool = False) -> None:
         ids = table.intern(mats) if ids is None else ids
         found = tuple(sorted(ids))
         if found in seen:
             return
-        _check_partition(mats, table.meets[ids][:, ids], bound)
+        if not checked:
+            _check_partition(mats, table.meets[ids][:, ids], bound)
         for m in mats:
             m.setflags(write=False)
         order = sorted(range(len(ids)), key=lambda i: table.keys[ids[i]])
@@ -417,15 +438,21 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         atoms, blocks = ids_of[i], ctxs[i].blocks
         if _bell(len(atoms)) - 1 > POSET_LIMIT:
             raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
-        parts, groups = _proper_partitions(len(atoms))
+        parts, groups, picks = _proper_partitions(len(atoms))
         sums = {group: _merge(blocks, group) for group in groups}
         memo = dict(zip(groups, table.intern(list(sums.values())) if sums else ()))
         sums.update(((j,), b) for j, b in enumerate(blocks))
         memo.update(((j,), a) for j, a in enumerate(atoms))
-        for part in parts:
-            ids = [memo[group] for group in part]
-            if tuple(sorted(ids)) not in seen:
-                add([sums[group] for group in part], ids=ids)
+        rows = [r for r, part in enumerate(parts)
+                if tuple(sorted(memo[group] for group in part)) not in seen]
+        if not rows:
+            continue
+        ids = list(memo.values())
+        faults = _check_partition(list(sums.values()), table.meets[np.ix_(ids, ids)],
+                                  bound, picks[rows])
+        for r, fault in zip(rows, faults.tolist()):
+            add([sums[group] for group in parts[r]],
+                ids=[memo[group] for group in parts[r]], checked=not fault)
 
     n = len(table.keys)
     order = sorted(range(len(ctxs)), key=lambda i: (
@@ -456,13 +483,11 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
 
 
-def builtin_scenario(name: str, tol: Tolerance = Tolerance()):
-    """Return (dim, named operators, maximal contexts) for a builtin setup."""
+def _builtin_lines(name: str) -> tuple[int, dict, dict[str, tuple[str, ...]]]:
+    """(dim, named operators, operator names per maximal context label)."""
     if name == "pauli2":
-        operators = {"sx": _SX, "sy": _SY, "sz": _SZ}
-        contexts = [context_from_commuting_set([op], tol, label=nm)
-                    for nm, op in operators.items()]
-        return 2, operators, contexts
+        return 2, {"sx": _SX, "sy": _SY, "sz": _SZ}, {
+            "sx": ("sx",), "sy": ("sy",), "sz": ("sz",)}
     if name == "mermin-square":
         kron = np.kron
         operators = {
@@ -470,16 +495,16 @@ def builtin_scenario(name: str, tol: Tolerance = Tolerance()):
             "IY": kron(_ID2, _SY), "YI": kron(_SY, _ID2), "YY": kron(_SY, _SY),
             "XY": kron(_SX, _SY), "YX": kron(_SY, _SX), "ZZ": kron(_SZ, _SZ),
         }
-        lines = {
-            "row0": ("XI", "IX", "XX"),
-            "row1": ("IY", "YI", "YY"),
-            "row2": ("XY", "YX", "ZZ"),
-            "col0": ("XI", "IY", "XY"),
-            "col1": ("IX", "YI", "YX"),
-            "col2": ("XX", "YY", "ZZ"),
-        }
-        contexts = [context_from_commuting_set([operators[nm] for nm in names],
-                                               tol, label=line)
-                    for line, names in lines.items()]
-        return 4, operators, contexts
+        return 4, operators, {
+            "row0": ("XI", "IX", "XX"), "row1": ("IY", "YI", "YY"),
+            "row2": ("XY", "YX", "ZZ"), "col0": ("XI", "IY", "XY"),
+            "col1": ("IX", "YI", "YX"), "col2": ("XX", "YY", "ZZ")}
     raise UnknownBuiltin(f"unknown builtin scenario {name!r}")
+
+
+def builtin_scenario(name: str, tol: Tolerance = Tolerance()):
+    """Return (dim, named operators, maximal contexts) for a builtin setup."""
+    dim, operators, lines = _builtin_lines(name)
+    return dim, operators, [
+        context_from_commuting_set([operators[nm] for nm in names], tol, label=line)
+        for line, names in lines.items()]

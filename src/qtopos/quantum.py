@@ -129,11 +129,11 @@ def evaluate(element: SpectralElement, operator,
     if op.shape[0] != ctx.dim:
         raise DimensionMismatch(
             f"operator dimension {op.shape[0]} != context dimension {ctx.dim}")
-    values = _block_values(op, ctx.blocks, tol.scaled(ctx.dim))
-    if values is None:
+    values, ok = _block_values(op[None], ctx.blocks, tol.scaled(ctx.dim))
+    if not ok[0]:
         raise NotInContext(
             f"operator is not a real combination of the blocks of {ctx.key}")
-    return values[element.block]
+    return float(values[0, element.block])
 
 
 def _outer_hits(p: np.ndarray, stack: BlockTable | Context,

@@ -9,13 +9,14 @@ raise ``ValidationError`` naming the offender and the violated quantity.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contexts import Context, builtin_scenario, context_from_commuting_set
+from .contexts import Context, _builtin_lines, _generated_context
 from .errors import (
     NonCommuting,
     NotHermitian,
@@ -139,13 +140,19 @@ def parse_scenario(text: str) -> Scenario:
 
     operators: dict = {}
     maximal: list[Context] = []
+    # One eigensystem per named operator, for every group and projector.
+    spectrum = functools.cache(lambda name: eigensystem(operators[name], tol))
+
+    def generate(names, label: str) -> Context:
+        return _generated_context([operators[nm] for nm in names], tol, label,
+                                  lambda i, _op: spectrum(names[i]))
 
     builtins_node = doc.get("builtins", [])
     if not isinstance(builtins_node, list) or not all(
             isinstance(b, str) for b in builtins_node):
         raise ParseError("builtins must be a list of names", "builtins")
     for name in builtins_node:
-        bdim, bops, bctxs = builtin_scenario(name, tol)
+        bdim, bops, blines = _builtin_lines(name)
         if bdim != dim:
             raise ValidationError(
                 f"builtin {name!r} has dimension {bdim}, scenario says {dim}")
@@ -153,7 +160,7 @@ def parse_scenario(text: str) -> Scenario:
             if op_name in operators:
                 raise ValidationError(f"duplicate operator name {op_name!r}")
             operators[op_name] = op
-        maximal.extend(bctxs)
+        maximal.extend(generate(names, label) for label, names in blines.items())
 
     ops_node = doc.get("operators", {})
     if not isinstance(ops_node, dict):
@@ -181,7 +188,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(
                 f"projector {name!r} references unknown operator {source!r}")
         try:
-            pairs = eigensystem(operators[source], tol)
+            pairs = spectrum(source)
         except NotHermitian as exc:
             raise ValidationError(
                 f"projector {name!r}: operator {source!r} is not Hermitian: "
@@ -231,10 +238,8 @@ def parse_scenario(text: str) -> Scenario:
             if nm not in operators:
                 raise ValidationError(
                     f"group {gi} references unknown operator {nm!r}")
-        label = ",".join(group)
         try:
-            ctx = context_from_commuting_set(
-                [operators[nm] for nm in group], tol, label=label)
+            maximal.append(generate(group, ",".join(group)))
         except NonCommuting as exc:
             pair = (group[exc.i], group[exc.j])
             raise ValidationError(
@@ -245,7 +250,6 @@ def parse_scenario(text: str) -> Scenario:
         except TrivialContext as exc:
             raise ValidationError(
                 f"group {gi} generates the trivial algebra: {exc}") from exc
-        maximal.append(ctx)
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return Scenario(dimension=dim, tolerance=tol, operators=operators,

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+from qtopos import contexts as C
+from qtopos import scenario as S
 from qtopos.errors import ParseError, ValidationError
+from qtopos.numerics import Tolerance, eigensystem
 from qtopos.scenario import EIGENVALUE_MATCH, parse_scenario
 
 MINIMAL = '{"dimension": 2, "builtins": ["pauli2"]}'
@@ -220,3 +224,34 @@ class TestNameCollisions:
     def test_unknown_builtin(self):
         with pytest.raises(Exception):
             parse_scenario('{"dimension": 2, "builtins": ["nonsense"]}')
+
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+# The pauli2 lines name sx, sy and sz; the groups name the projectors 'Pz'
+# (from 'sz') and 'Px' (from 'sx'), 'Px' twice, and 'sz' again: five
+# distinct operators.
+WITH_PROJECTORS = _doc(
+    projectors={"Pz": {"operator": "sz", "eigenvalues": [1]},
+                "Px": {"operator": "sx", "eigenvalues": [-1]}},
+    groups=[["Pz"], ["Px", "Px"], ["sz", "Pz"]])
+
+
+@pytest.mark.parametrize("text, distinct", [
+    ((SCENARIOS / "mermin_square.json").read_text(encoding="utf-8"), 9),
+    ((SCENARIOS / "two_qubit_parity.json").read_text(encoding="utf-8"), 4),
+    (WITH_PROJECTORS, 5),
+], ids=["mermin_square", "two_qubit_parity", "projectors-in-groups"])
+def test_one_eigensystem_per_named_operator(text, distinct, monkeypatch):
+    """Groups, builtin lines and projectors share each operator's spectrum:
+    the Mermin square's 6 lines of 3 and its 2 projectors take 9, not 20."""
+    calls = []
+
+    def counting(matrix, tol=Tolerance()):
+        calls.append(1)
+        return eigensystem(matrix, tol)
+
+    for module in (C, S):
+        monkeypatch.setattr(module, "eigensystem", counting)
+    parse_scenario(text)
+    assert len(calls) == distinct
