@@ -21,6 +21,7 @@ from .errors import (
     NonCommuting,
     NotProjector,
     SizeLimit,
+    ToposError,
     TrivialContext,
     UnknownBuiltin,
     ValidationError,
@@ -102,10 +103,11 @@ def _merge(blocks: Sequence[np.ndarray], group) -> np.ndarray:
     return sum(blocks[i] for i in group)
 
 
-def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray,
-                 bound: float) -> list[np.ndarray] | None:
+def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float,
+                 positions: bool = False):
     """The meet of two partitions whose blocks meet as ``meets``: one block,
-    summed on ``a``'s side, per connected component (union-find)."""
+    summed on ``a``'s side, per connected component (union-find); with
+    ``positions``, also each block's positions in ``a``."""
     na = len(a_blocks)
     parent = list(range(na + len(b_blocks)))
 
@@ -122,15 +124,17 @@ def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray,
         groups.setdefault(find(node), []).append(node)
     if len(groups) < 2:
         return None
-    blocks = []
+    blocks, sides = [], []
     for root in sorted(groups):
-        from_a = _merge(a_blocks, [i for i in groups[root] if i < na])
+        side = [i for i in groups[root] if i < na]
+        from_a = _merge(a_blocks, side)
         from_b = _merge(b_blocks, [j - na for j in groups[root] if j >= na])
         if frob(from_a - from_b) > bound:
             raise ValidationError(
                 "inconsistent intersection component: the two sides disagree")
         blocks.append(from_a)
-    return blocks
+        sides.append(side)
+    return (blocks, sides) if positions else blocks
 
 
 def _block_values(ops: np.ndarray, blocks, bound: float):
@@ -158,8 +162,14 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
     if size < len(mats):
         raise DimensionMismatch(
             f"block {size} has dimension {mats[size].shape[0]} != {dim}")
+    stack = np.stack(mats)
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    empty = np.flatnonzero(traces <= 0.5)  # generation's rule for keeping a block
+    if empty.size:
+        raise ValidationError(
+            f"block {empty[0]} is empty: trace {traces[empty[0]]:.3e} is below 0.5")
     _check_partition(mats, overlaps(mats, mats, tol), tol.scaled(dim))
-    keys = _block_sort_keys(np.stack(mats))
+    keys = _block_sort_keys(stack)
     ordered = tuple(mats[i] for i in sorted(range(len(mats)), key=keys.__getitem__))
     return Context(key=label or _fresh_key(), dim=dim, blocks=ordered, label=label)
 
@@ -179,14 +189,15 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
     Blocks are the joint eigenprojectors, obtained as the common refinement
     of each operator's eigenprojectors.
     """
-    return _generated_context(operators, tol, label, lambda i, op: eigensystem(op, tol))
-
-
-def _generated_context(operators: Sequence, tol: Tolerance, label: str | None,
-                       spectrum: Callable[[int, np.ndarray], list]) -> Context:
-    """``context_from_commuting_set`` with ``spectrum(i, op)`` as operator i's
-    eigensystem, which a caller may memoise; each check is one batched product."""
     ops = [require_hermitian(op, tol) for op in operators]
+    return _generated_context(ops, tol, label, [eigensystem(op, tol) for op in ops])
+
+
+def _generated_context(ops: Sequence[np.ndarray], tol: Tolerance, label: str | None,
+                       spectra: Sequence[list]) -> Context:
+    """``context_from_commuting_set`` on operators already checked Hermitian,
+    with ``spectra[i]`` as operator i's eigensystem, which a caller may
+    memoise; each check is one batched product."""
     if not ops:
         raise ValidationError("cannot generate a context from no operators")
     dim = ops[0].shape[0]
@@ -204,8 +215,8 @@ def _generated_context(operators: Sequence, tol: Tolerance, label: str | None,
                            f"norm {norms[i, j]:.6e}", i=i, j=j, norm=float(norms[i, j]))
 
     blocks = np.eye(dim, dtype=complex)[None]
-    for i, op in enumerate(ops):
-        projs = np.stack([proj for _value, proj in spectrum(i, op)])
+    for spectrum in spectra:
+        projs = np.stack([proj for _value, proj in spectrum])
         q = (blocks[:, None] @ projs[None]).reshape(-1, dim, dim)
         q = (q + q.conj().swapaxes(1, 2)) / 2
         blocks = q[np.trace(q, axis1=1, axis2=2).real > 0.5]
@@ -292,7 +303,18 @@ def coarsenings(ctx: Context, tol: Tolerance = Tolerance()) -> Iterator[Context]
 
 class BlockTable:
     """Distinct blocks (:func:`qtopos.numerics.same_blocks`) at one
-    tolerance, with their sort keys and which of them meet."""
+    tolerance, with their sort keys and which of them meet.
+
+    A block that sums held blocks, which are pairwise orthogonal (a meet
+    component, a coarsening block), takes its meets from theirs: for
+    pairwise orthogonal projectors a_i and any projector X,
+    ``||(sum a_i) X||_F^2 = sum ||a_i X||_F^2``, so the sum meets X exactly
+    when one of its parts does, and two such sums meet when two of their
+    parts do.  The products can disagree (beyond rounding) only on a knife
+    edge: none of the k overlaps passes eps * d but their root sum of
+    squares does, so every overlap is at most eps * d and the largest lies
+    within a factor sqrt(k) below it.
+    """
 
     def __init__(self, dim: int, tol: Tolerance):
         self.tol = tol
@@ -301,15 +323,32 @@ class BlockTable:
         self.keys: list[tuple] = []
         self.blocks = self.mats[:0]  # the distinct blocks, stacked in id order
 
-    def intern(self, blocks: Sequence[np.ndarray]) -> list[int]:
-        """The ids of a context's blocks, adding the blocks not yet held: a
-        last row of ones sends ``argmax`` to ``n`` for each of those."""
+    def intern(self, blocks: Sequence[np.ndarray],
+               parts: Sequence[Sequence[int]] | None = None) -> list[int]:
+        """The ids of ``blocks``, adding in order those not yet held; a block
+        equal to an earlier new one of the batch takes its id, so one call
+        gives the ids, keys and order of one call per block.  ``parts[r]``,
+        if given, lists the held ids that block r sums: a block of one part
+        is that part, and the new blocks' meets are a boolean product over
+        the held meets instead of :func:`qtopos.numerics.overlaps`."""
         stack, n = np.asarray(blocks), len(self.keys)
-        same = same_blocks(self.mats[:n], stack, self.tol)
-        ids = np.concatenate([same, np.ones((1, len(stack)), bool)]).argmax(axis=0)
-        new = np.flatnonzero(ids == n)
-        if not new.size:
+        ids = np.full(len(stack), n)
+        if parts is not None:
+            ids[:] = [p[0] if len(p) == 1 else n for p in parts]
+        rest = np.flatnonzero(ids == n)
+        same = same_blocks(self.mats[:n], stack[rest], self.tol)
+        ids[rest] = np.concatenate([same, np.ones((1, len(rest)), bool)]).argmax(axis=0)
+        fresh = rest[ids[rest] == n]
+        if not fresh.size:
             return ids.tolist()
+        # twin[a, c]: new blocks a < c are the same block; c is added unless
+        # it is the twin of an earlier block that was added, whose id it takes
+        twin = np.triu(same_blocks(stack[fresh], stack[fresh], self.tol), 1)
+        added = ~twin.any(axis=0)
+        for c in np.flatnonzero(~added):
+            added[c] = not (twin[:, c] & added).any()
+        first = (twin & added[:, None]).argmax(axis=0)
+        new = fresh[added]
         if not _projector_ok(stack[new], self.tol).all():
             raise NotProjector("a block is not a projector within tolerance")
         m = n + len(new)
@@ -317,12 +356,20 @@ class BlockTable:
             self.mats = np.concatenate([self.mats, self.mats, stack])
             self.meets = np.pad(self.meets, (0, len(self.mats) - len(self.meets)))
         self.mats[n:m] = stack[new]
-        hits = overlaps(self.mats[:m], self.mats[n:m], self.tol)
+        if parts is None:
+            hits = overlaps(self.mats[:m], self.mats[n:m], self.tol)
+        else:
+            sums = np.zeros((len(new), n), dtype=np.float32)
+            for row, r in enumerate(new.tolist()):
+                sums[row, parts[r]] = 1
+            held = sums @ self.meets[:n, :n].astype(np.float32)
+            hits = np.concatenate([held.T, held @ sums.T]) > 0
         self.meets[n:m, :m] = hits.T
         self.meets[:m, n:m] = hits
         self.keys += _block_sort_keys(self.mats[n:m])
         self.blocks = self.mats[:m]
         ids[new] = np.arange(n, m)
+        ids[fresh[~added]] = ids[fresh[first[~added]]]
         return ids.tolist()
 
 
@@ -379,16 +426,33 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     rounded to 6 digits: near a rounding boundary ids can change (say under
     a global unitary); shape, order and verdict hold.
 
+    Each phase interns one stack: the given contexts' blocks, the meets of
+    a meet pass, the subset sums of the coarsening pass.  Only the given
+    blocks are multiplied out (:func:`qtopos.numerics.overlaps`); every
+    other block sums blocks of one held context (a meet component on its
+    ``a`` side, a coarsening block) and takes its meets from theirs, by
+    ``||(sum a_i) X||_F^2 = sum ||a_i X||_F^2`` (see :class:`BlockTable`
+    for the one knife edge where this can differ from the products).
+
     The coarsenings of a context of k blocks are its Bell(k) - 2 proper set
     partitions, but their blocks are only its 2^k - k - 2 proper subset
     sums.  Those are formed once, groups in ascending positions in order of
-    first appearance, and interned in one call; memos from a group's
-    positions to its sum and block id give each partition's matrices and
-    ids, so a duplicate is one set lookup.  The new partitions are checked
-    at once, with a 0/1 matrix of their groups over the sums and the
-    table's meets; only a flagged one is checked again alone, to be named.
-    Such a context forces Bell(k) - 1 contexts, so one that would pass
-    ``POSET_LIMIT`` trips it before any sum is formed.
+    first appearance; memos from a group's positions to its sum and block
+    id give each partition's matrices and ids, so a duplicate is one set
+    lookup.  A context's new partitions are checked at once, with a 0/1
+    matrix of their groups over the sums and the table's meets; only a
+    flagged one is checked again alone, to be named.  Such a context
+    forces Bell(k) - 1 contexts, so one that would pass ``POSET_LIMIT``
+    trips it before any sum is formed.
+
+    A phase is cut into runs that hold no more candidate contexts than
+    there is room for under ``POSET_LIMIT`` (a meet counts 1, an expanded
+    k-block context Bell(k) - 2; a run holds one at least), so a closure
+    past the limit forms at most one run more than one candidate at a time
+    would.  A run in hand is finished before an error met while forming the
+    next one propagates, so an earlier candidate's error still comes first;
+    only a block that is not a projector, found as its run is interned, can
+    now come before the error of an earlier candidate of its run.
     """
     if closure not in ("intersections", "coarsenings"):
         raise ValidationError(
@@ -402,9 +466,8 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     ids_of: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()
 
-    def add(mats: Sequence[np.ndarray], label: str | None = None,
-            ids: list[int] | None = None, checked: bool = False) -> None:
-        ids = table.intern(mats) if ids is None else ids
+    def add(mats: Sequence[np.ndarray], label: str | None, ids: list[int],
+            checked: bool = False) -> None:
         found = tuple(sorted(ids))
         if found in seen:
             return
@@ -420,39 +483,95 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         if len(ctxs) > POSET_LIMIT:
             raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
 
-    for ctx in maximal:
-        if ctx.dim != dim:
-            raise DimensionMismatch(f"context dimension {ctx.dim} != {dim}")
-        add(ctx.blocks, ctx.label)
+    def add_run(run: list[tuple]) -> None:
+        """Intern the blocks of candidate contexts ``(mats, label, parts)``
+        in one call, then add the contexts in order."""
+        if not run:
+            return
+        ids = table.intern([m for mats, _, _ in run for m in mats],
+                           None if run[0][2] is None else
+                           [p for _, _, parts in run for p in parts])
+        at = 0
+        for mats, label, _ in run:
+            add(mats, label, ids[at:at + len(mats)])
+            at += len(mats)
+
+    def expand_run(run: list[int]) -> None:
+        """Intern the proper subset sums of the contexts at ``run`` in one
+        call, then add each context's new coarsenings in order."""
+        sums = [{group: _merge(ctxs[i].blocks, group)
+                 for group in _proper_partitions(len(ids_of[i]))[1]} for i in run]
+        flat = [s for own in sums for s in own.values()]
+        made = table.intern(flat, [[ids_of[i][j] for j in group] for i, own
+                                   in zip(run, sums) for group in own]) if flat else []
+        at = 0
+        for i, own in zip(run, sums):
+            atoms = ids_of[i]
+            parts, groups, picks = _proper_partitions(len(atoms))
+            memo = dict(zip(groups, made[at:at + len(groups)]))
+            at += len(groups)
+            own.update(((j,), b) for j, b in enumerate(ctxs[i].blocks))
+            memo.update(((j,), a) for j, a in enumerate(atoms))
+            rows = [r for r, part in enumerate(parts)
+                    if tuple(sorted(memo[group] for group in part)) not in seen]
+            if not rows:
+                continue
+            ids = list(memo.values())
+            faults = _check_partition(list(own.values()),
+                                      table.meets[np.ix_(ids, ids)], bound, picks[rows])
+            for r, fault in zip(rows, faults.tolist()):
+                add([own[group] for group in parts[r]], None,
+                    [memo[group] for group in parts[r]], checked=not fault)
+
+    def feed(items: Iterator[tuple[int, object]], flush: Callable) -> None:
+        """``flush`` the ``(weight, item)`` pairs of ``items`` in runs whose
+        weights fit the room left under ``POSET_LIMIT`` (one item at least)."""
+        run: list = []
+        room = POSET_LIMIT - len(ctxs)
+        try:
+            for weight, item in items:
+                if run and weight > room:
+                    full, run = run, []
+                    flush(full)
+                    room = POSET_LIMIT - len(ctxs)
+                run.append(item)
+                room -= weight
+        except ToposError:
+            flush(run)  # an earlier candidate's error comes first
+            raise
+        flush(run)
+
+    def given() -> Iterator[tuple[int, tuple]]:
+        for ctx in maximal:
+            if ctx.dim != dim:
+                raise DimensionMismatch(f"context dimension {ctx.dim} != {dim}")
+            yield 1, (ctx.blocks, ctx.label, None)
+
+    def meet_pass(done: int, size: int) -> Iterator[tuple[int, tuple]]:
+        for i in range(size):
+            for j in range(max(i + 1, done), size):
+                met = _meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
+                                   table.meets[ids_of[i]][:, ids_of[j]], bound,
+                                   positions=True)
+                if met is not None:
+                    yield 1, (met[0], None,
+                              [[ids_of[i][a] for a in side] for side in met[1]])
+
+    def expansions() -> Iterator[tuple[int, int]]:
+        for i in range(len(ctxs)):
+            forced = _bell(len(ids_of[i])) - 1
+            if forced > POSET_LIMIT:
+                raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
+            yield forced - 1, i
+
+    feed(given(), add_run)
     done = 0  # every pair of ctxs[:done] has been met
     while done < len(ctxs):
         size = len(ctxs)
-        for i in range(size):
-            for j in range(max(i + 1, done), size):
-                mats = _meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
-                                    table.meets[ids_of[i]][:, ids_of[j]], bound)
-                if mats is not None:
-                    add(mats)
+        feed(meet_pass(done, size), add_run)
         done = size if closure == "intersections" else len(ctxs)
-    for i in range(len(ctxs) if closure == "coarsenings" else 0):
-        atoms, blocks = ids_of[i], ctxs[i].blocks
-        if _bell(len(atoms)) - 1 > POSET_LIMIT:
-            raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
-        parts, groups, picks = _proper_partitions(len(atoms))
-        sums = {group: _merge(blocks, group) for group in groups}
-        memo = dict(zip(groups, table.intern(list(sums.values())) if sums else ()))
-        sums.update(((j,), b) for j, b in enumerate(blocks))
-        memo.update(((j,), a) for j, a in enumerate(atoms))
-        rows = [r for r, part in enumerate(parts)
-                if tuple(sorted(memo[group] for group in part)) not in seen]
-        if not rows:
-            continue
-        ids = list(memo.values())
-        faults = _check_partition(list(sums.values()), table.meets[np.ix_(ids, ids)],
-                                  bound, picks[rows])
-        for r, fault in zip(rows, faults.tolist()):
-            add([sums[group] for group in parts[r]],
-                ids=[memo[group] for group in parts[r]], checked=not fault)
+    if closure == "coarsenings":
+        feed(expansions(), expand_run)
 
     n = len(table.keys)
     order = sorted(range(len(ctxs)), key=lambda i: (

@@ -198,9 +198,25 @@ def overlaps(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
 
 @_pairwise
 def same_blocks(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Which blocks are equal: ``out[i, j]`` is ``||ps[i] - qs[j]||_F <= eps * d``."""
-    gap = (ps[:, None] - qs[None]).view(np.float64)
-    return np.einsum("ijkl,ijkl->ij", gap, gap) <= tol.scaled(gap.shape[2]) ** 2
+    """Which blocks are equal: ``out[i, j]`` is ``||ps[i] - qs[j]||_F <= eps * d``.
+
+    Only pairs that may be that close are differenced.  Their squared
+    distance is first estimated as ``||p||^2 + ||q||^2 - 2 Re <p, q>`` from
+    one product of the stacks; its rounding error is far below ``1e-9 s``
+    with ``s = ||p||^2 + ||q||^2``, and ``(eps * d)^2 < 1/2``, so a pair
+    estimated at ``1/2 + 1e-9 s`` or more is not equal.  A pair whose
+    estimate is not a number (an overflow) is differenced.
+    """
+    ps, qs = ps.astype(complex, copy=False), qs.astype(complex, copy=False)
+    d = ps.shape[-1]
+    a = ps.reshape(len(ps), d * d).view(np.float64)
+    b = qs.reshape(len(qs), d * d).view(np.float64)
+    scale = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)
+    i, j = np.nonzero(~(scale - 2 * (a @ b.T) >= 0.5 + 1e-9 * scale))
+    gap = (ps[i] - qs[j]).view(np.float64)
+    out = np.zeros((len(ps), len(qs)), dtype=bool)
+    out[i, j] = np.einsum("ikl,ikl->i", gap, gap) <= tol.scaled(d) ** 2
+    return out
 
 
 def proj_leq(p, q, tol: Tolerance = Tolerance()) -> bool:

@@ -140,12 +140,13 @@ def parse_scenario(text: str) -> Scenario:
 
     operators: dict = {}
     maximal: list[Context] = []
-    # One eigensystem per named operator, for every group and projector.
+    # One eigensystem per named operator, for every group and projector; it
+    # is also the one Hermitian check of the operator.
     spectrum = functools.cache(lambda name: eigensystem(operators[name], tol))
 
     def generate(names, label: str) -> Context:
-        return _generated_context([operators[nm] for nm in names], tol, label,
-                                  lambda i, _op: spectrum(names[i]))
+        spectra = [spectrum(nm) for nm in names]
+        return _generated_context([operators[nm] for nm in names], tol, label, spectra)
 
     builtins_node = doc.get("builtins", [])
     if not isinstance(builtins_node, list) or not all(

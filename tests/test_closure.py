@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from qtopos import contexts as C
 from qtopos import quantum as Q
-from qtopos.errors import SizeLimit
-from qtopos.numerics import Tolerance
+from qtopos.errors import SizeLimit, TrivialContext, ValidationError
+from qtopos.numerics import Tolerance, overlaps
 from qtopos.scenario import parse_scenario
 from tests.conftest import random_context, random_hermitian, random_unitary
 
@@ -356,8 +356,8 @@ def _counting_interns(monkeypatch):
     up each context (``_bell`` is asked once per context)."""
     events = []
     intern, bell = C.BlockTable.intern, C._bell
-    monkeypatch.setattr(C.BlockTable, "intern", lambda self, blocks: (
-        events.append("intern"), intern(self, blocks))[1])
+    monkeypatch.setattr(C.BlockTable, "intern", lambda self, blocks, parts=None: (
+        events.append("intern"), intern(self, blocks, parts))[1])
     monkeypatch.setattr(C, "_bell", lambda k: (events.append("expand"), bell(k))[1])
     return events
 
@@ -392,16 +392,22 @@ def _load_gen():
     return module
 
 
-@pytest.mark.parametrize("name", ["builtin:pauli2", "builtin:mermin-square", *sorted(
-    path.name for path in SCENARIOS.glob("*.json"))])
+NAMED = ["builtin:pauli2", "builtin:mermin-square", *sorted(
+    path.name for path in SCENARIOS.glob("*.json"))]
+
+
+def _named_maximal(name):
+    """The maximal contexts and tolerance of a builtin or bundled scenario."""
+    if name.startswith("builtin:"):
+        return C.builtin_scenario(name[8:], TOL)[2], TOL
+    scn = parse_scenario((SCENARIOS / name).read_text())
+    return scn.maximal_contexts, scn.tolerance
+
+
+@pytest.mark.parametrize("name", NAMED)
 def test_subset_sums_match_the_per_partition_closure_on_scenarios(
         name, monkeypatch):
-    if name.startswith("builtin:"):
-        maximal, tol = C.builtin_scenario(name[8:], TOL)[2], TOL
-    else:
-        scn = parse_scenario((SCENARIOS / name).read_text())
-        maximal, tol = scn.maximal_contexts, scn.tolerance
-    assert_same_closure(maximal, tol, monkeypatch)
+    assert_same_closure(*_named_maximal(name), monkeypatch)
 
 
 @pytest.mark.parametrize("workload", ["poset-closure", "ks-search"])
@@ -447,3 +453,161 @@ def test_the_early_trip_agrees_with_the_per_partition_count(levels, monkeypatch)
         assert verdicts[0] == verdicts[1]
         assert verdicts[0] == (bell - 1 if limit == bell - 1 else
                                f"closure exceeded {limit} contexts")
+
+
+# The block table reads the meets of a derived block off its parts' meets
+# and interns a whole phase in one call.
+
+
+def assert_meets_are_the_products(poset, tol):
+    table = poset.table
+    n = len(table.keys)
+    assert np.array_equal(table.meets[:n, :n],
+                          overlaps(table.blocks, table.blocks, tol))
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+@pytest.mark.parametrize("name", NAMED)
+def test_derived_meets_are_the_products_on_scenarios(name, closure):
+    maximal, tol = _named_maximal(name)
+    assert_meets_are_the_products(C.build_poset(maximal, closure, tol), tol)
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+@pytest.mark.parametrize("workload", ["poset-closure", "ks-search"])
+def test_derived_meets_are_the_products_on_families(workload, closure, tmp_path):
+    _load_gen().make_inputs(workload, 1, tmp_path)
+    for path in sorted(tmp_path.glob("*.json")):
+        scn = parse_scenario(path.read_text(encoding="utf-8"))
+        poset = C.build_poset(scn.maximal_contexts, closure, scn.tolerance)
+        assert_meets_are_the_products(poset, scn.tolerance)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(2, 6), groups=st.lists(st.lists(
+    st.integers(0, 5), min_size=1, max_size=3), min_size=1, max_size=4),
+    seed=st.integers(0, 2 ** 32 - 1))
+def test_derived_meets_are_the_products_on_commuting_families(dim, groups, seed):
+    # operators diagonal in one rotated basis, with few distinct eigenvalues,
+    # so the groups generate contexts of 2 to 6 blocks that meet nontrivially
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(dim, rng)
+    ops = [basis @ np.diag(rng.integers(0, 3, dim).astype(float)) @ basis.conj().T
+           for _ in range(6)]
+    maximal = []
+    for group in groups:
+        try:
+            maximal.append(C.context_from_commuting_set([ops[i] for i in group], TOL))
+        except TrivialContext:
+            pass
+    if maximal:
+        for closure in CLOSURES:
+            assert_meets_are_the_products(C.build_poset(maximal, closure, TOL), TOL)
+
+
+def _intern_in_pieces(table, blocks, parts, cuts):
+    ids = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(blocks)]):
+        if hi > lo:
+            ids += table.intern(blocks[lo:hi], None if parts is None else parts[lo:hi])
+    return ids
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(2, 6), size=st.integers(1, 24),
+       seed=st.integers(0, 2 ** 32 - 1), with_parts=st.booleans())
+def test_one_intern_call_is_the_calls_of_its_pieces(dim, size, seed, with_parts):
+    # held: the rank-one blocks of a rotated basis; the batch: sums of them,
+    # some repeated exactly or within far less than the tolerance, and some
+    # already held
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(dim, rng)
+    atoms = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(dim)]
+    blocks, parts = [], []
+    for _ in range(size):
+        if blocks and rng.random() < 0.3:
+            r = int(rng.integers(len(blocks)))
+            twin = blocks[r] + (rng.random() < 0.5) * 1e-13 * atoms[0]
+            blocks.append(twin)
+            parts.append(parts[r])
+            continue
+        group = sorted(rng.choice(dim, int(rng.integers(1, dim + 1)), replace=False))
+        blocks.append(sum(atoms[i] for i in group))
+        parts.append([int(i) for i in group])
+    parts = parts if with_parts else None
+    tables = []
+    for cuts in ([], list(range(1, size)),
+                 sorted(rng.choice(range(1, size + 1), int(rng.integers(0, size + 1)))
+                        .tolist())):
+        table = C.BlockTable(dim, TOL)
+        assert table.intern(atoms) == list(range(dim))
+        tables.append((_intern_in_pieces(table, blocks, parts, cuts), table))
+    ids, table = tables[0]
+    n = len(table.keys)
+    for other_ids, other in tables[1:]:
+        assert other_ids == ids
+        assert other.keys == table.keys
+        assert np.array_equal(other.blocks, table.blocks)
+        assert np.array_equal(other.meets[:n, :n], table.meets[:n, :n])
+    assert_meets_are_the_products(
+        C.ContextPoset(dim=dim, contexts=(), leq=frozenset(), table=table), TOL)
+    # a repeated block takes the id of the block it repeats
+    if parts is not None:
+        assert all(len(set(ids[r] for r in range(size) if parts[r] == p)) == 1
+                   for p in parts)
+
+
+def test_a_chain_of_near_twins_interns_as_one_call_per_block():
+    # b is within eps * d of a and of c, but c is not within it of a: one
+    # call per block gives a, a, c, and so must one call for all three
+    a = np.diag([1.0, 0.0]).astype(complex)
+    step = 1.2e-9 * np.array([[0, 1], [1, 0]]) / np.sqrt(2)
+    chain = [a, a + step, a + 2 * step]
+    one_by_one = C.BlockTable(2, TOL)
+    assert [one_by_one.intern([m])[0] for m in chain] == [0, 0, 1]
+    table = C.BlockTable(2, TOL)
+    assert table.intern(chain) == [0, 0, 1]
+    assert np.array_equal(table.blocks, one_by_one.blocks)
+
+
+def test_an_earlier_candidates_error_comes_first():
+    # the given contexts are interned as one run, yet the first one's fault
+    # still wins over the second one's dimension, as one at a time
+    short = C.Context(key="short", dim=2, blocks=(np.diag([1.0, 0.0]).astype(complex),))
+    other = C.context_from_commuting_set([np.diag([1.0, 2.0, 3.0])], TOL)
+    with pytest.raises(ValidationError, match="^blocks do not sum to identity"):
+        C.build_poset([short, other], "intersections", TOL)
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_a_limit_anywhere_in_a_run_trips_as_one_at_a_time(closure, monkeypatch):
+    # runs are cut at the room left under the limit: a closure of S contexts
+    # trips exactly when the limit is below S, as one candidate at a time
+    maximal = C.builtin_scenario("mermin-square", TOL)[2]
+    size = len(C.build_poset(maximal, closure, TOL))
+    for limit in sorted({1, 5, 6, 7, 13, 14, 20, size // 2, size - 1, size}):
+        monkeypatch.setattr(C, "POSET_LIMIT", limit)
+        verdicts = []
+        for build in (per_partition_build_poset, C.build_poset):
+            try:
+                verdicts.append(len(build(maximal, closure, TOL)))
+            except SizeLimit as exc:
+                verdicts.append(str(exc))
+        assert verdicts == 2 * [size if limit >= size else
+                                f"closure exceeded {limit} contexts"]
+
+
+def test_the_square_is_three_interns_and_one_product(monkeypatch):
+    # the given contexts, the one meet pass, the coarsening pass; only the
+    # given blocks are multiplied out
+    maximal = C.builtin_scenario("mermin-square", TOL)[2]
+    calls = []
+    intern, products = C.BlockTable.intern, C.overlaps
+    monkeypatch.setattr(C.BlockTable, "intern", lambda self, blocks, parts=None: (
+        calls.append("intern"), intern(self, blocks, parts))[1])
+    monkeypatch.setattr(C, "overlaps", lambda *args: (
+        calls.append("overlaps"), products(*args))[1])
+    poset = C.build_poset(maximal, "coarsenings", TOL)
+    assert sorted(calls) == ["intern"] * 3 + ["overlaps"]
+    monkeypatch.undo()
+    assert_meets_are_the_products(poset, TOL)

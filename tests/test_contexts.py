@@ -265,3 +265,12 @@ class TestContextBlocks:
         for small in coarse.blocks:
             parts = [b for b in fine.blocks if proj_leq(b, small, tol)]
             assert np.linalg.norm(sum(parts) - small) <= tol.scaled(4)
+
+    def test_zero_block_is_refused(self, tol):
+        # a zero matrix is a projector that meets nothing and leaves the sum
+        # at 1, so only the trace rule of generation tells it apart
+        with pytest.raises(ValidationError, match="^block 1 is empty: trace "
+                           r"0\.000e\+00 is below 0\.5$"):
+            C.make_context([np.eye(2), np.zeros((2, 2))], tol)
+        with pytest.raises(ValidationError, match="^block 0 is empty"):
+            C.make_context([np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))], tol)

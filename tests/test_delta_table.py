@@ -194,7 +194,8 @@ def test_hand_built_posets_and_presheaves(monkeypatch):
     interns = []
     intern = C.BlockTable.intern
     monkeypatch.setattr(C.BlockTable, "intern",
-                        lambda self, blocks: interns.append(1) or intern(self, blocks))
+                        lambda self, blocks, parts=None:
+                        interns.append(1) or intern(self, blocks, parts))
     for built, tol, named, states in _cases():
         projectors, states = _queries(built, named, states)
         hand = C.ContextPoset(dim=built.dim, contexts=built.contexts, leq=built.leq)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtopos import numerics
 from qtopos.errors import (
@@ -244,3 +246,31 @@ class TestSameBlocks:
         for f, expected in zip((numerics.overlaps, same_blocks), whole):
             assert np.array_equal(f(ps, qs, tol), expected)
         assert whole[1][3, 1] and whole[1][5, 2] and whole[1].sum() == 2
+
+
+def reference_same_blocks(ps, qs, tol):
+    """Every pair differenced, as ``same_blocks`` did before its prefilter."""
+    gap = (np.asarray(ps)[:, None] - np.asarray(qs)[None]).view(np.float64)
+    return np.einsum("ijkl,ijkl->ij", gap, gap) <= tol.scaled(gap.shape[2]) ** 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 16), rows=st.integers(0, 12), cols=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-3, 3),
+       eps=st.floats(-12, -3.5))
+def test_same_blocks_differences_every_pair_that_can_be_close(
+        dim, rows, cols, seed, scale, eps):
+    # copies of the rows moved by about the bound, among unrelated matrices
+    # of any size: the prefilter may drop no pair that is within the bound
+    rng = np.random.default_rng(seed)
+    tol = Tolerance(10 ** eps)
+    shape = (rows, dim, dim)
+    ps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10 ** scale
+    qs = rng.normal(size=(cols, dim, dim)) + 0j
+    if rows:
+        picks = rng.integers(0, rows, cols)
+        moves = rng.normal(size=(cols, dim, dim)) + 1j * rng.normal(size=(cols, dim, dim))
+        moves *= tol.scaled(dim) * rng.uniform(0.5, 1.5, (cols, 1, 1)) / np.linalg.norm(
+            moves, axis=(1, 2), keepdims=True)
+        qs = np.where(rng.random((cols, 1, 1)) < 0.8, ps[picks] + moves, qs)
+    assert np.array_equal(same_blocks(ps, qs, tol), reference_same_blocks(ps, qs, tol))
