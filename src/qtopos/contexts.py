@@ -67,7 +67,7 @@ class Context:
 
     @functools.cached_property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(int(round(float(np.trace(b).real))) for b in self.blocks)
+        return tuple(round(t) for t in np.einsum("kaa->k", self.blocks).real.tolist())
 
     def __repr__(self) -> str:
         tag = f" label={self.label!r}" if self.label else ""
@@ -147,6 +147,24 @@ def _block_values(ops: np.ndarray, blocks, bound: float):
                          & (np.abs(coeffs.imag).max(axis=1) <= bound))
 
 
+def _stacked_context(stack: np.ndarray, tol: Tolerance, label: str | None,
+                     fault: ToposError | None = None) -> Context:
+    """The context of ``stack``'s blocks, checked as projectors, then (after
+    raising ``fault``, a caller's finding that ranks below that check) as a
+    partition of unity; its blocks are read-only views, in canonical order."""
+    bad = np.flatnonzero(~_projector_ok(stack, tol))
+    if bad.size:
+        raise NotProjector(f"block {bad[0]} is not a projector within tolerance")
+    if fault is not None:
+        raise fault
+    _check_partition(stack, overlaps(stack, stack, tol), tol.scaled(stack.shape[-1]))
+    keys = _block_sort_keys(stack)
+    stack = stack[sorted(range(len(stack)), key=keys.__getitem__)]
+    stack.setflags(write=False)
+    return Context(key=label or _fresh_key(), dim=stack.shape[-1], blocks=tuple(stack),
+                   label=label)
+
+
 def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
                  label: str | None = None) -> Context:
     """Validate and canonically order a partition of unity, keyed by its
@@ -156,22 +174,17 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
         raise TrivialContext("a context needs at least two blocks")
     dim = mats[0].shape[0]
     size = next((i for i, b in enumerate(mats) if b.shape[0] != dim), len(mats))
-    bad = np.flatnonzero(~_projector_ok(np.stack(mats[:size]), tol))
-    if bad.size:
-        raise NotProjector(f"block {bad[0]} is not a projector within tolerance")
-    if size < len(mats):
-        raise DimensionMismatch(
-            f"block {size} has dimension {mats[size].shape[0]} != {dim}")
-    stack = np.stack(mats)
+    stack = np.stack(mats[:size])
     traces = np.trace(stack, axis1=1, axis2=2).real
     empty = np.flatnonzero(traces <= 0.5)  # generation's rule for keeping a block
-    if empty.size:
-        raise ValidationError(
+    fault = None
+    if size < len(mats):
+        fault = DimensionMismatch(
+            f"block {size} has dimension {mats[size].shape[0]} != {dim}")
+    elif empty.size:
+        fault = ValidationError(
             f"block {empty[0]} is empty: trace {traces[empty[0]]:.3e} is below 0.5")
-    _check_partition(mats, overlaps(mats, mats, tol), tol.scaled(dim))
-    keys = _block_sort_keys(stack)
-    ordered = tuple(mats[i] for i in sorted(range(len(mats)), key=keys.__getitem__))
-    return Context(key=label or _fresh_key(), dim=dim, blocks=ordered, label=label)
+    return _stacked_context(stack, tol, label, fault)
 
 
 def contexts_equal(a: Context, b: Context, tol: Tolerance = Tolerance()) -> bool:
@@ -223,7 +236,9 @@ def _generated_context(ops: Sequence[np.ndarray], tol: Tolerance, label: str | N
     if len(blocks) < 2:
         raise TrivialContext("the generated algebra is trivial (one block)")
 
-    ctx = make_context(blocks, tol, label=label)
+    # The refined blocks are one stack of one dimension, each of trace
+    # above 0.5, so make_context's dimension and empty-block checks hold.
+    ctx = _stacked_context(blocks, tol, label)
     bad = np.flatnonzero(~_block_values(stack, ctx.blocks, bound)[1])
     if bad.size:
         raise ValidationError(

@@ -56,9 +56,27 @@ def _entry(node, path: str) -> complex:
     raise ParseError(f"malformed complex entry {node!r}", path)
 
 
+def _plain(node, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``node`` as one complex array of ``shape`` if it nests lists of that
+    shape of plain numbers or of ``[re, im]`` pairs of them, else None."""
+    cells = np.array(node, dtype=object)
+    if cells.shape not in (shape, shape + (2,)) or not {
+            type(x) for x in cells.flat} <= {int, float}:
+        return None
+    try:
+        parts = cells.astype(float)
+    except OverflowError:  # an integer past float range, named by the walk
+        return None
+    if parts.ndim == len(shape):
+        return parts.astype(complex)
+    return parts.view(complex)[..., 0]  # not re + 1j * im, which can flip a -0.0
+
+
 def _matrix(node, dim: int, path: str) -> np.ndarray:
     if not isinstance(node, list) or len(node) != dim:
         raise ParseError(f"expected a {dim}x{dim} matrix", path)
+    if (fast := _plain(node, (dim, dim))) is not None:
+        return fast
     rows = []
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != dim:
@@ -71,6 +89,8 @@ def _matrix(node, dim: int, path: str) -> np.ndarray:
 def _vector(node, dim: int, path: str) -> np.ndarray:
     if not isinstance(node, list) or len(node) != dim:
         raise ParseError(f"expected a vector of {dim} entries", path)
+    if (fast := _plain(node, (dim,))) is not None:
+        return fast
     return np.array([_entry(cell, f"{path}[{i}]")
                      for i, cell in enumerate(node)], dtype=complex)
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtopos import contexts as C
+from qtopos import numerics
 from qtopos.errors import (
     DimensionMismatch,
     NonCommuting,
@@ -341,3 +342,35 @@ def test_build_poset_refuses_a_bad_context_as_before(blocks):
                    overlaps(blocks, blocks, TOL), TOL.scaled(4))
     assert isinstance(old, ValidationError)
     assert_same(_outcome(C.build_poset, [bad], "coarsenings", TOL), old)
+
+
+def test_parse_generates_without_make_context_or_per_block_copies(monkeypatch):
+    """Generated blocks are checked on their stack: no ``make_context`` call,
+    and ``as_operator`` only once per named operator, by its eigensystem."""
+    calls = {"make_context": 0, "as_operator": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(C, "make_context")
+    count(C, "as_operator")
+    count(numerics, "as_operator")
+    scn = parse_scenario((SCENARIOS / "mermin_square.json").read_text("utf-8"))
+    blocks = sum(len(ctx.blocks) for ctx in scn.maximal_contexts)
+    assert (len(scn.maximal_contexts), blocks) == (6, 24)
+    assert calls == {"make_context": 0, "as_operator": 9}
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_parsed_blocks_are_read_only(path):
+    scn = parse_scenario(path.read_text(encoding="utf-8"))
+    assert scn.maximal_contexts
+    for ctx in scn.maximal_contexts:
+        assert not any(b.flags.writeable for b in ctx.blocks), ctx
