@@ -69,6 +69,13 @@ class Context:
     def ranks(self) -> tuple[int, ...]:
         return tuple(round(t) for t in np.einsum("kaa->k", self.blocks).real.tolist())
 
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        """The blocks as one read-only array, stacked on first use."""
+        stack = np.stack(self.blocks)
+        stack.setflags(write=False)
+        return stack
+
     def __repr__(self) -> str:
         tag = f" label={self.label!r}" if self.label else ""
         return f"<Context {self.key} dim={self.dim} ranks={self.ranks}{tag}>"

@@ -15,6 +15,12 @@ daseinisation all follow.  The test takes norms of products, not traces:
 sits above ``(eps * d)^2``, so a squared bound on the trace cannot tell a
 meeting pair from an orthogonal one.
 
+Validation is remembered.  :func:`require_projector` keeps the C-contiguous
+``complex128`` matrices it accepts, keyed by ``(eps, shape, bytes)``, in a set
+emptied at 128 entries (512 KiB of keys at dimension 16).  A hit skips
+``as_operator``'s checks and the projector test, pure functions of those bytes
+at that ``eps``, and returns a fresh read-only copy; refusals are never kept.
+
 Block equality.  ``build_poset`` stores each distinct block once: p and q
 are the same block iff ``||p - q||_F <= eps * d`` (:func:`same_blocks`).
 This agrees with ``contexts_equal``, whose test is that the meet matrix of
@@ -35,6 +41,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian, NotProjector, ValidationError
 
 MAX_DIM = 16
+_ACCEPTED_CAP = 128  # see "Validation is remembered" above
+_accepted: set[tuple] = set()  # (eps, shape, bytes) of accepted projectors
 
 
 @dataclass(frozen=True)
@@ -117,14 +125,28 @@ def _projector_ok(p: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 def is_projector(matrix, tol: Tolerance = Tolerance()) -> bool:
     """True iff the matrix is Hermitian and idempotent within tolerance."""
-    return bool(_projector_ok(as_operator(matrix), tol))
+    try:
+        require_projector(matrix, tol)
+    except NotProjector:
+        return False
+    return True
 
 
 def require_projector(matrix, tol: Tolerance = Tolerance(),
                       name: str = "operator") -> np.ndarray:
+    key = (type(matrix) is np.ndarray and matrix.dtype == np.complex128
+           and matrix.flags.c_contiguous and (tol.eps, matrix.shape, matrix.tobytes()))
+    if key in _accepted:
+        p = np.array(matrix, dtype=complex)
+        p.setflags(write=False)
+        return p
     p = as_operator(matrix)
     if not _projector_ok(p, tol):
         raise NotProjector(f"{name} is not a projector within tolerance")
+    if key:
+        if len(_accepted) >= _ACCEPTED_CAP:
+            _accepted.clear()
+        _accepted.add(key)
     return p
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .contexts import BlockTable, Context, ContextPoset, _block_values
+from .contexts import Context, ContextPoset, _block_values
 from .errors import (
     Ambiguity,
     DimensionMismatch,
@@ -136,20 +136,19 @@ def evaluate(element: SpectralElement, operator,
     return float(values[0, element.block])
 
 
-def _outer_hits(p: np.ndarray, stack: BlockTable | Context,
-                tol: Tolerance) -> np.ndarray:
-    """Which of ``stack.blocks`` (a table's distinct blocks or a context's own)
-    meet ``p``, as flags from one ``overlaps`` call."""
-    if not len(stack.blocks):
+def _outer_hits(p: np.ndarray, stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Which blocks of ``stack`` (a table's distinct blocks or a context's own
+    ``Context.stack``) meet ``p``, as flags from one ``overlaps`` call."""
+    if not len(stack):
         return np.zeros(0, dtype=bool)
-    if p.shape[0] != len(stack.blocks[0]):
+    if p.shape[0] != stack.shape[-1]:
         raise DimensionMismatch(f"projector dimension {p.shape[0]} != "
-                                f"context dimension {len(stack.blocks[0])}")
-    return overlaps(stack.blocks, [p], tol)[:, 0]
+                                f"context dimension {stack.shape[-1]}")
+    return overlaps(stack, p[None], tol)[:, 0]
 
 
-def _daseinise(p: np.ndarray, contexts: Sequence[Context], stack, ids, tol: Tolerance,
-               inner: bool) -> list[tuple[tuple[int, ...], np.ndarray]]:
+def _daseinise(p: np.ndarray, contexts: Sequence[Context], stack: np.ndarray, ids,
+               tol: Tolerance, inner: bool) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Per context, block indices and matrix of an approximation of ``p``.
 
     The outer approximation sums the blocks that meet ``p`` (``_outer_hits``);
@@ -178,11 +177,13 @@ def daseinise(projector, poset: ContextPoset, tol: Tolerance = Tolerance(),
     per context, in ``poset.contexts`` order, block indices and matrix, from
     one ``overlaps`` call against the poset's distinct blocks."""
     p = require_projector(projector, tol, "projector")
-    return _daseinise(p, poset.contexts, *poset.blocks_at(tol), tol, inner)
+    table, ids = poset.blocks_at(tol)
+    return _daseinise(p, poset.contexts, table.blocks, ids, tol, inner)
 
 
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
-    return _daseinise(p, [ctx], ctx, {ctx.key: range(len(ctx.blocks))}, tol, inner)[0]
+    ids = {ctx.key: range(len(ctx.blocks))}
+    return _daseinise(p, [ctx], ctx.stack, ids, tol, inner)[0]
 
 
 def daseinise_projector(projector, ctx: Context,
@@ -202,7 +203,7 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
     """The outer approximation of a projector as a subobject of the presheaf."""
     p = require_projector(projector, tol, "projector")
     x, (table, _, lo, hi) = presheaf.underlying, presheaf.table
-    hit = _outer_hits(p, table, tol)
+    hit = _outer_hits(p, table.blocks, tol)
     flat, bits, starts = presheaf._gather  # Σ(v)'s points are block indices
     masks = np.add.reduceat(np.where(hit[flat], bits, 0), starts)
     sub = kernel.Subobject(x, dict(zip(x.base.elements, masks.tolist())))
@@ -289,7 +290,7 @@ def truth_value_truthobject(projector, psi, poset: ContextPoset,
     obj = truth_object(psi, poset, tol)
     p = require_projector(projector, tol, "projector")
     table, ids = poset.blocks_at(tol)
-    flags = _outer_hits(p, table, tol).tolist()
+    flags = _outer_hits(p, table.blocks, tol).tolist()
     members = {k for k, row in ids.items()
                if obj.contains(k, sum(1 << i for i, b in enumerate(row) if flags[b]))}
     return kernel.lowerset(poset.base, members)

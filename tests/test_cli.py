@@ -8,7 +8,8 @@ import warnings
 
 import pytest
 
-from qtopos import cli, props, quantum
+from qtopos import cli, numerics, props, quantum
+from qtopos.scenario import parse_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 PAULI2 = str(SCENARIOS / "pauli2.json")
@@ -230,6 +231,41 @@ class TestTruth:
         assert docs[0]["truth_value"] == docs[1]["truth_value"] == [
             "V00", "V01", "V02"]
         assert docs[0]["per_context"] == docs[1]["per_context"]
+
+
+class TestEachProjectorIsCheckedOnce:
+    """``daseinise`` and ``truth`` check the named projector before building
+    the poset; ``quantum`` checks it again, which the remembered verdict
+    answers without a second ``_projector_ok``.  The pseudo-state route
+    also checks the state's own projector, once."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        numerics._accepted.clear()
+        seen, check = [], numerics._projector_ok
+
+        def counting(p, tol):
+            seen.append(p.tobytes())
+            return check(p, tol)
+
+        monkeypatch.setattr(numerics, "_projector_ok", counting)
+        yield seen
+        numerics._accepted.clear()
+
+    @pytest.mark.parametrize("argv, checks", [
+        (["daseinise", MERMIN, "--projector", "Pzz_plus"], 1),
+        (["daseinise", MERMIN, "--projector", "Pzz_plus", "--inner"], 1),
+        (["truth", MERMIN, "--state", "bell", "--projector", "Pxx_plus",
+          "--via", "truth-object"], 1),
+        (["truth", MERMIN, "--state", "bell", "--projector", "Pxx_plus",
+          "--via", "pseudo-state"], 2),
+    ])
+    def test_one_check_per_projector(self, argv, checks, checked):
+        assert cli.run_command(argv)[0] == 0
+        named = parse_scenario(pathlib.Path(MERMIN).read_text()).operator(
+            argv[argv.index("--projector") + 1])
+        assert checked.count(named.tobytes()) == 1
+        assert len(checked) == len(set(checked)) == checks
 
 
 class TestEmptyPoset:

@@ -41,7 +41,7 @@ def reference_indices(p, poset, tol=TOL):
 
 def batch_indices(p, poset, tol=TOL):
     table, ids = poset.blocks_at(tol)
-    flags = Q._outer_hits(p, table, tol).tolist()
+    flags = Q._outer_hits(p, table.blocks, tol).tolist()
     return [tuple(i for i, b in enumerate(ids[c.key]) if flags[b])
             for c in poset.contexts]
 

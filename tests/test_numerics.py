@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +108,117 @@ class TestIsProjector:
                 pass
             assert len(calls) - before == 1
         assert is_projector(np.eye(2), tol) and len(calls) == 5
+
+
+
+class TestRememberedVerdicts:
+    """``require_projector`` remembers the complex128 C-contiguous matrices it
+    has accepted, keyed by tolerance, shape and bytes; nothing else is kept."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        numerics._accepted.clear()
+        seen, check = [], numerics._projector_ok
+
+        def counting(p, tol):
+            seen.append(p)
+            return check(p, tol)
+
+        monkeypatch.setattr(numerics, "_projector_ok", counting)
+        yield seen
+        numerics._accepted.clear()
+
+    def test_a_hit_skips_both_checks(self, tol, checks, monkeypatch):
+        coerced = []
+
+        def counting(matrix):
+            coerced.append(matrix)
+            return as_operator(matrix)
+
+        monkeypatch.setattr(numerics, "as_operator", counting)
+        p = np.diag([1, 0]).astype(complex)
+        for _ in range(3):
+            assert np.array_equal(require_projector(p, tol), p)
+        assert len(checks) == len(coerced) == 1
+
+    def test_an_edited_matrix_is_checked_again(self, tol, checks):
+        p = np.diag([1, 0]).astype(complex)
+        require_projector(p, tol, "witness")
+        p[1, 1] = 0.5
+        with pytest.raises(NotProjector, match="^witness is not a projector "
+                                               "within tolerance$"):
+            require_projector(p, tol, "witness")
+        assert len(checks) == 2
+
+    def test_a_verdict_holds_only_at_its_tolerance(self, checks):
+        p = np.diag([1, 1e-5]).astype(complex)
+        loose, tight = Tolerance(1e-4), Tolerance(1e-9)
+        require_projector(p, loose)
+        with pytest.raises(NotProjector):
+            require_projector(p, tight)
+        require_projector(p, loose)
+        assert not is_projector(p, tight)
+        assert len(checks) == 3
+
+    def test_every_call_returns_a_fresh_read_only_copy(self, tol, checks):
+        p = random_projector(3, np.random.default_rng(7), 1)
+        kept = p.copy()
+        first, second = require_projector(p, tol), require_projector(p, tol)
+        assert len(checks) == 1
+        for out in (first, second):
+            assert not out.flags.writeable
+            assert not np.shares_memory(out, p)
+        assert not np.shares_memory(first, second)
+        second.setflags(write=True)
+        second[0, 0] = 7.0
+        third = require_projector(p, tol)
+        assert np.array_equal(third, kept) and np.array_equal(p, kept)
+        assert len(checks) == 1
+
+    def test_the_table_stays_within_its_cap(self, tol, checks):
+        rng = np.random.default_rng(11)
+        cap = numerics._ACCEPTED_CAP
+        for count in range(1, cap + 11):
+            require_projector(random_projector(16, rng, 1 + count % 15), tol)
+            assert len(numerics._accepted) == (count - 1) % cap + 1
+            if count == cap:  # full, at the largest dimension: under 1 MB
+                assert sum(map(sys.getsizeof, numerics._accepted)) + sum(
+                    sys.getsizeof(key[2]) for key in numerics._accepted) < 10 ** 6
+        assert len(checks) == cap + 10
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda p: p.tolist(), id="list"),
+        pytest.param(lambda p: p.real.copy(), id="float"),
+        pytest.param(lambda p: np.asfortranarray(p), id="fortran"),
+        pytest.param(lambda p: np.kron(p, np.ones((1, 2)))[:, ::2], id="strided"),
+        pytest.param(lambda p: p.astype(">c16"), id="big-endian"),
+        pytest.param(lambda p: p.view(_Sub), id="subclass"),
+    ])
+    def test_other_inputs_are_checked_every_time(self, make, tol, checks):
+        p = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]], dtype=complex)
+        matrix = make(p)
+        for _ in range(3):
+            assert np.array_equal(require_projector(matrix, tol), p)
+        assert len(checks) == 3 and not numerics._accepted
+
+    def test_refusals_are_not_remembered(self, tol, checks):
+        bad = np.diag([1.0, 0.5]).astype(complex)
+        for _ in range(2):
+            with pytest.raises(NotProjector):
+                require_projector(bad, tol)
+            assert not is_projector(bad, tol)
+        assert len(checks) == 4 and not numerics._accepted
+
+    def test_is_projector_reads_the_same_verdicts(self, tol, checks):
+        p = np.diag([0, 1]).astype(complex)
+        require_projector(p, tol)
+        assert is_projector(p, tol) and len(checks) == 1
+        with pytest.raises(ValidationError, match="^expected a square matrix"):
+            is_projector(np.ones((2, 3)), tol)
+
+
+class _Sub(np.ndarray):
+    pass
 
 
 class TestEigensystem:
