@@ -37,6 +37,7 @@ from .numerics import (
     proj_leq,  # unused here; kept importable for perfbench/tracer.py
     require_hermitian,
     same_blocks,
+    sq_frob,
 )
 
 POSET_LIMIT = 4096
@@ -91,7 +92,7 @@ def _check_partition(blocks: Sequence[np.ndarray], meets: np.ndarray, bound: flo
     rows = np.ones((1, len(stack))) if member is None else member
     clash = (rows @ (meets & ~np.eye(len(meets), dtype=bool)) * rows).any(axis=1)
     totals = rows @ stack.reshape(len(stack), -1) - np.eye(stack.shape[-1]).reshape(-1)
-    faults = clash | (np.linalg.norm(totals, axis=1) > bound)
+    faults = clash | (sq_frob(totals.reshape(-1, *stack.shape[1:])) > bound ** 2)
     if member is not None or not faults[0]:
         return faults
     pairs = np.argwhere(np.triu(meets, 1))
@@ -150,7 +151,7 @@ def _block_values(ops: np.ndarray, blocks, bound: float):
     blocks = np.asarray(blocks)
     coeffs = np.einsum("kab,nba->nk", blocks, ops) / np.einsum("kaa->k", blocks).real
     recon = np.einsum("nk,kab->nab", coeffs.real, blocks)
-    return coeffs.real, ((np.linalg.norm(recon - ops, axis=(1, 2)) <= bound)
+    return coeffs.real, ((sq_frob(recon - ops) <= bound ** 2)
                          & (np.abs(coeffs.imag).max(axis=1) <= bound))
 
 
@@ -227,12 +228,12 @@ def _generated_context(ops: Sequence[np.ndarray], tol: Tolerance, label: str | N
     bound = tol.scaled(dim)
     stack = np.stack(ops)
     prods = stack[:, None] @ stack[None]
-    norms = np.linalg.norm(prods - prods.swapaxes(0, 1), axis=(2, 3))
-    bad = np.argwhere(np.triu(norms > bound, 1)).tolist()
-    if bad:
-        i, j = bad[0]
+    bad = np.argwhere(np.triu(sq_frob(prods - prods.swapaxes(0, 1)) > bound ** 2, 1))
+    if bad.size:
+        i, j = bad[0].tolist()
+        norm = frob(prods[i, j] - prods[j, i])
         raise NonCommuting(f"operators {i} and {j} do not commute: commutator "
-                           f"norm {norms[i, j]:.6e}", i=i, j=j, norm=float(norms[i, j]))
+                           f"norm {norm:.6e}", i=i, j=j, norm=norm)
 
     blocks = np.eye(dim, dtype=complex)[None]
     for spectrum in spectra:

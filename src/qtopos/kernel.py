@@ -214,6 +214,18 @@ class Presheaf:
         return {v: {pt: 1 << i for i, pt in enumerate(pts)}
                 for v, pts in self.sets.items()}
 
+    @cached_property
+    def _preimages(self) -> dict:
+        """Per ``to``: per ``frm`` above, per point bit at ``to``, its pre-image mask."""
+        out: dict = {v: [] for v in self.sets}
+        for (frm, to), mapping in self.restrictions.items():
+            bits = self._bits[to]
+            pre = dict.fromkeys(bits.values(), 0)
+            for i, pt in enumerate(self.sets[frm]):
+                pre[bits[mapping[pt]]] |= 1 << i
+            out[to].append((frm, tuple(pre.items())))
+        return out
+
     def _image(self, frm: str, to: str, mask: int) -> int:
         """The mask at ``to`` of the restrictions of ``mask``'s points at ``frm``."""
         bits, mapping, image = self._bits[to], self.restrictions[frm, to], 0
@@ -543,21 +555,17 @@ def heyting_join(j: Subobject, k: Subobject) -> Subobject:
 
 def heyting_implies(j: Subobject, k: Subobject) -> Subobject:
     """Largest subobject whose meet with ``j`` lies inside ``k``: at ``v``, the
-    points whose restriction to each ``u <= v`` misses ``j(u) - k(u)``."""
+    points whose restriction to each ``u <= v`` misses ``j(u) - k(u)``.  Each
+    ``u`` where that difference is not empty clears its pre-images
+    (``Presheaf._preimages``) from the masks of the elements above it."""
     x = _same_parent(j, k)
     bad = {u: j.masks[u] & ~k.masks[u] for u in x.base.elements}
-    masks = {}
-    for v in x.base.elements:
-        pts = x.sets[v]
-        keep = (1 << len(pts)) - 1 & ~bad[v]
-        for u in x.base.down(v):
-            if not keep:
-                break
-            if bad[u] and u != v:
-                bits, mapping = x._bits[u], x.restrictions[v, u]
-                keep &= ~sum(1 << i for i, pt in enumerate(pts)
-                             if bits[mapping[pt]] & bad[u])
-        masks[v] = keep
+    masks = {v: (1 << len(x.sets[v])) - 1 & ~bad[v] for v in x.base.elements}
+    for u, b in bad.items():
+        for v, pre in x._preimages[u] if b else ():
+            for bit, m in pre if masks[v] else ():
+                if b & bit:
+                    masks[v] &= ~m
     return Subobject(x, masks)
 
 

@@ -10,10 +10,13 @@ For blocks of two partitions of unity every relation the package needs is
 read off that one test (:func:`overlaps`): block q lies under block p
 (``q <= p``) iff q meets p and no other block of p's partition; context
 inclusion, equality, intersection, the restriction maps and outer
-daseinisation all follow.  The test takes norms of products, not traces:
-``||p q||_F^2 = tr(p q)`` for projectors, but the rounding noise of a trace
-sits above ``(eps * d)^2``, so a squared bound on the trace cannot tell a
-meeting pair from an orthogonal one.
+daseinisation all follow.  A call is one matrix product, one stack's
+matrices one under another times the other's side by side, each ``d x d``
+tile's sum of squares against ``(eps * d)^2``.  Squaring adds only relative
+rounding, so that decides as the norm does.  A trace would not:
+``||p q||_F^2 = tr(p q)`` for projectors, but its terms of size one cancel
+to noise near ``1e-16``, above ``(eps * d)^2``.  Every stacked threshold
+test compares squared norms (:func:`sq_frob`); a printed norm is one pair's.
 
 Validation is remembered.  :func:`require_projector` keeps the C-contiguous
 ``complex128`` matrices it accepts, keyed by ``(eps, shape, bytes)``, in a set
@@ -115,12 +118,18 @@ def require_hermitian(matrix, tol: Tolerance = Tolerance()) -> np.ndarray:
     return m
 
 
+def sq_frob(stack) -> np.ndarray:
+    """Squared Frobenius norms over the last two axes of a complex stack."""
+    x = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
+    return np.einsum("...ij,...ij->...", x, x)
+
+
 def _projector_ok(p: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Per matrix of ``p`` (one from ``as_operator``, or a stack of them):
     Hermitian and idempotent within tolerance."""
-    bound = tol.scaled(p.shape[-1])
-    herm = np.linalg.norm(p - p.conj().swapaxes(-2, -1), axis=(-2, -1))
-    return (herm <= bound) & (np.linalg.norm(p @ p - p, axis=(-2, -1)) <= bound)
+    bound = tol.scaled(p.shape[-1]) ** 2
+    herm = sq_frob(p - p.conj().swapaxes(-2, -1))
+    return (herm <= bound) & (sq_frob(p @ p - p) <= bound)
 
 
 def is_projector(matrix, tol: Tolerance = Tolerance()) -> bool:
@@ -191,13 +200,13 @@ PAIR_ENTRIES = 1 << 20  # matrix entries in one batch of pairwise results
 
 
 def _pairwise(test: Callable) -> Callable:
-    """``test(ps, qs, tol)`` with a row per matrix of ``ps``, run on slices of
-    ``ps`` so that no batch holds more than ``PAIR_ENTRIES`` matrix entries.
-    Each pair is computed on its own, so the slicing changes no bit."""
+    """``test(ps, qs, tol)`` on ``complex128`` stacks, a row per matrix of
+    ``ps``, run on slices of ``ps`` so that no batch holds more than
+    ``PAIR_ENTRIES`` matrix entries; tests check that slicing changes no bit."""
 
     @functools.wraps(test)
     def batched(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
-        ps, qs = np.asarray(ps), np.asarray(qs)
+        ps, qs = np.asarray(ps, dtype=complex), np.asarray(qs, dtype=complex)
         rows = max(1, PAIR_ENTRIES // max(1, qs.size))
         if len(ps) <= rows:
             return test(ps, qs, tol)
@@ -211,11 +220,14 @@ def _pairwise(test: Callable) -> Callable:
 def overlaps(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Which blocks meet: ``out[i, j]`` is ``||ps[i] qs[j]||_F > eps * d``.
 
-    Takes sequences of already-validated projectors of one dimension and
-    forms the products in batched multiplications.
+    Takes sequences of already-validated projectors of one dimension: ``ps``
+    stacked as an ``(n d, d)`` matrix times ``qs`` side by side as a
+    ``(d, m d)`` one has ``ps[i] qs[j]`` as its ``(i, j)`` tile.
     """
-    norms = np.linalg.norm(ps[:, None] @ qs[None], axis=(2, 3))
-    return norms > tol.scaled(ps.shape[-1])
+    (n, d, _), m = ps.shape, len(qs)
+    prod = ps.reshape(n * d, d) @ qs.transpose(1, 0, 2).reshape(d, m * d)
+    tiles = prod.view(np.float64).reshape(n, d, m, 2 * d)
+    return np.einsum("iajb,iajb->ij", tiles, tiles) > tol.scaled(d) ** 2
 
 
 @_pairwise
@@ -229,7 +241,6 @@ def same_blocks(ps, qs, tol: Tolerance = Tolerance()) -> np.ndarray:
     estimated at ``1/2 + 1e-9 s`` or more is not equal.  A pair whose
     estimate is not a number (an overflow) is differenced.
     """
-    ps, qs = ps.astype(complex, copy=False), qs.astype(complex, copy=False)
     d = ps.shape[-1]
     a = ps.reshape(len(ps), d * d).view(np.float64)
     b = qs.reshape(len(qs), d * d).view(np.float64)

@@ -136,39 +136,40 @@ def evaluate(element: SpectralElement, operator,
     return float(values[0, element.block])
 
 
-def _outer_hits(p: np.ndarray, stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _outer_hits(p: np.ndarray, stack: np.ndarray, tol: Tolerance,
+                inner: bool = False) -> np.ndarray:
     """Which blocks of ``stack`` (a table's distinct blocks or a context's own
-    ``Context.stack``) meet ``p``, as flags from one ``overlaps`` call."""
+    ``Context.stack``) meet ``p`` (``1 - p`` if ``inner``), by one ``overlaps``."""
     if not len(stack):
         return np.zeros(0, dtype=bool)
     if p.shape[0] != stack.shape[-1]:
         raise DimensionMismatch(f"projector dimension {p.shape[0]} != "
                                 f"context dimension {stack.shape[-1]}")
-    return overlaps(stack, p[None], tol)[:, 0]
+    q = np.eye(p.shape[0], dtype=complex) - p if inner else p
+    return overlaps(stack, q[None], tol)[:, 0]
+
+
+def _approximation(ctx: Context, hits: list, inner: bool) -> tuple[tuple, np.ndarray]:
+    """Block indices and matrix of an approximation in ``ctx`` from ``hits``:
+    the outer one sums the blocks that meet ``p`` (``_outer_hits``), the inner
+    one keeps the blocks that miss ``1 - p``.  Its matrix is ``1`` minus the
+    dropped blocks: reports print the last bits of that difference."""
+    picked = tuple(i for i, hit in enumerate(hits) if hit)
+    m = sum((ctx.blocks[i] for i in picked), np.zeros((ctx.dim, ctx.dim), dtype=complex))
+    if inner:
+        m = np.eye(ctx.dim, dtype=complex) - m
+        m = (m + m.conj().T) / 2
+        picked = tuple(i for i in range(len(ctx.blocks)) if i not in picked)
+    m.setflags(write=False)
+    return picked, m
 
 
 def _daseinise(p: np.ndarray, contexts: Sequence[Context], stack: np.ndarray, ids,
                tol: Tolerance, inner: bool) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Per context, block indices and matrix of an approximation of ``p``.
-
-    The outer approximation sums the blocks that meet ``p`` (``_outer_hits``);
-    the inner one keeps the blocks that miss ``1 - p``.  Its matrix is ``1``
-    minus the dropped blocks: reports print the last bits of that difference.
-    """
-    eye = np.eye(p.shape[0], dtype=complex)
-    flags = _outer_hits(eye - p if inner else p, stack, tol).tolist()
-    out = []
-    for ctx in contexts:
-        picked = tuple(i for i, b in enumerate(ids[ctx.key]) if flags[b])
-        m = sum((ctx.blocks[i] for i in picked),
-                np.zeros((ctx.dim, ctx.dim), dtype=complex))
-        if inner:
-            m = eye - m
-            m = (m + m.conj().T) / 2
-            picked = tuple(i for i in range(len(ctx.blocks)) if i not in picked)
-        m.setflags(write=False)
-        out.append((picked, m))
-    return out
+    """Per context, the ``_approximation`` of ``p``, from hits on ``stack``."""
+    flags = _outer_hits(p, stack, tol, inner).tolist()
+    return [_approximation(ctx, [flags[b] for b in ids[ctx.key]], inner)
+            for ctx in contexts]
 
 
 def daseinise(projector, poset: ContextPoset, tol: Tolerance = Tolerance(),
@@ -182,8 +183,7 @@ def daseinise(projector, poset: ContextPoset, tol: Tolerance = Tolerance(),
 
 
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
-    ids = {ctx.key: range(len(ctx.blocks))}
-    return _daseinise(p, [ctx], ctx.stack, ids, tol, inner)[0]
+    return _approximation(ctx, _outer_hits(p, ctx.stack, tol, inner).tolist(), inner)
 
 
 def daseinise_projector(projector, ctx: Context,

@@ -1,7 +1,8 @@
 """Outer daseinisation over a poset is one batched ``overlaps`` call.
 
-``reference_indices`` below is the earlier per-context path: one
-``overlaps`` call per context, hits read off with ``np.flatnonzero``.
+``reference_indices`` below is the per-context definition: a block of a
+context is hit when its product with the projector, formed and normed on
+its own, exceeds ``eps * d``; it does not call ``overlaps``.
 ``quantum._outer_hits`` tests the distinct blocks of the poset's block table
 once each; the flags, read through each context's block ids, must give the
 same indices, context by context, in block order.
@@ -35,7 +36,8 @@ def reference_indices(p, poset, tol=TOL):
         if p.shape[0] != ctx.dim:
             raise DimensionMismatch(
                 f"projector dimension {p.shape[0]} != context dimension {ctx.dim}")
-        out.append(tuple(np.flatnonzero(overlaps(ctx.blocks, [p], tol)).tolist()))
+        out.append(tuple(i for i, b in enumerate(ctx.blocks)
+                         if np.linalg.norm(b @ p) > tol.scaled(ctx.dim)))
     return out
 
 

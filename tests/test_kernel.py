@@ -959,6 +959,75 @@ def test_masks_follow_the_component_order_past_ten_blocks():
     assert_heyting_matches_the_reference(subs)
 
 
+# ``heyting_implies`` as it was before it read ``Presheaf._preimages``, kept
+# verbatim: it walks every pair u <= v with a generator per point.
+def reference_mask_heyting_implies(j: K.Subobject, k: K.Subobject) -> K.Subobject:
+    """Largest subobject whose meet with ``j`` lies inside ``k``: at ``v``, the
+    points whose restriction to each ``u <= v`` misses ``j(u) - k(u)``."""
+    x = K._same_parent(j, k)
+    bad = {u: j.masks[u] & ~k.masks[u] for u in x.base.elements}
+    masks = {}
+    for v in x.base.elements:
+        pts = x.sets[v]
+        keep = (1 << len(pts)) - 1 & ~bad[v]
+        for u in x.base.down(v):
+            if not keep:
+                break
+            if bad[u] and u != v:
+                bits, mapping = x._bits[u], x.restrictions[v, u]
+                keep &= ~sum(1 << i for i, pt in enumerate(pts)
+                             if bits[mapping[pt]] & bad[u])
+        masks[v] = keep
+    return K.Subobject(x, masks)
+
+
+def assert_implication_matches_the_mask_reference(subs):
+    """``heyting_implies`` on every pair of ``subs`` and ``heyting_not`` on
+    each: the reference's masks, in its key order."""
+    for j in subs:
+        empty = K.empty_subobject(j.of)
+        assert list(K.heyting_not(j).masks.items()) == list(
+            reference_mask_heyting_implies(j, empty).masks.items())
+        for k in subs:
+            assert list(K.heyting_implies(j, k).masks.items()) == list(
+                reference_mask_heyting_implies(j, k).masks.items())
+
+
+def _random_subobject(rng, x: K.Presheaf) -> K.Subobject:
+    """Random points at every element, closed under restriction."""
+    parts = {v: {pt for pt in x.sets[v] if rng.random() < 0.4}
+             for v in x.base.elements}
+    for v in x.base.elements:
+        for u in x.base.down(v):
+            parts[u] |= {x.restrict(pt, v, u) for pt in parts[v]}
+    return K.subobject(x, parts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), density=st.sampled_from((0.0, 0.2, 0.4, 0.7)),
+       layered=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_heyting_implies_matches_the_mask_reference(n, density, layered, seed):
+    rng = random.Random(seed)
+    x = _random_presheaf(rng, *_random_order(rng, n, density, layered))
+    subs = [K.empty_subobject(x), K.full_subobject(x)]
+    subs += [_random_subobject(rng, x) for _ in range(6)]
+    assert_implication_matches_the_mask_reference(subs)
+
+
+@pytest.mark.parametrize("closure", ["intersections", "coarsenings"])
+def test_heyting_implies_matches_the_mask_reference_on_the_square(closure):
+    tol = Q.Tolerance()
+    poset = C.build_poset(C.builtin_scenario("mermin-square", tol)[2], closure, tol)
+    presheaf = Q.spectral_presheaf(poset, tol)
+    # a rank-1 and a rank-2 block sum of each maximal context: sharp there,
+    # coarse elsewhere, so most implications are not the full subobject
+    projs = [p for c in poset.contexts if len(c.blocks) == 4
+             for p in (c.blocks[0], c.blocks[1] + c.blocks[2])]
+    subs = [Q.delta_subobject(p, presheaf, tol) for p in projs]
+    assert len(subs) == 12
+    assert_implication_matches_the_mask_reference(subs)
+
+
 def flattened(order, options, budget=None):
     """``depth_first``'s blocks as one fresh dict per assignment, lazily."""
     for head, values in K.depth_first(order, options, budget):

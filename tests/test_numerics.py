@@ -386,3 +386,75 @@ def test_same_blocks_differences_every_pair_that_can_be_close(
             moves, axis=(1, 2), keepdims=True)
         qs = np.where(rng.random((cols, 1, 1)) < 0.8, ps[picks] + moves, qs)
     assert np.array_equal(same_blocks(ps, qs, tol), reference_same_blocks(ps, qs, tol))
+
+
+def reference_overlap_norms(ps, qs) -> np.ndarray:
+    """``||p q||_F`` of every pair, each product formed and normed on its own."""
+    return np.array([[np.linalg.norm(np.asarray(p) @ np.asarray(q)) for q in qs]
+                     for p in ps]).reshape(len(ps), len(qs))
+
+
+def _overlap_stacks(rng, dim, rows, cols, bound, real):
+    """``rows`` projectors and ``cols`` matrices: unrelated ones, ones
+    orthogonal to a row's projector and ones scaled so that their product
+    with it lies within a factor 2 of ``bound``.  No product near the bound
+    is a cancellation, so its rounding is far below 1e-6 of the bound."""
+    def normal(*shape):
+        x = rng.normal(size=shape)
+        return x if real else x + 1j * rng.normal(size=shape)
+
+    ps = np.zeros((rows, dim, dim), dtype=float if real else complex)
+    for r in range(rows):
+        basis = np.linalg.qr(normal(dim, dim))[0][:, :rng.integers(0, dim + 1)]
+        ps[r] = basis @ basis.conj().T
+    qs = normal(cols, dim, dim)
+    for c in range(cols if rows else 0):
+        p, kind = ps[rng.integers(rows)], rng.integers(3)
+        if kind == 1:
+            qs[c] = (np.eye(dim) - p) @ qs[c]
+        elif kind == 2 and np.linalg.norm(p @ qs[c]):
+            qs[c] *= bound * rng.uniform(0.5, 1.5) / np.linalg.norm(p @ qs[c])
+    return ps, qs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 16), rows=st.integers(0, 8), cols=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(-12, -3.5),
+       form=st.sampled_from(("array", "list", "tuple", "real")),
+       batch=st.integers(1, 3))
+def test_overlaps_matches_per_pair_products(dim, rows, cols, seed, eps, form, batch):
+    rng = np.random.default_rng(seed)
+    tol = Tolerance(10 ** eps)
+    bound = tol.scaled(dim)
+    ps, qs = _overlap_stacks(rng, dim, rows, cols, bound, real=form == "real")
+    if rows and cols and form == "list":
+        ps, qs = list(ps), list(qs)
+    elif rows and cols and form == "tuple":
+        ps, qs = tuple(ps.tolist()), tuple(qs.tolist())
+    got = numerics.overlaps(ps, qs, tol)
+    assert got.shape == (rows, cols) and got.dtype == bool
+    norms = reference_overlap_norms(ps, qs)
+    clear = np.abs(norms - bound) > 1e-6 * bound  # the only pairs skipped
+    assert np.array_equal(got[clear], (norms > bound)[clear])
+    # ``batch`` rows per slice: every call of more rows is sliced
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "PAIR_ENTRIES", batch * max(1, cols * dim * dim))
+        assert np.array_equal(numerics.overlaps(ps, qs, tol), got)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lead=st.lists(st.integers(0, 4), max_size=2), dim=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-100, 100),
+       real=st.booleans(), strided=st.booleans())
+def test_sq_frob_matches_squared_norms(lead, dim, seed, scale, real, strided):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, dim, dim)
+    x = rng.normal(size=shape) * 10 ** scale
+    if not real:
+        x = x + 1j * rng.normal(size=shape) * 10 ** scale
+    if strided:
+        x = x.swapaxes(-2, -1)
+    got = numerics.sq_frob(x)
+    assert got.shape == tuple(lead)
+    np.testing.assert_allclose(got, np.linalg.norm(x, axis=(-2, -1)) ** 2,
+                               rtol=1e-12, atol=0)

@@ -2,8 +2,9 @@
 
 ``daseinise_projector(_inner)(P, ctx)`` tests ``P`` against
 ``Context.stack``; ``quantum.daseinise(P, poset, tol, inner)`` tests it
-against the poset's block table.  Both go through ``quantum._daseinise``, so
-per context the block indices and the matrix bytes must agree bit for bit.
+against the poset's block table.  Both turn a context's hits into indices
+and a matrix through ``quantum._approximation``, so per context the block
+indices and the matrix bytes must agree bit for bit.
 ``DIGESTS`` pins those outputs, and ``daseinise_observable``'s, per case as
 the per-call validating, per-call stacking code gave them.  Cases: every
 bundled scenario under both closures and the seed-1 ``prop-logic`` families
