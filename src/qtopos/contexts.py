@@ -111,11 +111,10 @@ def _merge(blocks: Sequence[np.ndarray], group) -> np.ndarray:
     return sum(blocks[i] for i in group)
 
 
-def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float,
-                 positions: bool = False):
+def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float):
     """The meet of two partitions whose blocks meet as ``meets``: one block,
-    summed on ``a``'s side, per connected component (union-find); with
-    ``positions``, also each block's positions in ``a``."""
+    summed on ``a``'s side, per connected component (union-find), and each
+    block's positions in ``a``; None when the meet is trivial."""
     na = len(a_blocks)
     parent = list(range(na + len(b_blocks)))
 
@@ -142,7 +141,7 @@ def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float,
                 "inconsistent intersection component: the two sides disagree")
         blocks.append(from_a)
         sides.append(side)
-    return (blocks, sides) if positions else blocks
+    return blocks, sides
 
 
 def _block_values(ops: np.ndarray, blocks, bound: float):
@@ -277,11 +276,11 @@ def context_intersection(a: Context, b: Context, tol: Tolerance = Tolerance(),
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions {a.dim} and {b.dim} differ")
-    blocks = _meet_blocks(a.blocks, b.blocks, overlaps(a.blocks, b.blocks, tol),
-                          tol.scaled(a.dim))
-    if blocks is None:
+    met = _meet_blocks(a.blocks, b.blocks, overlaps(a.blocks, b.blocks, tol),
+                       tol.scaled(a.dim))
+    if met is None:
         return None
-    return make_context(blocks, tol, label=label)
+    return make_context(met[0], tol, label=label)
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:
@@ -435,12 +434,15 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
 
     ``intersections`` closes under pairwise intersection to a fixed point;
     a pass skips the pairs that the pass before already met.
-    ``coarsenings`` takes one meet pass over the given contexts, then every
-    block-merging coarsening of each context so far, in list order.  That
-    set is closed: if X <= A and Y <= B then X ^ Y <= A ^ B, so the meet of
-    two coarsenings lies under a given context or under the meet of two,
-    and every subalgebra of a finite commutative algebra is a coarsening of
-    it.  A coarsening of a coarsening is a coarsening.
+    ``coarsenings`` takes the given contexts, then every block-merging
+    coarsening of each, in list order: every subalgebra of a finite
+    commutative algebra is a coarsening of it, and the set is closed under
+    meets, since the meet of two subalgebras of given contexts is a
+    subalgebra of each.  Two distinct contexts that lie under each other
+    raise the meet pass's ``inconsistent intersection component`` error:
+    blocks a little more than eps * d apart are distinct yet can meet one
+    to one (see :mod:`qtopos.numerics`), and without a meet pass nothing
+    else refuses that cycle.
 
     Each distinct block is interned once in a :class:`BlockTable`, so a
     context is a list of block ids and a duplicate is one set lookup; the
@@ -450,7 +452,7 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     a global unitary); shape, order and verdict hold.
 
     Each phase interns one stack: the given contexts' blocks, the meets of
-    a meet pass, the subset sums of the coarsening pass.  Only the given
+    a meet pass or the subset sums of the coarsening pass.  Only the given
     blocks are multiplied out (:func:`qtopos.numerics.overlaps`); every
     other block sums blocks of one held context (a meet component on its
     ``a`` side, a coarsening block) and takes its meets from theirs, by
@@ -574,8 +576,7 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         for i in range(size):
             for j in range(max(i + 1, done), size):
                 met = _meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
-                                   table.meets[ids_of[i]][:, ids_of[j]], bound,
-                                   positions=True)
+                                   table.meets[ids_of[i]][:, ids_of[j]], bound)
                 if met is not None:
                     yield 1, (met[0], None,
                               [[ids_of[i][a] for a in side] for side in met[1]])
@@ -589,10 +590,10 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
 
     feed(given(), add_run)
     done = 0  # every pair of ctxs[:done] has been met
-    while done < len(ctxs):
+    while closure == "intersections" and done < len(ctxs):
         size = len(ctxs)
         feed(meet_pass(done, size), add_run)
-        done = size if closure == "intersections" else len(ctxs)
+        done = size
     if closure == "coarsenings":
         feed(expansions(), expand_run)
 
@@ -614,6 +615,9 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         rows, cols = np.nonzero(misfit[lo:lo + 512] @ member.T == 0)
         leq.update((relabeled[lo + r].key, relabeled[c].key)
                    for r, c in zip(rows, cols))
+    if any(a != b and (b, a) in leq for a, b in leq):
+        raise ValidationError(
+            "inconsistent intersection component: the two sides disagree")
     return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq),
                         table=table, block_ids={
                             c.key: ids_of[i] for c, i in zip(relabeled, order)})

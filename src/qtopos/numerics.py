@@ -31,6 +31,9 @@ two partitions is a permutation.  If p meets only q of q's partition and q
 only p of p's, then ``p = p q + sum(p q')`` and ``q = p q + sum(p' q)``
 with every other product below ``eps * d``; in exact arithmetic those
 vanish and p = p q = q.  Conversely equal blocks meet only each other.
+Within the tolerance the two can disagree: blocks a little more than
+``eps * d`` apart are distinct yet meet only each other, and
+``build_poset`` refuses the cyclic order of two contexts made of them.
 """
 
 from __future__ import annotations

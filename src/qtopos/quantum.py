@@ -16,7 +16,6 @@ import itertools
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -164,14 +163,6 @@ def _approximation(ctx: Context, hits: list, inner: bool) -> tuple[tuple, np.nda
     return picked, m
 
 
-def _daseinise(p: np.ndarray, contexts: Sequence[Context], stack: np.ndarray, ids,
-               tol: Tolerance, inner: bool) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Per context, the ``_approximation`` of ``p``, from hits on ``stack``."""
-    flags = _outer_hits(p, stack, tol, inner).tolist()
-    return [_approximation(ctx, [flags[b] for b in ids[ctx.key]], inner)
-            for ctx in contexts]
-
-
 def daseinise(projector, poset: ContextPoset, tol: Tolerance = Tolerance(),
               inner: bool = False) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Outer (or ``inner``) daseinisation of a projector over the whole poset:
@@ -179,7 +170,9 @@ def daseinise(projector, poset: ContextPoset, tol: Tolerance = Tolerance(),
     one ``overlaps`` call against the poset's distinct blocks."""
     p = require_projector(projector, tol, "projector")
     table, ids = poset.blocks_at(tol)
-    return _daseinise(p, poset.contexts, table.blocks, ids, tol, inner)
+    flags = _outer_hits(p, table.blocks, tol, inner).tolist()
+    return [_approximation(ctx, [flags[b] for b in ids[ctx.key]], inner)
+            for ctx in poset.contexts]
 
 
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):

@@ -12,6 +12,7 @@ order.
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 import time
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtopos import cli
 from qtopos import contexts as C
 from qtopos import quantum as Q
 from qtopos.errors import SizeLimit, TrivialContext, ValidationError
@@ -113,7 +115,8 @@ def test_builtin_scenarios(name, closure):
 
 
 @pytest.mark.parametrize("closure", CLOSURES)
-@pytest.mark.parametrize("name", ["pauli2", "mermin_square", "two_qubit_parity"])
+@pytest.mark.parametrize("name", ["pauli2", "mermin_square", "two_qubit_parity",
+                                  "peres33", "cabello18"])
 def test_bundled_scenario_files(name, closure):
     scn = parse_scenario((SCENARIOS / f"{name}.json").read_text())
     assert_same_poset(scn.maximal_contexts, closure, scn.tolerance)
@@ -324,7 +327,7 @@ def per_partition_build_poset(maximal, closure="coarsenings", tol=TOL):
                                       table.meets[np.ix_(ids_of[i], ids_of[j])],
                                       bound)
                 if mats is not None:
-                    add(mats)
+                    add(mats[0])
         done = size if closure == "intersections" else len(ctxs)
     for ctx in list(ctxs) if closure == "coarsenings" else ():
         for mats in per_partition_coarsened(ctx.blocks):
@@ -362,6 +365,19 @@ def _counting_interns(monkeypatch):
     return events
 
 
+def _in_key_order(poset):
+    """Each context's block keys, then the table's keys, meets and matrices
+    in key order: table ids follow the order blocks were first interned,
+    which the closures need not share."""
+    table = poset.table
+    n = len(table.keys)
+    assert len(set(table.keys)) == n  # the keys name the blocks
+    order = sorted(range(n), key=table.keys.__getitem__)
+    return ({key: [table.keys[b] for b in ids] for key, ids in poset.block_ids.items()},
+            [table.keys[b] for b in order], table.meets[np.ix_(order, order)],
+            table.blocks[order])
+
+
 def assert_same_closure(maximal, tol, monkeypatch):
     reference = per_partition_build_poset(maximal, "coarsenings", tol)
     events = _counting_interns(monkeypatch)
@@ -373,11 +389,12 @@ def assert_same_closure(maximal, tol, monkeypatch):
         assert len(a.blocks) == len(b.blocks)
         assert all(np.array_equal(p, q) for p, q in zip(a.blocks, b.blocks))
     assert new.leq == reference.leq
-    assert new.block_ids == reference.block_ids
-    n = len(reference.table.keys)
-    assert new.table.keys == reference.table.keys
-    assert np.array_equal(new.table.meets[:n, :n], reference.table.meets[:n, :n])
-    assert np.array_equal(new.table.blocks, reference.table.blocks)
+    ids, keys, meets, blocks = _in_key_order(new)
+    ref_ids, ref_keys, ref_meets, ref_blocks = _in_key_order(reference)
+    assert ids == ref_ids
+    assert keys == ref_keys
+    assert np.array_equal(meets, ref_meets)
+    assert np.array_equal(blocks, ref_blocks)
     # at most one intern per context the coarsening pass takes up
     pass_events = events[events.index("expand"):] if "expand" in events else []
     assert "intern intern" not in " ".join(pass_events)
@@ -390,6 +407,14 @@ def _load_gen():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _family(workload, path):
+    """The maximal contexts and tolerance of each seed-1 ``workload`` family."""
+    _load_gen().make_inputs(workload, 1, path)
+    for doc in sorted(path.glob("*.json")):
+        scn = parse_scenario(doc.read_text(encoding="utf-8"))
+        yield scn.maximal_contexts, scn.tolerance
 
 
 NAMED = ["builtin:pauli2", "builtin:mermin-square", *sorted(
@@ -413,10 +438,8 @@ def test_subset_sums_match_the_per_partition_closure_on_scenarios(
 @pytest.mark.parametrize("workload", ["poset-closure", "ks-search"])
 def test_subset_sums_match_the_per_partition_closure_on_families(
         workload, tmp_path, monkeypatch):
-    _load_gen().make_inputs(workload, 1, tmp_path)
-    for path in sorted(tmp_path.glob("*.json")):
-        scn = parse_scenario(path.read_text(encoding="utf-8"))
-        assert_same_closure(scn.maximal_contexts, scn.tolerance, monkeypatch)
+    for maximal, tol in _family(workload, tmp_path):
+        assert_same_closure(maximal, tol, monkeypatch)
 
 
 @pytest.mark.parametrize("levels", range(2, 8))
@@ -476,11 +499,8 @@ def test_derived_meets_are_the_products_on_scenarios(name, closure):
 @pytest.mark.parametrize("closure", CLOSURES)
 @pytest.mark.parametrize("workload", ["poset-closure", "ks-search"])
 def test_derived_meets_are_the_products_on_families(workload, closure, tmp_path):
-    _load_gen().make_inputs(workload, 1, tmp_path)
-    for path in sorted(tmp_path.glob("*.json")):
-        scn = parse_scenario(path.read_text(encoding="utf-8"))
-        poset = C.build_poset(scn.maximal_contexts, closure, scn.tolerance)
-        assert_meets_are_the_products(poset, scn.tolerance)
+    for maximal, tol in _family(workload, tmp_path):
+        assert_meets_are_the_products(C.build_poset(maximal, closure, tol), tol)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -597,9 +617,9 @@ def test_a_limit_anywhere_in_a_run_trips_as_one_at_a_time(closure, monkeypatch):
                                 f"closure exceeded {limit} contexts"]
 
 
-def test_the_square_is_three_interns_and_one_product(monkeypatch):
-    # the given contexts, the one meet pass, the coarsening pass; only the
-    # given blocks are multiplied out
+def test_the_square_is_two_interns_and_one_product(monkeypatch):
+    # the given contexts, then the coarsening pass, with no meet pass; only
+    # the given blocks are multiplied out
     maximal = C.builtin_scenario("mermin-square", TOL)[2]
     calls = []
     intern, products = C.BlockTable.intern, C.overlaps
@@ -608,6 +628,80 @@ def test_the_square_is_three_interns_and_one_product(monkeypatch):
     monkeypatch.setattr(C, "overlaps", lambda *args: (
         calls.append("overlaps"), products(*args))[1])
     poset = C.build_poset(maximal, "coarsenings", TOL)
-    assert sorted(calls) == ["intern"] * 3 + ["overlaps"]
+    assert sorted(calls) == ["intern"] * 2 + ["overlaps"]
     monkeypatch.undo()
     assert_meets_are_the_products(poset, TOL)
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_the_reference_closure_on_the_poset_closure_families(closure, tmp_path):
+    for maximal, tol in _family("poset-closure", tmp_path):
+        assert_same_poset(maximal, closure, tol)
+
+
+def assert_meets_lie_among_the_coarsenings(maximal, tol):
+    # every subalgebra of a given context is one of its coarsenings, so the
+    # coarsenings closure holds every context the meets make
+    coarse = C.build_poset(maximal, "coarsenings", tol).contexts
+    for ctx in C.build_poset(maximal, "intersections", tol).contexts:
+        assert any(C.contexts_equal(ctx, other, tol) for other in coarse)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_meets_lie_among_the_coarsenings_on_scenarios(name):
+    assert_meets_lie_among_the_coarsenings(*_named_maximal(name))
+
+
+def test_meets_lie_among_the_coarsenings_on_families(tmp_path):
+    for maximal, tol in _family("poset-closure", tmp_path):
+        assert_meets_lie_among_the_coarsenings(maximal, tol)
+
+
+# At the edge of the tolerance, block equality (``same_blocks``) and meeting
+# one to one (``overlaps``) can disagree: two blocks that differ by a little
+# more than eps * d still meet only each other.  Two contexts made of such
+# blocks lie under each other, and ``build_poset`` refuses that cycle.
+
+KNIFE_EDGE_ERROR = "inconsistent intersection component: the two sides disagree"
+
+
+def _knife_edge_operators(dim, sin):
+    """A and B of one knife-edge case: in d = 2, sigma_z and the reflection
+    through (cos t, sin t); in d = 3, diag(0, 1, 2) and the operator that is
+    +1 on span(e0, cos t e1 + sin t e2) and -1 elsewhere."""
+    v = np.array([np.sqrt(1 - sin ** 2), sin])
+    if dim == 2:
+        return np.diag([1.0, -1.0]), 2 * np.outer(v, v) - np.eye(2)
+    plus = np.diag([1.0, 0, 0])
+    plus[1:, 1:] = np.outer(v, v)
+    return np.diag([0.0, 1.0, 2.0]), 2 * plus - np.eye(3)
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+@pytest.mark.parametrize("dim, sin, sizes", [
+    (2, 1.2e-9, (1, 1)), (2, 1.8e-9, None), (2, 2.5e-9, (2, 2)),
+    (3, 1.5e-9, (4, 2)), (3, 2.5e-9, None), (3, 3.5e-9, (5, 2))])
+def test_a_knife_edge_is_refused_not_ordered_in_a_cycle(dim, sin, sizes, closure,
+                                                         tmp_path):
+    # ``sizes``: the contexts under coarsenings and under intersections, or
+    # None where the two blocks are distinct yet meet one to one
+    tol = Tolerance(1e-9)
+    ops = _knife_edge_operators(dim, sin)
+    maximal = [C.context_from_commuting_set([op], tol) for op in ops]
+    path = tmp_path / "knife.json"
+    path.write_text(json.dumps({
+        "dimension": dim, "tolerance": 1e-9, "closure": closure,
+        "operators": {name: [[[x, 0.0] for x in row] for row in op.tolist()]
+                      for name, op in zip("AB", ops)},
+        "groups": [["A"], ["B"]]}))
+    runs = [cli.run_command(["poset", str(path)]),
+            cli.run_command(["ks", str(path), "--max-solutions", "4"])]
+    if sizes is None:
+        with pytest.raises(ValidationError, match=f"^{KNIFE_EDGE_ERROR}$"):
+            C.build_poset(maximal, closure, tol)
+        assert runs == 2 * [(1, "", f"error: {KNIFE_EDGE_ERROR}\n")]
+        return
+    poset = C.build_poset(maximal, closure, tol)
+    assert_is_order(poset)
+    assert len(poset) == sizes[closure == "intersections"]
+    assert [(code, err) for code, _, err in runs] == 2 * [(0, "")]

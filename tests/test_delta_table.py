@@ -262,10 +262,11 @@ def test_one_overlaps_row_per_distinct_block(square, monkeypatch):
 def test_unclosed_parts_raise_the_kernel_message(square, monkeypatch):
     # every block hits except one distinct block that finer blocks lie
     # under: the parts are not closed, and the first strict pair that shows
-    # it is named as ``kernel.subobject`` names it
+    # it is named as ``kernel.subobject`` names it; the missed block is the
+    # edge target of least sort key, which does not hang on table-id order
     poset, presheaf = square
     _, _, lo, hi = presheaf.table
-    under = hi[np.flatnonzero(lo != hi)[0]]
+    under = min(hi[lo != hi].tolist(), key=poset.table.keys.__getitem__)
     missed = poset.table.blocks[under]
 
     def fake(ps, qs, tol=TOL):
@@ -279,7 +280,7 @@ def test_unclosed_parts_raise_the_kernel_message(square, monkeypatch):
     with pytest.raises(ValidationError) as live:
         Q.delta_subobject(p, presheaf)
     assert str(live.value) == str(ref.value) == (
-        "parts are not closed under restriction 'V61' -> 'V27'")
+        "parts are not closed under restriction 'V33' -> 'V00'")
 
 
 @pytest.mark.parametrize("inner", [False, True])
