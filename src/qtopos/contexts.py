@@ -59,12 +59,16 @@ def _block_sort_keys(stack: np.ndarray) -> list[tuple]:
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """A partition of unity: pairwise orthogonal projectors summing to 1."""
+    """A partition of unity: pairwise orthogonal projectors summing to 1.
+    A context of a poset from ``build_poset`` also holds the poset's block
+    ``table`` and its blocks' ``ids`` in it; one from ``make_context`` neither."""
 
     key: str
     dim: int
     blocks: tuple[np.ndarray, ...]
     label: str | None = None
+    table: BlockTable | None = field(default=None, repr=False)
+    ids: tuple[int, ...] | None = field(default=None, repr=False)
 
     @functools.cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -344,6 +348,7 @@ class BlockTable:
         self.meets = np.zeros((16, 16), dtype=bool)
         self.keys: list[tuple] = []
         self.blocks = self.mats[:0]  # the distinct blocks, stacked in id order
+        self.hits: dict[tuple, np.ndarray] = {}  # quantum._outer_hits's flags
 
     def intern(self, blocks: Sequence[np.ndarray],
                parts: Sequence[Sequence[int]] | None = None) -> list[int]:
@@ -363,6 +368,7 @@ class BlockTable:
         fresh = rest[ids[rest] == n]
         if not fresh.size:
             return ids.tolist()
+        self.hits.clear()  # its flags cover the blocks held so far
         # twin[a, c]: new blocks a < c are the same block; c is added unless
         # it is the twin of an earlier block that was added, whose id it takes
         twin = np.triu(same_blocks(stack[fresh], stack[fresh], self.tol), 1)
@@ -400,24 +406,25 @@ class ContextPoset:
     """Finitely many contexts ordered by algebra inclusion; ``base`` is the
     kernel poset on the sorted keys.  ``leq`` must already be closed, as
     ``build_poset`` returns it: a hand-built poset is taken as given.
-    ``build_poset`` leaves its ``table`` and ``block_ids`` (see ``blocks_at``)."""
+    ``build_poset`` leaves its ``table``, and each context's ids into it on
+    the context (see ``blocks_at``)."""
 
     dim: int
     contexts: tuple[Context, ...]
     leq: frozenset[tuple[str, str]]
     table: BlockTable | None = field(default=None, repr=False)
-    block_ids: dict[str, list[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {c.key: c for c in self.contexts})
         object.__setattr__(self, "base", FinPoset(
             elements=tuple(sorted(self._index)), leq=self.leq))
 
-    def blocks_at(self, tol: Tolerance) -> tuple[BlockTable, dict[str, list[int]]]:
-        """The block table at ``tol`` and each context's ids into it; a
-        table built at another tolerance, or none, is interned afresh."""
+    def blocks_at(self, tol: Tolerance) -> tuple[BlockTable, dict[str, Sequence[int]]]:
+        """The block table at ``tol`` and each context's ids into it, read
+        off the contexts; a table built at another tolerance, or none, is
+        interned afresh."""
         if self.table is not None and self.table.tol == tol:
-            return self.table, self.block_ids
+            return self.table, {c.key: c.ids for c in self.contexts}
         table = BlockTable(self.dim, tol)
         return table, {c.key: table.intern(c.blocks) for c in self.contexts}
 
@@ -446,10 +453,11 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
 
     Each distinct block is interned once in a :class:`BlockTable`, so a
     context is a list of block ids and a duplicate is one set lookup; the
-    poset keeps the table.  A context keeps the matrices it was first formed
-    with.  ``V..`` ids sort contexts by block count, then by block entries
-    rounded to 6 digits: near a rounding boundary ids can change (say under
-    a global unitary); shape, order and verdict hold.
+    poset and its contexts keep the table, and each context its block ids.
+    A context keeps the matrices it was first formed with.  ``V..`` ids
+    sort contexts by block count, then by block entries rounded to 6
+    digits: near a rounding boundary ids can change (say under a global
+    unitary); shape, order and verdict hold.
 
     Each phase interns one stack: the given contexts' blocks, the meets of
     a meet pass or the subset sums of the coarsening pass.  Only the given
@@ -604,8 +612,8 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     relabeled = []
     member = np.zeros((len(order), n), dtype=np.float32)
     for r, i in enumerate(order):
-        relabeled.append(Context(key=f"V{r:0{width}d}", dim=dim,
-                                 blocks=ctxs[i].blocks, label=ctxs[i].label))
+        relabeled.append(Context(key=f"V{r:0{width}d}", dim=dim, blocks=ctxs[i].blocks,
+                                 label=ctxs[i].label, table=table, ids=tuple(ids_of[i])))
         member[r, ids_of[i]] = 1
     # C <= D iff every block of D meets exactly one block of C (then D has
     # at least as many blocks, since every block of C meets one of D).
@@ -619,8 +627,7 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         raise ValidationError(
             "inconsistent intersection component: the two sides disagree")
     return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq),
-                        table=table, block_ids={
-                            c.key: ids_of[i] for c, i in zip(relabeled, order)})
+                        table=table)
 
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -5,9 +5,13 @@ contributes its blocks as a finite set, restriction coarsens blocks, and
 projectors are approximated per context by the smallest dominating (outer)
 or largest dominated (inner) sums of blocks.  Over a poset, the outer hits are
 one ``overlaps`` row per distinct block of its table, and closure is checked
-on the table's "lies under" edges.  Truth values of propositions land in the
-lower sets of the context poset, and the global-section search decides
-whether a noncontextual valuation exists at all.
+on the table's "lies under" edges.  The table remembers those flags per
+projector, and a context of the poset holds the table and its block ids,
+so daseinising one projector in every context, one context at a time,
+makes one ``overlaps`` call in all, not one per context.  Truth values of
+propositions land in the lower sets of the context poset, and the
+global-section search decides whether a noncontextual valuation exists at
+all.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernel
-from .contexts import Context, ContextPoset, _block_values
+from .contexts import BlockTable, Context, ContextPoset, _block_values
 from .errors import (
     Ambiguity,
     DimensionMismatch,
@@ -39,6 +43,7 @@ from .numerics import (
 )
 
 KS_NODE_LIMIT = 10 ** 7
+_HITS_CAP = 128  # flags a table remembers, like numerics' projector verdicts
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +140,33 @@ def evaluate(element: SpectralElement, operator,
     return float(values[0, element.block])
 
 
-def _outer_hits(p: np.ndarray, stack: np.ndarray, tol: Tolerance,
+def _outer_hits(p: np.ndarray, blocks: np.ndarray | BlockTable, tol: Tolerance,
                 inner: bool = False) -> np.ndarray:
-    """Which blocks of ``stack`` (a table's distinct blocks or a context's own
-    ``Context.stack``) meet ``p`` (``1 - p`` if ``inner``), by one ``overlaps``."""
-    if not len(stack):
+    """Which of ``blocks`` (a stack, such as a context's own ``Context.stack``,
+    or a ``BlockTable``'s distinct blocks) meet the complex matrix ``p``
+    (``1 - p`` if ``inner``), by one ``overlaps``.  A table at ``tol``
+    remembers the read-only flags in ``table.hits``, keyed by ``(inner,
+    shape, bytes)`` of ``p``; the memo is emptied at ``_HITS_CAP`` entries
+    and whenever ``intern`` grows the table, so its flags always cover the
+    held blocks.  A table at another tolerance remembers nothing."""
+    if isinstance(blocks, BlockTable):
+        table, key = blocks, (inner, p.shape, p.tobytes())
+        if table.tol != tol:
+            return _outer_hits(p, table.blocks, tol, inner)
+        if key not in table.hits:
+            hits = _outer_hits(p, table.blocks, tol, inner)
+            hits.setflags(write=False)
+            if len(table.hits) >= _HITS_CAP:
+                table.hits.clear()
+            table.hits[key] = hits
+        return table.hits[key]
+    if not len(blocks):
         return np.zeros(0, dtype=bool)
-    if p.shape[0] != stack.shape[-1]:
+    if p.shape[0] != blocks.shape[-1]:
         raise DimensionMismatch(f"projector dimension {p.shape[0]} != "
-                                f"context dimension {stack.shape[-1]}")
+                                f"context dimension {blocks.shape[-1]}")
     q = np.eye(p.shape[0], dtype=complex) - p if inner else p
-    return overlaps(stack, q[None], tol)[:, 0]
+    return overlaps(blocks, q[None], tol)[:, 0]
 
 
 def _approximation(ctx: Context, hits: list, inner: bool) -> tuple[tuple, np.ndarray]:
@@ -167,16 +188,23 @@ def daseinise(projector, poset: ContextPoset, tol: Tolerance = Tolerance(),
               inner: bool = False) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Outer (or ``inner``) daseinisation of a projector over the whole poset:
     per context, in ``poset.contexts`` order, block indices and matrix, from
-    one ``overlaps`` call against the poset's distinct blocks."""
+    one ``overlaps`` call against the poset's distinct blocks, none if the
+    table remembers the projector."""
     p = require_projector(projector, tol, "projector")
     table, ids = poset.blocks_at(tol)
-    flags = _outer_hits(p, table.blocks, tol, inner).tolist()
+    flags = _outer_hits(p, table, tol, inner).tolist()
     return [_approximation(ctx, [flags[b] for b in ids[ctx.key]], inner)
             for ctx in poset.contexts]
 
 
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
-    return _approximation(ctx, _outer_hits(p, ctx.stack, tol, inner).tolist(), inner)
+    """``daseinise``'s row for ``ctx``: read off its poset's table, if it has
+    one at ``tol``, else tested against its own ``stack``."""
+    if ctx.table is not None and ctx.table.tol == tol:
+        hits = _outer_hits(p, ctx.table, tol, inner)[list(ctx.ids)]
+    else:
+        hits = _outer_hits(p, ctx.stack, tol, inner)
+    return _approximation(ctx, hits.tolist(), inner)
 
 
 def daseinise_projector(projector, ctx: Context,
@@ -196,7 +224,7 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
     """The outer approximation of a projector as a subobject of the presheaf."""
     p = require_projector(projector, tol, "projector")
     x, (table, _, lo, hi) = presheaf.underlying, presheaf.table
-    hit = _outer_hits(p, table.blocks, tol)
+    hit = _outer_hits(p, table, tol)
     flat, bits, starts = presheaf._gather  # Σ(v)'s points are block indices
     masks = np.add.reduceat(np.where(hit[flat], bits, 0), starts)
     sub = kernel.Subobject(x, dict(zip(x.base.elements, masks.tolist())))
@@ -283,7 +311,7 @@ def truth_value_truthobject(projector, psi, poset: ContextPoset,
     obj = truth_object(psi, poset, tol)
     p = require_projector(projector, tol, "projector")
     table, ids = poset.blocks_at(tol)
-    flags = _outer_hits(p, table.blocks, tol).tolist()
+    flags = _outer_hits(p, table, tol).tolist()
     members = {k for k, row in ids.items()
                if obj.contains(k, sum(1 << i for i, b in enumerate(row) if flags[b]))}
     return kernel.lowerset(poset.base, members)

@@ -340,8 +340,8 @@ def per_partition_build_poset(maximal, closure="coarsenings", tol=TOL):
     relabeled = []
     member = np.zeros((len(order), n), dtype=np.float32)
     for r, i in enumerate(order):
-        relabeled.append(C.Context(key=f"V{r:0{width}d}", dim=dim,
-                                   blocks=ctxs[i].blocks, label=ctxs[i].label))
+        relabeled.append(C.Context(key=f"V{r:0{width}d}", dim=dim, blocks=ctxs[i].blocks,
+                                   label=ctxs[i].label, table=table, ids=tuple(ids_of[i])))
         member[r, ids_of[i]] = 1
     misfit = (member @ table.meets[:n, :n] != 1).astype(np.float32)
     leq = set()
@@ -350,8 +350,7 @@ def per_partition_build_poset(maximal, closure="coarsenings", tol=TOL):
         leq.update((relabeled[lo + r].key, relabeled[c].key)
                    for r, c in zip(rows, cols))
     return C.ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq),
-                          table=table, block_ids={
-                              c.key: ids_of[i] for c, i in zip(relabeled, order)})
+                          table=table)
 
 
 def _counting_interns(monkeypatch):
@@ -373,7 +372,7 @@ def _in_key_order(poset):
     n = len(table.keys)
     assert len(set(table.keys)) == n  # the keys name the blocks
     order = sorted(range(n), key=table.keys.__getitem__)
-    return ({key: [table.keys[b] for b in ids] for key, ids in poset.block_ids.items()},
+    return ({c.key: [table.keys[b] for b in c.ids] for c in poset.contexts},
             [table.keys[b] for b in order], table.meets[np.ix_(order, order)],
             table.blocks[order])
 

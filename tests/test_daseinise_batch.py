@@ -5,7 +5,10 @@ context is hit when its product with the projector, formed and normed on
 its own, exceeds ``eps * d``; it does not call ``overlaps``.
 ``quantum._outer_hits`` tests the distinct blocks of the poset's block table
 once each; the flags, read through each context's block ids, must give the
-same indices, context by context, in block order.
+same indices, context by context, in block order.  The table remembers its
+flags per projector, so the single-context daseinisation of every context
+of a poset costs one ``overlaps`` call too; a context without its poset's
+table at the asked tolerance tests its own ``stack``.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from qtopos import cli
 from qtopos import contexts as C
 from qtopos import quantum as Q
 from qtopos.errors import DimensionMismatch
-from qtopos.numerics import Tolerance, is_projector, overlaps
+from qtopos.numerics import Tolerance, eigensystem, is_projector, overlaps
 from qtopos.scenario import parse_scenario
 from tests.conftest import random_projector, random_unitary
 
@@ -197,3 +200,160 @@ class TestOneOverlapsCallPerProjector:
             assert (code, err) == (0, "")
             assert len(json.loads(out)["per_context"]) == 75
             assert calls[before:] == [1]
+
+    def _sweep(self, p, poset, tol):
+        return [public(p, ctx, tol) for public in
+                (Q.daseinise_projector, Q.daseinise_projector_inner)
+                for ctx in poset.contexts]
+
+    def test_single_context_sweep(self, square, calls):
+        _, scn, poset = square
+        tol = scn.tolerance
+        for name in self.PROJECTORS:
+            before = len(calls)
+            self._sweep(scn.operator(name), poset, tol)
+            assert calls[before:] == [1, 1]  # 150 calls, one per context, before
+
+    def test_single_context_sweep_after_daseinise(self, square, calls):
+        _, scn, poset = square
+        tol = scn.tolerance
+        for name in self.PROJECTORS:
+            p = scn.operator(name)
+            rows = [Q.daseinise(p, poset, tol, inner) for inner in (False, True)]
+            before = len(calls)
+            swept = self._sweep(p, poset, tol)
+            assert calls[before:] == []
+            assert ([m.tobytes() for m in swept]
+                    == [m.tobytes() for row in rows for _, m in row])
+
+    def test_daseinise_observable(self, square, calls):
+        _, scn, poset = square
+        tol = scn.tolerance
+        for op in (scn.operator("XX"), scn.operator("XI") + 2 * scn.operator("IX")):
+            before = len(calls)
+            for ctx in poset.contexts:
+                Q.daseinise_observable(op, ctx, tol)
+            # one call per cumulative projector E_k and variant
+            assert calls[before:] == [1] * (2 * len(eigensystem(op, tol)))
+
+
+def _square(closure="coarsenings"):
+    scn = parse_scenario((SCENARIOS / "mermin_square.json").read_text())
+    return scn, C.build_poset(scn.maximal_contexts, closure, scn.tolerance)
+
+
+def _stacks_seen(monkeypatch):
+    """The ``ps`` argument of every ``overlaps`` call made through quantum."""
+    seen = []
+    monkeypatch.setattr(Q, "overlaps", lambda ps, qs, tol=TOL: (
+        seen.append(ps), overlaps(ps, qs, tol))[1])
+    return seen
+
+
+def reference_row(p, ctx, tol, inner):
+    """A context's indices and matrix from its own blocks: each block's
+    product with ``p`` (``1 - p`` if ``inner``) normed on its own."""
+    q = np.eye(ctx.dim) - p if inner else p
+    hits = [bool(np.linalg.norm(b @ q) > tol.scaled(ctx.dim)) for b in ctx.blocks]
+    return Q._approximation(ctx, hits, inner)
+
+
+def assert_stack_path(p, contexts, tol, monkeypatch):
+    seen = _stacks_seen(monkeypatch)
+    for ctx in contexts:
+        for inner, public in ((False, Q.daseinise_projector),
+                              (True, Q.daseinise_projector_inner)):
+            before = len(seen)
+            indices, matrix = Q._in_context(p, ctx, tol, inner)
+            want_indices, want = reference_row(p, ctx, tol, inner)
+            assert indices == want_indices
+            assert matrix.tobytes() == want.tobytes()
+            assert public(p, ctx, tol).tobytes() == want.tobytes()
+            assert len(seen) - before == 2
+            assert all(ps is ctx.stack for ps in seen[before:])
+    monkeypatch.undo()
+
+
+class TestStackFallback:
+    """Contexts without their poset's table at the asked tolerance test their
+    own ``stack``, with the same indices and matrix bytes as before."""
+
+    def test_poset_contexts_carry_the_table(self):
+        _, poset = _square()
+        table, ids = poset.blocks_at(poset.table.tol)
+        assert table is poset.table
+        for ctx in poset.contexts:
+            assert ctx.table is table and ids[ctx.key] == ctx.ids
+            assert ctx.ids == tuple(table.intern(ctx.blocks))
+
+    def test_make_context(self, monkeypatch):
+        scn, poset = _square()
+        tol = scn.tolerance
+        own = [C.make_context(ctx.blocks, tol) for ctx in poset.contexts]
+        assert all(c.table is None and c.ids is None for c in own)
+        for name in ("Pzz_plus", "Pxx_plus"):
+            assert_stack_path(scn.operator(name), own, tol, monkeypatch)
+
+    def test_another_tolerance(self, monkeypatch):
+        scn, poset = _square()
+        wide = Tolerance(scn.tolerance.eps * 10)
+        for name in ("Pzz_plus", "Pxx_plus"):
+            assert_stack_path(scn.operator(name), poset.contexts, wide, monkeypatch)
+        assert poset.table.hits == {}
+
+    def test_hand_built_poset(self, monkeypatch):
+        scn, built = _square("intersections")
+        tol = scn.tolerance
+        hand = C.ContextPoset(dim=built.dim, leq=built.leq, contexts=tuple(
+            C.make_context(c.blocks, tol, label=c.key) for c in built.contexts))
+        assert hand.table is None
+        for name in ("Pzz_plus", "Pxx_plus"):
+            p = scn.operator(name)
+            assert_stack_path(p, hand.contexts, tol, monkeypatch)
+            for inner in (False, True):
+                for ctx, (indices, matrix) in zip(hand.contexts,
+                                                  Q.daseinise(p, hand, tol, inner)):
+                    want_indices, want = reference_row(p, ctx, tol, inner)
+                    assert (indices, matrix.tobytes()) == (want_indices, want.tobytes())
+
+
+class TestRememberedFlags:
+    """``BlockTable.hits``: per tested matrix, read-only flags on the table."""
+
+    def test_growing_the_table_drops_them(self):
+        scn, poset = _square()
+        tol, table, ctx = scn.tolerance, poset.table, poset.contexts[-1]
+        p = scn.operator("Pzz_plus")
+        first = Q.daseinise_projector(p, ctx, tol)
+        assert len(table.hits) == 1
+        (flags,) = table.hits.values()
+        assert not flags.flags.writeable and len(flags) == len(table.keys)
+        table.intern(ctx.blocks)  # held blocks: the table does not grow
+        assert len(table.hits) == 1
+        table.intern([random_projector(4, np.random.default_rng(5), 1)])
+        assert table.hits == {}
+        assert Q.daseinise_projector(p, ctx, tol).tobytes() == first.tobytes()
+        (flags,) = table.hits.values()
+        assert len(flags) == len(table.keys)
+
+    def test_one_bit_is_another_matrix(self, monkeypatch):
+        scn, poset = _square()
+        tol, table, ctx = scn.tolerance, poset.table, poset.contexts[-1]
+        p = np.array(scn.operator("Pzz_plus"))
+        q = p.copy()
+        q.view(np.uint64)[0, 0] ^= 1  # the last bit of the real part of q[0, 0]
+        seen = _stacks_seen(monkeypatch)
+        outer = [Q.daseinise_projector(m, ctx, tol) for m in (p, q, p, q)]
+        assert len(seen) == 2 and len(table.hits) == 2
+        assert len({m.tobytes() for m in outer}) == 1
+
+    def test_the_memo_is_capped(self):
+        scn, poset = _square()
+        tol, table, ctx = scn.tolerance, poset.table, poset.contexts[-1]
+        rng = np.random.default_rng(7)
+        sizes = []
+        for _ in range(200):
+            Q.daseinise_projector(random_projector(4, rng, 1), ctx, tol)
+            sizes.append(len(table.hits))
+        assert max(sizes) == Q._HITS_CAP == 128
+        assert sizes[-1] == 200 - 128
