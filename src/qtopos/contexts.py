@@ -28,10 +28,12 @@ from .errors import (
 )
 from .kernel import FinPoset
 from .numerics import (
+    PAIR_ENTRIES,
     Tolerance,
     _projector_ok,
     as_operator,
-    eigensystem,
+    eigensystem,  # unused here; kept importable for perfbench/tracer.py
+    eigensystems,
     frob,
     overlaps,
     proj_leq,  # unused here; kept importable for perfbench/tracer.py
@@ -148,6 +150,24 @@ def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float):
     return blocks, sides
 
 
+def _connected(meets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of the block id arrays ``a`` and ``b`` (padded with -1): is
+    the bipartite graph that joins a's and b's blocks where ``meets`` says
+    they meet connected, that is, is the two contexts' meet trivial?  Two
+    of a's blocks are a step apart when they meet a common block of b; with
+    k of them, log2(k - 1) squarings of that step matrix reach every path."""
+    va, vb = a >= 0, b >= 0
+    graph = (meets[a[:, :, None], b[:, None, :]]
+             & va[:, :, None] & vb[:, None, :]).astype(np.float32)
+    reach = (graph @ graph.swapaxes(1, 2) > 0) | np.eye(a.shape[1], dtype=bool)
+    for _ in range((a.shape[1] - 2).bit_length()):
+        step = reach.astype(np.float32)
+        reach = step @ step > 0
+    seen = reach[:, 0]  # a's blocks reached from its first one
+    hit = np.einsum("sx,sxy->sy", seen.astype(np.float32), graph) > 0
+    return (seen | ~va).all(axis=1) & (hit | ~vb).all(axis=1)
+
+
 def _block_values(ops: np.ndarray, blocks, bound: float):
     """Per operator of the stack ``ops``: tr(p op) / tr(p) per block p, and
     whether it is the real combination of the blocks with those values."""
@@ -158,44 +178,32 @@ def _block_values(ops: np.ndarray, blocks, bound: float):
                          & (np.abs(coeffs.imag).max(axis=1) <= bound))
 
 
-def _stacked_context(stack: np.ndarray, tol: Tolerance, label: str | None,
-                     fault: ToposError | None = None) -> Context:
-    """The context of ``stack``'s blocks, checked as projectors, then (after
-    raising ``fault``, a caller's finding that ranks below that check) as a
-    partition of unity; its blocks are read-only views, in canonical order."""
-    bad = np.flatnonzero(~_projector_ok(stack, tol))
-    if bad.size:
-        raise NotProjector(f"block {bad[0]} is not a projector within tolerance")
-    if fault is not None:
-        raise fault
-    _check_partition(stack, overlaps(stack, stack, tol), tol.scaled(stack.shape[-1]))
-    keys = _block_sort_keys(stack)
-    stack = stack[sorted(range(len(stack)), key=keys.__getitem__)]
-    stack.setflags(write=False)
-    return Context(key=label or _fresh_key(), dim=stack.shape[-1], blocks=tuple(stack),
-                   label=label)
-
-
 def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
                  label: str | None = None) -> Context:
     """Validate and canonically order a partition of unity, keyed by its
-    ``label`` or, without one, by a fresh ``ctxN`` key."""
+    ``label`` or, without one, by a fresh ``ctxN`` key: the blocks as
+    projectors, then their dimensions and traces, then the partition."""
     mats = [as_operator(b) for b in blocks]
     if len(mats) < 2:
         raise TrivialContext("a context needs at least two blocks")
     dim = mats[0].shape[0]
     size = next((i for i, b in enumerate(mats) if b.shape[0] != dim), len(mats))
     stack = np.stack(mats[:size])
+    bad = np.flatnonzero(~_projector_ok(stack, tol))
+    if bad.size:
+        raise NotProjector(f"block {bad[0]} is not a projector within tolerance")
+    if size < len(mats):
+        raise DimensionMismatch(f"block {size} has dimension {mats[size].shape[0]} != {dim}")
     traces = np.trace(stack, axis1=1, axis2=2).real
     empty = np.flatnonzero(traces <= 0.5)  # generation's rule for keeping a block
-    fault = None
-    if size < len(mats):
-        fault = DimensionMismatch(
-            f"block {size} has dimension {mats[size].shape[0]} != {dim}")
-    elif empty.size:
-        fault = ValidationError(
+    if empty.size:
+        raise ValidationError(
             f"block {empty[0]} is empty: trace {traces[empty[0]]:.3e} is below 0.5")
-    return _stacked_context(stack, tol, label, fault)
+    _check_partition(stack, overlaps(stack, stack, tol), tol.scaled(dim))
+    keys = _block_sort_keys(stack)
+    stack = stack[sorted(range(len(stack)), key=keys.__getitem__)]
+    stack.setflags(write=False)
+    return Context(key=label or _fresh_key(), dim=dim, blocks=tuple(stack), label=label)
 
 
 def contexts_equal(a: Context, b: Context, tol: Tolerance = Tolerance()) -> bool:
@@ -211,50 +219,177 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
     """The context generated by a commuting family of Hermitian operators.
 
     Blocks are the joint eigenprojectors, obtained as the common refinement
-    of each operator's eigenprojectors.
+    of each operator's eigenprojectors: the one-group case of ``_generate``.
     """
     ops = [require_hermitian(op, tol) for op in operators]
-    return _generated_context(ops, tol, label, [eigensystem(op, tol) for op in ops])
-
-
-def _generated_context(ops: Sequence[np.ndarray], tol: Tolerance, label: str | None,
-                       spectra: Sequence[list]) -> Context:
-    """``context_from_commuting_set`` on operators already checked Hermitian,
-    with ``spectra[i]`` as operator i's eigensystem, which a caller may
-    memoise; each check is one batched product."""
     if not ops:
         raise ValidationError("cannot generate a context from no operators")
     dim = ops[0].shape[0]
     for i, op in enumerate(ops):
         if op.shape[0] != dim:
             raise DimensionMismatch(f"operator {i} has dimension {op.shape[0]} != {dim}")
-    bound = tol.scaled(dim)
-    stack = np.stack(ops)
-    prods = stack[:, None] @ stack[None]
-    bad = np.argwhere(np.triu(sq_frob(prods - prods.swapaxes(0, 1)) > bound ** 2, 1))
-    if bad.size:
-        i, j = bad[0].tolist()
-        norm = frob(prods[i, j] - prods[j, i])
-        raise NonCommuting(f"operators {i} and {j} do not commute: commutator "
-                           f"norm {norm:.6e}", i=i, j=j, norm=norm)
+    found = eigensystems(ops, tol)
+    for result in found:
+        if isinstance(result, ToposError):
+            raise result
+    made = _generate(np.stack(ops), found, [range(len(ops))], tol, [label])[0]
+    if isinstance(made, ToposError):
+        raise made
+    return made
 
-    blocks = np.eye(dim, dtype=complex)[None]
-    for spectrum in spectra:
-        projs = np.stack([proj for _value, proj in spectrum])
-        q = (blocks[:, None] @ projs[None]).reshape(-1, dim, dim)
+
+@functools.cache
+def _pairs(k: int) -> np.ndarray:
+    """The positions (i, j), i < j, of ``k`` things, as two read-only rows."""
+    pairs = np.array(np.triu_indices(k, 1))
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _generate(ops: np.ndarray, found: Sequence, groups: Sequence[Sequence[int]],
+              tol: Tolerance, labels: Sequence[str | None]) -> list:
+    """Per group of rows of the stack ``ops`` of Hermitian operators, the
+    context that the group generates, or the error that generating it
+    alone raises; ``found[r]`` is row r's eigenvalues and eigenprojectors
+    (:func:`qtopos.numerics.eigensystems`).
+
+    Each step runs on all groups at once and names the error of a group it
+    flags; a flagged group drops out of the later steps.  The steps, in the
+    order their errors take: all commutators in one gathered product (the
+    first non-commuting pair in row order), the refinement of the joint
+    eigenprojectors in one gathered product per operator position, at least
+    two blocks, every block a projector, then orthogonality and sum to
+    identity over all blocks at once (a flagged group is checked again
+    alone, which names its fault), the canonical order, and every
+    operator's reconstruction from its group's blocks.  Each block is the
+    product that one group at a time forms, bit for bit.  Groups go in runs
+    whose products hold about ``PAIR_ENTRIES`` matrix entries.
+    """
+    d = ops.shape[-1]
+    projs = np.concatenate([pairs[1] for pairs in found])
+    starts = np.cumsum([0] + [len(pairs[1]) for pairs in found])
+    out: list = []
+    lo = size = 0
+    for hi, rows in enumerate(groups):
+        weight = (len(rows) + 2 * d) ** 2 * d * d  # bounds each product's entries
+        if hi > lo and size + weight > PAIR_ENTRIES:
+            out += _generate_run(ops, projs, starts, groups[lo:hi], tol, labels[lo:hi])
+            lo, size = hi, 0
+        size += weight
+    return out + _generate_run(ops, projs, starts, groups[lo:], tol, labels[lo:])
+
+
+def _generate_run(ops: np.ndarray, projs: np.ndarray, starts: np.ndarray,
+                  groups: Sequence[Sequence[int]], tol: Tolerance,
+                  labels: Sequence[str | None]) -> list:
+    """``_generate`` on one run of groups, operator r's eigenprojectors
+    being ``projs[starts[r]:starts[r + 1]]``."""
+    d = ops.shape[-1]
+    bound = tol.scaled(d)
+    out: list = [None] * len(groups)
+
+    pairs = [(g, i, j, rows[i], rows[j]) for g, rows in enumerate(groups)
+             for i, j in itertools.combinations(range(len(rows)), 2)]
+    # Operators whose squared norms are finite can still have a commutator
+    # past float range: it is flagged (a NaN too), and its norm prints as inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pairs:
+            a, b = np.array([p[3:] for p in pairs]).T
+            ab, ba = ops[a] @ ops[b], ops[b] @ ops[a]
+            bad = ~(sq_frob(ab - ba) <= bound ** 2)
+            for x in np.flatnonzero(bad).tolist():
+                g, i, j = pairs[x][:3]
+                if out[g] is None:
+                    norm = frob(ab[x] - ba[x])
+                    out[g] = NonCommuting(f"operators {i} and {j} do not commute: "
+                                          f"commutator norm {norm:.6e}", i=i, j=j, norm=norm)
+
+    # Refine one identity per group by each operator of the group in turn;
+    # blocks stay grouped by ``owner``, in the order one group alone has.
+    started = [g for g in range(len(groups)) if out[g] is None]
+    owner = np.array(started, dtype=int)
+    blocks = np.broadcast_to(np.eye(d, dtype=complex), (len(owner), d, d))
+    for stage in range(max((len(groups[g]) for g in started), default=0)):
+        at = np.array([rows[stage] if len(rows) > stage else -1 for rows in groups])[owner]
+        go = at >= 0
+        first, count = starts[at[go]], starts[at[go] + 1] - starts[at[go]]
+        left = np.repeat(np.flatnonzero(go), count)
+        right = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+        q = blocks[left] @ projs[right]
         q = (q + q.conj().swapaxes(1, 2)) / 2
-        blocks = q[np.trace(q, axis1=1, axis2=2).real > 0.5]
-    if len(blocks) < 2:
-        raise TrivialContext("the generated algebra is trivial (one block)")
+        keep = np.trace(q, axis1=1, axis2=2).real > 0.5
+        if go.all():
+            blocks, owner = q[keep], owner[left][keep]
+        else:  # groups with fewer operators keep their blocks
+            order = np.argsort(np.concatenate([owner[~go], owner[left][keep]]), kind="stable")
+            blocks = np.concatenate([blocks[~go], q[keep]])[order]
+            owner = np.concatenate([owner[~go], owner[left][keep]])[order]
 
-    # The refined blocks are one stack of one dimension, each of trace
-    # above 0.5, so make_context's dimension and empty-block checks hold.
-    ctx = _stacked_context(blocks, tol, label)
-    bad = np.flatnonzero(~_block_values(stack, ctx.blocks, bound)[1])
-    if bad.size:
-        raise ValidationError(
-            f"operator {bad[0]} is not a real combination of the refined blocks")
-    return ctx
+    counts = np.bincount(owner, minlength=len(groups))
+    for g in started:
+        if counts[g] < 2:
+            out[g] = TrivialContext("the generated algebra is trivial (one block)")
+    bad = ~_projector_ok(blocks, tol)
+    begin = np.searchsorted(owner, owner)  # the position of each block's group
+    for k in np.flatnonzero(bad).tolist():
+        if out[owner[k]] is None:
+            out[owner[k]] = NotProjector(
+                f"block {k - begin[k]} is not a projector within tolerance")
+
+    def live() -> tuple[list[int], list[int], list[int]]:
+        """Drop the blocks of groups with an error; the groups left, and
+        where each one's blocks begin and end."""
+        nonlocal blocks, owner
+        keep = np.array([out[g] is None for g in owner.tolist()], dtype=bool)
+        blocks, owner = blocks[keep], owner[keep]
+        cuts = np.flatnonzero(np.diff(owner, prepend=-1))
+        return owner[cuts].tolist(), cuts.tolist(), cuts[1:].tolist() + [len(owner)]
+
+    gs, cuts, ends = live()
+    if not gs:
+        return out
+    i, j = np.concatenate([_pairs(e - c) + c for c, e in zip(cuts, ends)], axis=1)
+    clash = set(owner[i[sq_frob(blocks[i] @ blocks[j]) > bound ** 2]].tolist())
+    defect = sq_frob(np.add.reduceat(blocks, cuts) - np.eye(d)) > bound ** 2
+    for g, c, e, off in zip(gs, cuts, ends, defect.tolist()):
+        if off or g in clash:  # named by the check of one group alone
+            try:
+                _check_partition(blocks[c:e], overlaps(blocks[c:e], blocks[c:e], tol), bound)
+            except ToposError as exc:
+                out[g] = exc
+
+    gs, cuts, ends = live()
+    if not gs:
+        return out
+    keys = _block_sort_keys(blocks)
+    blocks = blocks[[k for c, e in zip(cuts, ends)
+                     for k in sorted(range(c, e), key=keys.__getitem__)]]
+    blocks.setflags(write=False)
+    for g, c, e in zip(gs, cuts, ends):
+        out[g] = Context(key=labels[g] or _fresh_key(), dim=d, blocks=tuple(blocks[c:e]),
+                         label=labels[g])
+
+    # Each operator of each group against the group's blocks: one segment
+    # of (operator, block) terms per operator, in group order.
+    who = [(g, n) for g in gs for n in range(len(groups[g]))]
+    rows = np.array([groups[g][n] for g, n in who])
+    sizes = [len(groups[g]) for g in gs]
+    first = np.repeat(cuts, sizes)
+    width = np.repeat(np.subtract(ends, cuts), sizes)
+    seg = np.cumsum(width) - width
+    k = np.arange(width.sum()) + np.repeat(first - seg, width)
+    coeffs = (np.einsum("xab,xba->x", blocks[k], ops[np.repeat(rows, width)])
+              / np.einsum("xaa->x", blocks[k]).real)
+    recon = np.add.reduceat(coeffs.real[:, None, None] * blocks[k], seg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = ((sq_frob(recon - ops[rows]) <= bound ** 2)
+                & (np.maximum.reduceat(np.abs(coeffs.imag), seg) <= bound))
+    for x in np.flatnonzero(~fits).tolist():
+        g, n = who[x]
+        if isinstance(out[g], Context):
+            out[g] = ValidationError(
+                f"operator {n} is not a real combination of the refined blocks")
+    return out
 
 
 def context_leq(smaller: Context, larger: Context,
@@ -440,7 +575,13 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     """Close a family of contexts under the chosen policy and order it.
 
     ``intersections`` closes under pairwise intersection to a fixed point;
-    a pass skips the pairs that the pass before already met.
+    a pass skips the pairs that the pass before already met.  A meet is
+    trivial exactly when the bipartite graph of the two contexts' blocks,
+    joined where they meet, is connected; a pass reads that off the table's
+    meets for a slice of at most ``PAIR_ENTRIES`` entries of pairs at a
+    time, in batched boolean products (``_connected``), and only a pair
+    whose meet is not trivial reaches ``_meet_blocks``, so every error
+    stays where it was.
     ``coarsenings`` takes the given contexts, then every block-merging
     coarsening of each, in list order: every subalgebra of a finite
     commutative algebra is a coarsening of it, and the set is closed under
@@ -482,10 +623,11 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     there is room for under ``POSET_LIMIT`` (a meet counts 1, an expanded
     k-block context Bell(k) - 2; a run holds one at least), so a closure
     past the limit forms at most one run more than one candidate at a time
-    would.  A run in hand is finished before an error met while forming the
-    next one propagates, so an earlier candidate's error still comes first;
-    only a block that is not a projector, found as its run is interned, can
-    now come before the error of an earlier candidate of its run.
+    would, and reads no slice of pairs past the one that trips it.  A run
+    in hand is finished before an error met while forming the next one
+    propagates, so an earlier candidate's error still comes first; only a
+    block that is not a projector, found as its run is interned, can now
+    come before the error of an earlier candidate of its run.
     """
     if closure not in ("intersections", "coarsenings"):
         raise ValidationError(
@@ -558,7 +700,10 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
 
     def feed(items: Iterator[tuple[int, object]], flush: Callable) -> None:
         """``flush`` the ``(weight, item)`` pairs of ``items`` in runs whose
-        weights fit the room left under ``POSET_LIMIT`` (one item at least)."""
+        weights fit the room left under ``POSET_LIMIT`` (one item at least).
+        A run past the room is flushed before the next item is asked for,
+        since no item can join it: a closure that trips the limit forms no
+        candidate past the run that trips it."""
         run: list = []
         room = POSET_LIMIT - len(ctxs)
         try:
@@ -569,6 +714,10 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
                     room = POSET_LIMIT - len(ctxs)
                 run.append(item)
                 room -= weight
+                if room < 0:
+                    full, run = run, []
+                    flush(full)
+                    room = POSET_LIMIT - len(ctxs)
         except ToposError:
             flush(run)  # an earlier candidate's error comes first
             raise
@@ -581,8 +730,23 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
             yield 1, (ctx.blocks, ctx.label, None)
 
     def meet_pass(done: int, size: int) -> Iterator[tuple[int, tuple]]:
-        for i in range(size):
-            for j in range(max(i + 1, done), size):
+        """The meets of the pairs i < j < size with j >= done, in that
+        order; a slice of pairs at a time is read off the table, and only a
+        pair whose meet is not trivial is met."""
+        width = max(len(ids) for ids in ids_of[:size])
+        padded = np.full((size, width), -1)
+        for c, ids in enumerate(ids_of[:size]):
+            padded[c, :len(ids)] = ids
+        first = np.maximum(np.arange(1, size + 1), done)  # each row's first j
+        count = size - first
+        ends = np.cumsum(count)
+        step = max(1, PAIR_ENTRIES // (width * width))
+        for lo in range(0, int(ends[-1]), step):
+            flat = np.arange(lo, min(lo + step, int(ends[-1])))
+            left = np.searchsorted(ends, flat, side="right")
+            right = flat - ends[left] + count[left] + first[left]
+            kept = ~_connected(table.meets, padded[left], padded[right])
+            for i, j in zip(left[kept].tolist(), right[kept].tolist()):
                 met = _meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
                                    table.meets[ids_of[i]][:, ids_of[j]], bound)
                 if met is not None:
@@ -658,6 +822,12 @@ def _builtin_lines(name: str) -> tuple[int, dict, dict[str, tuple[str, ...]]]:
 def builtin_scenario(name: str, tol: Tolerance = Tolerance()):
     """Return (dim, named operators, maximal contexts) for a builtin setup."""
     dim, operators, lines = _builtin_lines(name)
-    return dim, operators, [
-        context_from_commuting_set([operators[nm] for nm in names], tol, label=line)
-        for line, names in lines.items()]
+    names = list(operators)
+    ops = np.stack(list(operators.values()))
+    made = _generate(ops, eigensystems(ops, tol), [[names.index(nm) for nm in line]
+                                                   for line in lines.values()],
+                     tol, list(lines))
+    for result in made:
+        if isinstance(result, ToposError):
+            raise result
+    return dim, operators, made

@@ -40,11 +40,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotProjector, ValidationError
+from .errors import (
+    DimensionMismatch,
+    NotHermitian,
+    NotProjector,
+    ToposError,
+    ValidationError,
+)
 
 MAX_DIM = 16
 _ACCEPTED_CAP = 128  # see "Validation is remembered" above
@@ -167,23 +173,85 @@ def eigensystem(matrix, tol: Tolerance = Tolerance()) -> list[tuple[float, np.nd
 
     Eigenvalues are strictly increasing; eigenvalues closer than
     ``eps * max(1, ||A||_F)`` are merged into a single eigenprojector.  The
-    projectors are pairwise orthogonal and sum to the identity.
+    projectors are pairwise orthogonal and sum to the identity.  This is
+    the one-matrix case of :func:`eigensystems`.
     """
-    a = require_hermitian(matrix, tol)
-    dim = a.shape[0]
-    evals, vecs = np.linalg.eigh(a)
-    gap = tol.eps * max(1.0, frob(a))
-    pairs: list[tuple[float, np.ndarray]] = []
-    start = 0
-    for stop in range(1, dim + 1):
-        if stop == dim or evals[stop] - evals[stop - 1] > gap:
-            cols = vecs[:, start:stop]
-            proj = cols @ cols.conj().T
-            proj = (proj + proj.conj().T) / 2
-            proj.setflags(write=False)
-            pairs.append((float(np.mean(evals[start:stop])), proj))
-            start = stop
-    return pairs
+    found = eigensystems([matrix], tol)[0]
+    if isinstance(found, ToposError):
+        raise found
+    values, projs = found
+    return list(zip(values, projs))
+
+
+def eigensystems(mats: Sequence, tol: Tolerance = Tolerance(),
+                 names: Sequence[str] | None = None) -> list:
+    """:func:`eigensystem` of each matrix of one dimension, with one
+    ``np.linalg.eigh`` over all of them.
+
+    Per matrix, the error its own check would raise (``as_operator``'s, the
+    overflow refusal below, then ``NotHermitian``), or its eigenvalues as a
+    list and its eigenprojectors as one read-only ``(k, d, d)`` stack.  A
+    matrix whose squared Frobenius norm overflows float64 is refused as too
+    large, named as ``names[i]`` (default "matrix"): its eigenvalue gap
+    would be infinite and merge every eigenvalue, and its products would
+    overflow.  The Hermitian test and the gap ``eps * max(1, ||A||_F)``
+    come from one squared norm per matrix; each eigenprojector is one
+    product of its eigenvectors, all those of one width at a time, and its
+    eigenvalue their mean, bit for bit as one matrix at a time.
+    """
+    out: list = []
+    good: list[np.ndarray] = []
+    rows: list[int] = []  # the position in ``out`` of each matrix of ``good``
+    for m in mats:
+        try:
+            good.append(as_operator(m))
+            rows.append(len(out))
+            out.append(None)
+        except ValidationError as exc:
+            out.append(exc)
+    if not good:
+        return out
+    stack = np.stack(good)
+    d = stack.shape[-1]
+    bound = tol.scaled(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = sq_frob(stack)
+        skew = sq_frob(stack - stack.conj().swapaxes(1, 2)) > bound ** 2
+    big = ~np.isfinite(norms)
+    for x in np.flatnonzero(big | skew).tolist():
+        if big[x]:
+            name = names[rows[x]] if names else "matrix"
+            out[rows[x]] = ValidationError(f"{name} is too large: its squared "
+                                           f"Frobenius norm overflows float64")
+        else:
+            out[rows[x]] = NotHermitian(f"hermiticity defect "
+                                        f"{hermiticity_defect(good[x]):.3e} "
+                                        f"exceeds {bound:.3e}")
+    keep = np.flatnonzero(~(big | skew))
+    if not keep.size:
+        return out
+    evals, vecs = np.linalg.eigh(stack[keep])
+    gap = tol.eps * np.maximum(1.0, np.sqrt(norms[keep]))
+    first = np.ones(evals.shape, dtype=bool)  # where a cluster of eigenvalues starts
+    first[:, 1:] = np.diff(evals, axis=1) > gap[:, None]
+    starts = np.flatnonzero(first)
+    widths = np.diff(starts, append=first.size)
+    row, col = np.divmod(starts, d)
+    values = np.empty(len(starts))
+    projs = np.empty((len(starts), d, d), dtype=complex)
+    for w in np.unique(widths).tolist():
+        at = np.flatnonzero(widths == w)
+        span = col[at, None] + np.arange(w)
+        cols = vecs[row[at, None], :, span].swapaxes(1, 2)
+        proj = cols @ cols.conj().swapaxes(1, 2)
+        projs[at] = (proj + proj.conj().swapaxes(1, 2)) / 2
+        values[at] = evals[row[at, None], span].sum(axis=1) / w
+    projs.setflags(write=False)
+    cut = np.searchsorted(row, np.arange(len(keep) + 1)).tolist()
+    values = values.tolist()
+    for k, x in enumerate(keep.tolist()):
+        out[rows[x]] = values[cut[k]:cut[k + 1]], projs[cut[k]:cut[k + 1]]
+    return out
 
 
 def apply_function(matrix, h: Callable[[float], float],

@@ -9,22 +9,28 @@ raise ``ValidationError`` naming the offender and the violated quantity.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .contexts import Context, _builtin_lines, _generated_context
+from .contexts import Context, _builtin_lines, _generate
 from .errors import (
     NonCommuting,
     NotHermitian,
     ParseError,
+    ToposError,
     TrivialContext,
     ValidationError,
 )
-from .numerics import MAX_DIM, Tolerance, eigensystem
+from .numerics import (
+    MAX_DIM,
+    Tolerance,
+    eigensystem,  # unused here; kept importable for perfbench/tracer.py
+    eigensystems,
+)
 
 # How far a requested eigenvalue may sit from a computed one.  It bounds the
 # precision of a number typed into a scenario, not numerical noise, so it
@@ -95,6 +101,37 @@ def _vector(node, dim: int, path: str) -> np.ndarray:
                      for i, cell in enumerate(node)], dtype=complex)
 
 
+def _projector(name: str, node: dict, found, dim: int) -> np.ndarray:
+    """The sum of the eigenprojectors of ``node["operator"]`` at the
+    requested eigenvalues; ``found`` is that operator's eigenvalues and
+    eigenprojectors, or the error of its Hermitian check."""
+    source = node["operator"]
+    if isinstance(found, NotHermitian):
+        raise ValidationError(
+            f"projector {name!r}: operator {source!r} is not Hermitian: "
+            f"{found}") from found
+    if isinstance(found, ToposError):
+        raise found
+    values, projs = found
+    total = np.zeros((dim, dim), dtype=complex)
+    taken: set = set()
+    for k, wanted in enumerate(node["eigenvalues"]):
+        target = _real(wanted, f"projectors.{name}.eigenvalues[{k}]")
+        hits = [i for i, value in enumerate(values)
+                if abs(value - target) <= EIGENVALUE_MATCH]
+        if len(hits) != 1:
+            raise ValidationError(
+                f"projector {name!r}: {source!r} has no eigenvalue "
+                f"within 1e-6 of {wanted}")
+        if hits[0] in taken:
+            raise ValidationError(
+                f"projector {name!r}: {wanted} names an eigenvalue of "
+                f"{source!r} that is already requested")
+        taken.add(hits[0])
+        total = total + projs[hits[0]]
+    return (total + total.conj().T) / 2
+
+
 @dataclass(eq=False)
 class Scenario:
     """A validated scenario: everything a command needs to run."""
@@ -120,7 +157,21 @@ class Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document."""
+    """Parse and fully validate a scenario document.
+
+    Sections are read in order (builtins, operators, projectors, states,
+    groups) and the first error in that order is raised.  Each named
+    operator that a projector, group or builtin line uses is decomposed
+    once, with two stacked ``eigh`` calls at most
+    (:func:`qtopos.numerics.eigensystems`): the projectors' sources, then
+    the rest (a projector made from a projector of the same section takes
+    one call of its own).  Every maximal context, builtin lines included,
+    comes from one generation pass over all groups (``contexts._generate``);
+    a group only raises once the groups before it have been generated, so
+    errors come in the order of one group at a time.  An operator whose
+    squared Frobenius norm overflows float64 is refused, by name, where its
+    Hermitian check stands.
+    """
     def reject_constant(token: str):
         raise ParseError(f"non-finite number {token!r} is not allowed", "document")
 
@@ -159,15 +210,7 @@ def parse_scenario(text: str) -> Scenario:
             f"closure must be 'intersections' or 'coarsenings', got {closure!r}")
 
     operators: dict = {}
-    maximal: list[Context] = []
-    # One eigensystem per named operator, for every group and projector; it
-    # is also the one Hermitian check of the operator.
-    spectrum = functools.cache(lambda name: eigensystem(operators[name], tol))
-
-    def generate(names, label: str) -> Context:
-        spectra = [spectrum(nm) for nm in names]
-        return _generated_context([operators[nm] for nm in names], tol, label, spectra)
-
+    families: list[tuple[Sequence[str], str]] = []  # names and label per context
     builtins_node = doc.get("builtins", [])
     if not isinstance(builtins_node, list) or not all(
             isinstance(b, str) for b in builtins_node):
@@ -181,7 +224,7 @@ def parse_scenario(text: str) -> Scenario:
             if op_name in operators:
                 raise ValidationError(f"duplicate operator name {op_name!r}")
             operators[op_name] = op
-        maximal.extend(generate(names, label) for label, names in blines.items())
+        families += [(names, label) for label, names in blines.items()]
 
     ops_node = doc.get("operators", {})
     if not isinstance(ops_node, dict):
@@ -191,9 +234,24 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"duplicate operator name {name!r}")
         operators[name] = _matrix(node, dim, f"operators.{name}")
 
+    # Each named operator is decomposed once, in one stack for the
+    # projectors' sources and one for the rest that the groups and builtin
+    # lines use (a source that is a projector of the same section takes one
+    # more).  An operator's entry is its eigenvalues and eigenprojectors, or
+    # the error of its Hermitian check, raised where that check stands.
+    spectra: dict = {}
+
+    def decompose(names) -> None:
+        fresh = [nm for nm in dict.fromkeys(names) if nm not in spectra]
+        if fresh:
+            spectra.update(zip(fresh, eigensystems(
+                [operators[nm] for nm in fresh], tol, [f"operator {nm!r}" for nm in fresh])))
+
     projs_node = doc.get("projectors", {})
     if not isinstance(projs_node, dict):
         raise ParseError("projectors must be an object", "projectors")
+    decompose(node["operator"] for node in projs_node.values() if isinstance(node, dict)
+              and isinstance(node.get("operator"), str) and node["operator"] in operators)
     for name, node in projs_node.items():
         if name in operators:
             raise ValidationError(f"duplicate operator name {name!r}")
@@ -208,29 +266,8 @@ def parse_scenario(text: str) -> Scenario:
         if source not in operators:
             raise ValidationError(
                 f"projector {name!r} references unknown operator {source!r}")
-        try:
-            pairs = spectrum(source)
-        except NotHermitian as exc:
-            raise ValidationError(
-                f"projector {name!r}: operator {source!r} is not Hermitian: "
-                f"{exc}") from exc
-        total = np.zeros((dim, dim), dtype=complex)
-        taken: set = set()
-        for k, wanted in enumerate(node["eigenvalues"]):
-            target = _real(wanted, f"projectors.{name}.eigenvalues[{k}]")
-            hits = [i for i, (value, _) in enumerate(pairs)
-                    if abs(value - target) <= EIGENVALUE_MATCH]
-            if len(hits) != 1:
-                raise ValidationError(
-                    f"projector {name!r}: {source!r} has no eigenvalue "
-                    f"within 1e-6 of {wanted}")
-            if hits[0] in taken:
-                raise ValidationError(
-                    f"projector {name!r}: {wanted} names an eigenvalue of "
-                    f"{source!r} that is already requested")
-            taken.add(hits[0])
-            total = total + pairs[hits[0]][1]
-        operators[name] = (total + total.conj().T) / 2
+        decompose([source])  # a projector read earlier in this section
+        operators[name] = _projector(name, node, spectra[source], dim)
 
     states: dict = {}
     states_node = doc.get("states", {})
@@ -250,27 +287,54 @@ def parse_scenario(text: str) -> Scenario:
     groups_node = doc.get("groups", [])
     if not isinstance(groups_node, list):
         raise ParseError("groups must be a list of name lists", "groups")
+    lines, stop = len(families), None
     for gi, group in enumerate(groups_node):
-        if not isinstance(group, list) or not group or not all(
-                isinstance(nm, str) for nm in group):
-            raise ParseError("each group must be a nonempty list of names",
-                             f"groups[{gi}]")
-        for nm in group:
-            if nm not in operators:
-                raise ValidationError(
-                    f"group {gi} references unknown operator {nm!r}")
         try:
-            maximal.append(generate(group, ",".join(group)))
-        except NonCommuting as exc:
-            pair = (group[exc.i], group[exc.j])
+            if not isinstance(group, list) or not group or not all(
+                    isinstance(nm, str) for nm in group):
+                raise ParseError("each group must be a nonempty list of names",
+                                 f"groups[{gi}]")
+            for nm in group:
+                if nm not in operators:
+                    raise ValidationError(
+                        f"group {gi} references unknown operator {nm!r}")
+        except ToposError as exc:  # raised after the groups before it
+            stop = exc
+            break
+        families.append((group, ",".join(group)))
+
+    decompose(nm for names, _ in families for nm in names)
+    # A group with an operator that fails its Hermitian check raises that
+    # after the groups before it are generated.
+    cut = next((at for at, (names, _) in enumerate(families)
+                if any(isinstance(spectra[nm], ToposError) for nm in names)),
+               len(families))
+    used = list(dict.fromkeys(nm for names, _ in families[:cut] for nm in names))
+    row = {nm: r for r, nm in enumerate(used)}
+    maximal = _generate(np.stack([operators[nm] for nm in used]),
+                        [spectra[nm] for nm in used],
+                        [[row[nm] for nm in names] for names, _ in families[:cut]],
+                        tol, [label for _, label in families[:cut]]) if used else []
+    for at, made in enumerate(maximal):
+        gi = at - lines
+        if isinstance(made, NonCommuting):
+            names = families[at][0]
             raise ValidationError(
-                f"group {gi}: operators {pair[0]!r} and {pair[1]!r} do not "
-                f"commute; commutator norm {exc.norm:.6e}") from exc
-        except NotHermitian as exc:
-            raise ValidationError(f"group {gi}: {exc}") from exc
-        except TrivialContext as exc:
+                f"group {gi}: operators {names[made.i]!r} and {names[made.j]!r} do not "
+                f"commute; commutator norm {made.norm:.6e}") from made
+        if isinstance(made, TrivialContext):
             raise ValidationError(
-                f"group {gi} generates the trivial algebra: {exc}") from exc
+                f"group {gi} generates the trivial algebra: {made}") from made
+        if isinstance(made, ToposError):
+            raise made
+    if cut < len(families):
+        fault = next(spectra[nm] for nm in families[cut][0]
+                     if isinstance(spectra[nm], ToposError))
+        if isinstance(fault, NotHermitian):
+            raise ValidationError(f"group {cut - lines}: {fault}") from fault
+        raise fault
+    if stop is not None:
+        raise stop
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return Scenario(dimension=dim, tolerance=tol, operators=operators,

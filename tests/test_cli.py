@@ -92,6 +92,37 @@ class TestValidate:
         assert cli.run_command(["validate", str(doc)]) == (
             1, "", f"error: number beyond float range (at {path})\n")
 
+    @pytest.mark.parametrize("operators, groups, projectors", [
+        ({"A": [[1e200, 0], [0, -1e200]], "B": [[0, 1e200], [1e200, 0]]},
+         [["A", "B"]], {}),
+        ({"A": [[1e300, 0], [0, 1]]}, [["A"]], {}),
+        ({"A": [[1e300, 0], [0, 1]]}, [], {"P": {"operator": "A", "eigenvalues": [1]}}),
+    ], ids=["non-commuting-pair", "alone", "projector-source"])
+    def test_operator_past_the_float_limit(self, tmp_path, operators, groups,
+                                           projectors):
+        # Its squared Frobenius norm overflows: the pair's commutator norm is
+        # not a number and the gap between eigenvalues is inf, so each used
+        # to pass as the trivial algebra after numpy's overflow warnings.
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({"dimension": 2, "operators": operators,
+                                   "groups": groups, "projectors": projectors}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = cli.run_command(["validate", str(doc)])
+        assert (code, out) == (1, "")
+        assert err == ("error: operator 'A' is too large: its squared "
+                       "Frobenius norm overflows float64\n")
+
+    def test_operator_near_the_float_limit_validates(self, tmp_path):
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({"dimension": 2, "groups": [["A"]],
+                                   "operators": {"A": [[1e150, 0], [0, 1]]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = _run(["validate", str(doc)])
+        assert (code, err) == (0, "")
+        assert report["maximal_contexts"][0]["block_ranks"] == [1, 1]
+
     def test_integer_with_too_many_digits(self, tmp_path):
         # json.loads raises a bare ValueError past int()'s 4300-digit limit
         doc = tmp_path / "long.json"

@@ -704,3 +704,124 @@ def test_a_knife_edge_is_refused_not_ordered_in_a_cycle(dim, sin, sizes, closure
     assert_is_order(poset)
     assert len(poset) == sizes[closure == "intersections"]
     assert [(code, err) for code, _, err in runs] == 2 * [(0, "")]
+
+
+# The meet pass reads which pairs meet trivially off the table, a slice of
+# pairs at a time, and forms only the other meets.
+
+def reference_trivial(meets, a, b) -> bool:
+    """Union-find over the bipartite graph of two id rows (padded with -1):
+    are all of their blocks one component?"""
+    a, b = [x for x in a if x >= 0], [y for y in b if y >= 0]
+    parent = list(range(len(a) + len(b)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if meets[x, y]:
+                parent[find(i)] = find(len(a) + j)
+    return len({find(x) for x in range(len(parent))}) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(2, 40),
+       width=st.integers(2, 16), pairs=st.integers(1, 12),
+       density=st.floats(0.0, 0.5))
+def test_batched_triviality_matches_a_per_pair_union_find(seed, blocks, width,
+                                                          pairs, density):
+    rng = np.random.default_rng(seed)
+    meets = rng.random((blocks, blocks)) < density
+    meets |= meets.T
+    rows = np.full((2 * pairs, width), -1)
+    for r in range(2 * pairs):
+        size = int(rng.integers(2, min(width, blocks) + 1))
+        rows[r, :size] = rng.choice(blocks, size, replace=False)
+    a, b = rows[:pairs], rows[pairs:]
+    got = C._connected(meets, a, b).tolist()
+    assert got == [reference_trivial(meets, x, y) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 9, 16])
+def test_a_path_through_every_block_is_one_component(k):
+    # a_0 - b_0 - a_1 - b_1 - ... - a_{k-1}: the longest path that the
+    # squarings must cover; cutting any edge splits it
+    meets = np.zeros((2 * k, 2 * k), dtype=bool)
+    a, b = np.arange(k), np.arange(k, 2 * k)
+    for x in range(k):
+        meets[a[x], b[x]] = True
+        if x + 1 < k:
+            meets[a[x + 1], b[x]] = True
+    meets |= meets.T
+    assert C._connected(meets, a[None], b[None]).tolist() == [True]
+    for x in range(2 * k - 1):
+        cut = meets.copy()
+        y, z = (a[x // 2], b[x // 2]) if x % 2 == 0 else (a[x // 2 + 1], b[x // 2])
+        cut[y, z] = cut[z, y] = False
+        assert C._connected(cut, a[None], b[None]).tolist() == [False]
+
+
+@pytest.mark.parametrize("name, pairs, calls", [
+    ("mermin_square.json", 105, 27), ("cabello18.json", 351, 54),
+    ("peres33.json", 2628, 192),
+])
+def test_only_nontrivial_meets_are_formed(name, pairs, calls, monkeypatch):
+    # before the batched verdicts every pair was met: 105, 351 and 2,628
+    maximal, tol = _named_maximal(name)
+    counts = {"pairs": 0, "calls": 0}
+    connected, meet = C._connected, C._meet_blocks
+
+    def batched(meets, a, b):
+        counts["pairs"] += len(a)
+        return connected(meets, a, b)
+
+    def one(*args):
+        counts["calls"] += 1
+        return meet(*args)
+
+    monkeypatch.setattr(C, "_connected", batched)
+    monkeypatch.setattr(C, "_meet_blocks", one)
+    C.build_poset(maximal, "intersections", tol)
+    assert counts == {"pairs": pairs, "calls": calls}
+
+
+def test_a_pass_that_trips_the_limit_reads_slices_lazily(monkeypatch):
+    # One pair per slice: a build that trips the limit reads the slices and
+    # forms the meets of the full build in the same order, stops at most one
+    # slice past the last meet it forms, and interns every meet it forms.
+    maximal, tol = _named_maximal("peres33.json")
+    monkeypatch.setattr(C, "PAIR_ENTRIES", 1)
+    events = []
+    connected, meet, intern = C._connected, C._meet_blocks, C.BlockTable.intern
+
+    def met(*args):
+        result = meet(*args)
+        events.append(("meet", len(result[0])))
+        return result
+
+    monkeypatch.setattr(C, "_connected", lambda *args: (
+        events.append(("slice", 0)), connected(*args))[1])
+    monkeypatch.setattr(C, "_meet_blocks", met)
+    monkeypatch.setattr(C.BlockTable, "intern", lambda self, blocks, parts=None: (
+        events.append(("intern", len(blocks))), intern(self, blocks, parts))[1])
+    size = len(C.build_poset(maximal, "intersections", tol))
+    full = [kind for kind, _ in events if kind != "intern"]
+    checked = 0
+    for limit in range(size - 1, 0, -5):
+        events.clear()
+        monkeypatch.setattr(C, "POSET_LIMIT", limit)
+        with pytest.raises(SizeLimit):
+            C.build_poset(maximal, "intersections", tol)
+        kinds = [kind for kind, _ in events if kind != "intern"]
+        if "meet" not in kinds:  # tripped by the given contexts
+            break
+        assert kinds == full[:len(kinds)]
+        assert kinds[::-1].index("meet") <= 1
+        tail = events[next(at for at, (kind, _) in enumerate(events) if kind == "meet"):]
+        assert (sum(n for kind, n in tail if kind == "intern")
+                == sum(n for kind, n in tail if kind == "meet"))
+        checked += 1
+    assert checked >= 3 and kinds.count("slice") < full.count("slice") / 2

@@ -1,14 +1,16 @@
 """Context generation and partition checks on stacks agree with the
 per-matrix code they replaced.
 
-``reference_context_from_commuting_set``, ``reference_make_context`` and
-``reference_block_values`` below are the earlier loops, kept verbatim, as
-is the earlier ``_check_partition`` (``reference_check_partition``):
-commutators pair by pair, the joint eigenprojectors refined block by
-block, each block validated on its own, each operator reconstructed on its
-own, one partition checked at a time.  The stacked versions in
-``qtopos.contexts`` must give bit-equal blocks under the same keys and
-labels, the same verdicts, and the same error type and message.
+``reference_context_from_commuting_set``, ``reference_make_context``,
+``reference_block_values`` and ``reference_eigensystem`` below are the
+earlier loops, kept verbatim, as is the earlier ``_check_partition``
+(``reference_check_partition``): one eigensystem per call, commutators pair
+by pair, the joint eigenprojectors refined block by block, each block
+validated on its own, each operator reconstructed on its own, one partition
+checked at a time.  The stacked versions in ``qtopos.contexts`` and
+``qtopos.numerics`` must give bit-equal blocks under the same keys and
+labels, the same verdicts, and the same error type and message, whether
+one group is generated or a whole scenario's groups at once.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from qtopos import numerics
 from qtopos.errors import (
     DimensionMismatch,
     NonCommuting,
+    NotHermitian,
     NotProjector,
     ToposError,
     TrivialContext,
@@ -36,12 +39,13 @@ from qtopos.numerics import (
     Tolerance,
     as_operator,
     eigensystem,
+    eigensystems,
     frob,
     is_projector,
     overlaps,
     require_hermitian,
 )
-from qtopos.scenario import parse_scenario
+from qtopos.scenario import _matrix, parse_scenario
 from tests.conftest import SX, SZ, random_unitary
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -61,6 +65,25 @@ def reference_check_partition(mats: Sequence[np.ndarray], meets: np.ndarray,
     defect = frob(sum(mats) - np.eye(mats[0].shape[0]))
     if defect > bound:
         raise ValidationError(f"blocks do not sum to identity: defect {defect:.3e}")
+
+
+def reference_eigensystem(matrix, tol: Tolerance = Tolerance()) -> list:
+    """Spectral decomposition as (eigenvalue, eigenprojector) pairs."""
+    a = require_hermitian(matrix, tol)
+    dim = a.shape[0]
+    evals, vecs = np.linalg.eigh(a)
+    gap = tol.eps * max(1.0, frob(a))
+    pairs = []
+    start = 0
+    for stop in range(1, dim + 1):
+        if stop == dim or evals[stop] - evals[stop - 1] > gap:
+            cols = vecs[:, start:stop]
+            proj = cols @ cols.conj().T
+            proj = (proj + proj.conj().T) / 2
+            proj.setflags(write=False)
+            pairs.append((float(np.mean(evals[start:stop])), proj))
+            start = stop
+    return pairs
 
 
 def reference_block_values(op: np.ndarray, blocks, bound: float) -> list[float] | None:
@@ -117,7 +140,7 @@ def reference_context_from_commuting_set(operators: Sequence,
 
     blocks: list[np.ndarray] = [np.eye(dim, dtype=complex)]
     for op in ops:
-        projs = [proj for _value, proj in eigensystem(op, tol)]
+        projs = [proj for _value, proj in reference_eigensystem(op, tol)]
         refined = []
         for b in blocks:
             for proj in projs:
@@ -374,3 +397,180 @@ def test_parsed_blocks_are_read_only(path):
     assert scn.maximal_contexts
     for ctx in scn.maximal_contexts:
         assert not any(b.flags.writeable for b in ctx.blocks), ctx
+
+
+# One eigh for many matrices, and one generation pass for many groups.
+
+def _drawn_operators(rng, dim: int, count: int) -> list[np.ndarray]:
+    """Operators diagonal in one of two random bases, with few distinct
+    eigenvalues (so groups commute, refine and reconstruct in every
+    pattern, or do not commute across bases), and now and then a multiple
+    of the identity, a non-Hermitian matrix or a large one."""
+    bases = [random_unitary(dim, rng) for _ in range(2)]
+    ops = []
+    for _ in range(count):
+        kind = rng.choice(["identity", "skew", "large", "other", "same"],
+                          p=[0.06, 0.04, 0.06, 0.12, 0.72])
+        if kind == "identity":
+            ops.append(float(rng.integers(-2, 3)) * np.eye(dim, dtype=complex))
+        elif kind == "skew":
+            ops.append(np.triu(rng.normal(size=(dim, dim))).astype(complex))
+        else:
+            u = bases[kind == "other"]
+            levels = rng.integers(-2, 3, size=dim).astype(float)
+            op = u @ np.diag(levels * (1e60 if kind == "large" else 1)) @ u.conj().T
+            ops.append((op + op.conj().T) / 2)
+    return ops
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), count=st.integers(1, 8))
+def test_eigensystems_match_one_matrix_at_a_time(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    mats = _drawn_operators(rng, dim, count)
+    big = int(rng.integers(count))  # its squared norm overflows
+    mats[big] = np.diag([1e300] + [1.0] * (dim - 1)).astype(complex)
+    for r, (found, mat) in enumerate(zip(eigensystems(mats, TOL), mats)):
+        if r == big:
+            assert str(found) == ("matrix is too large: its squared Frobenius "
+                                  "norm overflows float64")
+            continue
+        old = _outcome(reference_eigensystem, mat, TOL)
+        if isinstance(old, Exception):
+            assert_same(found, old)
+        else:
+            values, projs = found
+            assert values == [value for value, _ in old]
+            assert all(type(v) is float for v in values) and not projs.flags.writeable
+            assert len(projs) == len(old)
+            assert all(np.array_equal(p, q) for p, (_, q) in zip(projs, old))
+            assert all(np.array_equal(p, q) for (_, p), (_, q)
+                       in zip(eigensystem(mat, TOL), old))
+
+
+def _scenario(ops: list[np.ndarray], groups: list[list[int]]) -> str:
+    dim = ops[0].shape[0]
+    return json.dumps({
+        "dimension": dim,
+        "operators": {f"o{i}": [[[z.real, z.imag] for z in row] for row in op]
+                      for i, op in enumerate(ops)},
+        "groups": [[f"o{i}" for i in group] for group in groups]})
+
+
+def reference_groups(text: str):
+    """The maximal contexts that the earlier per-group loop of
+    ``parse_scenario`` made of a scenario of operators and groups, each
+    generated alone by the reference, or that loop's first error."""
+    doc = json.loads(text)
+    ops = {name: _matrix(node, doc["dimension"], name)
+           for name, node in doc["operators"].items()}
+    made = []
+    for gi, group in enumerate(doc["groups"]):
+        try:
+            for name in group:  # the Hermitian check, in group order
+                reference_eigensystem(ops[name], TOL)
+            made.append(reference_context_from_commuting_set(
+                [ops[name] for name in group], TOL, label=",".join(group)))
+        except NotHermitian as exc:
+            return ValidationError(f"group {gi}: {exc}")
+        except NonCommuting as exc:
+            return ValidationError(
+                f"group {gi}: operators {group[exc.i]!r} and {group[exc.j]!r} do "
+                f"not commute; commutator norm {exc.norm:.6e}")
+        except TrivialContext as exc:
+            return ValidationError(f"group {gi} generates the trivial algebra: {exc}")
+        except ToposError as exc:
+            return exc
+    return made
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5),
+       sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6))
+def test_groups_generated_together_match_each_alone(seed, dim, sizes):
+    """A scenario of 1-6 groups of mixed sizes parses to the contexts, or
+    the first error, of its groups generated one at a time; ``_generate``
+    on all groups gives each group's own context or error."""
+    rng = np.random.default_rng(seed)
+    ops = _drawn_operators(rng, dim, 6)
+    groups = [rng.integers(0, 6, size).tolist() for size in sizes]
+    text = _scenario(ops, groups)
+    want = reference_groups(text)
+    got = _outcome(lambda: parse_scenario(text).maximal_contexts)
+    if isinstance(want, Exception):
+        assert_same(got, want)
+    else:
+        assert not isinstance(got, Exception), got
+        assert len(got) == len(want)
+        for new, old in zip(got, want):
+            assert_same(new, old)
+    found = eigensystems(ops, TOL)
+    rows = [r for r, pairs in enumerate(found) if not isinstance(pairs, ToposError)]
+    kept = [group for group in groups if set(group) <= set(rows)]
+    if kept:
+        labels = [None if k % 2 else f"g{k}" for k in range(len(kept))]
+        made = C._generate(np.stack([ops[r] for r in rows]), [found[r] for r in rows],
+                           [[rows.index(r) for r in group] for group in kept], TOL, labels)
+        for group, label, new in zip(kept, labels, made):
+            assert_same(new, _outcome(reference_context_from_commuting_set,
+                                      [ops[r] for r in group], TOL, label=label))
+
+
+SX2, SZ2, BAD = [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"operators": {"a": SX2, "b": SZ2, "bad": BAD}, "groups": [["a", "b"], ["bad"]]},
+     "group 0: operators 'a' and 'b' do not commute; commutator norm 2.828427e+00"),
+    ({"operators": {"a": SX2, "b": SZ2}, "groups": [["b"], ["a", "b"], "a"]},
+     "group 1: operators 'a' and 'b' do not commute; commutator norm 2.828427e+00"),
+    ({"operators": {"a": SX2, "one": np.eye(2).tolist()},
+      "groups": [["a"], ["one"], ["nope"]]},
+     "group 1 generates the trivial algebra: the generated algebra is trivial "
+     "(one block)"),
+    ({"operators": {"one": np.eye(2).tolist(), "bad": BAD}, "groups": [["one"], ["bad"]]},
+     "group 0 generates the trivial algebra: the generated algebra is trivial "
+     "(one block)"),
+    ({"operators": {"a": SX2, "b": SZ2, "bad": BAD, "worse": [[0, 2], [0, 0]]},
+      "groups": [["a", "worse", "b", "bad"]]},
+     "group 0: hermiticity defect 2.828e+00 exceeds 2.000e-09"),
+    ({"operators": {"a": SX2, "b": SZ2, "bad": BAD},
+      "projectors": {"P": {"operator": "bad", "eigenvalues": [1]}},
+      "groups": [["a", "b"], "x"]},
+     "projector 'P': operator 'bad' is not Hermitian: hermiticity defect "
+     "1.414e+00 exceeds 2.000e-09"),
+    ({"operators": {"a": SX2, "b": SZ2},
+      "projectors": {"P": {"operator": "a", "eigenvalues": [3]}, "Q": 5},
+      "groups": [["a", "b"]]},
+     "projector 'P': 'a' has no eigenvalue within 1e-6 of 3"),
+], ids=["non-commuting-before-a-later-non-hermitian",
+        "generation-before-a-later-parse-error", "trivial-before-a-later-unknown-name",
+        "trivial-before-a-later-non-hermitian", "first-non-hermitian-in-group-order",
+        "non-hermitian-projector-source-before-groups",
+        "projector-before-a-later-malformed-projector"])
+def test_error_precedence_across_groups_and_projectors(doc, error):
+    with pytest.raises(ToposError) as info:
+        parse_scenario(json.dumps({"dimension": 2, **doc}))
+    assert str(info.value) == error
+
+
+def test_a_projector_of_a_projector_of_the_same_section():
+    # Q's source is P, read just before it: P is formed first
+    scn = parse_scenario(json.dumps({
+        "dimension": 2, "operators": {"a": SX2},
+        "projectors": {"P": {"operator": "a", "eigenvalues": [1]},
+                       "Q": {"operator": "P", "eigenvalues": [0]}},
+        "groups": [["P", "Q"]]}))
+    assert np.allclose(scn.operators["Q"], np.eye(2) - scn.operators["P"])
+    assert [c.ranks for c in scn.maximal_contexts] == [(1, 1)]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+def test_runs_of_groups_change_no_bit(path, monkeypatch):
+    # groups go through ``_generate`` in runs of bounded size; one group
+    # per run gives the same contexts
+    text = path.read_text(encoding="utf-8")
+    whole = parse_scenario(text).maximal_contexts
+    monkeypatch.setattr(C, "PAIR_ENTRIES", 1)
+    for new, old in zip(parse_scenario(text).maximal_contexts, whole, strict=True):
+        assert_same(new, old)

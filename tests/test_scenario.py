@@ -9,7 +9,7 @@ import pytest
 from qtopos import contexts as C
 from qtopos import scenario as S
 from qtopos.errors import ParseError, ValidationError
-from qtopos.numerics import Tolerance, eigensystem
+from qtopos.numerics import Tolerance, eigensystems
 from qtopos.scenario import EIGENVALUE_MATCH, parse_scenario
 
 MINIMAL = '{"dimension": 2, "builtins": ["pauli2"]}'
@@ -244,14 +244,16 @@ WITH_PROJECTORS = _doc(
 ], ids=["mermin_square", "two_qubit_parity", "projectors-in-groups"])
 def test_one_eigensystem_per_named_operator(text, distinct, monkeypatch):
     """Groups, builtin lines and projectors share each operator's spectrum:
-    the Mermin square's 6 lines of 3 and its 2 projectors take 9, not 20."""
-    calls = []
+    the Mermin square's 6 lines of 3 and its 2 projectors decompose 9
+    matrices, not 20, in at most two stacks (the projectors' sources, then
+    the rest)."""
+    stacks = []
 
-    def counting(matrix, tol=Tolerance()):
-        calls.append(1)
-        return eigensystem(matrix, tol)
+    def counting(mats, tol=Tolerance(), names=None):
+        stacks.append(len(mats))
+        return eigensystems(mats, tol, names)
 
     for module in (C, S):
-        monkeypatch.setattr(module, "eigensystem", counting)
+        monkeypatch.setattr(module, "eigensystems", counting)
     parse_scenario(text)
-    assert len(calls) == distinct
+    assert sum(stacks) == distinct and len(stacks) <= 2
