@@ -137,22 +137,20 @@ def _cmd_daseinise(args, scn: Scenario) -> dict:
     poset = _poset_of(scn)
     rows = [{"id": ctx.key, "label": ctx.label, "blocks": list(indices),
              "matrix": _matrix_json(approx)}
-            for ctx, (indices, approx) in zip(poset.contexts, quantum.daseinise(
-                proj, poset, scn.tolerance, args.inner))]
+            for ctx, (indices, approx) in zip(
+                poset.contexts, quantum.daseinise(proj, poset, inner=args.inner))]
     return {"projector": args.projector,
             "variant": "inner" if args.inner else "outer", "per_context": rows}
 
 
 def _cmd_truth(args, scn: Scenario) -> dict:
-    tol = scn.tolerance
     proj = _projector(scn, args.projector)
     psi = scn.state(args.state)
     poset = _poset_of(scn)
     if args.via == "pseudo-state":
-        presheaf = quantum.spectral_presheaf(poset, tol)
-        value = quantum.truth_value_pseudo(proj, psi, presheaf, tol)
+        value = quantum.truth_value_pseudo(proj, psi, quantum.spectral_presheaf(poset))
     else:
-        value = quantum.truth_value_truthobject(proj, psi, poset, tol)
+        value = quantum.truth_value_truthobject(proj, psi, poset)
     return {
         "state": args.state,
         "projector": args.projector,
@@ -163,7 +161,7 @@ def _cmd_truth(args, scn: Scenario) -> dict:
 
 def _cmd_ks(args, scn: Scenario) -> dict:
     poset = _poset_of(scn)
-    presheaf = quantum.spectral_presheaf(poset, scn.tolerance)
+    presheaf = quantum.spectral_presheaf(poset)
     result = quantum.ks_search(presheaf, max_solutions=args.max_solutions)
     return {
         "status": result.status,
@@ -180,7 +178,7 @@ def _eval_prop(expr, scn: Scenario, presheaf) -> kernel.Subobject:
             proj = _projector(scn, ident)
         except NotProjector as exc:
             raise NotProjector(f"{ident!r} is not a projector") from exc
-        return quantum.delta_subobject(proj, presheaf, scn.tolerance)
+        return quantum.delta_subobject(proj, presheaf)
 
     connective = {props.Not: kernel.heyting_not, props.And: kernel.heyting_meet,
                   props.Or: kernel.heyting_join,
@@ -193,9 +191,9 @@ def _cmd_heyting(args, scn: Scenario) -> dict:
     expr = props.parse_prop(args.expr)
     psi = scn.state(args.state)
     poset = _poset_of(scn)
-    presheaf = quantum.spectral_presheaf(poset, scn.tolerance)
+    presheaf = quantum.spectral_presheaf(poset)
     result = _eval_prop(expr, scn, presheaf)
-    state = quantum.pseudo_state(psi, presheaf, scn.tolerance)
+    state = quantum.pseudo_state(psi, presheaf)
     value = kernel.truth_value_inclusion(state.subobject, result)
     return {
         "expr": props.pretty(expr),
@@ -222,13 +220,9 @@ def _cmd_kernel_demo(args, scn: None) -> dict:
     base = kernel.finposet(elements, pairs)
     one = kernel.terminal(base)
     om = kernel.omega(base)
-    subs = kernel.all_subobjects(one)
-    witness = None
-    for j in subs:
-        joined = kernel.heyting_join(j, kernel.heyting_not(j))
-        if joined != kernel.full_subobject(one):
-            witness = j
-            break
+    subs, whole = kernel.all_subobjects(one), kernel.full_subobject(one)
+    witness = next((j for j in subs
+                    if kernel.heyting_join(j, kernel.heyting_not(j)) != whole), None)
     report = {
         "poset": args.poset,
         "elements": list(base.elements),
@@ -246,7 +240,7 @@ def _cmd_kernel_demo(args, scn: None) -> dict:
             "negation": _parts_json(negation),
             "join": _parts_json(joined),
             "double_negation": _parts_json(double),
-            "whole": _parts_json(kernel.full_subobject(one)),
+            "whole": _parts_json(whole),
         })
     return report
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -62,8 +62,8 @@ def _block_sort_keys(stack: np.ndarray) -> list[tuple]:
 @dataclass(frozen=True, eq=False)
 class Context:
     """A partition of unity: pairwise orthogonal projectors summing to 1.
-    A context of a poset from ``build_poset`` also holds the poset's block
-    ``table`` and its blocks' ``ids`` in it; one from ``make_context`` neither."""
+    A context of a ``ContextPoset`` also holds the poset's block ``table``
+    and its blocks' ``ids`` in it; one from ``make_context`` neither."""
 
     key: str
     dim: int
@@ -538,30 +538,33 @@ class BlockTable:
 
 @dataclass(frozen=True, eq=False)
 class ContextPoset:
-    """Finitely many contexts ordered by algebra inclusion; ``base`` is the
-    kernel poset on the sorted keys.  ``leq`` must already be closed, as
-    ``build_poset`` returns it: a hand-built poset is taken as given.
-    ``build_poset`` leaves its ``table``, and each context's ids into it on
-    the context (see ``blocks_at``)."""
+    """Finitely many contexts ordered by algebra inclusion, at one tolerance
+    ``tol``; ``base`` is the kernel poset on the sorted keys.  ``leq`` must
+    already be closed, as ``build_poset`` returns it: a hand-built poset is
+    taken as given.  Every context holds the poset's block ``table`` and its
+    blocks' ``ids`` in it: the table that ``build_poset``'s contexts share,
+    or, for any other contexts (``make_context``'s, or another poset's at
+    another tolerance), a fresh one at ``tol`` held by copies of them."""
 
     dim: int
     contexts: tuple[Context, ...]
     leq: frozenset[tuple[str, str]]
-    table: BlockTable | None = field(default=None, repr=False)
+    tol: Tolerance = Tolerance()
 
     def __post_init__(self):
+        table = self.contexts[0].table if self.contexts else None
+        if (table is None or table.tol != self.tol
+                or any(c.table is not table for c in self.contexts)):
+            table = BlockTable(self.dim, self.tol)
+            blocks = [b for c in self.contexts for b in c.blocks]
+            ids = iter(table.intern(blocks) if blocks else ())
+            object.__setattr__(self, "contexts", tuple(replace(
+                c, table=table, ids=tuple(itertools.islice(ids, len(c.blocks))))
+                for c in self.contexts))
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "_index", {c.key: c for c in self.contexts})
         object.__setattr__(self, "base", FinPoset(
             elements=tuple(sorted(self._index)), leq=self.leq))
-
-    def blocks_at(self, tol: Tolerance) -> tuple[BlockTable, dict[str, Sequence[int]]]:
-        """The block table at ``tol`` and each context's ids into it, read
-        off the contexts; a table built at another tolerance, or none, is
-        interned afresh."""
-        if self.table is not None and self.table.tol == tol:
-            return self.table, {c.key: c.ids for c in self.contexts}
-        table = BlockTable(self.dim, tol)
-        return table, {c.key: table.intern(c.blocks) for c in self.contexts}
 
     def context(self, key: str) -> Context:
         return self._index[key]
@@ -592,9 +595,10 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     to one (see :mod:`qtopos.numerics`), and without a meet pass nothing
     else refuses that cycle.
 
-    Each distinct block is interned once in a :class:`BlockTable`, so a
-    context is a list of block ids and a duplicate is one set lookup; the
-    poset and its contexts keep the table, and each context its block ids.
+    Each distinct block is interned once in a :class:`BlockTable` at
+    ``tol``, so a context is a list of block ids and a duplicate is one set
+    lookup; the poset, built at ``tol``, and its contexts keep the table,
+    and each context its block ids.
     A context keeps the matrices it was first formed with.  ``V..`` ids
     sort contexts by block count, then by block entries rounded to 6
     digits: near a rounding boundary ids can change (say under a global
@@ -633,7 +637,7 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         raise ValidationError(
             f"closure must be 'intersections' or 'coarsenings', got {closure!r}")
     if not maximal:
-        return ContextPoset(dim=0, contexts=(), leq=frozenset())
+        return ContextPoset(dim=0, contexts=(), leq=frozenset(), tol=tol)
     dim = maximal[0].dim
     bound = tol.scaled(dim)
     table = BlockTable(dim, tol)
@@ -790,8 +794,7 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     if any(a != b and (b, a) in leq for a, b in leq):
         raise ValidationError(
             "inconsistent intersection component: the two sides disagree")
-    return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq),
-                        table=table)
+    return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq), tol=tol)
 
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -118,21 +118,15 @@ def finposet(elements, pairs=()) -> FinPoset:
         raise ValidationError("poset elements must be unique")
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
-    rel = [[False] * n for _ in range(n)]
-    for i in range(n):
-        rel[i][i] = True
+    rel = [[i == j for j in range(n)] for i in range(n)]
     for (u, v) in pairs:
         if u not in index or v not in index:
             raise ValidationError(f"order pair ({u!r}, {v!r}) mentions unknown elements")
         rel[index[u]][index[v]] = True
-    for k in range(n):
+    for k in range(n):  # Warshall: paths through elements 0..k
         for i in range(n):
             if rel[i][k]:
-                row_k = rel[k]
-                row_i = rel[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+                rel[i] = [a or b for a, b in zip(rel[i], rel[k])]
     for i in range(n):
         for j in range(n):
             if i != j and rel[i][j] and rel[j][i]:
@@ -272,9 +266,7 @@ def presheaf(base: FinPoset, sets, restrictions) -> Presheaf:
     for (u, v) in base.strict_pairs():
         for w in base.down(u):
             if w != u:
-                via = maps[(u, w)]
-                direct = maps[(v, w)]
-                step = maps[(v, u)]
+                via, direct, step = maps[(u, w)], maps[(v, w)], maps[(v, u)]
                 for x in comps[v]:
                     if direct[x] != via[step[x]]:
                         raise ValidationError(
@@ -388,9 +380,7 @@ def nat_transform(source: Presheaf, target: Presheaf, components) -> NatTransfor
         raise NotNatural("components given for elements outside the poset")
     for (u, v) in source.base.strict_pairs():
         for x in source.sets[v]:
-            left = target.restrict(comps[v][x], v, u)
-            right = comps[u][source.restrict(x, v, u)]
-            if left != right:
+            if target.restrict(comps[v][x], v, u) != comps[u][source.restrict(x, v, u)]:
                 raise NotNatural(f"naturality square fails for {u!r} <= {v!r}")
     return NatTransform(source, target, tuple(
         comps[v][x] for v in source.base.elements for x in source.sets[v]))
@@ -524,16 +514,13 @@ def omega(base: FinPoset) -> Presheaf:
     terminal below ``v`` (the sieves), each as the tuple of its members.
     Valid as built: a sieve cut to down(w) is one on w, and cutting composes."""
     one = terminal(base)
-    sets = {}
-    for v in base.elements:
-        dv = base.down(v)
-        sets[v] = _sorted_points(tuple(u for u in dv if fam[u])
-                                 for fam in _relative_subobjects(one, dv))
+    sets = {v: _sorted_points(tuple(u for u in base.down(v) if fam[u])
+                              for fam in _relative_subobjects(one, base.down(v)))
+            for v in base.elements}
     restr = {}
     for (frm, to) in base.strict_down_pairs():
         below = set(base.down(to))
-        restr[(frm, to)] = {s: tuple(u for u in s if u in below)
-                            for s in sets[frm]}
+        restr[(frm, to)] = {s: tuple(u for u in s if u in below) for s in sets[frm]}
     return Presheaf(base, sets, restr)
 
 

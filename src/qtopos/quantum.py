@@ -6,9 +6,10 @@ projectors are approximated per context by the smallest dominating (outer)
 or largest dominated (inner) sums of blocks.  Over a poset, the outer hits are
 one ``overlaps`` row per distinct block of its table, and closure is checked
 on the table's "lies under" edges.  The table remembers those flags per
-projector, and a context of the poset holds the table and its block ids,
-so daseinising one projector in every context, one context at a time,
-makes one ``overlaps`` call in all, not one per context.  Truth values of
+projector, and every context of the poset holds the table and its block
+ids, so daseinising one projector in every context, one context at a time,
+makes one ``overlaps`` call in all, not one per context.  Every query on a
+poset runs at the poset's tolerance (``_tolerance``).  Truth values of
 propositions land in the lower sets of the context poset, and the
 global-section search decides whether a noncontextual valuation exists at
 all.
@@ -48,11 +49,10 @@ _HITS_CAP = 128  # flags a table remembers, like numerics' projector verdicts
 
 @dataclass(frozen=True, eq=False)
 class SpectralPresheaf:
-    """Blocks per context, restricted by coarsening, at tolerance ``tol``."""
+    """Blocks per context, restricted by coarsening, at its poset's tolerance."""
 
     poset: ContextPoset
     underlying: kernel.Presheaf
-    tol: Tolerance = Tolerance()
 
     @property
     def base(self) -> kernel.FinPoset:
@@ -60,12 +60,12 @@ class SpectralPresheaf:
 
     @cached_property
     def table(self) -> tuple:
-        """The poset's block table at ``tol``, each context's ids into it, and
-        as ``lo, hi`` id arrays the distinct edges "block lo restricts to hi"."""
-        table, ids = self.poset.blocks_at(self.tol)
+        """The poset's block table, each context's ids into it, and as
+        ``lo, hi`` id arrays the distinct edges "block lo restricts to hi"."""
+        ids = {c.key: c.ids for c in self.poset.contexts}
         edges = {(ids[frm][x], ids[to][y]) for (frm, to), mapping
                  in self.underlying.restrictions.items() for x, y in mapping.items()}
-        return table, ids, *np.array(sorted(edges), dtype=int).reshape(-1, 2).T
+        return self.poset.table, ids, *np.array(sorted(edges), dtype=int).reshape(-1, 2).T
 
     @cached_property
     def _gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,8 +78,20 @@ class SpectralPresheaf:
         return *pairs.reshape(-1, 2).T, np.cumsum(sizes) - sizes
 
 
+def _tolerance(tol: Tolerance | None, table: BlockTable | None) -> Tolerance:
+    """The tolerance a query at ``tol`` runs at: that of ``table``, a poset's,
+    which ``tol``, if given, must equal; with no table (a context outside any
+    poset), ``tol`` or the default."""
+    if table is None:
+        return Tolerance() if tol is None else tol
+    if tol is None or tol is table.tol or tol == table.tol:
+        return table.tol
+    raise ValidationError(f"a query at eps {tol.eps!r} on a poset built at "
+                          f"eps {table.tol.eps!r}")
+
+
 def spectral_presheaf(poset: ContextPoset,
-                      tol: Tolerance = Tolerance()) -> SpectralPresheaf:
+                      tol: Tolerance | None = None) -> SpectralPresheaf:
     """Build the spectral presheaf of a context poset.
 
     The component at a context is the tuple of its block indices (in the
@@ -92,13 +104,13 @@ def spectral_presheaf(poset: ContextPoset,
     and ||b - be|| at most 3 (d + 1) t < 0.85 for eps < 1e-3 and d <= 16:
     b meets e, hence no other block of w, and the maps compose.
     """
-    base = poset.base
-    table, ids = poset.blocks_at(tol)
+    _tolerance(tol, poset.table)
+    base, ids = poset.base, {c.key: c.ids for c in poset.contexts}
     sets = {v: kernel._sorted_points(range(len(ids[v]))) for v in base.elements}
     restrictions = {}
     for to, pairs in itertools.groupby(base.strict_down_pairs(), lambda p: p[1]):
         above = [frm for frm, _ in pairs]
-        meets = table.meets[np.ix_([b for frm in above for b in ids[frm]], ids[to])]
+        meets = poset.table.meets[np.ix_([b for frm in above for b in ids[frm]], ids[to])]
         counts, targets = meets.sum(axis=1), meets.argmax(axis=1).tolist()
         bad, start = np.flatnonzero(counts != 1), 0
         for frm in above:
@@ -108,8 +120,7 @@ def spectral_presheaf(poset: ContextPoset,
                                 f"{counts[bad[0]]} blocks of {to}")
             restrictions[(frm, to)] = dict(enumerate(targets[start:stop]))
             start = stop
-    return SpectralPresheaf(poset=poset, tol=tol,
-                            underlying=kernel.Presheaf(base, sets, restrictions))
+    return SpectralPresheaf(poset, kernel.Presheaf(base, sets, restrictions))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +137,10 @@ class SpectralElement:
 
 
 def evaluate(element: SpectralElement, operator,
-             tol: Tolerance = Tolerance()) -> float:
+             tol: Tolerance | None = None) -> float:
     """The value of an operator of the context at a spectral element."""
     ctx = element.context
+    tol = _tolerance(tol, ctx.table)
     op = as_operator(operator)
     if op.shape[0] != ctx.dim:
         raise DimensionMismatch(
@@ -144,15 +156,13 @@ def _outer_hits(p: np.ndarray, blocks: np.ndarray | BlockTable, tol: Tolerance,
                 inner: bool = False) -> np.ndarray:
     """Which of ``blocks`` (a stack, such as a context's own ``Context.stack``,
     or a ``BlockTable``'s distinct blocks) meet the complex matrix ``p``
-    (``1 - p`` if ``inner``), by one ``overlaps``.  A table at ``tol``
-    remembers the read-only flags in ``table.hits``, keyed by ``(inner,
-    shape, bytes)`` of ``p``; the memo is emptied at ``_HITS_CAP`` entries
-    and whenever ``intern`` grows the table, so its flags always cover the
-    held blocks.  A table at another tolerance remembers nothing."""
+    (``1 - p`` if ``inner``), by one ``overlaps``; with a table, ``tol`` is
+    its own (``_tolerance``).  A table remembers the read-only flags in
+    ``table.hits``, keyed by ``(inner, shape, bytes)`` of ``p``; the memo is
+    emptied at ``_HITS_CAP`` entries and whenever ``intern`` grows the
+    table, so its flags always cover the held blocks."""
     if isinstance(blocks, BlockTable):
         table, key = blocks, (inner, p.shape, p.tobytes())
-        if table.tol != tol:
-            return _outer_hits(p, table.blocks, tol, inner)
         if key not in table.hits:
             hits = _outer_hits(p, table.blocks, tol, inner)
             hits.setflags(write=False)
@@ -184,23 +194,23 @@ def _approximation(ctx: Context, hits: list, inner: bool) -> tuple[tuple, np.nda
     return picked, m
 
 
-def daseinise(projector, poset: ContextPoset, tol: Tolerance = Tolerance(),
+def daseinise(projector, poset: ContextPoset, tol: Tolerance | None = None,
               inner: bool = False) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Outer (or ``inner``) daseinisation of a projector over the whole poset:
     per context, in ``poset.contexts`` order, block indices and matrix, from
     one ``overlaps`` call against the poset's distinct blocks, none if the
     table remembers the projector."""
+    tol = _tolerance(tol, poset.table)
     p = require_projector(projector, tol, "projector")
-    table, ids = poset.blocks_at(tol)
-    flags = _outer_hits(p, table, tol, inner).tolist()
-    return [_approximation(ctx, [flags[b] for b in ids[ctx.key]], inner)
+    flags = _outer_hits(p, poset.table, tol, inner).tolist()
+    return [_approximation(ctx, [flags[b] for b in ctx.ids], inner)
             for ctx in poset.contexts]
 
 
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
-    """``daseinise``'s row for ``ctx``: read off its poset's table, if it has
-    one at ``tol``, else tested against its own ``stack``."""
-    if ctx.table is not None and ctx.table.tol == tol:
+    """``daseinise``'s row for ``ctx`` at its tolerance ``tol``: read off its
+    poset's table if it holds one, else tested against its own ``stack``."""
+    if ctx.table is not None:
         hits = _outer_hits(p, ctx.table, tol, inner)[list(ctx.ids)]
     else:
         hits = _outer_hits(p, ctx.stack, tol, inner)
@@ -208,20 +218,23 @@ def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
 
 
 def daseinise_projector(projector, ctx: Context,
-                        tol: Tolerance = Tolerance()) -> np.ndarray:
+                        tol: Tolerance | None = None) -> np.ndarray:
     """Outer approximation: smallest block sum dominating the projector."""
+    tol = _tolerance(tol, ctx.table)
     return _in_context(require_projector(projector, tol, "projector"), ctx, tol, False)[1]
 
 
 def daseinise_projector_inner(projector, ctx: Context,
-                              tol: Tolerance = Tolerance()) -> np.ndarray:
+                              tol: Tolerance | None = None) -> np.ndarray:
     """Inner approximation: largest block sum dominated by the projector."""
+    tol = _tolerance(tol, ctx.table)
     return _in_context(require_projector(projector, tol, "projector"), ctx, tol, True)[1]
 
 
 def delta_subobject(projector, presheaf: SpectralPresheaf,
-                    tol: Tolerance = Tolerance()) -> kernel.Subobject:
+                    tol: Tolerance | None = None) -> kernel.Subobject:
     """The outer approximation of a projector as a subobject of the presheaf."""
+    tol = _tolerance(tol, presheaf.poset.table)
     p = require_projector(projector, tol, "projector")
     x, (table, _, lo, hi) = presheaf.underlying, presheaf.table
     hit = _outer_hits(p, table, tol)
@@ -252,7 +265,8 @@ class PseudoState:
 
 
 def pseudo_state(psi, presheaf: SpectralPresheaf,
-                 tol: Tolerance = Tolerance()) -> PseudoState:
+                 tol: Tolerance | None = None) -> PseudoState:
+    tol = _tolerance(tol, presheaf.poset.table)
     vec = _unit_state(psi, presheaf.poset, tol)
     proj = np.outer(vec, vec.conj())
     sub = delta_subobject(proj, presheaf, tol)
@@ -281,11 +295,11 @@ class TruthObject:
 
 
 def truth_object(psi, poset: ContextPoset,
-                 tol: Tolerance = Tolerance()) -> TruthObject:
+                 tol: Tolerance | None = None) -> TruthObject:
+    tol = _tolerance(tol, poset.table)
     vec = _unit_state(psi, poset, tol)
-    table, ids = poset.blocks_at(tol)
-    per_block = ((table.blocks @ vec) @ vec.conj()).real.tolist()
-    weights = {c.key: [per_block[b] for b in ids[c.key]] for c in poset.contexts}
+    per_block = ((poset.table.blocks @ vec) @ vec.conj()).real.tolist()
+    weights = {c.key: [per_block[b] for b in c.ids] for c in poset.contexts}
     obj = TruthObject(psi=vec, weights=weights, tol=tol)
     for ctx in poset.contexts:
         if not obj.contains(ctx.key, 2 ** len(ctx.blocks) - 1):
@@ -294,7 +308,7 @@ def truth_object(psi, poset: ContextPoset,
 
 
 def truth_value_pseudo(projector, psi, presheaf: SpectralPresheaf,
-                       tol: Tolerance = Tolerance()) -> kernel.LowerSet:
+                       tol: Tolerance | None = None) -> kernel.LowerSet:
     """Contexts V with the state's support inside the outer approximation on
     all of down(V): ``kernel.truth_value_inclusion``, as ``heyting`` has it.
     That hereditary set is the largest lower set inside the pointwise one
@@ -306,14 +320,13 @@ def truth_value_pseudo(projector, psi, presheaf: SpectralPresheaf,
 
 
 def truth_value_truthobject(projector, psi, poset: ContextPoset,
-                            tol: Tolerance = Tolerance()) -> kernel.LowerSet:
+                            tol: Tolerance | None = None) -> kernel.LowerSet:
     """Contexts where the truth object holds the outer approximation."""
     obj = truth_object(psi, poset, tol)
-    p = require_projector(projector, tol, "projector")
-    table, ids = poset.blocks_at(tol)
-    flags = _outer_hits(p, table, tol).tolist()
-    members = {k for k, row in ids.items()
-               if obj.contains(k, sum(1 << i for i, b in enumerate(row) if flags[b]))}
+    p = require_projector(projector, obj.tol, "projector")
+    flags = _outer_hits(p, poset.table, obj.tol).tolist()
+    members = {c.key for c in poset.contexts if obj.contains(
+        c.key, sum(1 << i for i, b in enumerate(c.ids) if flags[b]))}
     return kernel.lowerset(poset.base, members)
 
 
@@ -330,17 +343,10 @@ class TruthAssignment:
 def validate_assignment(presheaf: SpectralPresheaf,
                         assignment: TruthAssignment) -> bool:
     """Check restriction compatibility of a total assignment, from scratch."""
-    x = presheaf.underlying
-    picks = assignment.assignments
-    if set(picks) != set(x.base.elements):
-        return False
-    for key, block in picks.items():
-        if block not in x.sets[key]:
-            return False
-    for (u, v) in x.base.strict_pairs():
-        if x.restrict(picks[v], v, u) != picks[u]:
-            return False
-    return True
+    x, picks = presheaf.underlying, assignment.assignments
+    return (set(picks) == set(x.base.elements)
+            and all(block in x.sets[key] for key, block in picks.items())
+            and all(x.restrict(picks[v], v, u) == picks[u] for u, v in x.base.strict_pairs()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +384,7 @@ def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8) -> KsResult:
 
 
 def daseinise_observable(operator, ctx: Context,
-                         tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:
+                         tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Inner and outer spectral-order approximations of a Hermitian operator.
 
     Returns ``(inner, outer)``.  With eigenvalues a_1 < ... < a_m and
@@ -387,6 +393,7 @@ def daseinise_observable(operator, ctx: Context,
     one; both lie in the context and ``outer - inner`` is positive
     semidefinite.
     """
+    tol = _tolerance(tol, ctx.table)
     pairs = eigensystem(operator, tol)
     dim = ctx.dim
     if pairs[0][1].shape[0] != dim:
@@ -408,7 +415,7 @@ def daseinise_observable(operator, ctx: Context,
 
 
 def value_interval(element: SpectralElement, operator,
-                   tol: Tolerance = Tolerance()) -> tuple[float, float]:
+                   tol: Tolerance | None = None) -> tuple[float, float]:
     """The [inner, outer] value interval of an observable at an element."""
     inner, outer = daseinise_observable(operator, element.context, tol)
     return (evaluate(element, inner, tol), evaluate(element, outer, tol))

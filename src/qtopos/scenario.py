@@ -46,11 +46,14 @@ def _is_number(x) -> bool:
 
 
 def _real(node, path: str) -> float:
-    """A JSON number as a float; an integer beyond float range is refused."""
+    """A JSON number as a float; one beyond float range is refused: an
+    integer, or a float literal, which ``json.loads`` reads as inf."""
     try:
-        return float(node)
-    except OverflowError as exc:
-        raise ParseError("number beyond float range", path) from exc
+        if np.isfinite(value := float(node)):
+            return value
+    except OverflowError:
+        pass
+    raise ParseError("number beyond float range", path)
 
 
 def _entry(node, path: str) -> complex:
@@ -72,6 +75,8 @@ def _plain(node, shape: tuple[int, ...]) -> np.ndarray | None:
     try:
         parts = cells.astype(float)
     except OverflowError:  # an integer past float range, named by the walk
+        return None
+    if not np.isfinite(parts).all():  # a float literal past it, read as inf
         return None
     if parts.ndim == len(shape):
         return parts.astype(complex)

@@ -84,7 +84,15 @@ class TestValidate:
         ('"tolerance": BIG', "tolerance"),
         ('"projectors": {"P": {"operator": "sz", "eigenvalues": [BIG]}}',
          "projectors.P.eigenvalues[0]"),
-    ], ids=["operator", "state", "tolerance", "eigenvalue"])
+        # a float literal past float range, which json.loads reads as inf
+        ('"operators": {"a": [[1e400, 0], [0, 1]]}', "operators.a[0][0]"),
+        ('"operators": {"a": [[1, 0], [0, [0, -1e400]]]}', "operators.a[1][1]"),
+        ('"states": {"s": [1e400, 0]}', "states.s[0]"),
+        ('"tolerance": 1e400', "tolerance"),
+        ('"projectors": {"P": {"operator": "sz", "eigenvalues": [-1e400]}}',
+         "projectors.P.eigenvalues[0]"),
+    ], ids=["operator", "state", "tolerance", "eigenvalue", "float-operator",
+            "float-complex-entry", "float-state", "float-tolerance", "float-eigenvalue"])
     def test_number_beyond_float_range(self, tmp_path, field, path):
         doc = tmp_path / "big.json"
         doc.write_text('{"dimension": 2, "builtins": ["pauli2"], '

@@ -7,8 +7,8 @@ its own, exceeds ``eps * d``; it does not call ``overlaps``.
 once each; the flags, read through each context's block ids, must give the
 same indices, context by context, in block order.  The table remembers its
 flags per projector, so the single-context daseinisation of every context
-of a poset costs one ``overlaps`` call too; a context without its poset's
-table at the asked tolerance tests its own ``stack``.
+of a poset costs one ``overlaps`` call too; a context outside any poset
+tests its own ``stack``.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from qtopos import cli
 from qtopos import contexts as C
 from qtopos import quantum as Q
-from qtopos.errors import DimensionMismatch
+from qtopos.errors import DimensionMismatch, ValidationError
 from qtopos.numerics import Tolerance, eigensystem, is_projector, overlaps
 from qtopos.scenario import parse_scenario
 from tests.conftest import random_projector, random_unitary
@@ -45,10 +45,8 @@ def reference_indices(p, poset, tol=TOL):
 
 
 def batch_indices(p, poset, tol=TOL):
-    table, ids = poset.blocks_at(tol)
-    flags = Q._outer_hits(p, table.blocks, tol).tolist()
-    return [tuple(i for i, b in enumerate(ids[c.key]) if flags[b])
-            for c in poset.contexts]
+    flags = Q._outer_hits(p, poset.table.blocks, tol).tolist()
+    return [tuple(i for i, b in enumerate(c.ids) if flags[b]) for c in poset.contexts]
 
 
 def assert_batch_matches(p, poset, tol=TOL):
@@ -275,16 +273,14 @@ def assert_stack_path(p, contexts, tol, monkeypatch):
 
 
 class TestStackFallback:
-    """Contexts without their poset's table at the asked tolerance test their
-    own ``stack``, with the same indices and matrix bytes as before."""
+    """Contexts outside any poset test their own ``stack``, with the same
+    indices and matrix bytes as before."""
 
     def test_poset_contexts_carry_the_table(self):
         _, poset = _square()
-        table, ids = poset.blocks_at(poset.table.tol)
-        assert table is poset.table
         for ctx in poset.contexts:
-            assert ctx.table is table and ids[ctx.key] == ctx.ids
-            assert ctx.ids == tuple(table.intern(ctx.blocks))
+            assert ctx.table is poset.table
+            assert ctx.ids == tuple(poset.table.intern(ctx.blocks))
 
     def test_make_context(self, monkeypatch):
         scn, poset = _square()
@@ -295,21 +291,39 @@ class TestStackFallback:
             assert_stack_path(scn.operator(name), own, tol, monkeypatch)
 
     def test_another_tolerance(self, monkeypatch):
+        # a poset's context refuses another tolerance; outside a poset a
+        # context tests its own stack at it, and a poset built at it reads
+        # its table at it
         scn, poset = _square()
         wide = Tolerance(scn.tolerance.eps * 10)
+        own = [C.make_context(ctx.blocks, wide) for ctx in poset.contexts]
+        at_wide = C.build_poset(scn.maximal_contexts, "coarsenings", wide)
         for name in ("Pzz_plus", "Pxx_plus"):
-            assert_stack_path(scn.operator(name), poset.contexts, wide, monkeypatch)
+            p = scn.operator(name)
+            for public in (Q.daseinise_projector, Q.daseinise_projector_inner):
+                with pytest.raises(ValidationError, match=(
+                        "^a query at eps 1e-08 on a poset built at eps 1e-09$")):
+                    public(p, poset.contexts[0], wide)
+            assert_stack_path(p, own, wide, monkeypatch)
+            for ctx in at_wide.contexts:
+                for inner, public in ((False, Q.daseinise_projector),
+                                      (True, Q.daseinise_projector_inner)):
+                    want = reference_row(p, ctx, wide, inner)[1]
+                    assert public(p, ctx, wide).tobytes() == want.tobytes()
         assert poset.table.hits == {}
 
     def test_hand_built_poset(self, monkeypatch):
         scn, built = _square("intersections")
         tol = scn.tolerance
-        hand = C.ContextPoset(dim=built.dim, leq=built.leq, contexts=tuple(
-            C.make_context(c.blocks, tol, label=c.key) for c in built.contexts))
-        assert hand.table is None
+        own = tuple(C.make_context(c.blocks, tol, label=c.key) for c in built.contexts)
+        hand = C.ContextPoset(dim=built.dim, leq=built.leq, contexts=own, tol=tol)
+        assert hand.table is not built.table
+        assert all(c.table is None for c in own)
         for name in ("Pzz_plus", "Pxx_plus"):
             p = scn.operator(name)
-            assert_stack_path(p, hand.contexts, tol, monkeypatch)
+            # the make_context contexts still test their own stack; the
+            # poset's copies of them read its table
+            assert_stack_path(p, own, tol, monkeypatch)
             for inner in (False, True):
                 for ctx, (indices, matrix) in zip(hand.contexts,
                                                   Q.daseinise(p, hand, tol, inner)):

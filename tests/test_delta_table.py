@@ -190,6 +190,29 @@ def test_parts_keep_the_kernel_order_past_ten_blocks():
     assert any(list(part) != sorted(part) for part in parts)
 
 
+def assert_answers_as_built(hand, built, projectors, states, tol):
+    """``hand`` holds one table of its own, each context its ids into it,
+    and its presheaf and every query answer as ``built``'s."""
+    assert hand.table is not built.table and hand.table.tol == tol
+    for ctx in hand.contexts:
+        assert ctx.table is hand.table
+        assert ctx.ids == tuple(hand.table.intern(ctx.blocks))
+    mine, theirs = Q.spectral_presheaf(hand, tol), Q.spectral_presheaf(built, tol)
+    assert mine.underlying.restrictions == theirs.underlying.restrictions
+    for p in projectors:
+        assert Q.delta_subobject(p, mine).masks == Q.delta_subobject(p, theirs).masks
+        for inner in (False, True):
+            got = Q.daseinise(p, hand, tol, inner)
+            want = Q.daseinise(p, built, tol, inner)
+            assert [(g[0], g[1].tobytes()) for g in got] == [
+                (w[0], w[1].tobytes()) for w in want]
+        for psi in states:
+            assert (Q.truth_value_pseudo(p, psi, mine).members
+                    == Q.truth_value_pseudo(p, psi, theirs).members)
+            assert (Q.truth_value_truthobject(p, psi, hand).members
+                    == Q.truth_value_truthobject(p, psi, built).members)
+
+
 def test_hand_built_posets_and_presheaves(monkeypatch):
     interns = []
     intern = C.BlockTable.intern
@@ -198,10 +221,22 @@ def test_hand_built_posets_and_presheaves(monkeypatch):
                         interns.append(1) or intern(self, blocks, parts))
     for built, tol, named, states in _cases():
         projectors, states = _queries(built, named, states)
-        hand = C.ContextPoset(dim=built.dim, contexts=built.contexts, leq=built.leq)
-        assert_same_answers(Q.spectral_presheaf(hand, tol), projectors, states, tol)
-        # a presheaf built by hand takes its poset's table at the default
-        # tolerance, interned once, on first use, for all queries
+        # build_poset's contexts: the poset takes the table they share
+        same = C.ContextPoset(dim=built.dim, contexts=built.contexts, leq=built.leq, tol=tol)
+        assert same.table is built.table and same.contexts == built.contexts
+        # make_context contexts, and another poset's at another tolerance:
+        # one fresh table at tol, interned once, in one call
+        own = tuple(C.make_context(c.blocks, tol, label=c.key) for c in built.contexts)
+        wide = C.ContextPoset(dim=built.dim, contexts=built.contexts, leq=built.leq,
+                              tol=Tolerance(tol.eps * 10))
+        for contexts in (own, wide.contexts):
+            before = len(interns)
+            hand = C.ContextPoset(dim=built.dim, contexts=contexts, leq=built.leq, tol=tol)
+            assert len(interns) - before == 1
+            assert_same_answers(Q.spectral_presheaf(hand, tol), projectors, states, tol)
+            assert_answers_as_built(hand, built, projectors, states, tol)
+        assert all(c.table is None and c.ids is None for c in own)
+        # a presheaf built by hand reads its poset's table: no query interns
         underlying = Q.spectral_presheaf(built, tol).underlying
         for poset in (built, hand):
             presheaf = Q.SpectralPresheaf(poset=poset, underlying=underlying)
@@ -209,22 +244,25 @@ def test_hand_built_posets_and_presheaves(monkeypatch):
             for p in projectors[:3]:
                 assert (Q.delta_subobject(p, presheaf, tol).parts
                         == reference_delta_subobject(p, presheaf, tol).parts)
-            fresh = poset.table is None or poset.table.tol != Tolerance()
-            assert len(interns) - before == (len(poset) if fresh else 0)
+            assert len(interns) == before
 
 
 def test_another_tolerance():
     for built, tol, named, states in _cases():
         projectors, states = _queries(built, named, states)
         wide = Tolerance(tol.eps * 10)
-        # a presheaf built at 10x, queried at 10x
-        assert_same_answers(Q.spectral_presheaf(built, wide), projectors, states, wide)
-        # a presheaf built at tol, queried at 10x: its own table, the query's
-        # tolerance as the overlaps threshold
+        # a poset built at 10x, queried at 10x
+        at_wide = C.ContextPoset(dim=built.dim, contexts=built.contexts, leq=built.leq,
+                                 tol=wide)
+        assert_same_answers(Q.spectral_presheaf(at_wide, wide), projectors, states, wide)
+        # a poset built at tol refuses a query at 10x
         presheaf = Q.spectral_presheaf(built, tol)
+        message = f"^a query at eps {wide.eps!r} on a poset built at eps {tol.eps!r}$"
+        with pytest.raises(ValidationError, match=message):
+            Q.spectral_presheaf(built, wide)
         for p in projectors:
-            assert (Q.delta_subobject(p, presheaf, wide).parts
-                    == reference_delta_subobject(p, presheaf, wide).parts)
+            with pytest.raises(ValidationError, match=message):
+                Q.delta_subobject(p, presheaf, wide)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 
 from qtopos import contexts as C
 from qtopos import quantum as Q
-from qtopos.errors import Ambiguity
+from qtopos.errors import Ambiguity, ValidationError
 from qtopos.numerics import Tolerance, overlaps
 from qtopos.scenario import parse_scenario
 from tests.test_closure import CLOSURES, SCENARIOS, TOL, _generic_observable
@@ -65,16 +65,20 @@ def test_seven_level_observable():
 
 
 def test_hand_built_poset_and_another_tolerance():
-    # no table, or one built at another tolerance: the poset interns its
-    # contexts' blocks afresh
+    # make_context contexts, or another poset's at another tolerance: the
+    # poset interns its contexts' blocks afresh; a query at another
+    # tolerance than the poset's is refused
     for _, built, tol in _bundled_posets():
-        hand = C.ContextPoset(dim=built.dim, contexts=built.contexts,
-                              leq=built.leq)
-        assert hand.table is None
+        own = tuple(C.make_context(c.blocks, tol, label=c.key) for c in built.contexts)
+        hand = C.ContextPoset(dim=built.dim, contexts=own, leq=built.leq, tol=tol)
+        assert hand.table is not built.table
         expected = reference_restrictions(built, tol)
         assert Q.spectral_presheaf(hand, tol).underlying.restrictions == expected
         other = Tolerance(tol.eps * 10)
-        assert_same_presheaf(built, other)
+        assert_same_presheaf(C.ContextPoset(dim=built.dim, contexts=built.contexts,
+                                            leq=built.leq, tol=other), other)
+        with pytest.raises(ValidationError, match="^a query at eps "):
+            Q.spectral_presheaf(built, other)
 
 
 def _projector(vector) -> np.ndarray:
@@ -115,11 +119,13 @@ def test_no_overlaps_calls_on_a_built_poset(monkeypatch):
         before = len(calls)
         Q.spectral_presheaf(poset, tol)
         assert calls[before:] == []
-    # a hand-built poset interns its blocks, at most one call per context
-    hand = C.ContextPoset(dim=poset.dim, contexts=poset.contexts, leq=poset.leq)
+    # a hand-built poset interns its blocks as it is built, in one call
+    own = tuple(C.make_context(c.blocks, tol, label=c.key) for c in poset.contexts)
     before = len(calls)
+    hand = C.ContextPoset(dim=poset.dim, contexts=own, leq=poset.leq, tol=tol)
+    assert len(calls) - before == 1
     Q.spectral_presheaf(hand, tol)
-    assert 0 < len(calls) - before <= len(hand)
+    assert len(calls) - before == 1
 
 
 def _scenario_posets():
@@ -134,8 +140,10 @@ def test_presheaf_is_valid_as_built():
     posets = [*((poset, tol) for _, poset, tol in _bundled_posets()),
               *_scenario_posets()]
     for built, tol in posets:
-        hand = C.ContextPoset(dim=built.dim, contexts=built.contexts, leq=built.leq)
-        for poset, at in ((built, tol), (hand, tol), (built, Tolerance(tol.eps * 10))):
+        own = tuple(C.make_context(c.blocks, tol, label=c.key) for c in built.contexts)
+        for contexts, at in ((built.contexts, tol), (own, tol),
+                             (built.contexts, Tolerance(tol.eps * 10))):
+            poset = C.ContextPoset(dim=built.dim, contexts=contexts, leq=built.leq, tol=at)
             assert_valid_as_built(Q.spectral_presheaf(poset, at).underlying)
 
 

@@ -539,3 +539,70 @@ class TestLatticeContrast:
         assert np.allclose(left, P_ZPLUS)
         assert np.allclose(right, np.zeros((2, 2)))
         assert not np.allclose(left, right)
+
+
+# One tolerance per poset: a query on a poset, or on one of its contexts,
+# runs at the poset's tolerance.  Left out or given equal, it answers alike;
+# another one is refused, naming both.
+
+BUILT = Q.Tolerance(1e-8)  # not the default, so an omitted tol cannot fall back to it
+
+
+@pytest.fixture(scope="module")
+def square_at_built():
+    scn = parse_scenario((SCENARIOS / "mermin_square.json").read_text())
+    poset = C.build_poset(scn.maximal_contexts, "coarsenings", BUILT)
+    ctx = poset.contexts[-1]
+    return {"poset": poset, "presheaf": Q.spectral_presheaf(poset, BUILT), "ctx": ctx,
+            "p": scn.operator("Pzz_plus"), "op": scn.operator("XX"),
+            "psi": scn.state("bell"), "element": Q.SpectralElement(ctx, 0)}
+
+
+TOLERANCE_CALLS = {
+    "spectral_presheaf": lambda s, *t: Q.spectral_presheaf(s["poset"], *t),
+    "daseinise": lambda s, *t: Q.daseinise(s["p"], s["poset"], *t),
+    "daseinise_inner": lambda s, *t: Q.daseinise(s["p"], s["poset"], *t, inner=True),
+    "delta_subobject": lambda s, *t: Q.delta_subobject(s["p"], s["presheaf"], *t),
+    "pseudo_state": lambda s, *t: Q.pseudo_state(s["psi"], s["presheaf"], *t),
+    "truth_object": lambda s, *t: Q.truth_object(s["psi"], s["poset"], *t),
+    "truth_value_pseudo": lambda s, *t: Q.truth_value_pseudo(
+        s["p"], s["psi"], s["presheaf"], *t),
+    "truth_value_truthobject": lambda s, *t: Q.truth_value_truthobject(
+        s["p"], s["psi"], s["poset"], *t),
+    "daseinise_projector": lambda s, *t: Q.daseinise_projector(s["p"], s["ctx"], *t),
+    "daseinise_projector_inner": lambda s, *t: Q.daseinise_projector_inner(
+        s["p"], s["ctx"], *t),
+    "daseinise_observable": lambda s, *t: Q.daseinise_observable(s["op"], s["ctx"], *t),
+    "evaluate": lambda s, *t: Q.evaluate(s["element"], s["ctx"].blocks[0], *t),
+    "value_interval": lambda s, *t: Q.value_interval(s["element"], s["op"], *t),
+}
+
+
+def _plain(result):
+    """A result as comparable plain values, arrays as their bytes."""
+    if isinstance(result, Q.SpectralPresheaf):
+        return result.underlying.restrictions
+    if isinstance(result, Q.PseudoState):
+        return _plain(result.psi), result.subobject.masks
+    if isinstance(result, Q.TruthObject):
+        return _plain(result.psi), result.weights, result.tol
+    if isinstance(result, K.Subobject):
+        return result.masks
+    if isinstance(result, K.LowerSet):
+        return result.members
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    if isinstance(result, (list, tuple)):
+        return [_plain(r) for r in result]
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_CALLS))
+def test_one_tolerance_per_poset(name, square_at_built):
+    call = TOLERANCE_CALLS[name]
+    omitted = _plain(call(square_at_built))
+    assert _plain(call(square_at_built, Q.Tolerance(BUILT.eps))) == omitted
+    assert _plain(call(square_at_built, BUILT)) == omitted
+    with pytest.raises(ValidationError, match=(
+            "^a query at eps 1e-07 on a poset built at eps 1e-08$")):
+        call(square_at_built, Q.Tolerance(BUILT.eps * 10))
