@@ -2,8 +2,8 @@
 
 Every report embeds the scenario digest and the effective tolerance, keeps
 all listings canonically ordered, and rounds floats to 12 significant
-digits, matrix entries also to 12 decimal places, so repeated runs are
-byte-identical.  Exit codes: 0 success (a
+digits, matrix entries also to 12 decimal places (-0.0 prints as 0.0), so
+repeated runs are byte-identical.  Exit codes: 0 success (a
 ``NoSection`` outcome is data, not an error), 1 syntax or validation
 problem, 2 size limit.
 """
@@ -32,11 +32,8 @@ def _round12(x: float) -> float:
 
 
 def _matrix_json(matrix: np.ndarray) -> list:
-    """Entries rounded to 12 decimal places (-0.0 reads as 0.0): the rounding
-    noise of a block sum, far below any tolerance, does not print."""
-    rounded = np.round(np.asarray(matrix, dtype=complex), 12) + 0.0
     return [[[_round12(cell.real), _round12(cell.imag)] for cell in row]
-            for row in rounded]
+            for row in np.round(np.asarray(matrix, dtype=complex), 12) + 0.0]
 
 
 class _Parser(argparse.ArgumentParser):

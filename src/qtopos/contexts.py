@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -59,21 +59,34 @@ def _block_sort_keys(stack: np.ndarray) -> list[tuple]:
     return [(-round(t, 6), tuple(row)) for t, row in zip(traces, parts.tolist())]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Context:
     """A partition of unity: pairwise orthogonal projectors summing to 1.
-    A context of a ``ContextPoset`` also holds the poset's block ``table``
-    and its blocks' ``ids`` in it; one from ``make_context`` neither."""
+    A context of a ``ContextPoset`` is the poset's block ``table`` and its
+    blocks' ``ids`` in it: its ``blocks`` are the table's read-only rows.
+    One from ``make_context`` keeps its own ``blocks``."""
 
     key: str
     dim: int
-    blocks: tuple[np.ndarray, ...]
-    label: str | None = None
-    table: BlockTable | None = field(default=None, repr=False)
-    ids: tuple[int, ...] | None = field(default=None, repr=False)
+    label: str | None
+    table: BlockTable | None
+    ids: tuple[int, ...] | None
+
+    def __init__(self, key: str, dim: int, blocks: Sequence[np.ndarray] | None = None,
+                 label: str | None = None, table: BlockTable | None = None,
+                 ids: tuple[int, ...] | None = None):
+        vars(self).update(key=key, dim=dim, label=label, table=table, ids=ids)
+        if blocks is not None:
+            vars(self)["blocks"] = tuple(blocks)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.table.blocks[b] for b in self.ids)
 
     @functools.cached_property
     def ranks(self) -> tuple[int, ...]:
+        if self.table is not None:  # the traces of the table's sort keys
+            return tuple(round(-self.table.keys[b][0]) for b in self.ids)
         return tuple(round(t) for t in np.einsum("kaa->k", self.blocks).real.tolist())
 
     @functools.cached_property
@@ -482,7 +495,7 @@ class BlockTable:
         self.mats = np.empty((16, dim, dim), dtype=complex)
         self.meets = np.zeros((16, 16), dtype=bool)
         self.keys: list[tuple] = []
-        self.blocks = self.mats[:0]  # the distinct blocks, stacked in id order
+        self.blocks = self.mats[:0]  # the distinct blocks in id order, read-only
         self.hits: dict[tuple, np.ndarray] = {}  # quantum._outer_hits's flags
 
     def intern(self, blocks: Sequence[np.ndarray],
@@ -531,6 +544,7 @@ class BlockTable:
         self.meets[:m, n:m] = hits
         self.keys += _block_sort_keys(self.mats[n:m])
         self.blocks = self.mats[:m]
+        self.blocks.setflags(write=False)
         ids[new] = np.arange(n, m)
         ids[fresh[~added]] = ids[fresh[first[~added]]]
         return ids.tolist()
@@ -544,7 +558,8 @@ class ContextPoset:
     taken as given.  Every context holds the poset's block ``table`` and its
     blocks' ``ids`` in it: the table that ``build_poset``'s contexts share,
     or, for any other contexts (``make_context``'s, or another poset's at
-    another tolerance), a fresh one at ``tol`` held by copies of them."""
+    another tolerance), a fresh one at ``tol`` held by copies of them.  A
+    context whose dimension is not ``dim`` raises ``DimensionMismatch``."""
 
     dim: int
     contexts: tuple[Context, ...]
@@ -552,15 +567,19 @@ class ContextPoset:
     tol: Tolerance = Tolerance()
 
     def __post_init__(self):
+        for c in self.contexts:
+            if c.dim != self.dim:
+                raise DimensionMismatch(
+                    f"context {c.key} has dimension {c.dim} != {self.dim}")
         table = self.contexts[0].table if self.contexts else None
         if (table is None or table.tol != self.tol
                 or any(c.table is not table for c in self.contexts)):
             table = BlockTable(self.dim, self.tol)
             blocks = [b for c in self.contexts for b in c.blocks]
             ids = iter(table.intern(blocks) if blocks else ())
-            object.__setattr__(self, "contexts", tuple(replace(
-                c, table=table, ids=tuple(itertools.islice(ids, len(c.blocks))))
-                for c in self.contexts))
+            object.__setattr__(self, "contexts", tuple(Context(
+                key=c.key, dim=c.dim, label=c.label, table=table,
+                ids=tuple(itertools.islice(ids, len(c.blocks)))) for c in self.contexts))
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_index", {c.key: c for c in self.contexts})
         object.__setattr__(self, "base", FinPoset(
@@ -598,8 +617,9 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     Each distinct block is interned once in a :class:`BlockTable` at
     ``tol``, so a context is a list of block ids and a duplicate is one set
     lookup; the poset, built at ``tol``, and its contexts keep the table,
-    and each context its block ids.
-    A context keeps the matrices it was first formed with.  ``V..`` ids
+    and each context its block ids, whose rows are its matrices: a
+    candidate is checked on the matrices it was formed with, then dropped.
+    ``V..`` ids
     sort contexts by block count, then by block entries rounded to 6
     digits: near a rounding boundary ids can change (say under a global
     unitary); shape, order and verdict hold.
@@ -641,8 +661,8 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     dim = maximal[0].dim
     bound = tol.scaled(dim)
     table = BlockTable(dim, tol)
-    ctxs: list[Context] = []
-    ids_of: list[list[int]] = []
+    labels: list[str | None] = []
+    ids_of: list[list[int]] = []  # per context, its block ids in key order
     seen: set[tuple[int, ...]] = set()
 
     def add(mats: Sequence[np.ndarray], label: str | None, ids: list[int],
@@ -652,14 +672,10 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
             return
         if not checked:
             _check_partition(mats, table.meets[ids][:, ids], bound)
-        for m in mats:
-            m.setflags(write=False)
-        order = sorted(range(len(ids)), key=lambda i: table.keys[ids[i]])
         seen.add(found)
-        ids_of.append([ids[i] for i in order])
-        ctxs.append(Context(key="", dim=dim, label=label,
-                            blocks=tuple(mats[i] for i in order)))
-        if len(ctxs) > POSET_LIMIT:
+        ids_of.append(sorted(ids, key=table.keys.__getitem__))
+        labels.append(label)
+        if len(ids_of) > POSET_LIMIT:
             raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
 
     def add_run(run: list[tuple]) -> None:
@@ -678,18 +694,18 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     def expand_run(run: list[int]) -> None:
         """Intern the proper subset sums of the contexts at ``run`` in one
         call, then add each context's new coarsenings in order."""
-        sums = [{group: _merge(ctxs[i].blocks, group)
-                 for group in _proper_partitions(len(ids_of[i]))[1]} for i in run]
-        flat = [s for own in sums for s in own.values()]
-        made = table.intern(flat, [[ids_of[i][j] for j in group] for i, own
-                                   in zip(run, sums) for group in own]) if flat else []
+        sides = [[ids_of[i][j] for j in group] for i in run
+                 for group in _proper_partitions(len(ids_of[i]))[1]]
+        sums = [_merge(table.blocks, side) for side in sides]
+        made = table.intern(sums, sides) if sums else []
         at = 0
-        for i, own in zip(run, sums):
+        for i in run:
             atoms = ids_of[i]
             parts, groups, picks = _proper_partitions(len(atoms))
+            own = dict(zip(groups, sums[at:at + len(groups)]))
             memo = dict(zip(groups, made[at:at + len(groups)]))
             at += len(groups)
-            own.update(((j,), b) for j, b in enumerate(ctxs[i].blocks))
+            own.update(((j,), table.blocks[a]) for j, a in enumerate(atoms))
             memo.update(((j,), a) for j, a in enumerate(atoms))
             rows = [r for r, part in enumerate(parts)
                     if tuple(sorted(memo[group] for group in part)) not in seen]
@@ -709,19 +725,19 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
         since no item can join it: a closure that trips the limit forms no
         candidate past the run that trips it."""
         run: list = []
-        room = POSET_LIMIT - len(ctxs)
+        room = POSET_LIMIT - len(ids_of)
         try:
             for weight, item in items:
                 if run and weight > room:
                     full, run = run, []
                     flush(full)
-                    room = POSET_LIMIT - len(ctxs)
+                    room = POSET_LIMIT - len(ids_of)
                 run.append(item)
                 room -= weight
                 if room < 0:
                     full, run = run, []
                     flush(full)
-                    room = POSET_LIMIT - len(ctxs)
+                    room = POSET_LIMIT - len(ids_of)
         except ToposError:
             flush(run)  # an earlier candidate's error comes first
             raise
@@ -751,37 +767,37 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
             right = flat - ends[left] + count[left] + first[left]
             kept = ~_connected(table.meets, padded[left], padded[right])
             for i, j in zip(left[kept].tolist(), right[kept].tolist()):
-                met = _meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
+                met = _meet_blocks(table.blocks[ids_of[i]], table.blocks[ids_of[j]],
                                    table.meets[ids_of[i]][:, ids_of[j]], bound)
                 if met is not None:
                     yield 1, (met[0], None,
                               [[ids_of[i][a] for a in side] for side in met[1]])
 
     def expansions() -> Iterator[tuple[int, int]]:
-        for i in range(len(ctxs)):
+        for i in range(len(ids_of)):
             forced = _bell(len(ids_of[i])) - 1
             if forced > POSET_LIMIT:
                 raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
             yield forced - 1, i
 
     feed(given(), add_run)
-    done = 0  # every pair of ctxs[:done] has been met
-    while closure == "intersections" and done < len(ctxs):
-        size = len(ctxs)
+    done = 0  # every pair of the first done contexts has been met
+    while closure == "intersections" and done < len(ids_of):
+        size = len(ids_of)
         feed(meet_pass(done, size), add_run)
         done = size
     if closure == "coarsenings":
         feed(expansions(), expand_run)
 
     n = len(table.keys)
-    order = sorted(range(len(ctxs)), key=lambda i: (
+    order = sorted(range(len(ids_of)), key=lambda i: (
         len(ids_of[i]), [table.keys[b] for b in ids_of[i]]))
     width = max(2, len(str(len(order) - 1)))
     relabeled = []
     member = np.zeros((len(order), n), dtype=np.float32)
     for r, i in enumerate(order):
-        relabeled.append(Context(key=f"V{r:0{width}d}", dim=dim, blocks=ctxs[i].blocks,
-                                 label=ctxs[i].label, table=table, ids=tuple(ids_of[i])))
+        relabeled.append(Context(key=f"V{r:0{width}d}", dim=dim, label=labels[i],
+                                 table=table, ids=tuple(ids_of[i])))
         member[r, ids_of[i]] = 1
     # C <= D iff every block of D meets exactly one block of C (then D has
     # at least as many blocks, since every block of C meets one of D).

@@ -182,14 +182,14 @@ def _outer_hits(p: np.ndarray, blocks: np.ndarray | BlockTable, tol: Tolerance,
 def _approximation(ctx: Context, hits: list, inner: bool) -> tuple[tuple, np.ndarray]:
     """Block indices and matrix of an approximation in ``ctx`` from ``hits``:
     the outer one sums the blocks that meet ``p`` (``_outer_hits``), the inner
-    one keeps the blocks that miss ``1 - p``.  Its matrix is ``1`` minus the
-    dropped blocks: reports print the last bits of that difference."""
+    one keeps the blocks that miss ``1 - p``; its matrix is ``1`` minus the
+    dropped blocks.  A poset context's blocks are its table's rows."""
     picked = tuple(i for i, hit in enumerate(hits) if hit)
     m = sum((ctx.blocks[i] for i in picked), np.zeros((ctx.dim, ctx.dim), dtype=complex))
     if inner:
         m = np.eye(ctx.dim, dtype=complex) - m
         m = (m + m.conj().T) / 2
-        picked = tuple(i for i in range(len(ctx.blocks)) if i not in picked)
+        picked = tuple(i for i in range(len(hits)) if i not in picked)
     m.setflags(write=False)
     return picked, m
 
@@ -302,7 +302,7 @@ def truth_object(psi, poset: ContextPoset,
     weights = {c.key: [per_block[b] for b in c.ids] for c in poset.contexts}
     obj = TruthObject(psi=vec, weights=weights, tol=tol)
     for ctx in poset.contexts:
-        if not obj.contains(ctx.key, 2 ** len(ctx.blocks) - 1):
+        if not obj.contains(ctx.key, 2 ** len(ctx.ids) - 1):
             raise ValidationError(f"identity missing from filter at {ctx.key}")
     return obj
 

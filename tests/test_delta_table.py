@@ -245,6 +245,14 @@ def test_hand_built_posets_and_presheaves(monkeypatch):
                 assert (Q.delta_subobject(p, presheaf, tol).parts
                         == reference_delta_subobject(p, presheaf, tol).parts)
             assert len(interns) == before
+    # a context of another dimension is named before anything is interned
+    two = C.context_from_commuting_set([np.diag([1.0, -1.0])], TOL, label="two")
+    three = C.context_from_commuting_set([np.diag([1.0, 2.0, 3.0])], TOL, label="three")
+    before = len(interns)
+    for contexts in ((two, three), (three,)):
+        with pytest.raises(DimensionMismatch, match="^context three has dimension 3 != 2$"):
+            C.ContextPoset(dim=2, contexts=contexts, leq=frozenset(), tol=TOL)
+    assert len(interns) == before
 
 
 def test_another_tolerance():

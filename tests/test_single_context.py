@@ -1,12 +1,15 @@
 """Single-context daseinisation is a row of the poset-wide one.
 
-``daseinise_projector(_inner)(P, ctx)`` tests ``P`` against
-``Context.stack``; ``quantum.daseinise(P, poset, tol, inner)`` tests it
-against the poset's block table.  Both turn a context's hits into indices
-and a matrix through ``quantum._approximation``, so per context the block
-indices and the matrix bytes must agree bit for bit.
+``daseinise_projector(_inner)(P, ctx)`` reads ``P``'s flags for one
+context off its poset's block table; ``quantum.daseinise(P, poset, tol,
+inner)`` reads them for every context.  Both turn a context's hits into
+indices and a matrix through ``quantum._approximation``, which sums the
+table's rows, so per context the block indices and the matrix bytes must
+agree bit for bit.
 ``DIGESTS`` pins those outputs, and ``daseinise_observable``'s, per case as
-the per-call validating, per-call stacking code gave them.  Cases: every
+the per-call validating, per-call stacking code gave them; 8 of them moved
+when a poset context's matrices became its table's rows, every hashed
+matrix within 1e-13 (Frobenius) of the one before.  Cases: every
 bundled scenario under both closures and the seed-1 ``prop-logic`` families
 of ``perfbench/gen.py``; projectors: each named one, then a seeded Haar
 projector of every proper rank.
@@ -38,29 +41,29 @@ DIGESTS = {
     ("builtin:mermin-square", "intersections"):
         "297386f5cbb0abbf019231a8f8a3b308649995b76c200f178f5089b9b8e8ca17",
     ("builtin:mermin-square", "coarsenings"):
-        "113488e64840292c8d6fe05a855ae6c65634dcb94f0a652e3eb992becdff175b",
+        "0249aaa63949544612cef361f63972b5de039c50223a05dddc02242348ee75d3",
     ("cabello18.json", "intersections"):
-        "9f22c6847d00d6318f904fd1150086e0bfd0dcda47da3228520380aad4c99337",
+        "59887308808d03febd692bbed5a3985f1a8fdb95b0c239f601f0f16fab49c076",
     ("cabello18.json", "coarsenings"):
-        "4934ebb401d523091c8d40f92a9aa0657c890638ae872bdfd9e625db2dfb1819",
+        "09f2241e61e196b0e08a1c288b30c0689f42bbfda4f1922ef728cea77076b404",
     ("mermin_square.json", "intersections"):
         "b51fcced14d6f627db9b797699fa0bd3fd6686138e98303f4678eff2e57b3001",
     ("mermin_square.json", "coarsenings"):
-        "f351866164b8a91b0c03b85ee6828f452c36016c77a146c3ed75b63ef12d6669",
+        "cd5816dff6734f92ff6e44250b71a4bbff2ffbe801de758142d5e7be7d89a79a",
     ("pauli2.json", "intersections"):
         "39ca6b2c3c6bb87e8dd816c43e3a5fa11db261526beafb157eb1ff343f3aa950",
     ("pauli2.json", "coarsenings"):
         "39ca6b2c3c6bb87e8dd816c43e3a5fa11db261526beafb157eb1ff343f3aa950",
     ("peres33.json", "intersections"):
-        "62cc05c143f4fb6e878accfd3842a8d97d2ba1da53ad912f140ed16a348a0230",
+        "d875964838668e22ae6e0795a9939add0e03a630fca96ae2c21c697fc5ee35f2",
     ("peres33.json", "coarsenings"):
-        "06db4bcef4584bb1c470dc7d9ae12ff11d12622c6cd83f8e7c1d67134b22e760",
+        "cfb9345266f7ecf1080140ce3a58cf6ef3a6298866158168e1b29887c2e97f44",
     ("two_qubit_parity.json", "intersections"):
         "988384a85d7f21cd192f4d58491def763ab075f64228534c2c1dc3715389ecfa",
     ("two_qubit_parity.json", "coarsenings"):
-        "4883300d7d90263085679c8b8908f0232365df1f6f1deba0e32c70ecd79a53fa",
+        "06168e0301ce93b4d1a4fcc4957a51bf50bbcd24c744fd621e5c251ac1033c07",
     ("family00", None):
-        "d452c35594a42e4d12ab97b750357fafda1cb97a4ac84332ee62da6acf25cd79",
+        "d0c906a2c20c52faeb3d7ae24eb3bf21feedaa0523e06a089d4bd6c3b29f3914",
     ("family01", None):
         "d2fa769268fd459bf13604316ed22238cc24a31eeb4a311926c05b771e46d5fd",
 }
@@ -119,10 +122,32 @@ def test_single_context_rows_match_the_poset_wide_rows(name, closure, families):
     assert got == DIGESTS[(name, closure)]
 
 
+def assert_rows_of_the_table(poset):
+    """A poset context's matrices are its table's read-only rows at its ids,
+    read on first use; its ranks are the rounded traces."""
+    table = poset.table
+    assert not any({"blocks", "stack"} & set(vars(ctx)) for ctx in poset.contexts)
+    read = {}  # block id: the bytes the first context holding it read
+    for ctx in poset.contexts:
+        assert ctx.table is table
+        assert ctx.stack is ctx.stack and not ctx.stack.flags.writeable
+        assert np.array_equal(ctx.stack, np.stack(ctx.blocks))
+        for b, block in zip(ctx.ids, ctx.blocks, strict=True):
+            assert block.tobytes() == table.blocks[b].tobytes()
+            assert not block.flags.writeable
+            assert read.setdefault(b, block.tobytes()) == block.tobytes()
+        assert ctx.ranks == tuple(round(np.trace(b).real) for b in ctx.blocks)
+    return read
+
+
 def test_the_stack_is_built_on_first_use_only():
-    maximal, _, closure, tol = _case("mermin_square.json", "coarsenings", {})
-    poset = C.build_poset(maximal, closure, tol)
-    assert not any("stack" in vars(ctx) for ctx in poset.contexts)
-    ctx = poset.contexts[-1]
-    assert ctx.stack is ctx.stack and not ctx.stack.flags.writeable
-    assert np.array_equal(ctx.stack, np.stack(ctx.blocks))
+    for name, closure in CASES[:-len(FAMILIES)]:
+        maximal, _, closure, tol = _case(name, closure, {})
+        poset = C.build_poset(maximal, closure, tol)
+        assert len(assert_rows_of_the_table(poset)) == len(poset.table.keys)
+        # a hand-built poset's copies hold its fresh table's rows too
+        own = tuple(C.make_context(c.blocks, tol, label=c.key) for c in poset.contexts)
+        hand = C.ContextPoset(dim=poset.dim, contexts=own, leq=poset.leq, tol=tol)
+        assert all("blocks" in vars(c) and c.table is None for c in own)
+        assert hand.table is not poset.table
+        assert_rows_of_the_table(hand)
