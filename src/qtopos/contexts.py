@@ -496,7 +496,17 @@ class BlockTable:
         self.meets = np.zeros((16, 16), dtype=bool)
         self.keys: list[tuple] = []
         self.blocks = self.mats[:0]  # the distinct blocks in id order, read-only
-        self.hits: dict[tuple, np.ndarray] = {}  # quantum._outer_hits's flags
+        # quantum._record's records, one per tested matrix and variant: its
+        # read-only flags, one per held block, and the daseinisation rows of
+        # the contexts asked so far, ``held_rows`` of them in all; quantum
+        # keeps at most 128 records and POSET_LIMIT rows (one poset's)
+        self.hits: dict[tuple, tuple] = {}
+        self.held_rows = 0
+
+    def forget(self) -> None:
+        """Drop every record of ``hits``."""
+        self.hits.clear()
+        self.held_rows = 0
 
     def intern(self, blocks: Sequence[np.ndarray],
                parts: Sequence[Sequence[int]] | None = None) -> list[int]:
@@ -516,7 +526,7 @@ class BlockTable:
         fresh = rest[ids[rest] == n]
         if not fresh.size:
             return ids.tolist()
-        self.hits.clear()  # its flags cover the blocks held so far
+        self.forget()  # its flags cover the blocks held so far
         # twin[a, c]: new blocks a < c are the same block; c is added unless
         # it is the twin of an earlier block that was added, whose id it takes
         twin = np.triu(same_blocks(stack[fresh], stack[fresh], self.tol), 1)
@@ -587,6 +597,17 @@ class ContextPoset:
 
     def context(self, key: str) -> Context:
         return self._index[key]
+
+    @functools.cached_property
+    def _id_rows(self) -> np.ndarray:
+        """Row i holds the id of each context's i-th block, contexts in
+        ``contexts`` order; a context with fewer blocks reads -1 there."""
+        rows = np.full((max((len(c.ids) for c in self.contexts), default=0),
+                        len(self.contexts)), -1)
+        for col, c in enumerate(self.contexts):
+            rows[:len(c.ids), col] = c.ids
+        rows.setflags(write=False)
+        return rows
 
     def __len__(self) -> int:
         return len(self.contexts)

@@ -5,11 +5,15 @@ contributes its blocks as a finite set, restriction coarsens blocks, and
 projectors are approximated per context by the smallest dominating (outer)
 or largest dominated (inner) sums of blocks.  Over a poset, the outer hits are
 one ``overlaps`` row per distinct block of its table, and closure is checked
-on the table's "lies under" edges.  The table remembers those flags per
-projector, and every context of the poset holds the table and its block
-ids, so daseinising one projector in every context, one context at a time,
-makes one ``overlaps`` call in all, not one per context.  Every query on a
-poset runs at the poset's tolerance (``_tolerance``).  Truth values of
+on the table's "lies under" edges.  Every context of the poset holds the
+table and its block ids, and the table keeps one record per projector and
+variant: the flags, and each context's daseinisation row (indices and
+matrix) once that context has been asked.  The poset-wide ``daseinise`` and
+the per-context functions read the same rows, so the first ask of a
+projector makes one ``overlaps`` call in all and a repeated ask is a lookup.
+The records are bounded: ``_HITS_CAP`` projectors and ``POSET_LIMIT`` rows
+in all.  Every query on a poset runs at the poset's tolerance
+(``_tolerance``).  Truth values of
 propositions land in the lower sets of the context poset, and the
 global-section search decides whether a noncontextual valuation exists at
 all.
@@ -21,11 +25,12 @@ import itertools
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
-from .contexts import BlockTable, Context, ContextPoset, _block_values
+from .contexts import POSET_LIMIT, BlockTable, Context, ContextPoset, _block_values
 from .errors import (
     Ambiguity,
     DimensionMismatch,
@@ -44,7 +49,10 @@ from .numerics import (
 )
 
 KS_NODE_LIMIT = 10 ** 7
-_HITS_CAP = 128  # flags a table remembers, like numerics' projector verdicts
+_HITS_CAP = 128  # records a table keeps, like numerics' projector verdicts
+_ROWS_CAP = POSET_LIMIT  # rows in all of them: one poset's, <= 16.8 MB at d = 16
+# Python's float ``sum`` compensates its rounding (Neumaier) from 3.12 on
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,24 +160,38 @@ def evaluate(element: SpectralElement, operator,
     return float(values[0, element.block])
 
 
-def _outer_hits(p: np.ndarray, blocks: np.ndarray | BlockTable, tol: Tolerance,
+class _Hits(NamedTuple):
+    """A ``BlockTable``'s record of one matrix and variant: its read-only
+    ``flags``, one per held block, and ``rows``, the ``_approximation`` of
+    each context asked so far, keyed by the context's ``ids``."""
+
+    flags: np.ndarray
+    rows: dict
+
+
+def _record(p: np.ndarray, table: BlockTable, tol: Tolerance, inner: bool) -> _Hits:
+    """``table``'s record of ``p``, keyed by ``(inner, shape, bytes)`` of ``p``
+    in ``table.hits``, made with one ``overlaps`` if missing.  The records are
+    dropped at ``_HITS_CAP`` of them and whenever ``intern`` grows the table,
+    so their flags always cover the held blocks."""
+    key = (inner, p.shape, p.tobytes())
+    record = table.hits.get(key)
+    if record is None:
+        flags = _outer_hits(p, table.blocks, tol, inner)
+        flags.setflags(write=False)
+        if len(table.hits) >= _HITS_CAP:
+            table.forget()
+        record = table.hits[key] = _Hits(flags, {})
+    return record
+
+
+def _outer_hits(p: np.ndarray, blocks: np.ndarray, tol: Tolerance,
                 inner: bool = False) -> np.ndarray:
     """Which of ``blocks`` (a stack, such as a context's own ``Context.stack``,
     or a ``BlockTable``'s distinct blocks) meet the complex matrix ``p``
-    (``1 - p`` if ``inner``), by one ``overlaps``; with a table, ``tol`` is
-    its own (``_tolerance``).  A table remembers the read-only flags in
-    ``table.hits``, keyed by ``(inner, shape, bytes)`` of ``p``; the memo is
-    emptied at ``_HITS_CAP`` entries and whenever ``intern`` grows the
-    table, so its flags always cover the held blocks."""
-    if isinstance(blocks, BlockTable):
-        table, key = blocks, (inner, p.shape, p.tobytes())
-        if key not in table.hits:
-            hits = _outer_hits(p, table.blocks, tol, inner)
-            hits.setflags(write=False)
-            if len(table.hits) >= _HITS_CAP:
-                table.hits.clear()
-            table.hits[key] = hits
-        return table.hits[key]
+    (``1 - p`` if ``inner``), by one ``overlaps``.  A poset's table keeps
+    the flags of its blocks, at its own tolerance, in its ``_record`` of
+    ``p``."""
     if not len(blocks):
         return np.zeros(0, dtype=bool)
     if p.shape[0] != blocks.shape[-1]:
@@ -194,27 +216,49 @@ def _approximation(ctx: Context, hits: list, inner: bool) -> tuple[tuple, np.nda
     return picked, m
 
 
+def _rows(p: np.ndarray, table: BlockTable, tol: Tolerance, inner: bool,
+          contexts) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The rows of ``contexts``, which hold ``table``, read off ``p``'s
+    ``_record``: a context asked before gets the same read-only row, and
+    another is built by ``_approximation`` from the flags and kept.  A row
+    that would pass ``_ROWS_CAP`` rows in all first drops every record's
+    rows (the flags stay)."""
+    record = _record(p, table, tol, inner)
+    rows = []
+    for ctx in contexts:
+        row = record.rows.get(ctx.ids)
+        if row is None:
+            if table.held_rows >= _ROWS_CAP:
+                for held in table.hits.values():
+                    held.rows.clear()
+                table.held_rows = 0
+            row = record.rows[ctx.ids] = _approximation(
+                ctx, record.flags[list(ctx.ids)].tolist(), inner)
+            table.held_rows += 1
+        rows.append(row)
+    return rows
+
+
 def daseinise(projector, poset: ContextPoset, tol: Tolerance | None = None,
               inner: bool = False) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Outer (or ``inner``) daseinisation of a projector over the whole poset:
-    per context, in ``poset.contexts`` order, block indices and matrix, from
-    one ``overlaps`` call against the poset's distinct blocks, none if the
-    table remembers the projector."""
+    per context, in ``poset.contexts`` order, block indices and matrix.  They
+    are the rows ``_in_context`` gives one context at a time, from the same
+    record of the poset's table (``_rows``): one ``overlaps`` call against
+    the poset's distinct blocks, none if the table remembers the projector,
+    and no sum of blocks for a context already asked."""
     tol = _tolerance(tol, poset.table)
     p = require_projector(projector, tol, "projector")
-    flags = _outer_hits(p, poset.table, tol, inner).tolist()
-    return [_approximation(ctx, [flags[b] for b in ctx.ids], inner)
-            for ctx in poset.contexts]
+    return _rows(p, poset.table, tol, inner, poset.contexts)
 
 
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
-    """``daseinise``'s row for ``ctx`` at its tolerance ``tol``: read off its
-    poset's table if it holds one, else tested against its own ``stack``."""
+    """``daseinise``'s row for ``ctx`` at its tolerance ``tol``: the row its
+    poset's table remembers (``_rows``) if it holds one, else built from
+    a test against its own ``stack`` and not kept."""
     if ctx.table is not None:
-        hits = _outer_hits(p, ctx.table, tol, inner)[list(ctx.ids)]
-    else:
-        hits = _outer_hits(p, ctx.stack, tol, inner)
-    return _approximation(ctx, hits.tolist(), inner)
+        return _rows(p, ctx.table, tol, inner, (ctx,))[0]
+    return _approximation(ctx, _outer_hits(p, ctx.stack, tol, inner).tolist(), inner)
 
 
 def daseinise_projector(projector, ctx: Context,
@@ -237,7 +281,7 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
     tol = _tolerance(tol, presheaf.poset.table)
     p = require_projector(projector, tol, "projector")
     x, (table, _, lo, hi) = presheaf.underlying, presheaf.table
-    hit = _outer_hits(p, table, tol)
+    hit = _record(p, table, tol, False).flags
     flat, bits, starts = presheaf._gather  # Σ(v)'s points are block indices
     masks = np.add.reduceat(np.where(hit[flat], bits, 0), starts)
     sub = kernel.Subobject(x, dict(zip(x.base.elements, masks.tolist())))
@@ -319,15 +363,44 @@ def truth_value_pseudo(projector, psi, presheaf: SpectralPresheaf,
         state.subobject, delta_subobject(projector, presheaf, tol))
 
 
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """Each column's sum, its entries added in row order as Python's ``sum``
+    adds floats, compensation included from Python 3.12 on, so a comparison
+    of a sum gives ``sum``'s verdict.  A zero entry changes no sum (the
+    sign of a zero aside)."""
+    total = comp = np.zeros(rows.shape[1])
+    for x in rows:
+        t = total + x
+        if _COMPENSATED_SUM:
+            comp = comp + np.where(np.abs(total) >= np.abs(x),
+                                   (total - t) + x, (x - t) + total)
+        total = t
+    return total + comp
+
+
 def truth_value_truthobject(projector, psi, poset: ContextPoset,
                             tol: Tolerance | None = None) -> kernel.LowerSet:
-    """Contexts where the truth object holds the outer approximation."""
-    obj = truth_object(psi, poset, tol)
-    p = require_projector(projector, obj.tol, "projector")
-    flags = _outer_hits(p, poset.table, obj.tol).tolist()
-    members = {c.key for c in poset.contexts if obj.contains(
-        c.key, sum(1 << i for i, b in enumerate(c.ids) if flags[b]))}
-    return kernel.lowerset(poset.base, members)
+    """Contexts where the truth object holds the outer approximation.
+
+    ``truth_object``'s test on arrays: one gather of the per-block weights
+    through ``poset._id_rows`` (the padding reads weight 0) gives every
+    context's weights by block position, and one sum over the positions
+    (``_column_sums``) adds a context's weights, or those of the blocks its
+    remembered flags hit, in the order ``TruthObject.contains`` does; so
+    every verdict, and the error for a context that misses the identity,
+    is the one ``truth_object`` and ``contains`` give."""
+    tol = _tolerance(tol, poset.table)
+    vec = _unit_state(psi, poset, tol)
+    ids = poset._id_rows
+    weights = np.append(((poset.table.blocks @ vec) @ vec.conj()).real, 0.0)[ids]
+    whole = _column_sums(weights) >= 1.0 - tol.eps
+    if not whole.all():
+        key = poset.contexts[int(whole.argmin())].key
+        raise ValidationError(f"identity missing from filter at {key}")
+    p = require_projector(projector, tol, "projector")
+    hit = np.append(_record(p, poset.table, tol, False).flags, False)[ids]
+    held = (_column_sums(np.where(hit, weights, 0.0)) >= 1.0 - tol.eps).tolist()
+    return kernel.lowerset(poset.base, [c.key for c, h in zip(poset.contexts, held) if h])
 
 
 @dataclass(frozen=True, eq=False)

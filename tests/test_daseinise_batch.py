@@ -340,15 +340,16 @@ class TestRememberedFlags:
         p = scn.operator("Pzz_plus")
         first = Q.daseinise_projector(p, ctx, tol)
         assert len(table.hits) == 1
-        (flags,) = table.hits.values()
+        (record,) = table.hits.values()
+        flags = record.flags
         assert not flags.flags.writeable and len(flags) == len(table.keys)
         table.intern(ctx.blocks)  # held blocks: the table does not grow
         assert len(table.hits) == 1
         table.intern([random_projector(4, np.random.default_rng(5), 1)])
         assert table.hits == {}
         assert Q.daseinise_projector(p, ctx, tol).tobytes() == first.tobytes()
-        (flags,) = table.hits.values()
-        assert len(flags) == len(table.keys)
+        (record,) = table.hits.values()
+        assert len(record.flags) == len(table.keys)
 
     def test_one_bit_is_another_matrix(self, monkeypatch):
         scn, poset = _square()

@@ -38,8 +38,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+# One BLAS thread unless the caller asks for another count, so that the
+# corpus can be compared under one and under two threads
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 
