@@ -17,9 +17,9 @@ section of ``y`` on the elements of ``x`` (``_elements``), and a
 limits are pre-checks on the size of the space: ``hom_set`` refuses when
 prod_v |y(v)|^|x(v)| exceeds ``GLOBAL_SEARCH_LIMIT``, and ``exponential``
 when that product over the down-set of one element exceeds
-``COMPONENT_LIMIT``.  A subobject is one int mask per element, from its
-enumeration through the Heyting operations; its tuples of points are a
-derived view.
+``COMPONENT_LIMIT``.  A subobject is one int over all its presheaf's
+points, from its enumeration through the Heyting operations, which are a
+few int operations each; its masks and tuples of points are derived views.
 
 Conventions
 -----------
@@ -31,8 +31,9 @@ Conventions
   and the strict pairs are built once per poset; every order scan reads them.
 * Component points may be any value with a stable ``repr``; components are
   tuples sorted by ``repr``, so all enumeration output is deterministic.
-* A mask over ``x(v)`` has bit ``i`` for point ``i`` of ``x.sets[v]``, in
-  subobjects, the section search's domains and the enumerator's options.
+* A mask over ``x(v)`` has bit ``i`` for point ``i`` of ``x.sets[v]``, in a
+  subobject's ``masks`` and the section search's domains; a subobject's
+  ``bits`` has it at ``v``'s offset plus ``i``, elements in element order.
 * ``omega(base)`` is ``P(1)``: a point at ``v`` is a sieve on ``v`` (a
   subobject of the terminal below ``v``), the tuple of its members in order.
 * Power-object points and exponential points are nested sorted tuples, so
@@ -209,16 +210,31 @@ class Presheaf:
                 for v, pts in self.sets.items()}
 
     @cached_property
-    def _preimages(self) -> dict:
-        """Per ``to``: per ``frm`` above, per point bit at ``to``, its pre-image mask."""
-        out: dict = {v: [] for v in self.sets}
+    def _spans(self) -> dict:
+        """Per element, in element order, its offset and full mask in a
+        subobject's ``bits``: point i of ``sets[v]`` is bit ``offset + i``."""
+        spans, offset = {}, 0
+        for v in self.base.elements:
+            spans[v] = (offset, (1 << len(self.sets[v])) - 1)
+            offset += len(self.sets[v])
+        return spans
+
+    @cached_property
+    def _ups(self) -> list:
+        """Per point, in ``bits`` order, the mask of every point above it that
+        restricts to it, itself included (the maps cover every strict pair)."""
+        spans = self._spans
+        ups = [1 << i for i in range(sum(map(len, self.sets.values())))]
         for (frm, to), mapping in self.restrictions.items():
-            bits = self._bits[to]
-            pre = dict.fromkeys(bits.values(), 0)
+            above, below, bits = spans[frm][0], spans[to][0], self._bits[to]
             for i, pt in enumerate(self.sets[frm]):
-                pre[bits[mapping[pt]]] |= 1 << i
-            out[to].append((frm, tuple(pre.items())))
-        return out
+                ups[below + bits[mapping[pt]].bit_length() - 1] |= 1 << above + i
+        return ups
+
+    @cached_property
+    def _full(self) -> int:
+        """Every point's bit: the full subobject's ``bits``."""
+        return (1 << sum(map(len, self.sets.values()))) - 1
 
     def _image(self, frm: str, to: str, mask: int) -> int:
         """The mask at ``to`` of the restrictions of ``mask``'s points at ``frm``."""
@@ -276,14 +292,21 @@ def presheaf(base: FinPoset, sets, restrictions) -> Presheaf:
 
 @dataclass(frozen=True)
 class Subobject:
-    """A sub-presheaf: per element, the mask of its points, closed under restriction."""
+    """A sub-presheaf, closed under restriction: ``bits`` holds its points
+    over all of ``of``, in element then component order (``Presheaf._spans``)."""
 
     of: Presheaf
-    masks: dict
+    bits: int
+
+    @cached_property
+    def masks(self) -> dict:
+        """Per element, in element order, its points' mask (bit i: point i)."""
+        return {v: self.bits >> offset & full
+                for v, (offset, full) in self.of._spans.items()}
 
     @cached_property
     def parts(self) -> dict:
-        """Per element, in the masks' key order, its points in component order."""
+        """Per element, in element order, its points in component order."""
         return {v: self.of._points(v, mask) for v, mask in self.masks.items()}
 
 
@@ -305,15 +328,15 @@ def subobject(of: Presheaf, parts) -> Subobject:
         if of._image(frm, to, masks[frm]) & ~masks[to]:
             raise ValidationError(
                 f"parts are not closed under restriction {frm!r} -> {to!r}")
-    return Subobject(of, masks)
+    return Subobject(of, sum(masks[v] << offset for v, (offset, _) in of._spans.items()))
 
 
 def full_subobject(x: Presheaf) -> Subobject:
-    return Subobject(x, {v: (1 << len(x.sets[v])) - 1 for v in x.base.elements})
+    return Subobject(x, x._full)
 
 
 def empty_subobject(x: Presheaf) -> Subobject:
-    return Subobject(x, dict.fromkeys(x.base.elements, 0))
+    return Subobject(x, 0)
 
 
 @dataclass(frozen=True)
@@ -514,8 +537,9 @@ def omega(base: FinPoset) -> Presheaf:
     terminal below ``v`` (the sieves), each as the tuple of its members.
     Valid as built: a sieve cut to down(w) is one on w, and cutting composes."""
     one = terminal(base)
-    sets = {v: _sorted_points(tuple(u for u in base.down(v) if fam[u])
-                              for fam in _relative_subobjects(one, base.down(v)))
+    spans = one._spans  # u's one point is bit spans[u][0]
+    sets = {v: _sorted_points(tuple(u for u in base.down(v) if bits >> spans[u][0] & 1)
+                              for bits in _relative_subobjects(one, base.down(v)))
             for v in base.elements}
     restr = {}
     for (frm, to) in base.strict_down_pairs():
@@ -531,29 +555,22 @@ def _same_parent(j: Subobject, k: Subobject) -> Presheaf:
 
 
 def heyting_meet(j: Subobject, k: Subobject) -> Subobject:
-    x = _same_parent(j, k)
-    return Subobject(x, {v: j.masks[v] & k.masks[v] for v in x.base.elements})
+    return Subobject(_same_parent(j, k), j.bits & k.bits)
 
 
 def heyting_join(j: Subobject, k: Subobject) -> Subobject:
-    x = _same_parent(j, k)
-    return Subobject(x, {v: j.masks[v] | k.masks[v] for v in x.base.elements})
+    return Subobject(_same_parent(j, k), j.bits | k.bits)
 
 
 def heyting_implies(j: Subobject, k: Subobject) -> Subobject:
-    """Largest subobject whose meet with ``j`` lies inside ``k``: at ``v``, the
-    points whose restriction to each ``u <= v`` misses ``j(u) - k(u)``.  Each
-    ``u`` where that difference is not empty clears its pre-images
-    (``Presheaf._preimages``) from the masks of the elements above it."""
-    x = _same_parent(j, k)
-    bad = {u: j.masks[u] & ~k.masks[u] for u in x.base.elements}
-    masks = {v: (1 << len(x.sets[v])) - 1 & ~bad[v] for v in x.base.elements}
-    for u, b in bad.items():
-        for v, pre in x._preimages[u] if b else ():
-            for bit, m in pre if masks[v] else ():
-                if b & bit:
-                    masks[v] &= ~m
-    return Subobject(x, masks)
+    """Largest subobject whose meet with ``j`` lies inside ``k``: every point
+    but those that restrict into ``j - k``, the ``Presheaf._ups`` of its bits.
+    A point above one taken adds none (functoriality), so its bit is skipped."""
+    x, bad, up = _same_parent(j, k), j.bits & ~k.bits, 0
+    while bad:
+        up |= x._ups[(bad & -bad).bit_length() - 1]
+        bad &= ~up
+    return Subobject(x, x._full & ~up)
 
 
 def heyting_not(j: Subobject) -> Subobject:
@@ -561,8 +578,8 @@ def heyting_not(j: Subobject) -> Subobject:
 
 
 def subobject_leq(j: Subobject, k: Subobject) -> bool:
-    x = _same_parent(j, k)
-    return not any(j.masks[v] & ~k.masks[v] for v in x.base.elements)
+    _same_parent(j, k)
+    return not j.bits & ~k.bits
 
 
 def product(a: Presheaf, b: Presheaf) -> Presheaf:
@@ -612,27 +629,28 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
     return _tagged_presheaf(base, sets)
 
 
-def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
+def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[int]:
     """All families S(u) <= x(u) over ``elems`` closed under restriction, as
-    masks keyed in ``_descending`` order (point ``i`` of ``x(u)`` is bit ``i``).
+    ``Subobject`` bits over ``x``, the elements picked in ``_descending`` order.
 
     The points forced at ``u`` are the images of the masks chosen above it;
     the options are ``forced | sub`` for the submasks ``sub`` of the free bits
     in increasing order, so the mask bits count up over the free points in
-    component order."""
-    inside = set(elems)
+    component order.  Options are shifted to their element's offset, so a
+    block's head is summed once and a family is that sum ``|`` a last mask."""
+    inside, spans = set(elems), x._spans
     order = [u for u in x.base._descending if u in inside]
     uppers = {u: [w for w in x.base.up(u) if w != u and w in inside] for u in order}
-    images: dict = {}  # (w, u, mask at w) -> its image at u
+    images: dict = {}  # (w, u, shifted mask at w) -> its shifted image at u
 
     def options(u, chosen):
-        forced = 0
+        forced, (offset, full) = 0, spans[u]
         for w in uppers[u]:
             key = (w, u, chosen[w])
             if key not in images:
-                images[key] = x._image(*key)
+                images[key] = x._image(w, u, chosen[w] >> spans[w][0]) << offset
             forced |= images[key]
-        free = ((1 << len(x.sets[u])) - 1) & ~forced
+        free = full << offset & ~forced
         sub = 0
         while True:
             yield forced | sub
@@ -641,11 +659,12 @@ def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
             sub = (sub - free) & free
 
     if not order:
-        return [{}]
-    last, families = order[-1], []
+        return [0]
+    families: list[int] = []
     for head, masks in depth_first(order, options):
+        start = sum(head.values())
         for mask in masks:
-            families.append({**head, last: mask})
+            families.append(start | mask)
             if len(families) > COMPONENT_LIMIT:
                 raise SizeLimit(f"more than {COMPONENT_LIMIT} relative subobjects")
     return families
@@ -653,7 +672,7 @@ def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[dict]:
 
 def all_subobjects(x: Presheaf) -> list[Subobject]:
     """Every subobject of ``x``, in a canonical deterministic order."""
-    return [Subobject(x, fam) for fam in _relative_subobjects(x, x.base.elements)]
+    return [Subobject(x, bits) for bits in _relative_subobjects(x, x.base.elements)]
 
 
 def power_object(x: Presheaf) -> Presheaf:
@@ -661,9 +680,9 @@ def power_object(x: Presheaf) -> Presheaf:
     its ``(u, points)`` pairs in key order (each mask's points made once)."""
     base, sets, points = x.base, {}, cache(x._points)
     for v in base.elements:
-        dv, keys = base.down(v), sorted(base.down(v))
-        sets[v] = _sorted_points(tuple((u, points(u, fam[u])) for u in keys)
-                                 for fam in _relative_subobjects(x, dv))
+        keys = [(u, *x._spans[u]) for u in sorted(base.down(v))]
+        sets[v] = _sorted_points(tuple((u, points(u, b >> at & m)) for u, at, m in keys)
+                                 for b in _relative_subobjects(x, base.down(v)))
     return _tagged_presheaf(base, sets)
 
 
@@ -687,7 +706,7 @@ def hom_set(x: Presheaf, y: Presheaf) -> list[NatTransform]:
 
 def truth_value_inclusion(j: Subobject, k: Subobject) -> LowerSet:
     """Hereditary inclusion [[ j <= k ]]: a hereditary set is a lower set."""
-    x = _same_parent(j, k)
-    outside = {w for u in x.base.elements if j.masks[u] & ~k.masks[u]
+    x, bad = _same_parent(j, k), j.bits & ~k.bits
+    outside = {w for u, (offset, full) in x._spans.items() if bad >> offset & full
                for w in x.base.up(u)}
     return LowerSet(x.base, frozenset(x.base.elements) - outside)

@@ -22,7 +22,8 @@ Validation is remembered.  :func:`require_projector` keeps the C-contiguous
 ``complex128`` matrices it accepts, keyed by ``(eps, shape, bytes)``, in a set
 emptied at 128 entries (512 KiB of keys at dimension 16).  A hit skips
 ``as_operator``'s checks and the projector test, pure functions of those bytes
-at that ``eps``, and returns a fresh read-only copy; refusals are never kept.
+at that ``eps``, and returns a read-only view of the input; refusals are
+never kept.
 
 Block equality.  ``build_poset`` stores each distinct block once: p and q
 are the same block iff ``||p - q||_F <= eps * d`` (:func:`same_blocks`).
@@ -152,10 +153,13 @@ def is_projector(matrix, tol: Tolerance = Tolerance()) -> bool:
 
 def require_projector(matrix, tol: Tolerance = Tolerance(),
                       name: str = "operator") -> np.ndarray:
+    """``matrix`` as a read-only complex matrix, or ``NotProjector`` naming it
+    ``name``.  A remembered ``complex128`` ndarray is not checked again: the
+    result is then a read-only view sharing memory with ``matrix``."""
     key = (type(matrix) is np.ndarray and matrix.dtype == np.complex128
            and matrix.flags.c_contiguous and (tol.eps, matrix.shape, matrix.tobytes()))
     if key in _accepted:
-        p = np.array(matrix, dtype=complex)
+        p = matrix.view()
         p.setflags(write=False)
         return p
     p = as_operator(matrix)

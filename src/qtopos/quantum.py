@@ -76,14 +76,12 @@ class SpectralPresheaf:
         return self.poset.table, ids, *np.array(sorted(edges), dtype=int).reshape(-1, 2).T
 
     @cached_property
-    def _gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every context's block ids into ``table``, contexts in element order,
-        each block's bit in its context's masks, and where each context starts."""
+    def _gather(self) -> np.ndarray:
+        """Each point's block id into ``table``, in a subobject's ``bits``
+        order: contexts in element order, blocks in component order."""
         x, ids = self.underlying, self.table[1]
-        pairs = np.array([(ids[v][i], bit) for v in x.base.elements
-                          for i, bit in x._bits[v].items()], dtype=np.int64)
-        sizes = np.array([len(x.sets[v]) for v in x.base.elements], dtype=np.intp)
-        return *pairs.reshape(-1, 2).T, np.cumsum(sizes) - sizes
+        return np.array([ids[v][i] for v in x.base.elements for i in x.sets[v]],
+                        dtype=np.intp)
 
 
 def _tolerance(tol: Tolerance | None, table: BlockTable | None) -> Tolerance:
@@ -282,9 +280,8 @@ def delta_subobject(projector, presheaf: SpectralPresheaf,
     p = require_projector(projector, tol, "projector")
     x, (table, _, lo, hi) = presheaf.underlying, presheaf.table
     hit = _record(p, table, tol, False).flags
-    flat, bits, starts = presheaf._gather  # Σ(v)'s points are block indices
-    masks = np.add.reduceat(np.where(hit[flat], bits, 0), starts)
-    sub = kernel.Subobject(x, dict(zip(x.base.elements, masks.tolist())))
+    packed = np.packbits(hit[presheaf._gather], bitorder="little")
+    sub = kernel.Subobject(x, int.from_bytes(packed.tobytes(), "little"))
     closed = not (hit[lo] & ~hit[hi]).any()  # else ``kernel.subobject`` raises
     return sub if closed else kernel.subobject(x, sub.parts)
 

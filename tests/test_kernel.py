@@ -773,9 +773,10 @@ def reference_relative_subobjects(x, elems):
 
 
 def reference_relative_masks(x, elems):
-    """The reference's families with each tuple of points as its mask (point
-    ``i`` of ``x(u)`` is bit ``i``), keys in the reference's order."""
-    return [{u: sum(1 << x.sets[u].index(pt) for pt in pts) for u, pts in fam.items()}
+    """The reference's families, each as a ``Subobject``'s ``bits`` (point
+    ``i`` of ``x(u)`` is bit ``i`` past ``u``'s offset)."""
+    return [sum(1 << x._spans[u][0] + x.sets[u].index(pt)
+                for u, pts in fam.items() for pt in pts)
             for fam in reference_relative_subobjects(x, elems)]
 
 
@@ -787,7 +788,8 @@ def _outcome(build):
         return str(exc)
     if isinstance(out, K.Presheaf):
         return list(out.sets.items()), list(out.restrictions.items())
-    return [list(getattr(fam, "parts", fam).items()) for fam in out]
+    return [list(fam.parts.items()) if isinstance(fam, K.Subobject) else fam
+            for fam in out]
 
 
 def _shaped_presheaf(rng, shape, n):
@@ -978,7 +980,7 @@ def reference_mask_heyting_implies(j: K.Subobject, k: K.Subobject) -> K.Subobjec
                 keep &= ~sum(1 << i for i, pt in enumerate(pts)
                              if bits[mapping[pt]] & bad[u])
         masks[v] = keep
-    return K.Subobject(x, masks)
+    return K.Subobject(x, sum(masks[v] << x._spans[v][0] for v in masks))
 
 
 def assert_implication_matches_the_mask_reference(subs):

@@ -4,10 +4,13 @@
 perfbench ``kernel-count`` slots; comparing two programs means running it
 twice by hand.  This test runs the same constructions on the first 12 slots
 of seed 7 and compares one SHA-256 over their lines with the value the
-program gave before the global-section search and the subobject enumerator
-handed out their leaves block-wise.  Every result is digested with its key
-and list order, so a change to what the kernel enumerates, or in what
-order, fails here.
+program gave once a subobject became one int over its presheaf's points.
+That moved the pin from f03359b3... only through the ``all_subobjects(X)``
+lines: their ``parts`` views, once keyed in the enumeration's
+``_descending`` order, are keyed in element order, as every other
+subobject's are; the sorted items are unchanged.  Every result is digested
+with its key and list order, so a change to what the kernel enumerates, or
+in what order, fails here.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from qtopos import kernel
 from qtopos.errors import SizeLimit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PINNED = "f03359b3e48504bd79100dc2056a0537d66aa13ff9b0d0b2d4b2e6ee89ba8838"
+PINNED = "0e3a6b0f1b25f9270664980d0eb060b299752294ba0ea69f57277a5ae4f15571"
 
 
 def _load(name: str, path: pathlib.Path):

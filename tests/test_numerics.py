@@ -160,20 +160,40 @@ class TestRememberedVerdicts:
         assert not is_projector(p, tight)
         assert len(checks) == 3
 
-    def test_every_call_returns_a_fresh_read_only_copy(self, tol, checks):
+    def test_a_hit_is_a_read_only_view_of_its_input(self, tol, checks):
         p = random_projector(3, np.random.default_rng(7), 1)
         kept = p.copy()
         first, second = require_projector(p, tol), require_projector(p, tol)
         assert len(checks) == 1
+        assert not np.shares_memory(first, p)  # the miss validated a copy
+        assert np.shares_memory(second, p) and second.base is p
         for out in (first, second):
             assert not out.flags.writeable
-            assert not np.shares_memory(out, p)
-        assert not np.shares_memory(first, second)
-        second.setflags(write=True)
-        second[0, 0] = 7.0
-        third = require_projector(p, tol)
-        assert np.array_equal(third, kept) and np.array_equal(p, kept)
-        assert len(checks) == 1
+            with pytest.raises(ValueError):
+                out[0, 0] = 7.0
+        assert p.flags.writeable and np.array_equal(p, kept)
+
+    def test_a_hit_answers_as_a_fresh_validation_would(self, tol, checks):
+        p = random_projector(4, np.random.default_rng(5), 2)
+        hit = [require_projector(p, tol) for _ in range(2)][1]
+        numerics._accepted.clear()
+        fresh = require_projector(p.copy(), tol)
+        assert len(checks) == 2
+        for out in (hit, fresh):
+            assert type(out) is np.ndarray and out.dtype == np.complex128
+            assert out.shape == (4, 4) and out.flags.c_contiguous
+            assert not out.flags.writeable
+        assert hit.tobytes() == fresh.tobytes()
+
+    def test_changed_bytes_miss_and_are_validated_again(self, tol, checks):
+        p = np.diag([1, 0, 0]).astype(complex)
+        first = require_projector(p, tol)
+        p[1, 1] = 1.0  # another projector: its bytes are a new key
+        second = require_projector(p, tol)
+        assert len(checks) == 2 and len(numerics._accepted) == 2
+        assert np.array_equal(first, np.diag([1, 0, 0]))
+        assert np.array_equal(second, np.diag([1, 1, 0]))
+        assert not np.shares_memory(second, p)
 
     def test_the_table_stays_within_its_cap(self, tol, checks):
         rng = np.random.default_rng(11)
