@@ -9,19 +9,17 @@ import itertools
 
 import numpy as np
 
-from qtopos.contexts import build_poset, builtin_scenario
-from qtopos.quantum import ks_search, spectral_presheaf
+from qtopos.contexts import builtin_scenario
+from qtopos.quantum import ks_search
 
 _, _, maximal = builtin_scenario("pauli2")
-pauli = spectral_presheaf(build_poset(maximal))
-res = ks_search(pauli, max_solutions=100)
+res = ks_search(maximal, max_solutions=100)
 print(f"pauli2: {res.status}, {len(res.sections)} sections, "
       f"{res.nodes_explored} nodes")
 print("  (three independent 2-block contexts: 2^3 = 8 free choices)")
 
 _, ops, maximal = builtin_scenario("mermin-square")
-mermin = spectral_presheaf(build_poset(maximal))
-res = ks_search(mermin)
+res = ks_search(maximal)
 print(f"\nmermin-square: {res.status} after {res.nodes_explored} nodes")
 
 # the classical shadow of the same fact: the nine observables admit

@@ -14,7 +14,9 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -161,9 +163,8 @@ def _cmd_truth(args, scn: Scenario) -> dict:
 
 
 def _cmd_ks(args, scn: Scenario) -> dict:
-    poset = _poset_of(scn)
-    presheaf = quantum.spectral_presheaf(poset)
-    result = quantum.ks_search(presheaf, max_solutions=args.max_solutions)
+    result = quantum.ks_search(scn.maximal_contexts, scn.closure, scn.tolerance,
+                               max_solutions=args.max_solutions)
     return {
         "status": result.status,
         "nodes_explored": result.nodes_explored,
@@ -246,6 +247,29 @@ def _cmd_kernel_demo(args, scn: None) -> dict:
     return report
 
 
+def _render(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2)`` of a report, whose dict keys are all str,
+    without the pure-Python encoder that ``indent`` selects; ``pad`` starts
+    the lines inside ``x``.  Bools, None, non-finite floats and subclasses
+    of the JSON types go to ``json.dumps`` itself."""
+    kind = type(x)
+    if kind is dict or kind is list or kind is tuple:
+        if not x:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            items = [f"{_encode_str(k)}: {_render(v, inner)}" for k, v in x.items()]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in x]) + pad + "]"
+    if kind is str:
+        return _encode_str(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is float and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
 def run_command(argv: list[str]) -> tuple[int, str, str]:
     """Run one command; returns (exit code, stdout text, stderr text).
 
@@ -264,7 +288,7 @@ def run_command(argv: list[str]) -> tuple[int, str, str]:
             tol = Tolerance()
         report = {"command": args.command, "scenario_digest": digest,
                   "tolerance": _round12(tol.eps), **args.run(args, scn)}
-        return 0, json.dumps(report, indent=2) + "\n", ""
+        return 0, _render(report) + "\n", ""
     except SizeLimit as exc:
         return 2, "", f"error: size limit: {exc}\n"
     except ToposError as exc:

@@ -163,22 +163,44 @@ def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float):
     return blocks, sides
 
 
-def _connected(meets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row of the block id arrays ``a`` and ``b`` (padded with -1): is
-    the bipartite graph that joins a's and b's blocks where ``meets`` says
-    they meet connected, that is, is the two contexts' meet trivial?  Two
-    of a's blocks are a step apart when they meet a common block of b; with
-    k of them, log2(k - 1) squarings of that step matrix reach every path."""
-    va, vb = a >= 0, b >= 0
+def _reach(meets: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Per row of the block id arrays ``a`` and ``b`` (padded with -1): the
+    bipartite graph that joins a's and b's blocks where ``meets`` says they
+    meet, and which of a's blocks reach which in it.  Two of a's blocks are
+    a step apart when they meet a common block of b; with k of them,
+    log2(k - 1) squarings of that step matrix reach every path."""
     graph = (meets[a[:, :, None], b[:, None, :]]
-             & va[:, :, None] & vb[:, None, :]).astype(np.float32)
+             & (a >= 0)[:, :, None] & (b >= 0)[:, None, :]).astype(np.float32)
     reach = (graph @ graph.swapaxes(1, 2) > 0) | np.eye(a.shape[1], dtype=bool)
     for _ in range((a.shape[1] - 2).bit_length()):
         step = reach.astype(np.float32)
         reach = step @ step > 0
+    return graph, reach
+
+
+def _connected(meets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of the block id arrays ``a`` and ``b`` (padded with -1): is
+    the bipartite graph of their meeting blocks (``_reach``) connected, that
+    is, is the two contexts' meet trivial?"""
+    graph, reach = _reach(meets, a, b)
     seen = reach[:, 0]  # a's blocks reached from its first one
     hit = np.einsum("sx,sxy->sy", seen.astype(np.float32), graph) > 0
-    return (seen | ~va).all(axis=1) & (hit | ~vb).all(axis=1)
+    return (seen | (a < 0)).all(axis=1) & (hit | (b < 0)).all(axis=1)
+
+
+def _components(meets: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Per row of the block id arrays ``a`` and ``b`` (padded with -1), each
+    block's component in the bipartite graph of their meeting blocks
+    (``_reach``), named by its first block of ``a``: one label per position
+    of ``a``, then of ``b`` (a pad's label is meaningless).  The meet of the
+    two contexts is trivial when every block of ``a`` is labelled 0; else
+    its blocks are the components, and a block of either context lies under
+    the one it is labelled by.  Every block of a partition of unity meets
+    some block of another, so a block of ``b`` is labelled by the first
+    block of ``a`` it meets."""
+    graph, reach = _reach(meets, a, b)
+    left = reach.argmax(axis=2)
+    return left, np.take_along_axis(left, graph.argmax(axis=1), axis=1)
 
 
 def _block_values(ops: np.ndarray, blocks, bound: float):
@@ -613,6 +635,219 @@ class ContextPoset:
         return len(self.contexts)
 
 
+def _check_closure(closure: str) -> None:
+    if closure not in ("intersections", "coarsenings"):
+        raise ValidationError(
+            f"closure must be 'intersections' or 'coarsenings', got {closure!r}")
+
+
+def _under(table: BlockTable, rows: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
+    """The pairs ``(r, c)``, ``r == c`` included, of the contexts whose block
+    ids are ``rows[r]`` and ``rows[c]`` with ``r`` under ``c``: every block of
+    c meets exactly one block of r (then c has at least as many blocks,
+    since every block of r meets one of c); 512 rows at a time."""
+    n = len(table.keys)
+    member = np.zeros((len(rows), n), dtype=np.float32)
+    for r, ids in enumerate(rows):
+        member[r, ids] = 1
+    misfit = (member @ table.meets[:n, :n] != 1).astype(np.float32)
+    pairs: set[tuple[int, int]] = set()
+    for lo in range(0, len(rows), 512):
+        r, c = np.nonzero(misfit[lo:lo + 512] @ member.T == 0)
+        pairs.update(zip((r + lo).tolist(), c.tolist()))
+    return pairs
+
+
+def _refuse_cycles(pairs: set[tuple[int, int]]) -> None:
+    """Two distinct contexts that lie under each other raise the meet pass's
+    error (see :func:`build_poset`)."""
+    if any(a != b and (b, a) in pairs for a, b in pairs):
+        raise ValidationError(
+            "inconsistent intersection component: the two sides disagree")
+
+
+class GivenContexts:
+    """The first phase of :func:`build_poset`: the given contexts' blocks
+    interned in one :class:`BlockTable` at ``tol`` and each context checked
+    as a partition of unity, a context equal to an earlier one dropped.
+    ``ids`` holds each kept context's block ids in key order and ``labels``
+    its label, in given order.
+
+    ``maximal`` reads the given contexts under no other off the table, which
+    is all that :func:`qtopos.quantum.ks_search` needs for a verdict, and
+    ``close`` continues the closure from here, so a caller that needs both
+    interns and checks the given contexts once.  ``close`` takes the object
+    over: it adds the derived contexts to its table and lists.
+    """
+
+    def __init__(self, maximal: Sequence[Context], tol: Tolerance = Tolerance()):
+        self.tol = tol
+        self.dim = maximal[0].dim if maximal else 0
+        self.bound = tol.scaled(self.dim)
+        self.table = BlockTable(self.dim, tol)
+        self.labels: list[str | None] = []
+        self.ids: list[list[int]] = []  # per context, its block ids in key order
+        self.seen: set[tuple[int, ...]] = set()
+
+        def given() -> Iterator[tuple[int, tuple]]:
+            for ctx in maximal:
+                if ctx.dim != self.dim:
+                    raise DimensionMismatch(f"context dimension {ctx.dim} != {self.dim}")
+                yield 1, (ctx.blocks, ctx.label, None)
+
+        self._feed(given(), self._add_run)
+
+    def _add(self, mats: Sequence[np.ndarray], label: str | None, ids: list[int],
+            checked: bool = False) -> None:
+        found = tuple(sorted(ids))
+        if found in self.seen:
+            return
+        if not checked:
+            _check_partition(mats, self.table.meets[ids][:, ids], self.bound)
+        self.seen.add(found)
+        self.ids.append(sorted(ids, key=self.table.keys.__getitem__))
+        self.labels.append(label)
+        if len(self.ids) > POSET_LIMIT:
+            raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
+
+    def _add_run(self, run: list[tuple]) -> None:
+        """Intern the blocks of candidate contexts ``(mats, label, parts)``
+        in one call, then add the contexts in order."""
+        if not run:
+            return
+        ids = self.table.intern([m for mats, _, _ in run for m in mats],
+                                None if run[0][2] is None else
+                                [p for _, _, parts in run for p in parts])
+        at = 0
+        for mats, label, _ in run:
+            self._add(mats, label, ids[at:at + len(mats)])
+            at += len(mats)
+
+    def _feed(self, items: Iterator[tuple[int, object]], flush: Callable) -> None:
+        """``flush`` the ``(weight, item)`` pairs of ``items`` in runs whose
+        weights fit the room left under ``POSET_LIMIT`` (one item at least).
+        A run past the room is flushed before the next item is asked for,
+        since no item can join it: a closure that trips the limit forms no
+        candidate past the run that trips it."""
+        run: list = []
+        room = POSET_LIMIT - len(self.ids)
+        try:
+            for weight, item in items:
+                if run and weight > room:
+                    full, run = run, []
+                    flush(full)
+                    room = POSET_LIMIT - len(self.ids)
+                run.append(item)
+                room -= weight
+                if room < 0:
+                    full, run = run, []
+                    flush(full)
+                    room = POSET_LIMIT - len(self.ids)
+        except ToposError:
+            flush(run)  # an earlier candidate's error comes first
+            raise
+        flush(run)
+
+    def _sort_key(self, i: int) -> tuple:
+        """The ``V..`` order: block count, then the blocks' sort keys."""
+        return len(self.ids[i]), [self.table.keys[b] for b in self.ids[i]]
+
+    def maximal(self) -> list[int]:
+        """The positions in ``ids`` of the contexts under no other, in
+        ``V..`` key order (ties in given order): the maximal contexts of
+        either closure, since every derived context lies under a given one.
+        Two given contexts that lie under each other raise the error that
+        ``close`` would."""
+        pairs = _under(self.table, self.ids)
+        _refuse_cycles(pairs)
+        below = {r for r, c in pairs if r != c}
+        return sorted((i for i in range(len(self.ids)) if i not in below),
+                      key=self._sort_key)
+
+    def close(self, closure: str) -> ContextPoset:
+        """The poset of :func:`build_poset`, closed from the given contexts."""
+        _check_closure(closure)
+        if not self.ids:
+            return ContextPoset(dim=0, contexts=(), leq=frozenset(), tol=self.tol)
+        dim, table, ids_of, bound = self.dim, self.table, self.ids, self.bound
+
+        def expand_run(run: list[int]) -> None:
+            """Intern the proper subset sums of the contexts at ``run`` in one
+            call, then add each context's new coarsenings in order."""
+            sides = [[ids_of[i][j] for j in group] for i in run
+                     for group in _proper_partitions(len(ids_of[i]))[1]]
+            sums = [_merge(table.blocks, side) for side in sides]
+            made = table.intern(sums, sides) if sums else []
+            at = 0
+            for i in run:
+                atoms = ids_of[i]
+                parts, groups, picks = _proper_partitions(len(atoms))
+                own = dict(zip(groups, sums[at:at + len(groups)]))
+                memo = dict(zip(groups, made[at:at + len(groups)]))
+                at += len(groups)
+                own.update(((j,), table.blocks[a]) for j, a in enumerate(atoms))
+                memo.update(((j,), a) for j, a in enumerate(atoms))
+                rows = [r for r, part in enumerate(parts)
+                        if tuple(sorted(memo[group] for group in part)) not in self.seen]
+                if not rows:
+                    continue
+                ids = list(memo.values())
+                faults = _check_partition(list(own.values()),
+                                          table.meets[np.ix_(ids, ids)], bound, picks[rows])
+                for r, fault in zip(rows, faults.tolist()):
+                    self._add([own[group] for group in parts[r]], None,
+                             [memo[group] for group in parts[r]], checked=not fault)
+
+        def meet_pass(done: int, size: int) -> Iterator[tuple[int, tuple]]:
+            """The meets of the pairs i < j < size with j >= done, in that
+            order; a slice of pairs at a time is read off the table, and only a
+            pair whose meet is not trivial is met."""
+            width = max(len(ids) for ids in ids_of[:size])
+            padded = np.full((size, width), -1)
+            for c, ids in enumerate(ids_of[:size]):
+                padded[c, :len(ids)] = ids
+            first = np.maximum(np.arange(1, size + 1), done)  # each row's first j
+            count = size - first
+            ends = np.cumsum(count)
+            step = max(1, PAIR_ENTRIES // (width * width))
+            for lo in range(0, int(ends[-1]), step):
+                flat = np.arange(lo, min(lo + step, int(ends[-1])))
+                left = np.searchsorted(ends, flat, side="right")
+                right = flat - ends[left] + count[left] + first[left]
+                kept = ~_connected(table.meets, padded[left], padded[right])
+                for i, j in zip(left[kept].tolist(), right[kept].tolist()):
+                    met = _meet_blocks(table.blocks[ids_of[i]], table.blocks[ids_of[j]],
+                                       table.meets[ids_of[i]][:, ids_of[j]], bound)
+                    if met is not None:
+                        yield 1, (met[0], None,
+                                  [[ids_of[i][a] for a in side] for side in met[1]])
+
+        def expansions() -> Iterator[tuple[int, int]]:
+            for i in range(len(ids_of)):
+                forced = _bell(len(ids_of[i])) - 1
+                if forced > POSET_LIMIT:
+                    raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
+                yield forced - 1, i
+
+        done = 0  # every pair of the first done contexts has been met
+        while closure == "intersections" and done < len(ids_of):
+            size = len(ids_of)
+            self._feed(meet_pass(done, size), self._add_run)
+            done = size
+        if closure == "coarsenings":
+            self._feed(expansions(), expand_run)
+
+        order = sorted(range(len(ids_of)), key=self._sort_key)
+        width = max(2, len(str(len(order) - 1)))
+        relabeled = [Context(key=f"V{r:0{width}d}", dim=dim, label=self.labels[i],
+                             table=table, ids=tuple(ids_of[i]))
+                     for r, i in enumerate(order)]
+        pairs = _under(table, [ids_of[i] for i in order])
+        _refuse_cycles(pairs)
+        leq = frozenset((relabeled[r].key, relabeled[c].key) for r, c in pairs)
+        return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=leq, tol=self.tol)
+
+
 def build_poset(maximal: Sequence[Context], closure: str = "intersections",
                 tol: Tolerance = Tolerance()) -> ContextPoset:
     """Close a family of contexts under the chosen policy and order it.
@@ -674,164 +909,8 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     block that is not a projector, found as its run is interned, can now
     come before the error of an earlier candidate of its run.
     """
-    if closure not in ("intersections", "coarsenings"):
-        raise ValidationError(
-            f"closure must be 'intersections' or 'coarsenings', got {closure!r}")
-    if not maximal:
-        return ContextPoset(dim=0, contexts=(), leq=frozenset(), tol=tol)
-    dim = maximal[0].dim
-    bound = tol.scaled(dim)
-    table = BlockTable(dim, tol)
-    labels: list[str | None] = []
-    ids_of: list[list[int]] = []  # per context, its block ids in key order
-    seen: set[tuple[int, ...]] = set()
-
-    def add(mats: Sequence[np.ndarray], label: str | None, ids: list[int],
-            checked: bool = False) -> None:
-        found = tuple(sorted(ids))
-        if found in seen:
-            return
-        if not checked:
-            _check_partition(mats, table.meets[ids][:, ids], bound)
-        seen.add(found)
-        ids_of.append(sorted(ids, key=table.keys.__getitem__))
-        labels.append(label)
-        if len(ids_of) > POSET_LIMIT:
-            raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
-
-    def add_run(run: list[tuple]) -> None:
-        """Intern the blocks of candidate contexts ``(mats, label, parts)``
-        in one call, then add the contexts in order."""
-        if not run:
-            return
-        ids = table.intern([m for mats, _, _ in run for m in mats],
-                           None if run[0][2] is None else
-                           [p for _, _, parts in run for p in parts])
-        at = 0
-        for mats, label, _ in run:
-            add(mats, label, ids[at:at + len(mats)])
-            at += len(mats)
-
-    def expand_run(run: list[int]) -> None:
-        """Intern the proper subset sums of the contexts at ``run`` in one
-        call, then add each context's new coarsenings in order."""
-        sides = [[ids_of[i][j] for j in group] for i in run
-                 for group in _proper_partitions(len(ids_of[i]))[1]]
-        sums = [_merge(table.blocks, side) for side in sides]
-        made = table.intern(sums, sides) if sums else []
-        at = 0
-        for i in run:
-            atoms = ids_of[i]
-            parts, groups, picks = _proper_partitions(len(atoms))
-            own = dict(zip(groups, sums[at:at + len(groups)]))
-            memo = dict(zip(groups, made[at:at + len(groups)]))
-            at += len(groups)
-            own.update(((j,), table.blocks[a]) for j, a in enumerate(atoms))
-            memo.update(((j,), a) for j, a in enumerate(atoms))
-            rows = [r for r, part in enumerate(parts)
-                    if tuple(sorted(memo[group] for group in part)) not in seen]
-            if not rows:
-                continue
-            ids = list(memo.values())
-            faults = _check_partition(list(own.values()),
-                                      table.meets[np.ix_(ids, ids)], bound, picks[rows])
-            for r, fault in zip(rows, faults.tolist()):
-                add([own[group] for group in parts[r]], None,
-                    [memo[group] for group in parts[r]], checked=not fault)
-
-    def feed(items: Iterator[tuple[int, object]], flush: Callable) -> None:
-        """``flush`` the ``(weight, item)`` pairs of ``items`` in runs whose
-        weights fit the room left under ``POSET_LIMIT`` (one item at least).
-        A run past the room is flushed before the next item is asked for,
-        since no item can join it: a closure that trips the limit forms no
-        candidate past the run that trips it."""
-        run: list = []
-        room = POSET_LIMIT - len(ids_of)
-        try:
-            for weight, item in items:
-                if run and weight > room:
-                    full, run = run, []
-                    flush(full)
-                    room = POSET_LIMIT - len(ids_of)
-                run.append(item)
-                room -= weight
-                if room < 0:
-                    full, run = run, []
-                    flush(full)
-                    room = POSET_LIMIT - len(ids_of)
-        except ToposError:
-            flush(run)  # an earlier candidate's error comes first
-            raise
-        flush(run)
-
-    def given() -> Iterator[tuple[int, tuple]]:
-        for ctx in maximal:
-            if ctx.dim != dim:
-                raise DimensionMismatch(f"context dimension {ctx.dim} != {dim}")
-            yield 1, (ctx.blocks, ctx.label, None)
-
-    def meet_pass(done: int, size: int) -> Iterator[tuple[int, tuple]]:
-        """The meets of the pairs i < j < size with j >= done, in that
-        order; a slice of pairs at a time is read off the table, and only a
-        pair whose meet is not trivial is met."""
-        width = max(len(ids) for ids in ids_of[:size])
-        padded = np.full((size, width), -1)
-        for c, ids in enumerate(ids_of[:size]):
-            padded[c, :len(ids)] = ids
-        first = np.maximum(np.arange(1, size + 1), done)  # each row's first j
-        count = size - first
-        ends = np.cumsum(count)
-        step = max(1, PAIR_ENTRIES // (width * width))
-        for lo in range(0, int(ends[-1]), step):
-            flat = np.arange(lo, min(lo + step, int(ends[-1])))
-            left = np.searchsorted(ends, flat, side="right")
-            right = flat - ends[left] + count[left] + first[left]
-            kept = ~_connected(table.meets, padded[left], padded[right])
-            for i, j in zip(left[kept].tolist(), right[kept].tolist()):
-                met = _meet_blocks(table.blocks[ids_of[i]], table.blocks[ids_of[j]],
-                                   table.meets[ids_of[i]][:, ids_of[j]], bound)
-                if met is not None:
-                    yield 1, (met[0], None,
-                              [[ids_of[i][a] for a in side] for side in met[1]])
-
-    def expansions() -> Iterator[tuple[int, int]]:
-        for i in range(len(ids_of)):
-            forced = _bell(len(ids_of[i])) - 1
-            if forced > POSET_LIMIT:
-                raise SizeLimit(f"closure exceeded {POSET_LIMIT} contexts")
-            yield forced - 1, i
-
-    feed(given(), add_run)
-    done = 0  # every pair of the first done contexts has been met
-    while closure == "intersections" and done < len(ids_of):
-        size = len(ids_of)
-        feed(meet_pass(done, size), add_run)
-        done = size
-    if closure == "coarsenings":
-        feed(expansions(), expand_run)
-
-    n = len(table.keys)
-    order = sorted(range(len(ids_of)), key=lambda i: (
-        len(ids_of[i]), [table.keys[b] for b in ids_of[i]]))
-    width = max(2, len(str(len(order) - 1)))
-    relabeled = []
-    member = np.zeros((len(order), n), dtype=np.float32)
-    for r, i in enumerate(order):
-        relabeled.append(Context(key=f"V{r:0{width}d}", dim=dim, label=labels[i],
-                                 table=table, ids=tuple(ids_of[i])))
-        member[r, ids_of[i]] = 1
-    # C <= D iff every block of D meets exactly one block of C (then D has
-    # at least as many blocks, since every block of C meets one of D).
-    misfit = (member @ table.meets[:n, :n] != 1).astype(np.float32)
-    leq = set()
-    for lo in range(0, len(order), 512):
-        rows, cols = np.nonzero(misfit[lo:lo + 512] @ member.T == 0)
-        leq.update((relabeled[lo + r].key, relabeled[c].key)
-                   for r, c in zip(rows, cols))
-    if any(a != b and (b, a) in leq for a, b in leq):
-        raise ValidationError(
-            "inconsistent intersection component: the two sides disagree")
-    return ContextPoset(dim=dim, contexts=tuple(relabeled), leq=frozenset(leq), tol=tol)
+    _check_closure(closure)
+    return GivenContexts(maximal, tol).close(closure)
 
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)

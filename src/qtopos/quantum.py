@@ -1,9 +1,10 @@
 """The spectral presheaf and contextual truth values.
 
 This is the quantum layer on top of the generic kernel: each context
-contributes its blocks as a finite set, restriction coarsens blocks, and
-projectors are approximated per context by the smallest dominating (outer)
-or largest dominated (inner) sums of blocks.  Over a poset, the outer hits are
+contributes its blocks as a finite set, restriction coarsens blocks (every
+map of a poset read off its block table in one gather), and projectors are
+approximated per context by the smallest dominating (outer) or largest
+dominated (inner) sums of blocks.  Over a poset, the outer hits are
 one ``overlaps`` row per distinct block of its table, and closure is checked
 on the table's "lies under" edges.  Every context of the poset holds the
 table and its block ids, and the table keeps one record per projector and
@@ -15,8 +16,11 @@ The records are bounded: ``_HITS_CAP`` projectors and ``POSET_LIMIT`` rows
 in all.  Every query on a poset runs at the poset's tolerance
 (``_tolerance``).  Truth values of
 propositions land in the lower sets of the context poset, and the
-global-section search decides whether a noncontextual valuation exists at
-all.
+global-section (Kochen-Specker) search decides whether a noncontextual
+valuation exists at all.  That verdict needs only the maximal contexts and
+their pairwise meets, read off the given contexts' block table: no closure
+and no spectral presheaf are built, unless sections exist and must be
+listed with their ``V..`` ids.
 """
 
 from __future__ import annotations
@@ -25,12 +29,21 @@ import itertools
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernel
-from .contexts import POSET_LIMIT, BlockTable, Context, ContextPoset, _block_values
+from .contexts import (
+    POSET_LIMIT,
+    BlockTable,
+    Context,
+    ContextPoset,
+    GivenContexts,
+    _block_values,
+    _check_closure,
+    _components,
+)
 from .errors import (
     Ambiguity,
     DimensionMismatch,
@@ -39,6 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (
+    PAIR_ENTRIES,
     Tolerance,
     as_operator,
     as_vector,
@@ -96,6 +110,28 @@ def _tolerance(tol: Tolerance | None, table: BlockTable | None) -> Tolerance:
                           f"eps {table.tol.eps!r}")
 
 
+def _block_maps(table: BlockTable, frm: np.ndarray, to: np.ndarray, names) -> np.ndarray:
+    """Per row of the block id arrays ``frm`` and ``to`` (padded with -1):
+    the position in ``to`` of the one block that each block of ``frm``
+    meets, read off ``table``'s meets in one gather (``PAIR_ENTRIES`` entries
+    at a time).  The first block, row by row, that meets another number of
+    blocks raises ``Ambiguity``; ``names(row)`` gives the row's two keys."""
+    out = np.zeros(frm.shape, dtype=np.intp)
+    step = max(1, PAIR_ENTRIES // max(1, frm.shape[1] * to.shape[1]))
+    for lo in range(0, len(frm), step):
+        a, b = frm[lo:lo + step], to[lo:lo + step]
+        hit = table.meets[a[:, :, None], b[:, None, :]] & (b >= 0)[:, None, :]
+        counts = hit.sum(axis=2)
+        bad = np.argwhere((counts != 1) & (a >= 0))
+        if len(bad):
+            row, block = bad[0]
+            above, below = names(lo + row)
+            raise Ambiguity(f"block {block} of {above} meets "
+                            f"{counts[row, block]} blocks of {below}")
+        out[lo:lo + step] = hit.argmax(axis=2)
+    return out
+
+
 def spectral_presheaf(poset: ContextPoset,
                       tol: Tolerance | None = None) -> SpectralPresheaf:
     """Build the spectral presheaf of a context poset.
@@ -103,29 +139,24 @@ def spectral_presheaf(poset: ContextPoset,
     The component at a context is the tuple of its block indices (in the
     kernel's order); the restriction map to a smaller context sends each
     block to the unique coarser block it meets, and raises ``Ambiguity``
-    otherwise.  The maps into one context are read off the poset's block
-    table in one gather.  That check is the only one: for w < u < v, let a
-    block b of v meet only c of u, and c only e of w.  Blocks partition unity
-    within t = eps * d, so ||b - bc|| and ||c - ce|| are at most (d + 1) t,
-    and ||b - be|| at most 3 (d + 1) t < 0.85 for eps < 1e-3 and d <= 16:
-    b meets e, hence no other block of w, and the maps compose.
+    otherwise.  Every map is read off the poset's block table in one gather
+    over its padded id rows (``_block_maps``).  That check is the only one:
+    for w < u < v, let a block b of v meet only c of u, and c only e of w.
+    Blocks partition unity within t = eps * d, so ||b - bc|| and ||c - ce||
+    are at most (d + 1) t, and ||b - be|| at most 3 (d + 1) t < 0.85 for
+    eps < 1e-3 and d <= 16: b meets e, hence no other block of w, and the
+    maps compose.
     """
     _tolerance(tol, poset.table)
-    base, ids = poset.base, {c.key: c.ids for c in poset.contexts}
-    sets = {v: kernel._sorted_points(range(len(ids[v]))) for v in base.elements}
-    restrictions = {}
-    for to, pairs in itertools.groupby(base.strict_down_pairs(), lambda p: p[1]):
-        above = [frm for frm, _ in pairs]
-        meets = poset.table.meets[np.ix_([b for frm in above for b in ids[frm]], ids[to])]
-        counts, targets = meets.sum(axis=1), meets.argmax(axis=1).tolist()
-        bad, start = np.flatnonzero(counts != 1), 0
-        for frm in above:
-            stop = start + len(ids[frm])
-            if bad.size and bad[0] < stop:
-                raise Ambiguity(f"block {bad[0] - start} of {frm} meets "
-                                f"{counts[bad[0]]} blocks of {to}")
-            restrictions[(frm, to)] = dict(enumerate(targets[start:stop]))
-            start = stop
+    base, rows = poset.base, poset._id_rows.T
+    at = {c.key: i for i, c in enumerate(poset.contexts)}
+    sets = {v: kernel._sorted_points(range(len(poset.contexts[at[v]].ids)))
+            for v in base.elements}
+    pairs = base.strict_down_pairs()
+    maps = _block_maps(poset.table, rows[[at[frm] for frm, _ in pairs]],
+                       rows[[at[to] for _, to in pairs]], pairs.__getitem__).tolist()
+    restrictions = {(frm, to): dict(enumerate(row[:len(sets[frm])]))
+                    for (frm, to), row in zip(pairs, maps)}
     return SpectralPresheaf(poset, kernel.Presheaf(base, sets, restrictions))
 
 
@@ -428,29 +459,90 @@ class KsResult:
     nodes_explored: int
 
 
-def ks_search(presheaf: SpectralPresheaf, max_solutions: int = 8) -> KsResult:
-    """Global sections by ``kernel.global_sections``: blocks are picked at the
-    maximal contexts in key order, block indices ascending, keeping every
-    two maximal contexts' blocks consistent on their common lower contexts
-    (MAC); smaller contexts take their blocks by restriction.  A node is one
-    block taken at a maximal context; more than ``KS_NODE_LIMIT`` raise
-    ``SizeLimit``.  The first ``max_solutions`` sections in that order are
-    listed, sorted by context key.  ``NoSection`` means the space is
-    exhausted.
+def _maximal_presheaf(given: GivenContexts, tops: list[int]) -> kernel.Presheaf:
+    """The spectral presheaf on the maximal contexts at ``tops`` (positions
+    in ``given.ids``, in ``V..`` key order, named by their rank) and one
+    element under each pair of them whose meet is not trivial.  That
+    element's points are the components of the bipartite graph of the
+    pair's meeting blocks (``contexts._components``), read off the table a
+    slice of ``PAIR_ENTRIES`` entries at a time; each block restricts to its
+    component.  Its global sections are the closure's picks at the
+    maximal contexts: two blocks agree on every common lower context iff
+    they agree on the pair's meet, which the component names."""
+    names = [f"{r:0{len(str(len(tops) - 1))}d}" for r in range(len(tops))]
+    sets = {v: kernel._sorted_points(range(len(given.ids[i]))) for v, i in zip(names, tops)}
+    width = max(len(sets[v]) for v in names)
+    padded = np.full((len(tops), width), -1)
+    for r, i in enumerate(tops):
+        padded[r, :len(given.ids[i])] = given.ids[i]
+    left, right = np.triu_indices(len(tops), 1)
+    leq, restrictions = {(v, v) for v in names}, {}
+    step = max(1, PAIR_ENTRIES // (width * width))
+    for lo in range(0, len(left), step):
+        r, s = left[lo:lo + step], right[lo:lo + step]
+        mine, theirs = _components(given.table.meets, padded[r], padded[s])
+        for a, b, x, y in zip(r.tolist(), s.tolist(), mine.tolist(), theirs.tolist()):
+            x, y = x[:len(sets[names[a]])], y[:len(sets[names[b]])]
+            if any(x):
+                meet = f"m{names[a]}.{names[b]}"  # sorts after the ranks
+                sets[meet] = kernel._sorted_points(set(x))
+                leq |= {(meet, meet), (meet, names[a]), (meet, names[b])}
+                restrictions[names[a], meet] = dict(enumerate(x))
+                restrictions[names[b], meet] = dict(enumerate(y))
+    return kernel.Presheaf(kernel.FinPoset(tuple(sorted(sets)), frozenset(leq)),
+                           sets, restrictions)
+
+
+def ks_search(maximal: Sequence[Context], closure: str = "intersections",
+              tol: Tolerance = Tolerance(), max_solutions: int = 8) -> KsResult:
+    """Global sections of the spectral presheaf of ``build_poset(maximal,
+    closure, tol)`` by ``kernel.global_sections``.  A section is fixed by
+    its blocks at the maximal contexts, and those need only agree on each
+    pair's meet, so the verdict needs no closure: the search runs on the
+    maximal contexts and their pairwise meets (``_maximal_presheaf``), read
+    off the block table of the given contexts (``GivenContexts``), and a
+    ``NoSection`` verdict is the whole answer.
+
+    Blocks are picked at the maximal contexts in ``V..`` key order, block
+    indices ascending, keeping every two maximal contexts' blocks
+    consistent on their meet (MAC).  A node is one block taken at a maximal
+    context; more than ``KS_NODE_LIMIT`` raise ``SizeLimit``.  The first
+    ``max_solutions`` sections in that order are listed, sorted by context
+    key: only a listing builds the closure, from the same table, and names
+    each context's block by the one its first maximal context above it
+    picks (``_block_maps``), so a listing past ``POSET_LIMIT`` raises
+    ``SizeLimit``.  The closure's other refusals (an ambiguous restriction,
+    a cycle among derived contexts) are reached only by a listing.
+    ``NoSection`` means the space is exhausted.
     """
-    if not presheaf.poset.contexts:
+    _check_closure(closure)
+    given = GivenContexts(maximal, tol)
+    if not given.ids:
         raise ValidationError("cannot search an empty poset")
     if max_solutions < 1:
         raise ValidationError("max_solutions must be positive")
+    tops = given.maximal()
     budget = kernel.NodeBudget("KS search", KS_NODE_LIMIT)
-    rows = itertools.islice(  # islice takes at most sys.maxsize
-        kernel.global_sections(presheaf.underlying, budget),
-        min(max_solutions, sys.maxsize))
-    # a ContextPoset's elements are its sorted keys: rows sort as their items do
-    found = [TruthAssignment(assignments=dict(zip(presheaf.base.elements, row)))
-             for row in sorted(rows)]
-    status = "SectionsExist" if found else "NoSection"
-    return KsResult(status=status, sections=tuple(found), nodes_explored=budget.nodes)
+    found = list(itertools.islice(  # islice takes at most sys.maxsize
+        kernel.global_sections(_maximal_presheaf(given, tops), budget),
+        min(max_solutions, sys.maxsize)))
+    if not found:
+        return KsResult(status="NoSection", sections=(), nodes_explored=budget.nodes)
+    poset = given.close(closure)
+    keys = {c.ids: c.key for c in poset.contexts}
+    rank = {keys[tuple(given.ids[i])]: r for r, i in enumerate(tops)}
+    at = {c.key: i for i, c in enumerate(poset.contexts)}
+    up = [next(rank[w] for w in poset.base.up(c.key) if w in rank) for c in poset.contexts]
+    top_keys = list(rank)
+    rows = poset._id_rows.T
+    maps = _block_maps(poset.table, rows[[at[top_keys[r]] for r in up]], rows,
+                       lambda c: (top_keys[up[c]], poset.contexts[c].key))
+    picks = np.array(found)[:, :len(tops)][:, up]
+    # a ContextPoset's elements are its sorted keys, in contexts order: rows
+    # sort as their items do
+    sections = tuple(TruthAssignment(assignments=dict(zip(poset.base.elements, row)))
+                     for row in sorted(map(tuple, maps[np.arange(len(up)), picks].tolist())))
+    return KsResult(status="SectionsExist", sections=sections, nodes_explored=budget.nodes)
 
 
 def daseinise_observable(operator, ctx: Context,

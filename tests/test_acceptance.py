@@ -50,7 +50,8 @@ def test_criterion_1_ks_verdicts():
     with _verdict(1, "Kochen-Specker verdicts"):
         _, pauli = _builtin_presheaf("pauli2")
         start = time.perf_counter()
-        res = Q.ks_search(pauli, max_solutions=100)
+        res = Q.ks_search(C.builtin_scenario("pauli2", TOL)[2], "intersections", TOL,
+                          max_solutions=100)
         assert time.perf_counter() - start < 10.0
         assert res.status == "SectionsExist"
         assert len(res.sections) == 8
@@ -62,9 +63,8 @@ def test_criterion_1_ks_verdicts():
                        for v in pauli.base.elements]
         assert int(np.prod(per_context)) == 8
 
-        poset, mermin = _builtin_presheaf("mermin-square")
         start = time.perf_counter()
-        res = Q.ks_search(mermin)
+        res = Q.ks_search(C.builtin_scenario("mermin-square", TOL)[2], "intersections", TOL)
         assert time.perf_counter() - start < 10.0
         assert res.status == "NoSection"
         assert res.sections == ()

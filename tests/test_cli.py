@@ -353,8 +353,8 @@ class TestKs:
         assert cli.run_command(
             ["ks", PAULI2, "--max-solutions", str(huge)]) == expected
         scn = cli._load_scenario(PAULI2)
-        presheaf = quantum.spectral_presheaf(cli._poset_of(scn), scn.tolerance)
-        big, small = (quantum.ks_search(presheaf, n) for n in (huge, 64))
+        big, small = (quantum.ks_search(scn.maximal_contexts, scn.closure, scn.tolerance, n)
+                      for n in (huge, 64))
         assert (big.status, big.nodes_explored) == (small.status,
                                                     small.nodes_explored)
         assert ([s.items_sorted() for s in big.sections]

@@ -205,7 +205,7 @@ def test_random_contexts_before_and_after_a_global_unitary(dim, count, seed):
 
 def _ks_invariants(maximal, closure, tol):
     poset = C.build_poset(maximal, closure, tol)
-    result = Q.ks_search(Q.spectral_presheaf(poset, tol), max_solutions=64)
+    result = Q.ks_search(maximal, closure, tol, max_solutions=64)
     return (len(poset), sorted(c.ranks for c in poset.contexts),
             len(poset.leq), result.status, len(result.sections))
 
@@ -274,7 +274,8 @@ def test_seven_level_observable_presheaf_and_search():
     # below it, so there are exactly 7, fewer than the 8 asked for.
     start = time.perf_counter()
     poset = C.build_poset([_generic_observable(7)], "coarsenings", TOL)
-    result = Q.ks_search(Q.spectral_presheaf(poset, TOL), max_solutions=8)
+    assert len(Q.spectral_presheaf(poset, TOL).underlying.restrictions) == 18425 - 876
+    result = Q.ks_search([_generic_observable(7)], "coarsenings", TOL, max_solutions=8)
     assert (result.status, len(result.sections)) == ("SectionsExist", 7)
     assert time.perf_counter() - start < 60
 
@@ -420,6 +421,26 @@ def _family(workload, path):
 
 NAMED = ["builtin:pauli2", "builtin:mermin-square", *sorted(
     path.name for path in SCENARIOS.glob("*.json"))]
+# The bundled scenarios whose closure passes POSET_LIMIT: each of the five
+# contexts of the GHZ-Mermin star has 8 blocks, so Bell(8) - 1 coarsenings.
+# ``test_a_closure_over_the_limit_is_refused`` checks the refusal; the tests
+# that take a bundled poset apart take the others.
+OVER_LIMIT = {("mermin_star.json", "coarsenings")}
+BUILT = [(name, closure) for name in NAMED for closure in CLOSURES
+         if (name, closure) not in OVER_LIMIT]
+COARSENED = [name for name, closure in BUILT if closure == "coarsenings"]
+
+
+@pytest.mark.parametrize("name, closure", sorted(OVER_LIMIT))
+def test_a_closure_over_the_limit_is_refused(name, closure, tmp_path):
+    maximal, tol = _named_maximal(name)
+    with pytest.raises(SizeLimit, match=f"^closure exceeded {C.POSET_LIMIT} contexts$"):
+        C.build_poset(maximal, closure, tol)
+    path = tmp_path / name
+    path.write_text(json.dumps({**json.loads((SCENARIOS / name).read_text()),
+                                "closure": closure}))
+    assert cli.run_command(["poset", str(path)]) == (
+        2, "", f"error: size limit: closure exceeded {C.POSET_LIMIT} contexts\n")
 
 
 def _named_maximal(name):
@@ -430,7 +451,7 @@ def _named_maximal(name):
     return scn.maximal_contexts, scn.tolerance
 
 
-@pytest.mark.parametrize("name", NAMED)
+@pytest.mark.parametrize("name", COARSENED)
 def test_subset_sums_match_the_per_partition_closure_on_scenarios(
         name, monkeypatch):
     assert_same_closure(*_named_maximal(name), monkeypatch)
@@ -490,8 +511,7 @@ def assert_meets_are_the_products(poset, tol):
                           overlaps(table.blocks, table.blocks, tol))
 
 
-@pytest.mark.parametrize("closure", CLOSURES)
-@pytest.mark.parametrize("name", NAMED)
+@pytest.mark.parametrize("name, closure", BUILT)
 def test_derived_meets_are_the_products_on_scenarios(name, closure):
     maximal, tol = _named_maximal(name)
     assert_meets_are_the_products(C.build_poset(maximal, closure, tol), tol)
@@ -647,7 +667,7 @@ def assert_meets_lie_among_the_coarsenings(maximal, tol):
         assert any(C.contexts_equal(ctx, other, tol) for other in coarse)
 
 
-@pytest.mark.parametrize("name", NAMED)
+@pytest.mark.parametrize("name", COARSENED)
 def test_meets_lie_among_the_coarsenings_on_scenarios(name):
     assert_meets_lie_among_the_coarsenings(*_named_maximal(name))
 

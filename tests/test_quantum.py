@@ -376,9 +376,13 @@ class TestTruthValues:
             assert via_pseudo.members == via_truth.members
 
 
+def _maximal(name, tol):
+    return C.builtin_scenario(name, tol)[2]
+
+
 class TestKsSearch:
-    def test_pauli2_eight_sections(self, tol, pauli_presheaf):
-        result = Q.ks_search(pauli_presheaf, max_solutions=8)
+    def test_pauli2_eight_sections(self, tol):
+        result = Q.ks_search(_maximal("pauli2", tol), "intersections", tol, max_solutions=8)
         assert result.status == "SectionsExist"
         assert len(result.sections) == 8
         seen = {sec.items_sorted() for sec in result.sections}
@@ -388,26 +392,23 @@ class TestKsSearch:
         z1 = np.kron(SZ, np.eye(2))
         z2 = np.kron(np.eye(2), SZ)
         ctx = C.context_from_commuting_set([z1, z2], tol)
-        poset = C.build_poset([ctx], "intersections", tol)
-        presheaf = Q.spectral_presheaf(poset, tol)
-        result = Q.ks_search(presheaf, max_solutions=10)
+        result = Q.ks_search([ctx], "intersections", tol, max_solutions=10)
         assert result.status == "SectionsExist"
         assert len(result.sections) == 4
 
-    def test_mermin_has_no_section(self, tol, mermin_poset):
-        presheaf = Q.spectral_presheaf(mermin_poset, tol)
-        result = Q.ks_search(presheaf)
+    def test_mermin_has_no_section(self, tol):
+        result = Q.ks_search(_maximal("mermin-square", tol), "intersections", tol)
         assert result.status == "NoSection"
         assert result.sections == ()
         assert result.nodes_explored > 0
 
-    def test_max_solutions_truncates(self, tol, pauli_presheaf):
-        result = Q.ks_search(pauli_presheaf, max_solutions=3)
+    def test_max_solutions_truncates(self, tol):
+        result = Q.ks_search(_maximal("pauli2", tol), "intersections", tol, max_solutions=3)
         assert result.status == "SectionsExist"
         assert len(result.sections) == 3
 
     def test_sections_validate_independently(self, tol, pauli_presheaf):
-        result = Q.ks_search(pauli_presheaf)
+        result = Q.ks_search(_maximal("pauli2", tol), "intersections", tol)
         for sec in result.sections:
             assert Q.validate_assignment(pauli_presheaf, sec)
             broken = dict(sec.assignments)
@@ -426,7 +427,7 @@ class TestKsSearch:
         fine = C.context_from_commuting_set([z1, z2], tol)
         poset = C.build_poset([fine], "coarsenings", tol)
         presheaf = Q.spectral_presheaf(poset, tol)
-        result = Q.ks_search(presheaf, max_solutions=8)
+        result = Q.ks_search([fine], "coarsenings", tol, max_solutions=8)
         assert result.status == "SectionsExist"
         x = presheaf.underlying
         for sec in result.sections:
@@ -434,11 +435,10 @@ class TestKsSearch:
             for (u, v) in x.base.strict_pairs():
                 assert x.restrict(picks[v], v, u) == picks[u]
 
-    def test_node_limit(self, tol, mermin_poset, monkeypatch):
+    def test_node_limit(self, tol, monkeypatch):
         monkeypatch.setattr(Q, "KS_NODE_LIMIT", 10)
-        presheaf = Q.spectral_presheaf(mermin_poset, tol)
         with pytest.raises(SizeLimit):
-            Q.ks_search(presheaf)
+            Q.ks_search(_maximal("mermin-square", tol), "intersections", tol)
 
     @pytest.mark.parametrize("name", ["pauli2", "two_qubit_parity", "mermin_square"])
     @pytest.mark.parametrize("closure", ["intersections", "coarsenings"])
@@ -446,7 +446,8 @@ class TestKsSearch:
         scn = parse_scenario((SCENARIOS / f"{name}.json").read_text())
         poset = C.build_poset(scn.maximal_contexts, closure, scn.tolerance)
         presheaf = Q.spectral_presheaf(poset, scn.tolerance)
-        result = Q.ks_search(presheaf, max_solutions=10 ** 6)
+        result = Q.ks_search(scn.maximal_contexts, closure, scn.tolerance,
+                             max_solutions=10 ** 6)
         elements = K.global_elements(presheaf.underlying)
         assert len(result.sections) == len(elements)
         assert ({sec.items_sorted() for sec in result.sections}
@@ -454,11 +455,8 @@ class TestKsSearch:
                     for g in elements})
 
     def test_empty_poset_rejected(self, tol):
-        poset = C.build_poset([], "intersections", tol)
-        presheaf = Q.SpectralPresheaf(
-            poset=poset, underlying=K.presheaf(K.finposet([]), {}, {}))
-        with pytest.raises(ValidationError):
-            Q.ks_search(presheaf)
+        with pytest.raises(ValidationError, match="^cannot search an empty poset$"):
+            Q.ks_search([], "intersections", tol)
 
 
 class TestObservableDaseinisation:

@@ -28,6 +28,7 @@ from qtopos.errors import ValidationError
 from qtopos.numerics import Tolerance, is_projector, require_projector
 from qtopos.scenario import parse_scenario
 from tests.conftest import random_projector, random_state
+from tests.test_closure import OVER_LIMIT
 from tests.test_daseinise_batch import reference_row
 from tests.test_delta_table import reference_truth_object, reference_weights
 
@@ -53,8 +54,9 @@ def _probes(poset, rng):
 
 
 @pytest.mark.parametrize("inner", [False, True])
-@pytest.mark.parametrize("closure", CLOSURES)
-@pytest.mark.parametrize("name", FILES)
+@pytest.mark.parametrize("name, closure", [(name, closure) for name in FILES
+                                           for closure in CLOSURES
+                                           if (name, closure) not in OVER_LIMIT])
 def test_rows_are_remembered(name, closure, inner):
     scn = parse_scenario((SCENARIOS / name).read_text())
     tol = scn.tolerance

@@ -27,7 +27,7 @@ from qtopos import quantum as Q
 from qtopos.numerics import Tolerance, is_projector, require_projector
 from qtopos.scenario import parse_scenario
 from tests.conftest import random_projector
-from tests.test_closure import NAMED, _load_gen
+from tests.test_closure import BUILT, _load_gen
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 TOL = Tolerance()
@@ -50,6 +50,8 @@ DIGESTS = {
         "b51fcced14d6f627db9b797699fa0bd3fd6686138e98303f4678eff2e57b3001",
     ("mermin_square.json", "coarsenings"):
         "cd5816dff6734f92ff6e44250b71a4bbff2ffbe801de758142d5e7be7d89a79a",
+    ("mermin_star.json", "intersections"):
+        "7f9ffb911c0b325cc67f0a2702e030b34f1d2aec115d461a1bb59e11066b216c",
     ("pauli2.json", "intersections"):
         "39ca6b2c3c6bb87e8dd816c43e3a5fa11db261526beafb157eb1ff343f3aa950",
     ("pauli2.json", "coarsenings"):
@@ -111,8 +113,7 @@ def single_context_digest(maximal, operators, closure, tol) -> str:
     return digest.hexdigest()
 
 
-CASES = [(name, closure) for name in NAMED
-         for closure in ("intersections", "coarsenings")] + [
+CASES = BUILT + [
     (name, None) for name in FAMILIES]
 
 
