@@ -127,10 +127,11 @@ def _cmd_validate(args, scn: Scenario) -> dict:
 
 def _cmd_poset(args, scn: Scenario) -> dict:
     poset = _poset_of(scn)
+    ranks = poset.table.ranks
     return {
         "context_count": len(poset),
         "contexts": [{"id": c.key, "label": c.label,
-                      "block_ranks": list(c.ranks)} for c in poset.contexts],
+                      "block_ranks": [ranks[b] for b in c.ids]} for c in poset.contexts],
         "relation": [list(pair) for pair in poset.base.strict_pairs()],
     }
 
@@ -169,7 +170,7 @@ def _cmd_ks(args, scn: Scenario) -> dict:
         "status": result.status,
         "nodes_explored": result.nodes_explored,
         "section_count": len(result.sections),
-        "sections": [dict(sec.items_sorted()) for sec in result.sections],
+        "sections": [sec.assignments for sec in result.sections],
     }
 
 
@@ -250,8 +251,8 @@ def _cmd_kernel_demo(args, scn: None) -> dict:
 def _render(x, pad: str = "\n") -> str:
     """``json.dumps(x, indent=2)`` of a report, whose dict keys are all str,
     without the pure-Python encoder that ``indent`` selects; ``pad`` starts
-    the lines inside ``x``.  Bools, None, non-finite floats and subclasses
-    of the JSON types go to ``json.dumps`` itself."""
+    the lines inside ``x``.  Non-finite floats and subclasses of the JSON
+    types go to ``json.dumps`` itself."""
     kind = type(x)
     if kind is dict or kind is list or kind is tuple:
         if not x:
@@ -267,6 +268,10 @@ def _render(x, pad: str = "\n") -> str:
         return int.__repr__(x)
     if kind is float and math.isfinite(x):
         return float.__repr__(x)
+    if x is None:
+        return "null"
+    if kind is bool:
+        return "true" if x else "false"
     return json.dumps(x)
 
 

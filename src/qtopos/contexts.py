@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -85,8 +86,8 @@ class Context:
 
     @functools.cached_property
     def ranks(self) -> tuple[int, ...]:
-        if self.table is not None:  # the traces of the table's sort keys
-            return tuple(round(-self.table.keys[b][0]) for b in self.ids)
+        if self.table is not None:
+            return tuple(map(self.table.ranks.__getitem__, self.ids))
         return tuple(round(t) for t in np.einsum("kaa->k", self.blocks).real.tolist())
 
     @functools.cached_property
@@ -128,6 +129,50 @@ def _check_partition(blocks: Sequence[np.ndarray], meets: np.ndarray, bound: flo
 def _merge(blocks: Sequence[np.ndarray], group) -> np.ndarray:
     """The sum of the blocks at the indices in ``group``, in that order."""
     return sum(blocks[i] for i in group)
+
+
+def _staged_sums(blocks: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """Per group, ``_merge(blocks, group)`` bit for bit: ``0 + b0 + b1 + ...``
+    in group order, one stage of adds for all groups at a time."""
+    sizes = np.array([len(g) for g in groups])
+    at = np.zeros((len(groups), sizes.max()), dtype=int)
+    at[np.repeat(np.arange(len(groups)), sizes),
+       np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = (
+        list(itertools.chain.from_iterable(groups)))
+    sums = blocks[at[:, 0]]
+    sums += 0  # sum's start: -0.0 reads as 0.0
+    for stage in range(1, at.shape[1]):
+        live = np.flatnonzero(sizes > stage)
+        sums[live] += blocks[at[live, stage]]
+    return sums
+
+
+def _check_run(table: BlockTable, stack: np.ndarray, ids: Sequence[int],
+               picks: Sequence[np.ndarray], bound: float) -> list[bool]:
+    """The flags of ``_check_partition`` for every row of the 0/1 matrices
+    ``picks``: matrix p picks among the next ``p.shape[1]`` matrices of
+    ``stack``, whose block ids are those of ``ids``.  All rows are checked
+    at once over the block-diagonal matrix of ``picks`` and the table's
+    meets among ``ids``, cut where it would pass ``PAIR_ENTRIES`` entries."""
+    flags: list[bool] = []
+    lo = col = 0
+    while lo < len(picks):
+        hi, (rows, cols) = lo + 1, picks[lo].shape
+        while hi < len(picks):
+            more, wider = rows + len(picks[hi]), cols + picks[hi].shape[1]
+            if max(more, wider) * wider > PAIR_ENTRIES:
+                break
+            hi, rows, cols = hi + 1, more, wider
+        member = np.zeros((rows, cols))
+        r = c = 0
+        for p in picks[lo:hi]:
+            member[r:r + len(p), c:c + p.shape[1]] = p
+            r, c = r + len(p), c + p.shape[1]
+        span = ids[col:col + cols]
+        flags += _check_partition(stack[col:col + cols], table.meets[np.ix_(span, span)],
+                                  bound, member).tolist()
+        lo, col = hi, col + cols
+    return flags
 
 
 def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float):
@@ -469,16 +514,19 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
 
 
 @functools.cache
-def _proper_partitions(k: int) -> tuple[list[tuple], list[tuple], np.ndarray]:
+def _proper_partitions(k: int) -> tuple[list[tuple], list[tuple], np.ndarray, list]:
     """The proper coarsenings of ``k`` blocks (not the blocks themselves nor
     the trivial algebra) as groups of positions, in ``_set_partitions``
-    order; the groups of two or more, in order of first appearance; and a
-    0/1 matrix of which of those groups, then singletons, each one takes."""
+    order; the groups of two or more, in order of first appearance; a 0/1
+    matrix of which of those groups, then singletons, each one takes; and
+    per coarsening, a getter of its groups' entries, in its order, from a
+    list over those groups and then singletons."""
     parts = [tuple(map(tuple, part)) for part in _set_partitions(list(range(k)))
              if 1 < len(part) < k]
     groups = list(dict.fromkeys(g for part in parts for g in part if len(g) > 1))
     cols = groups + [(j,) for j in range(k)]
-    return parts, groups, np.array([[g in part for g in cols] for part in parts], float)
+    return (parts, groups, np.array([[g in part for g in cols] for part in parts], float),
+            [operator.itemgetter(*map(cols.index, part)) for part in parts])
 
 
 def _bell(k: int) -> int:
@@ -499,7 +547,11 @@ def coarsenings(ctx: Context, tol: Tolerance = Tolerance()) -> Iterator[Context]
 
 class BlockTable:
     """Distinct blocks (:func:`qtopos.numerics.same_blocks`) at one
-    tolerance, with their sort keys and which of them meet.
+    tolerance, with their sort keys, their ranks (``ranks``, which every
+    context of the table reads) and which of them meet.  ``intern`` takes
+    one run of candidate contexts' blocks at a time: the given contexts,
+    the meets of a meet pass or the subset sums of a run of the coarsening
+    pass.
 
     A block that sums held blocks, which are pairwise orthogonal (a meet
     component, a coarsening block), takes its meets from theirs: for
@@ -517,6 +569,7 @@ class BlockTable:
         self.mats = np.empty((16, dim, dim), dtype=complex)
         self.meets = np.zeros((16, 16), dtype=bool)
         self.keys: list[tuple] = []
+        self.ranks: list[int] = []  # per block, its rank: its key's trace, rounded
         self.blocks = self.mats[:0]  # the distinct blocks in id order, read-only
         # quantum._record's records, one per tested matrix and variant: its
         # read-only flags, one per held block, and the daseinisation rows of
@@ -543,8 +596,9 @@ class BlockTable:
         if parts is not None:
             ids[:] = [p[0] if len(p) == 1 else n for p in parts]
         rest = np.flatnonzero(ids == n)
-        same = same_blocks(self.mats[:n], stack[rest], self.tol)
-        ids[rest] = np.concatenate([same, np.ones((1, len(rest)), bool)]).argmax(axis=0)
+        if n:
+            same = same_blocks(self.mats[:n], stack[rest], self.tol)
+            ids[rest] = np.concatenate([same, np.ones((1, len(rest)), bool)]).argmax(axis=0)
         fresh = rest[ids[rest] == n]
         if not fresh.size:
             return ids.tolist()
@@ -562,19 +616,25 @@ class BlockTable:
         m = n + len(new)
         if m > len(self.mats):
             self.mats = np.concatenate([self.mats, self.mats, stack])
-            self.meets = np.pad(self.meets, (0, len(self.mats) - len(self.meets)))
+            meets = np.zeros((len(self.mats),) * 2, dtype=bool)
+            meets[:n, :n] = self.meets[:n, :n]
+            self.meets = meets
         self.mats[n:m] = stack[new]
         if parts is None:
             hits = overlaps(self.mats[:m], self.mats[n:m], self.tol)
         else:
+            picked = [parts[r] for r in new.tolist()]
+            sizes = [len(p) for p in picked]
             sums = np.zeros((len(new), n), dtype=np.float32)
-            for row, r in enumerate(new.tolist()):
-                sums[row, parts[r]] = 1
+            sums[np.repeat(np.arange(len(new)), sizes),
+                 list(itertools.chain.from_iterable(picked))] = 1
             held = sums @ self.meets[:n, :n].astype(np.float32)
             hits = np.concatenate([held.T, held @ sums.T]) > 0
         self.meets[n:m, :m] = hits.T
         self.meets[:m, n:m] = hits
-        self.keys += _block_sort_keys(self.mats[n:m])
+        keys = _block_sort_keys(self.mats[n:m])
+        self.keys += keys
+        self.ranks += [round(-key[0]) for key in keys]
         self.blocks = self.mats[:m]
         self.blocks.setflags(write=False)
         ids[new] = np.arange(n, m)
@@ -648,8 +708,8 @@ def _under(table: BlockTable, rows: Sequence[Sequence[int]]) -> set[tuple[int, i
     since every block of r meets one of c); 512 rows at a time."""
     n = len(table.keys)
     member = np.zeros((len(rows), n), dtype=np.float32)
-    for r, ids in enumerate(rows):
-        member[r, ids] = 1
+    member[np.repeat(np.arange(len(rows)), [len(ids) for ids in rows]),
+           list(itertools.chain.from_iterable(rows))] = 1
     misfit = (member @ table.meets[:n, :n] != 1).astype(np.float32)
     pairs: set[tuple[int, int]] = set()
     for lo in range(0, len(rows), 512):
@@ -671,7 +731,12 @@ class GivenContexts:
     interned in one :class:`BlockTable` at ``tol`` and each context checked
     as a partition of unity, a context equal to an earlier one dropped.
     ``ids`` holds each kept context's block ids in key order and ``labels``
-    its label, in given order.
+    its label, in given order.  The contexts are fed in runs
+    (``_feed``), and a run is the unit of work here and in ``close``: one
+    intern of its blocks, one batched partition check (``_check_run``),
+    then each candidate added in order, a flagged one checked again alone
+    so that its error and the order of errors are those of one candidate
+    at a time.
 
     ``maximal`` reads the given contexts under no other off the table, which
     is all that :func:`qtopos.quantum.ks_search` needs for a verdict, and
@@ -697,13 +762,16 @@ class GivenContexts:
 
         self._feed(given(), self._add_run)
 
-    def _add(self, mats: Sequence[np.ndarray], label: str | None, ids: list[int],
-            checked: bool = False) -> None:
-        found = tuple(sorted(ids))
+    def _add(self, ids: Sequence[int], found: tuple[int, ...], label: str | None = None,
+             flagged: Sequence[np.ndarray] | None = None) -> None:
+        """Add the candidate context with block ids ``ids`` (``found`` is
+        them sorted) unless it is held.  ``flagged`` is the matrices of a
+        candidate that its run's check flagged: checked alone, they raise
+        the error that names the fault."""
         if found in self.seen:
             return
-        if not checked:
-            _check_partition(mats, self.table.meets[ids][:, ids], self.bound)
+        if flagged is not None:
+            _check_partition(flagged, self.table.meets[np.ix_(ids, ids)], self.bound)
         self.seen.add(found)
         self.ids.append(sorted(ids, key=self.table.keys.__getitem__))
         self.labels.append(label)
@@ -712,16 +780,19 @@ class GivenContexts:
 
     def _add_run(self, run: list[tuple]) -> None:
         """Intern the blocks of candidate contexts ``(mats, label, parts)``
-        in one call, then add the contexts in order."""
+        in one call, check them at once, then add them in order."""
         if not run:
             return
-        ids = self.table.intern([m for mats, _, _ in run for m in mats],
-                                None if run[0][2] is None else
+        stack = np.concatenate([np.asarray(mats) for mats, _, _ in run])
+        ids = self.table.intern(stack, None if run[0][2] is None else
                                 [p for _, _, parts in run for p in parts])
+        sizes = [len(mats) for mats, _, _ in run]
+        flags = _check_run(self.table, stack, ids, [np.ones((1, k)) for k in sizes], self.bound)
         at = 0
-        for mats, label, _ in run:
-            self._add(mats, label, ids[at:at + len(mats)])
-            at += len(mats)
+        for (mats, label, _), size, flag in zip(run, sizes, flags):
+            own = ids[at:at + size]
+            at += size
+            self._add(own, tuple(sorted(own)), label, mats if flag else None)
 
     def _feed(self, items: Iterator[tuple[int, object]], flush: Callable) -> None:
         """``flush`` the ``(weight, item)`` pairs of ``items`` in runs whose
@@ -748,9 +819,17 @@ class GivenContexts:
             raise
         flush(run)
 
-    def _sort_key(self, i: int) -> tuple:
-        """The ``V..`` order: block count, then the blocks' sort keys."""
-        return len(self.ids[i]), [self.table.keys[b] for b in self.ids[i]]
+    def _in_key_order(self, positions) -> list[int]:
+        """``positions`` in ``ids`` sorted stably in ``V..`` order: block
+        count, then the blocks' sort keys, compared as their dense ranks
+        among the table's keys (equal keys, equal ranks)."""
+        keys = self.table.keys
+        rank = [0] * len(keys)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        for a, b in zip(order, order[1:]):
+            rank[b] = rank[a] + (keys[b] != keys[a])
+        return sorted(positions, key=lambda i: (len(self.ids[i]),
+                                                tuple(map(rank.__getitem__, self.ids[i]))))
 
     def maximal(self) -> list[int]:
         """The positions in ``ids`` of the contexts under no other, in
@@ -761,8 +840,7 @@ class GivenContexts:
         pairs = _under(self.table, self.ids)
         _refuse_cycles(pairs)
         below = {r for r, c in pairs if r != c}
-        return sorted((i for i in range(len(self.ids)) if i not in below),
-                      key=self._sort_key)
+        return self._in_key_order(i for i in range(len(self.ids)) if i not in below)
 
     def close(self, closure: str) -> ContextPoset:
         """The poset of :func:`build_poset`, closed from the given contexts."""
@@ -773,30 +851,37 @@ class GivenContexts:
 
         def expand_run(run: list[int]) -> None:
             """Intern the proper subset sums of the contexts at ``run`` in one
-            call, then add each context's new coarsenings in order."""
-            sides = [[ids_of[i][j] for j in group] for i in run
-                     for group in _proper_partitions(len(ids_of[i]))[1]]
-            sums = [_merge(table.blocks, side) for side in sides]
-            made = table.intern(sums, sides) if sums else []
+            call, check their new coarsenings at once, then add them in order."""
+            plans = [_proper_partitions(len(ids_of[i])) for i in run]
+            sides = [[ids_of[i][j] for j in group] for i, plan in zip(run, plans)
+                     for group in plan[1]]
+            if not sides:  # contexts of two blocks have no proper coarsening
+                return
+            sums = _staged_sums(table.blocks, sides)
+            made = table.intern(sums, sides)
+            owns, cols, picks, todo = [], [], [], []
             at = 0
-            for i in run:
+            for i, (_, groups, pick, getters) in zip(run, plans):
                 atoms = ids_of[i]
-                parts, groups, picks = _proper_partitions(len(atoms))
-                own = dict(zip(groups, sums[at:at + len(groups)]))
-                memo = dict(zip(groups, made[at:at + len(groups)]))
+                ids = made[at:at + len(groups)] + atoms  # per group, then singleton
+                cands = []
+                for r, get in enumerate(getters):
+                    got = get(ids)
+                    found = tuple(sorted(got))
+                    if found not in self.seen:
+                        cands.append((r, got, found))
+                if cands:
+                    owns.append(np.concatenate([sums[at:at + len(groups)], table.blocks[atoms]]))
+                    cols += ids
+                    picks.append(pick[[r for r, _, _ in cands]])
+                    todo.append((owns[-1], getters, cands))
                 at += len(groups)
-                own.update(((j,), table.blocks[a]) for j, a in enumerate(atoms))
-                memo.update(((j,), a) for j, a in enumerate(atoms))
-                rows = [r for r, part in enumerate(parts)
-                        if tuple(sorted(memo[group] for group in part)) not in self.seen]
-                if not rows:
-                    continue
-                ids = list(memo.values())
-                faults = _check_partition(list(own.values()),
-                                          table.meets[np.ix_(ids, ids)], bound, picks[rows])
-                for r, fault in zip(rows, faults.tolist()):
-                    self._add([own[group] for group in parts[r]], None,
-                             [memo[group] for group in parts[r]], checked=not fault)
+            if not todo:
+                return
+            flags = iter(_check_run(table, np.concatenate(owns), cols, picks, bound))
+            for own, getters, cands in todo:
+                for (r, got, found), flag in zip(cands, flags):
+                    self._add(got, found, None, getters[r](own) if flag else None)
 
         def meet_pass(done: int, size: int) -> Iterator[tuple[int, tuple]]:
             """The meets of the pairs i < j < size with j >= done, in that
@@ -837,7 +922,7 @@ class GivenContexts:
         if closure == "coarsenings":
             self._feed(expansions(), expand_run)
 
-        order = sorted(range(len(ids_of)), key=self._sort_key)
+        order = self._in_key_order(range(len(ids_of)))
         width = max(2, len(str(len(order) - 1)))
         relabeled = [Context(key=f"V{r:0{width}d}", dim=dim, label=self.labels[i],
                              table=table, ids=tuple(ids_of[i]))
@@ -877,7 +962,8 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     candidate is checked on the matrices it was formed with, then dropped.
     ``V..`` ids
     sort contexts by block count, then by block entries rounded to 6
-    digits: near a rounding boundary ids can change (say under a global
+    digits, compared as dense ranks of the table's keys (equal keys, equal
+    ranks): near a rounding boundary ids can change (say under a global
     unitary); shape, order and verdict hold.
 
     Each phase interns one stack: the given contexts' blocks, the meets of
@@ -893,11 +979,14 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     sums.  Those are formed once, groups in ascending positions in order of
     first appearance; memos from a group's positions to its sum and block
     id give each partition's matrices and ids, so a duplicate is one set
-    lookup.  A context's new partitions are checked at once, with a 0/1
-    matrix of their groups over the sums and the table's meets; only a
-    flagged one is checked again alone, to be named.  Such a context
-    forces Bell(k) - 1 contexts, so one that would pass ``POSET_LIMIT``
-    trips it before any sum is formed.
+    lookup.  The sums of a run are formed by staged adds from the table's
+    rows (``_staged_sums``, bit for bit ``0 + b0 + b1 + ...``) and
+    interned in one call.  A run's new partitions are checked at once,
+    with a block-diagonal 0/1 matrix of each context's partitions over its
+    sums and the table's meets; only a flagged one is checked again alone,
+    to be named.  The given contexts are checked as one run the same way.
+    A k-block context forces Bell(k) - 1 contexts, so one that would pass
+    ``POSET_LIMIT`` trips it before any sum is formed.
 
     A phase is cut into runs that hold no more candidate contexts than
     there is room for under ``POSET_LIMIT`` (a meet counts 1, an expanded

@@ -507,10 +507,13 @@ def ks_search(maximal: Sequence[Context], closure: str = "intersections",
     indices ascending, keeping every two maximal contexts' blocks
     consistent on their meet (MAC).  A node is one block taken at a maximal
     context; more than ``KS_NODE_LIMIT`` raise ``SizeLimit``.  The first
-    ``max_solutions`` sections in that order are listed, sorted by context
-    key: only a listing builds the closure, from the same table, and names
-    each context's block by the one its first maximal context above it
-    picks (``_block_maps``), so a listing past ``POSET_LIMIT`` raises
+    ``max_solutions`` sections in that order are listed, sorted by their
+    blocks in context key order, and each section's ``assignments`` is
+    built in ``poset.base.elements`` (sorted key) order, the order of its
+    ``items_sorted``.  Only a listing builds the closure, from the same
+    table, and names each context's block by the one its first maximal
+    context above it picks (``_block_maps``; that context is found in one
+    pass over ``poset.leq``), so a listing past ``POSET_LIMIT`` raises
     ``SizeLimit``.  The closure's other refusals (an ambiguous restriction,
     a cycle among derived contexts) are reached only by a listing.
     ``NoSection`` means the space is exhausted.
@@ -532,7 +535,13 @@ def ks_search(maximal: Sequence[Context], closure: str = "intersections",
     keys = {c.ids: c.key for c in poset.contexts}
     rank = {keys[tuple(given.ids[i])]: r for r, i in enumerate(tops)}
     at = {c.key: i for i, c in enumerate(poset.contexts)}
-    up = [next(rank[w] for w in poset.base.up(c.key) if w in rank) for c in poset.contexts]
+    # each context's first maximal context above it: the tops' ranks follow
+    # the order of poset.contexts
+    first: dict[str, int] = {}
+    for u, w in poset.leq:
+        if w in rank and first.get(u, len(tops)) > rank[w]:
+            first[u] = rank[w]
+    up = [first[c.key] for c in poset.contexts]
     top_keys = list(rank)
     rows = poset._id_rows.T
     maps = _block_maps(poset.table, rows[[at[top_keys[r]] for r in up]], rows,

@@ -619,6 +619,116 @@ def test_an_earlier_candidates_error_comes_first():
         C.build_poset([short, other], "intersections", TOL)
 
 
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        return exc
+
+
+# A run is checked at once; only a flagged candidate is checked again alone.
+
+MIXED = [[[0, 1, 2], [3], [4], [5]], [[0, 1], [2, 3], [4, 5]],
+         [[0], [1], [2], [3], [4], [5]], [[0, 1, 2], [3, 4, 5]],
+         [[0, 1], [2], [3], [4], [5]]]
+
+
+def test_a_flagged_coarsening_late_in_a_run_is_named_as_one_at_a_time(monkeypatch):
+    # Contexts of 4, 3, 6, 2 and 5 blocks, each from its own basis, expand
+    # as one run.  The groups that start at the first block of the second
+    # and of the last context sum without their last block, so a coarsening
+    # of each fails to sum to 1 (defects sqrt(2) and 1): the run's check
+    # must name the second context's first bad coarsening, as the closure
+    # that checks one partition at a time does.
+    rng = np.random.default_rng(37)
+    maximal = [_grouping(random_unitary(6, rng), groups) for groups in MIXED]
+    events = _counting_interns(monkeypatch)
+    C.build_poset(maximal, "coarsenings", TOL)
+    assert events == ["intern"] + ["expand"] * len(MIXED) + ["intern"]
+    monkeypatch.undo()
+    marked = [maximal[1].blocks[0], maximal[4].blocks[0]]
+
+    def cut(blocks, group):
+        bad = len(group) > 1 and any(np.array_equal(blocks[group[0]], m) for m in marked)
+        return group[:-1] if bad else group
+
+    merge, staged = C._merge, C._staged_sums
+    monkeypatch.setattr(C, "_merge", lambda blocks, group: merge(blocks, cut(blocks, group)))
+    monkeypatch.setattr(C, "_staged_sums", lambda blocks, groups: staged(
+        blocks, [cut(blocks, group) for group in groups]))
+    new = _outcome(C.build_poset, maximal, "coarsenings", TOL)
+    old = _outcome(per_partition_build_poset, maximal, "coarsenings", TOL)
+    assert isinstance(old, ValidationError)
+    assert str(old) == "blocks do not sum to identity: defect 1.414e+00"
+    assert type(new) is type(old) and str(new) == str(old)
+
+
+@pytest.mark.parametrize("entries", [1, 3000, C.PAIR_ENTRIES])
+def test_a_run_check_flags_what_each_context_alone_flags(entries, monkeypatch):
+    # Contexts of 4, 3, 6, 2 and 5 blocks as one run, their groups summed
+    # without their last block in every other context: the flags of the
+    # run, its block-diagonal matrix cut where it would pass ``entries``
+    # entries, are those of each context's partitions checked on their own.
+    rng = np.random.default_rng(37)
+    given = C.GivenContexts([_grouping(random_unitary(6, rng), groups)
+                             for groups in MIXED], TOL)
+    table, bound = given.table, TOL.scaled(6)
+    stacks, ids, picks, alone = [], [], [], []
+    for n, atoms in enumerate(given.ids):
+        _, groups, pick, _ = C._proper_partitions(len(atoms))
+        sides = [[atoms[j] for j in (g[:-1] if n % 2 else g)] for g in groups]
+        sums = C._staged_sums(table.blocks, sides) if sides else table.blocks[:0]
+        stacks.append(np.concatenate([sums, table.blocks[atoms]]))
+        ids.append((table.intern(sums) if sides else []) + atoms)
+        picks.append(pick.reshape(-1, len(ids[-1])))
+        alone += C._check_partition(stacks[-1], table.meets[np.ix_(ids[-1], ids[-1])],
+                                    bound, picks[-1]).tolist()
+    assert any(alone) and not all(alone)
+    monkeypatch.setattr(C, "PAIR_ENTRIES", entries)
+    assert C._check_run(table, np.concatenate(stacks), sum(ids, []), picks, bound) == alone
+
+
+def test_a_given_run_names_its_first_bad_context():
+    # the given contexts are interned and checked as one run: the second
+    # one's fault (two blocks that meet) comes before the third one's (a
+    # missing block), as one context at a time
+    atoms = [np.diag(np.eye(4)[i]).astype(complex) for i in range(4)]
+    tilted = np.zeros((4, 4), complex)
+    tilted[:2, :2] = 0.5  # onto (e0 + e1) / sqrt(2): meets e0 and e1
+    good = C.Context(key="good", dim=4, blocks=tuple(atoms), label="good")
+    meets = C.Context(key="meets", dim=4, blocks=(atoms[0], tilted, atoms[2], atoms[3]))
+    short = C.Context(key="short", dim=4, blocks=tuple(atoms[:3]))
+    for closure in CLOSURES:
+        new = _outcome(C.build_poset, [good, meets, short], closure, TOL)
+        old = _outcome(per_partition_build_poset, [good, meets, short], closure, TOL)
+        assert str(old).startswith("blocks 0 and 1 are not orthogonal")
+        assert type(new) is type(old) and str(new) == str(old)
+        assert str(_outcome(C.build_poset, [good, short, meets], closure, TOL)) == (
+            "blocks do not sum to identity: defect 1.000e+00")
+
+
+def test_dense_ranks_order_contexts_as_their_key_tuples():
+    # The bases of three contexts turn by 1e-8 apart: their blocks are
+    # distinct at the tolerance, yet their sort keys, rounded to 6 digits,
+    # tie.  Contexts sort by block count, then by their blocks' keys
+    # compared as tuples, ties kept in the order given.
+    rng = np.random.default_rng(5)
+    basis = random_unitary(3, rng)
+    maximal = []
+    for t in (2e-8, 0.0, 1e-8):
+        turn = np.eye(3, dtype=complex)
+        turn[np.ix_([0, 2], [0, 2])] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+        for groups in ([[0], [1], [2]], [[0, 1], [2]], [[0], [1, 2]]):
+            maximal.append(_grouping(basis @ turn, groups))
+    given = C.GivenContexts(maximal, TOL)
+    keys = given.table.keys
+    assert len(given.ids) == len(maximal) and len(set(keys)) < len(keys)
+    for _ in range(5):
+        positions = rng.permutation(len(given.ids)).tolist()
+        assert given._in_key_order(positions) == sorted(positions, key=lambda i: (
+            len(given.ids[i]), [keys[b] for b in given.ids[i]]))
+
+
 @pytest.mark.parametrize("closure", CLOSURES)
 def test_a_limit_anywhere_in_a_run_trips_as_one_at_a_time(closure, monkeypatch):
     # runs are cut at the room left under the limit: a closure of S contexts

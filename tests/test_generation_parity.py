@@ -337,15 +337,17 @@ def test_batched_partition_verdicts_agree_row_by_row():
 
 def test_build_poset_names_a_bad_coarsening_as_before(monkeypatch):
     """A valid context whose subset sums are formed wrong (the last block of
-    each group of two or more dropped): the first coarsening is flagged in
-    the batch and ``build_poset`` raises the per-context check's message."""
+    each group of two or more dropped from its staged sum): the first
+    coarsening is flagged in its run's check and ``build_poset`` raises the
+    per-context check's message."""
     ctx = C.make_context(E, TOL, label="atoms")
-    merge = C._merge
+    merge, staged = C._merge, C._staged_sums
 
     def wrong(blocks, group):
         return merge(blocks, group[:-1] or group)
 
-    monkeypatch.setattr(C, "_merge", wrong)
+    monkeypatch.setattr(C, "_staged_sums", lambda blocks, groups: staged(
+        blocks, [group[:-1] or group for group in groups]))
     mats = [wrong(ctx.blocks, group) for group in C._proper_partitions(4)[0][0]]
     want = _outcome(reference_check_partition, mats, overlaps(mats, mats, TOL),
                     TOL.scaled(4))

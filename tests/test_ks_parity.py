@@ -154,3 +154,20 @@ def test_a_listing_builds_the_closure_from_the_given_table(monkeypatch):
     code, out, _ = cli.run_command(["ks", str(SCENARIOS / "pauli2.json")])
     assert code == 0 and json.loads(out)["section_count"] == 8
     assert interned.count(True) == 1 and built == []
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_assignments_are_built_in_element_order(closure):
+    # ``qtopos ks`` renders each section's assignments as built: they must
+    # already be in ``poset.base.elements`` order, as ``items_sorted`` reads
+    listed = 0
+    for name, doc in DOCUMENTS:
+        scn = _scenario(doc, closure)
+        try:
+            result = Q.ks_search(scn.maximal_contexts, closure, scn.tolerance, max_solutions=3)
+        except SizeLimit:
+            continue
+        for sec in result.sections:
+            assert tuple(sec.assignments.items()) == sec.items_sorted(), name
+            listed += 1
+    assert listed > 0
