@@ -132,7 +132,8 @@ def _cmd_poset(args, scn: Scenario) -> dict:
         "context_count": len(poset),
         "contexts": [{"id": c.key, "label": c.label,
                       "block_ranks": [ranks[b] for b in c.ids]} for c in poset.contexts],
-        "relation": [list(pair) for pair in poset.base.strict_pairs()],
+        # the base's elements are the sorted keys: its strict pairs in key order
+        "relation": sorted([u, v] for u, v in poset.leq if u != v),
     }
 
 

@@ -63,9 +63,9 @@ def _block_sort_keys(stack: np.ndarray) -> list[tuple]:
 @dataclass(frozen=True, eq=False, init=False)
 class Context:
     """A partition of unity: pairwise orthogonal projectors summing to 1.
-    A context of a ``ContextPoset`` is the poset's block ``table`` and its
-    blocks' ``ids`` in it: its ``blocks`` are the table's read-only rows.
-    One from ``make_context`` keeps its own ``blocks``."""
+    A context of a ``ContextPoset``, or a generated one (a scenario's, say),
+    is a block ``table`` and its blocks' ``ids`` in it: its ``blocks`` are
+    the table's read-only rows.  One from ``make_context`` keeps its own."""
 
     key: str
     dim: int
@@ -318,14 +318,6 @@ def context_from_commuting_set(operators: Sequence, tol: Tolerance = Tolerance()
     return made
 
 
-@functools.cache
-def _pairs(k: int) -> np.ndarray:
-    """The positions (i, j), i < j, of ``k`` things, as two read-only rows."""
-    pairs = np.array(np.triu_indices(k, 1))
-    pairs.setflags(write=False)
-    return pairs
-
-
 def _generate(ops: np.ndarray, found: Sequence, groups: Sequence[Sequence[int]],
               tol: Tolerance, labels: Sequence[str | None]) -> list:
     """Per group of rows of the stack ``ops`` of Hermitian operators, the
@@ -338,33 +330,40 @@ def _generate(ops: np.ndarray, found: Sequence, groups: Sequence[Sequence[int]],
     order their errors take: all commutators in one gathered product (the
     first non-commuting pair in row order), the refinement of the joint
     eigenprojectors in one gathered product per operator position, at least
-    two blocks, every block a projector, then orthogonality and sum to
-    identity over all blocks at once (a flagged group is checked again
-    alone, which names its fault), the canonical order, and every
-    operator's reconstruction from its group's blocks.  Each block is the
-    product that one group at a time forms, bit for bit.  Groups go in runs
-    whose products hold about ``PAIR_ENTRIES`` matrix entries.
+    two blocks, every block a projector, the canonical order, then
+    orthogonality and sum to identity, and every operator's reconstruction
+    from its group's blocks.  Groups go in runs whose products hold about
+    ``PAIR_ENTRIES`` matrix entries.
+
+    All runs share one :class:`BlockTable` at ``tol``: a run interns its
+    groups' blocks in one call, in group order and key order within a
+    group, and checks the partitions off the table (``_check_run``); a
+    flagged group is checked again alone on its blocks in refinement order,
+    which names its fault.  A context is the table and its ids: each block
+    is the product one group alone forms, bit for bit, but a block within
+    eps * d of an earlier group's reads that group's row, as in build_poset.
     """
     d = ops.shape[-1]
     projs = np.concatenate([pairs[1] for pairs in found])
     starts = np.cumsum([0] + [len(pairs[1]) for pairs in found])
+    table = BlockTable(d, tol)
     out: list = []
     lo = size = 0
     for hi, rows in enumerate(groups):
         weight = (len(rows) + 2 * d) ** 2 * d * d  # bounds each product's entries
         if hi > lo and size + weight > PAIR_ENTRIES:
-            out += _generate_run(ops, projs, starts, groups[lo:hi], tol, labels[lo:hi])
+            out += _generate_run(ops, projs, starts, groups[lo:hi], labels[lo:hi], table)
             lo, size = hi, 0
         size += weight
-    return out + _generate_run(ops, projs, starts, groups[lo:], tol, labels[lo:])
+    return out + _generate_run(ops, projs, starts, groups[lo:], labels[lo:], table)
 
 
 def _generate_run(ops: np.ndarray, projs: np.ndarray, starts: np.ndarray,
-                  groups: Sequence[Sequence[int]], tol: Tolerance,
-                  labels: Sequence[str | None]) -> list:
-    """``_generate`` on one run of groups, operator r's eigenprojectors
-    being ``projs[starts[r]:starts[r + 1]]``."""
-    d = ops.shape[-1]
+                  groups: Sequence[Sequence[int]], labels: Sequence[str | None],
+                  table: BlockTable) -> list:
+    """``_generate`` on one run of groups into ``table``, operator r's
+    eigenprojectors being ``projs[starts[r]:starts[r + 1]]``."""
+    d, tol = ops.shape[-1], table.tol
     bound = tol.scaled(d)
     out: list = [None] * len(groups)
 
@@ -416,38 +415,27 @@ def _generate_run(ops: np.ndarray, projs: np.ndarray, starts: np.ndarray,
             out[owner[k]] = NotProjector(
                 f"block {k - begin[k]} is not a projector within tolerance")
 
-    def live() -> tuple[list[int], list[int], list[int]]:
-        """Drop the blocks of groups with an error; the groups left, and
-        where each one's blocks begin and end."""
-        nonlocal blocks, owner
-        keep = np.array([out[g] is None for g in owner.tolist()], dtype=bool)
-        blocks, owner = blocks[keep], owner[keep]
-        cuts = np.flatnonzero(np.diff(owner, prepend=-1))
-        return owner[cuts].tolist(), cuts.tolist(), cuts[1:].tolist() + [len(owner)]
-
-    gs, cuts, ends = live()
-    if not gs:
+    # Drop the groups with an error; where each one left begins and ends.
+    keep = np.array([out[g] is None for g in owner.tolist()], dtype=bool)
+    blocks, owner = blocks[keep], owner[keep]
+    if not len(owner):
         return out
-    i, j = np.concatenate([_pairs(e - c) + c for c, e in zip(cuts, ends)], axis=1)
-    clash = set(owner[i[sq_frob(blocks[i] @ blocks[j]) > bound ** 2]].tolist())
-    defect = sq_frob(np.add.reduceat(blocks, cuts) - np.eye(d)) > bound ** 2
-    for g, c, e, off in zip(gs, cuts, ends, defect.tolist()):
-        if off or g in clash:  # named by the check of one group alone
-            try:
-                _check_partition(blocks[c:e], overlaps(blocks[c:e], blocks[c:e], tol), bound)
-            except ToposError as exc:
-                out[g] = exc
-
-    gs, cuts, ends = live()
-    if not gs:
-        return out
+    cuts = np.flatnonzero(np.diff(owner, prepend=-1))
+    gs, cuts, ends = owner[cuts].tolist(), cuts.tolist(), cuts[1:].tolist() + [len(owner)]
     keys = _block_sort_keys(blocks)
-    blocks = blocks[[k for c, e in zip(cuts, ends)
-                     for k in sorted(range(c, e), key=keys.__getitem__)]]
-    blocks.setflags(write=False)
-    for g, c, e in zip(gs, cuts, ends):
-        out[g] = Context(key=labels[g] or _fresh_key(), dim=d, blocks=tuple(blocks[c:e]),
-                         label=labels[g])
+    order = [k for c, e in zip(cuts, ends) for k in sorted(range(c, e), key=keys.__getitem__)]
+    refined, blocks = blocks, blocks[order]
+    ids = table.intern(blocks, keys=[keys[k] for k in order])
+    flags = _check_run(table, blocks, ids, [np.ones((1, e - c)) for c, e in zip(cuts, ends)],
+                       bound)
+    for g, c, e, flag in zip(gs, cuts, ends, flags):
+        try:
+            if flag:  # named by the check of one group alone
+                _check_partition(refined[c:e], overlaps(refined[c:e], refined[c:e], tol), bound)
+            out[g] = Context(key=labels[g] or _fresh_key(), dim=d, label=labels[g],
+                             table=table, ids=tuple(ids[c:e]))
+        except ToposError as exc:
+            out[g] = exc
 
     # Each operator of each group against the group's blocks: one segment
     # of (operator, block) terms per operator, in group order.
@@ -578,19 +566,29 @@ class BlockTable:
         self.hits: dict[tuple, tuple] = {}
         self.held_rows = 0
 
+    def copy(self) -> BlockTable:
+        """A table of the same blocks, keys, ranks and meets, with no records."""
+        other = BlockTable(self.mats.shape[-1], self.tol)
+        other.mats, other.meets = self.mats.copy(), self.meets.copy()
+        other.keys, other.ranks = self.keys[:], self.ranks[:]
+        other.blocks = other.mats[:len(self.keys)]
+        other.blocks.setflags(write=False)
+        return other
+
     def forget(self) -> None:
         """Drop every record of ``hits``."""
         self.hits.clear()
         self.held_rows = 0
 
-    def intern(self, blocks: Sequence[np.ndarray],
-               parts: Sequence[Sequence[int]] | None = None) -> list[int]:
+    def intern(self, blocks: Sequence[np.ndarray], parts: Sequence[Sequence[int]] | None = None,
+               keys: Sequence[tuple] | None = None) -> list[int]:
         """The ids of ``blocks``, adding in order those not yet held; a block
         equal to an earlier new one of the batch takes its id, so one call
         gives the ids, keys and order of one call per block.  ``parts[r]``,
         if given, lists the held ids that block r sums: a block of one part
         is that part, and the new blocks' meets are a boolean product over
-        the held meets instead of :func:`qtopos.numerics.overlaps`."""
+        the held meets instead of :func:`qtopos.numerics.overlaps`.
+        ``keys``, if given, are the blocks' ``_block_sort_keys``."""
         stack, n = np.asarray(blocks), len(self.keys)
         ids = np.full(len(stack), n)
         if parts is not None:
@@ -632,7 +630,8 @@ class BlockTable:
             hits = np.concatenate([held.T, held @ sums.T]) > 0
         self.meets[n:m, :m] = hits.T
         self.meets[:m, n:m] = hits
-        keys = _block_sort_keys(self.mats[n:m])
+        keys = (_block_sort_keys(self.mats[n:m]) if keys is None
+                else list(map(keys.__getitem__, new.tolist())))
         self.keys += keys
         self.ranks += [round(-key[0]) for key in keys]
         self.blocks = self.mats[:m]
@@ -648,10 +647,11 @@ class ContextPoset:
     ``tol``; ``base`` is the kernel poset on the sorted keys.  ``leq`` must
     already be closed, as ``build_poset`` returns it: a hand-built poset is
     taken as given.  Every context holds the poset's block ``table`` and its
-    blocks' ``ids`` in it: the table that ``build_poset``'s contexts share,
-    or, for any other contexts (``make_context``'s, or another poset's at
-    another tolerance), a fresh one at ``tol`` held by copies of them.  A
-    context whose dimension is not ``dim`` raises ``DimensionMismatch``."""
+    blocks' ``ids`` in it: the table that the contexts share at ``tol`` (as
+    ``build_poset``'s or a scenario's do), or, for any other contexts
+    (``make_context``'s, or another poset's at another tolerance), a fresh
+    one at ``tol`` held by copies of them.  A context whose dimension is
+    not ``dim`` raises ``DimensionMismatch``."""
 
     dim: int
     contexts: tuple[Context, ...]
@@ -738,6 +738,13 @@ class GivenContexts:
     so that its error and the order of errors are those of one candidate
     at a time.
 
+    Contexts that share one table at ``tol`` and whose ids, read in order,
+    first meet it as 0, 1, ..., n - 1 (a scenario's maximal contexts) were
+    interned and checked as they were generated: their ids are added as
+    they are, to a copy of the table that ``close`` grows.  Any other
+    contexts (``make_context``'s, a subset or reordering of a scenario's,
+    two tables', another tolerance's) are interned and checked afresh.
+
     ``maximal`` reads the given contexts under no other off the table, which
     is all that :func:`qtopos.quantum.ks_search` needs for a verdict, and
     ``close`` continues the closure from here, so a caller that needs both
@@ -749,10 +756,18 @@ class GivenContexts:
         self.tol = tol
         self.dim = maximal[0].dim if maximal else 0
         self.bound = tol.scaled(self.dim)
-        self.table = BlockTable(self.dim, tol)
         self.labels: list[str | None] = []
         self.ids: list[list[int]] = []  # per context, its block ids in key order
         self.seen: set[tuple[int, ...]] = set()
+        table = maximal[0].table if maximal else None
+        if (table is not None and table.tol == tol and all(c.table is table for c in maximal)
+                and list(dict.fromkeys(b for c in maximal for b in c.ids))
+                == list(range(len(table.keys)))):
+            self.table = table.copy()
+            for ctx in maximal:
+                self._add(ctx.ids, tuple(sorted(ctx.ids)), ctx.label)
+            return
+        self.table = BlockTable(self.dim, tol)
 
         def given() -> Iterator[tuple[int, tuple]]:
             for ctx in maximal:
@@ -960,8 +975,10 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     lookup; the poset, built at ``tol``, and its contexts keep the table,
     and each context its block ids, whose rows are its matrices: a
     candidate is checked on the matrices it was formed with, then dropped.
-    ``V..`` ids
-    sort contexts by block count, then by block entries rounded to 6
+    Given contexts that share one table in order, as a scenario's maximal
+    contexts do, were interned and checked as they were generated: the
+    closure grows a copy of their table (:class:`GivenContexts`).  ``V..``
+    ids sort contexts by block count, then by block entries rounded to 6
     digits, compared as dense ranks of the table's keys (equal keys, equal
     ranks): near a rounding boundary ids can change (say under a global
     unitary); shape, order and verdict hold.

@@ -99,9 +99,9 @@ class SpectralPresheaf:
 
 
 def _tolerance(tol: Tolerance | None, table: BlockTable | None) -> Tolerance:
-    """The tolerance a query at ``tol`` runs at: that of ``table``, a poset's,
-    which ``tol``, if given, must equal; with no table (a context outside any
-    poset), ``tol`` or the default."""
+    """The tolerance a query at ``tol`` runs at: that of ``table`` (a poset's
+    or a scenario's), which ``tol``, if given, must equal; with no table (a
+    ``make_context`` context), ``tol`` or the default."""
     if table is None:
         return Tolerance() if tol is None else tol
     if tol is None or tol is table.tol or tol == table.tol:
@@ -234,7 +234,7 @@ def _approximation(ctx: Context, hits: list, inner: bool) -> tuple[tuple, np.nda
     """Block indices and matrix of an approximation in ``ctx`` from ``hits``:
     the outer one sums the blocks that meet ``p`` (``_outer_hits``), the inner
     one keeps the blocks that miss ``1 - p``; its matrix is ``1`` minus the
-    dropped blocks.  A poset context's blocks are its table's rows."""
+    dropped blocks.  A context that holds a table reads its rows."""
     picked = tuple(i for i, hit in enumerate(hits) if hit)
     m = sum((ctx.blocks[i] for i in picked), np.zeros((ctx.dim, ctx.dim), dtype=complex))
     if inner:
@@ -283,8 +283,8 @@ def daseinise(projector, poset: ContextPoset, tol: Tolerance | None = None,
 
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
     """``daseinise``'s row for ``ctx`` at its tolerance ``tol``: the row its
-    poset's table remembers (``_rows``) if it holds one, else built from
-    a test against its own ``stack`` and not kept."""
+    table (a poset's or a scenario's) remembers (``_rows``) if it holds one,
+    else built from a test against its own ``stack`` and not kept."""
     if ctx.table is not None:
         return _rows(p, ctx.table, tol, inner, (ctx,))[0]
     return _approximation(ctx, _outer_hits(p, ctx.stack, tol, inner).tolist(), inner)

@@ -171,7 +171,9 @@ def parse_scenario(text: str) -> Scenario:
     (:func:`qtopos.numerics.eigensystems`): the projectors' sources, then
     the rest (a projector made from a projector of the same section takes
     one call of its own).  Every maximal context, builtin lines included,
-    comes from one generation pass over all groups (``contexts._generate``);
+    comes from one generation pass over all groups (``contexts._generate``),
+    which interns and checks their blocks in one block table that they
+    share, so that ``build_poset`` and ``ks_search`` take them as they are;
     a group only raises once the groups before it have been generated, so
     errors come in the order of one group at a time.  An operator whose
     squared Frobenius norm overflows float64 is refused, by name, where its

@@ -468,8 +468,9 @@ def test_subset_sums_match_the_per_partition_closure_on_families(
 def test_subset_sums_match_the_per_partition_closure_on_observables(
         levels, monkeypatch):
     events = assert_same_closure([_generic_observable(levels)], TOL, monkeypatch)
-    # the maximal context's own intern, then one for its 2^k - k - 2 sums
-    assert events == ["intern", "expand"] + ["intern"] * (levels > 2)
+    # the maximal context was interned as it was generated: one intern for
+    # its 2^k - k - 2 sums
+    assert events == ["expand"] + ["intern"] * (levels > 2)
 
 
 @pytest.mark.parametrize("levels", [12, 16])
@@ -748,15 +749,16 @@ def test_a_limit_anywhere_in_a_run_trips_as_one_at_a_time(closure, monkeypatch):
 
 
 def test_the_square_is_two_interns_and_one_product(monkeypatch):
-    # the given contexts, then the coarsening pass, with no meet pass; only
-    # the given blocks are multiplied out
-    maximal = C.builtin_scenario("mermin-square", TOL)[2]
+    # over generation and closure: the given contexts as they are
+    # generated, then the coarsening pass, with no meet pass; only the given
+    # blocks are multiplied out
     calls = []
     intern, products = C.BlockTable.intern, C.overlaps
-    monkeypatch.setattr(C.BlockTable, "intern", lambda self, blocks, parts=None: (
-        calls.append("intern"), intern(self, blocks, parts))[1])
+    monkeypatch.setattr(C.BlockTable, "intern", lambda self, blocks, parts=None, **kw: (
+        calls.append("intern"), intern(self, blocks, parts, **kw))[1])
     monkeypatch.setattr(C, "overlaps", lambda *args: (
         calls.append("overlaps"), products(*args))[1])
+    maximal = C.builtin_scenario("mermin-square", TOL)[2]
     poset = C.build_poset(maximal, "coarsenings", TOL)
     assert sorted(calls) == ["intern"] * 2 + ["overlaps"]
     monkeypatch.undo()

@@ -217,8 +217,8 @@ def test_hand_built_posets_and_presheaves(monkeypatch):
     interns = []
     intern = C.BlockTable.intern
     monkeypatch.setattr(C.BlockTable, "intern",
-                        lambda self, blocks, parts=None:
-                        interns.append(1) or intern(self, blocks, parts))
+                        lambda self, blocks, parts=None, **kw:
+                        interns.append(1) or intern(self, blocks, parts, **kw))
     for built, tol, named, states in _cases():
         projectors, states = _queries(built, named, states)
         # build_poset's contexts: the poset takes the table they share

@@ -10,7 +10,11 @@ validated on its own, each operator reconstructed on its own, one partition
 checked at a time.  The stacked versions in ``qtopos.contexts`` and
 ``qtopos.numerics`` must give bit-equal blocks under the same keys and
 labels, the same verdicts, and the same error type and message, whether
-one group is generated or a whole scenario's groups at once.
+one group is generated or a whole scenario's groups at once.  A generated
+context's blocks are the rows of its one block table, so the reference's
+contexts of a scenario are read as the rows of one table into which they
+are interned in group order (``in_one_table``), as ``build_poset`` reads
+them.
 """
 from __future__ import annotations
 
@@ -187,6 +191,21 @@ def assert_same(new, old) -> None:
         assert np.array_equal(a, b)
 
 
+def in_one_table(made: list, tol: Tolerance = TOL) -> list:
+    """``made``, contexts generated one group at a time (or errors), with
+    each context's blocks read as the rows of one ``BlockTable`` at ``tol``
+    into which all their blocks were interned in order: the rows that
+    ``build_poset`` reads for them, and that generation now gives."""
+    held = [ctx for ctx in made if isinstance(ctx, C.Context)]
+    if not held:
+        return made
+    table = C.BlockTable(held[0].dim, tol)
+    ids = iter(table.intern([b for c in held for b in c.blocks]))
+    return [C.Context(key=ctx.key, dim=ctx.dim, label=ctx.label, table=table,
+                      ids=tuple(next(ids) for _ in ctx.blocks))
+            if isinstance(ctx, C.Context) else ctx for ctx in made]
+
+
 def assert_generation_parity(ops, tol=TOL, label="family") -> None:
     assert_same(_outcome(C.context_from_commuting_set, ops, tol, label=label),
                 _outcome(reference_context_from_commuting_set, ops, tol, label=label))
@@ -205,15 +224,16 @@ def _maximal_by_reference(scenario_text: str) -> list:
                  for group in doc.get("groups", [])]
     expected = [reference_context_from_commuting_set(ops, scn.tolerance, label=label)
                 for ops, label in families]
-    return scn.maximal_contexts, expected
+    return scn.maximal_contexts, in_one_table(expected, scn.tolerance)
 
 
 @pytest.mark.parametrize("name", ["pauli2", "mermin-square"])
 def test_builtins(name):
     _dim, ops, lines = C._builtin_lines(name)
-    for (line, names), ctx in zip(lines.items(), C.builtin_scenario(name, TOL)[2]):
-        assert_same(ctx, reference_context_from_commuting_set(
-            [ops[nm] for nm in names], TOL, label=line))
+    expected = in_one_table([reference_context_from_commuting_set(
+        [ops[nm] for nm in names], TOL, label=line) for line, names in lines.items()])
+    for ctx, old in zip(C.builtin_scenario(name, TOL)[2], expected, strict=True):
+        assert_same(ctx, old)
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
@@ -483,7 +503,7 @@ def reference_groups(text: str):
             return ValidationError(f"group {gi} generates the trivial algebra: {exc}")
         except ToposError as exc:
             return exc
-    return made
+    return in_one_table(made)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -513,9 +533,11 @@ def test_groups_generated_together_match_each_alone(seed, dim, sizes):
         labels = [None if k % 2 else f"g{k}" for k in range(len(kept))]
         made = C._generate(np.stack([ops[r] for r in rows]), [found[r] for r in rows],
                            [[rows.index(r) for r in group] for group in kept], TOL, labels)
-        for group, label, new in zip(kept, labels, made):
-            assert_same(new, _outcome(reference_context_from_commuting_set,
-                                      [ops[r] for r in group], TOL, label=label))
+        expected = in_one_table([_outcome(reference_context_from_commuting_set,
+                                          [ops[r] for r in group], TOL, label=label)
+                                 for group, label in zip(kept, labels)])
+        for new, old in zip(made, expected, strict=True):
+            assert_same(new, old)
 
 
 SX2, SZ2, BAD = [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [0, 0]]

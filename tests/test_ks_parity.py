@@ -145,9 +145,9 @@ def test_a_listing_builds_the_closure_from_the_given_table(monkeypatch):
     interned, built = [], []
     intern = C.BlockTable.intern
 
-    def counting(self, blocks, parts=None):
+    def counting(self, blocks, parts=None, **kw):
         interned.append(parts is None)
-        return intern(self, blocks, parts)
+        return intern(self, blocks, parts, **kw)
 
     monkeypatch.setattr(C.BlockTable, "intern", counting)
     monkeypatch.setattr(Q, "spectral_presheaf", lambda *a, **k: built.append(a))
