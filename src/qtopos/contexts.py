@@ -60,25 +60,19 @@ def _block_sort_keys(stack: np.ndarray) -> list[tuple]:
     return [(-round(t, 6), tuple(row)) for t, row in zip(traces, parts.tolist())]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Context:
-    """A partition of unity: pairwise orthogonal projectors summing to 1.
-    A context of a ``ContextPoset``, or a generated one (a scenario's, say),
-    is a block ``table`` and its blocks' ``ids`` in it: its ``blocks`` are
-    the table's read-only rows.  One from ``make_context`` keeps its own."""
+    """A partition of unity: pairwise orthogonal projectors summing to 1,
+    held as a block ``table`` and its blocks' ``ids`` in it, in key order;
+    its ``blocks`` are the table's read-only rows.  A poset's contexts share
+    the poset's table and a scenario's the table they were generated into;
+    one from ``make_context`` holds a table of its own blocks alone."""
 
     key: str
     dim: int
     label: str | None
-    table: BlockTable | None
-    ids: tuple[int, ...] | None
-
-    def __init__(self, key: str, dim: int, blocks: Sequence[np.ndarray] | None = None,
-                 label: str | None = None, table: BlockTable | None = None,
-                 ids: tuple[int, ...] | None = None):
-        vars(self).update(key=key, dim=dim, label=label, table=table, ids=ids)
-        if blocks is not None:
-            vars(self)["blocks"] = tuple(blocks)
+    table: BlockTable
+    ids: tuple[int, ...]
 
     @functools.cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -86,16 +80,7 @@ class Context:
 
     @functools.cached_property
     def ranks(self) -> tuple[int, ...]:
-        if self.table is not None:
-            return tuple(map(self.table.ranks.__getitem__, self.ids))
-        return tuple(round(t) for t in np.einsum("kaa->k", self.blocks).real.tolist())
-
-    @functools.cached_property
-    def stack(self) -> np.ndarray:
-        """The blocks as one read-only array, stacked on first use."""
-        stack = np.stack(self.blocks)
-        stack.setflags(write=False)
-        return stack
+        return tuple(map(self.table.ranks.__getitem__, self.ids))
 
     def __repr__(self) -> str:
         tag = f" label={self.label!r}" if self.label else ""
@@ -262,7 +247,12 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
                  label: str | None = None) -> Context:
     """Validate and canonically order a partition of unity, keyed by its
     ``label`` or, without one, by a fresh ``ctxN`` key: the blocks as
-    projectors, then their dimensions and traces, then the partition."""
+    projectors, then their dimensions and traces, then the partition.  The
+    context holds a table at ``tol`` of its blocks alone, in the order
+    given, and their ids in key order: the stack, ``overlaps`` product and
+    sort keys of the checks are the table's rows, meets and keys.  The
+    blocks are pairwise far apart (orthogonal, each of trace above 0.5), so
+    no two are the same block."""
     mats = [as_operator(b) for b in blocks]
     if len(mats) < 2:
         raise TrivialContext("a context needs at least two blocks")
@@ -279,11 +269,12 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
     if empty.size:
         raise ValidationError(
             f"block {empty[0]} is empty: trace {traces[empty[0]]:.3e} is below 0.5")
-    _check_partition(stack, overlaps(stack, stack, tol), tol.scaled(dim))
+    meets = overlaps(stack, stack, tol)
+    _check_partition(stack, meets, tol.scaled(dim))
     keys = _block_sort_keys(stack)
-    stack = stack[sorted(range(len(stack)), key=keys.__getitem__)]
-    stack.setflags(write=False)
-    return Context(key=label or _fresh_key(), dim=dim, blocks=tuple(stack), label=label)
+    return Context(key=label or _fresh_key(), dim=dim, label=label,
+                   table=BlockTable(dim, tol, stack, meets, keys),
+                   ids=tuple(sorted(range(len(stack)), key=keys.__getitem__)))
 
 
 def contexts_equal(a: Context, b: Context, tol: Tolerance = Tolerance()) -> bool:
@@ -552,13 +543,20 @@ class BlockTable:
     within a factor sqrt(k) below it.
     """
 
-    def __init__(self, dim: int, tol: Tolerance):
+    def __init__(self, dim: int, tol: Tolerance, mats: np.ndarray | None = None,
+                 meets: np.ndarray | None = None, keys: Sequence[tuple] = ()):
+        """An empty table at ``tol`` of ``dim``-square blocks, or one whose
+        blocks are the first ``len(keys)`` of ``mats`` (taken, not copied),
+        meeting as ``meets`` (of ``len(mats)`` rows and columns), with the
+        sort keys ``keys``; either has no records."""
         self.tol = tol
-        self.mats = np.empty((16, dim, dim), dtype=complex)
-        self.meets = np.zeros((16, 16), dtype=bool)
-        self.keys: list[tuple] = []
-        self.ranks: list[int] = []  # per block, its rank: its key's trace, rounded
-        self.blocks = self.mats[:0]  # the distinct blocks in id order, read-only
+        self.mats = np.empty((16, dim, dim), dtype=complex) if mats is None else mats
+        self.meets = np.zeros((16, 16), dtype=bool) if meets is None else meets
+        self.keys: list[tuple] = list(keys)
+        # per block, its rank: its key's trace, rounded
+        self.ranks: list[int] = [round(-key[0]) for key in self.keys]
+        self.blocks = self.mats[:len(self.keys)]  # the distinct blocks in id order
+        self.blocks.setflags(write=False)
         # quantum._record's records, one per tested matrix and variant: its
         # read-only flags, one per held block, and the daseinisation rows of
         # the contexts asked so far, ``held_rows`` of them in all; quantum
@@ -568,12 +566,8 @@ class BlockTable:
 
     def copy(self) -> BlockTable:
         """A table of the same blocks, keys, ranks and meets, with no records."""
-        other = BlockTable(self.mats.shape[-1], self.tol)
-        other.mats, other.meets = self.mats.copy(), self.meets.copy()
-        other.keys, other.ranks = self.keys[:], self.ranks[:]
-        other.blocks = other.mats[:len(self.keys)]
-        other.blocks.setflags(write=False)
-        return other
+        return BlockTable(self.mats.shape[-1], self.tol, self.mats.copy(), self.meets.copy(),
+                          self.keys)
 
     def forget(self) -> None:
         """Drop every record of ``hits``."""
@@ -663,9 +657,8 @@ class ContextPoset:
             if c.dim != self.dim:
                 raise DimensionMismatch(
                     f"context {c.key} has dimension {c.dim} != {self.dim}")
-        table = self.contexts[0].table if self.contexts else None
-        if (table is None or table.tol != self.tol
-                or any(c.table is not table for c in self.contexts)):
+        table = self.contexts[0].table if self.contexts else BlockTable(self.dim, self.tol)
+        if table.tol != self.tol or any(c.table is not table for c in self.contexts):
             table = BlockTable(self.dim, self.tol)
             blocks = [b for c in self.contexts for b in c.blocks]
             ids = iter(table.intern(blocks) if blocks else ())
@@ -741,9 +734,9 @@ class GivenContexts:
     Contexts that share one table at ``tol`` and whose ids, read in order,
     first meet it as 0, 1, ..., n - 1 (a scenario's maximal contexts) were
     interned and checked as they were generated: their ids are added as
-    they are, to a copy of the table that ``close`` grows.  Any other
-    contexts (``make_context``'s, a subset or reordering of a scenario's,
-    two tables', another tolerance's) are interned and checked afresh.
+    they are, to a copy of the table that ``close`` grows.  Other contexts
+    (most ``make_context``'s, a subset or reordering of a scenario's, two
+    tables', another tolerance's) are interned and checked afresh.
 
     ``maximal`` reads the given contexts under no other off the table, which
     is all that :func:`qtopos.quantum.ks_search` needs for a verdict, and

@@ -4,17 +4,19 @@ This is the quantum layer on top of the generic kernel: each context
 contributes its blocks as a finite set, restriction coarsens blocks (every
 map of a poset read off its block table in one gather), and projectors are
 approximated per context by the smallest dominating (outer) or largest
-dominated (inner) sums of blocks.  Over a poset, the outer hits are
-one ``overlaps`` row per distinct block of its table, and closure is checked
-on the table's "lies under" edges.  Every context of the poset holds the
-table and its block ids, and the table keeps one record per projector and
-variant: the flags, and each context's daseinisation row (indices and
-matrix) once that context has been asked.  The poset-wide ``daseinise`` and
-the per-context functions read the same rows, so the first ask of a
-projector makes one ``overlaps`` call in all and a repeated ask is a lookup.
-The records are bounded: ``_HITS_CAP`` projectors and ``POSET_LIMIT`` rows
-in all.  Every query on a poset runs at the poset's tolerance
-(``_tolerance``).  Truth values of
+dominated (inner) sums of blocks.  Every context holds a block table and
+its block ids: a poset's contexts share the poset's, a scenario's the one
+they were generated into, and a ``make_context`` context holds one of its
+own blocks.  The outer hits are one ``overlaps`` row per distinct block of
+the table, and over a poset closure is checked on the table's "lies under"
+edges.  The table keeps one record per projector and variant: the flags,
+and each context's daseinisation row (indices and matrix) once that
+context has been asked.  The poset-wide ``daseinise`` and the per-context
+functions read the same rows, so the first ask of a projector makes one
+``overlaps`` call in all and a repeated ask is a lookup.  The records are
+bounded: ``_HITS_CAP`` projectors and ``POSET_LIMIT`` rows in all, on a
+standalone context's table as on a poset's.  Every query runs at the
+tolerance of the table it reads (``_tolerance``).  Truth values of
 propositions land in the lower sets of the context poset, and the
 global-section (Kochen-Specker) search decides whether a noncontextual
 valuation exists at all.  That verdict needs only the maximal contexts and
@@ -98,12 +100,10 @@ class SpectralPresheaf:
                         dtype=np.intp)
 
 
-def _tolerance(tol: Tolerance | None, table: BlockTable | None) -> Tolerance:
-    """The tolerance a query at ``tol`` runs at: that of ``table`` (a poset's
-    or a scenario's), which ``tol``, if given, must equal; with no table (a
-    ``make_context`` context), ``tol`` or the default."""
-    if table is None:
-        return Tolerance() if tol is None else tol
+def _tolerance(tol: Tolerance | None, table: BlockTable) -> Tolerance:
+    """The tolerance a query at ``tol`` runs at: that of ``table`` (a
+    poset's, a scenario's or a ``make_context`` context's own), which
+    ``tol``, if given, must equal."""
     if tol is None or tol is table.tol or tol == table.tol:
         return table.tol
     raise ValidationError(f"a query at eps {tol.eps!r} on a poset built at "
@@ -199,14 +199,22 @@ class _Hits(NamedTuple):
 
 
 def _record(p: np.ndarray, table: BlockTable, tol: Tolerance, inner: bool) -> _Hits:
-    """``table``'s record of ``p``, keyed by ``(inner, shape, bytes)`` of ``p``
-    in ``table.hits``, made with one ``overlaps`` if missing.  The records are
-    dropped at ``_HITS_CAP`` of them and whenever ``intern`` grows the table,
-    so their flags always cover the held blocks."""
+    """``table``'s record of the complex matrix ``p``, keyed by ``(inner,
+    shape, bytes)`` of ``p`` in ``table.hits``.  If missing, it is made with
+    one ``overlaps`` at ``tol``: its flags say which of the table's distinct
+    blocks meet ``p`` (``1 - p`` if ``inner``).  The records are dropped at
+    ``_HITS_CAP`` of them and whenever ``intern`` grows the table, so their
+    flags always cover the held blocks."""
     key = (inner, p.shape, p.tobytes())
     record = table.hits.get(key)
     if record is None:
-        flags = _outer_hits(p, table.blocks, tol, inner)
+        blocks, flags = table.blocks, np.zeros(0, dtype=bool)
+        if len(blocks):
+            if p.shape[0] != blocks.shape[-1]:
+                raise DimensionMismatch(f"projector dimension {p.shape[0]} != "
+                                        f"context dimension {blocks.shape[-1]}")
+            q = np.eye(p.shape[0], dtype=complex) - p if inner else p
+            flags = overlaps(blocks, q[None], tol)[:, 0]
         flags.setflags(write=False)
         if len(table.hits) >= _HITS_CAP:
             table.forget()
@@ -214,27 +222,11 @@ def _record(p: np.ndarray, table: BlockTable, tol: Tolerance, inner: bool) -> _H
     return record
 
 
-def _outer_hits(p: np.ndarray, blocks: np.ndarray, tol: Tolerance,
-                inner: bool = False) -> np.ndarray:
-    """Which of ``blocks`` (a stack, such as a context's own ``Context.stack``,
-    or a ``BlockTable``'s distinct blocks) meet the complex matrix ``p``
-    (``1 - p`` if ``inner``), by one ``overlaps``.  A poset's table keeps
-    the flags of its blocks, at its own tolerance, in its ``_record`` of
-    ``p``."""
-    if not len(blocks):
-        return np.zeros(0, dtype=bool)
-    if p.shape[0] != blocks.shape[-1]:
-        raise DimensionMismatch(f"projector dimension {p.shape[0]} != "
-                                f"context dimension {blocks.shape[-1]}")
-    q = np.eye(p.shape[0], dtype=complex) - p if inner else p
-    return overlaps(blocks, q[None], tol)[:, 0]
-
-
 def _approximation(ctx: Context, hits: list, inner: bool) -> tuple[tuple, np.ndarray]:
-    """Block indices and matrix of an approximation in ``ctx`` from ``hits``:
-    the outer one sums the blocks that meet ``p`` (``_outer_hits``), the inner
-    one keeps the blocks that miss ``1 - p``; its matrix is ``1`` minus the
-    dropped blocks.  A context that holds a table reads its rows."""
+    """Block indices and matrix of an approximation in ``ctx`` from ``hits``,
+    its blocks' flags in a ``_record``: the outer one sums the blocks that
+    meet ``p``, the inner one keeps the blocks that miss ``1 - p``; its
+    matrix is ``1`` minus the dropped blocks."""
     picked = tuple(i for i, hit in enumerate(hits) if hit)
     m = sum((ctx.blocks[i] for i in picked), np.zeros((ctx.dim, ctx.dim), dtype=complex))
     if inner:
@@ -282,12 +274,9 @@ def daseinise(projector, poset: ContextPoset, tol: Tolerance | None = None,
 
 
 def _in_context(p: np.ndarray, ctx: Context, tol: Tolerance, inner: bool):
-    """``daseinise``'s row for ``ctx`` at its tolerance ``tol``: the row its
-    table (a poset's or a scenario's) remembers (``_rows``) if it holds one,
-    else built from a test against its own ``stack`` and not kept."""
-    if ctx.table is not None:
-        return _rows(p, ctx.table, tol, inner, (ctx,))[0]
-    return _approximation(ctx, _outer_hits(p, ctx.stack, tol, inner).tolist(), inner)
+    """``daseinise``'s row for ``ctx`` at its tolerance ``tol``: the row that
+    its table (a poset's, a scenario's or its own) remembers (``_rows``)."""
+    return _rows(p, ctx.table, tol, inner, (ctx,))[0]
 
 
 def daseinise_projector(projector, ctx: Context,
@@ -352,31 +341,23 @@ def pseudo_state(psi, presheaf: SpectralPresheaf,
 class TruthObject:
     """Per context, the filter of block sums the state almost surely passes.
 
-    A block sum is a bitmask over block indices (bit i set means block i is
-    in the sum); it is a member when its ``weights`` <psi|p_i|psi> add up to
-    at least ``1 - eps``.
+    A block sum is a set of a context's blocks; it is a member when its
+    ``weights`` <psi|p_i|psi>, added in block order as Python's ``sum`` adds
+    them (``_column_sums``), come to at least ``1 - eps``.
     """
 
     psi: np.ndarray
     weights: dict
     tol: Tolerance
 
-    def contains(self, key: str, mask: int) -> bool:
-        return (sum(w for i, w in enumerate(self.weights[key]) if mask >> i & 1)
-                >= 1.0 - self.tol.eps)
-
 
 def truth_object(psi, poset: ContextPoset,
                  tol: Tolerance | None = None) -> TruthObject:
     tol = _tolerance(tol, poset.table)
-    vec = _unit_state(psi, poset, tol)
-    per_block = ((poset.table.blocks @ vec) @ vec.conj()).real.tolist()
-    weights = {c.key: [per_block[b] for b in c.ids] for c in poset.contexts}
-    obj = TruthObject(psi=vec, weights=weights, tol=tol)
-    for ctx in poset.contexts:
-        if not obj.contains(ctx.key, 2 ** len(ctx.ids) - 1):
-            raise ValidationError(f"identity missing from filter at {ctx.key}")
-    return obj
+    vec, weights = _weights(psi, poset, tol)
+    columns = weights.T.tolist()
+    return TruthObject(psi=vec, weights={c.key: column[:len(c.ids)] for c, column
+                                         in zip(poset.contexts, columns)}, tol=tol)
 
 
 def truth_value_pseudo(projector, psi, presheaf: SpectralPresheaf,
@@ -406,27 +387,33 @@ def _column_sums(rows: np.ndarray) -> np.ndarray:
     return total + comp
 
 
-def truth_value_truthobject(projector, psi, poset: ContextPoset,
-                            tol: Tolerance | None = None) -> kernel.LowerSet:
-    """Contexts where the truth object holds the outer approximation.
-
-    ``truth_object``'s test on arrays: one gather of the per-block weights
-    through ``poset._id_rows`` (the padding reads weight 0) gives every
-    context's weights by block position, and one sum over the positions
-    (``_column_sums``) adds a context's weights, or those of the blocks its
-    remembered flags hit, in the order ``TruthObject.contains`` does; so
-    every verdict, and the error for a context that misses the identity,
-    is the one ``truth_object`` and ``contains`` give."""
-    tol = _tolerance(tol, poset.table)
+def _weights(psi, poset: ContextPoset, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The unit state of ``psi`` and its weights <psi|p|psi> on every
+    context's blocks, gathered through ``poset._id_rows`` (a pad reads 0):
+    row i, column c is the weight of context c's i-th block.  The first
+    context whose weights, added by ``_column_sums``, fall short of 1 - eps
+    misses the identity, and raises."""
     vec = _unit_state(psi, poset, tol)
-    ids = poset._id_rows
-    weights = np.append(((poset.table.blocks @ vec) @ vec.conj()).real, 0.0)[ids]
+    weights = np.append(((poset.table.blocks @ vec) @ vec.conj()).real, 0.0)[poset._id_rows]
     whole = _column_sums(weights) >= 1.0 - tol.eps
     if not whole.all():
         key = poset.contexts[int(whole.argmin())].key
         raise ValidationError(f"identity missing from filter at {key}")
+    return vec, weights
+
+
+def truth_value_truthobject(projector, psi, poset: ContextPoset,
+                            tol: Tolerance | None = None) -> kernel.LowerSet:
+    """Contexts where the truth object holds the outer approximation.
+
+    A context is in it when the weights of ``_weights`` on the blocks that
+    the projector's remembered flags hit, added by ``_column_sums`` as
+    Python's ``sum`` adds them in block order, come to 1 - eps or more; a
+    context that misses the identity raises the error of ``truth_object``."""
+    tol = _tolerance(tol, poset.table)
+    weights = _weights(psi, poset, tol)[1]
     p = require_projector(projector, tol, "projector")
-    hit = np.append(_record(p, poset.table, tol, False).flags, False)[ids]
+    hit = np.append(_record(p, poset.table, tol, False).flags, False)[poset._id_rows]
     held = (_column_sums(np.where(hit, weights, 0.0)) >= 1.0 - tol.eps).tolist()
     return kernel.lowerset(poset.base, [c.key for c, h in zip(poset.contexts, held) if h])
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qtopos.contexts import Context, make_context
+from qtopos.contexts import BlockTable, Context, make_context
 from qtopos.numerics import Tolerance
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -63,3 +63,24 @@ def random_context(dim: int, rng: np.random.Generator,
         cols = u[:, lo:hi]
         blocks.append(cols @ cols.conj().T)
     return make_context(blocks, tol)
+
+
+def contains(obj, key: str, mask: int) -> bool:
+    """Does the truth object ``obj`` hold, at context ``key``, the block sum
+    ``mask`` (bit i set: block i is in the sum)?  Its weights, added by
+    Python's ``sum``, come to at least ``1 - eps``."""
+    return (sum(w for i, w in enumerate(obj.weights[key]) if mask >> i & 1)
+            >= 1.0 - obj.tol.eps)
+
+
+def unchecked_context(key: str, blocks, label: str | None = None,
+                      tol: Tolerance | None = None) -> Context:
+    """A context of ``blocks``, in the order given, interned into a fresh
+    ``BlockTable`` at ``tol``.  Nothing is checked (``intern`` only refuses
+    a block that is not a projector), so a bad partition stays bad: the
+    reference implementations and the deliberately bad contexts of the
+    tests are made this way."""
+    mats = np.asarray(blocks, dtype=complex)
+    table = BlockTable(mats.shape[-1], Tolerance() if tol is None else tol)
+    return Context(key=key, dim=mats.shape[-1], label=label, table=table,
+                   ids=tuple(table.intern(mats)))

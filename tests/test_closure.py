@@ -29,7 +29,12 @@ from qtopos import quantum as Q
 from qtopos.errors import SizeLimit, TrivialContext, ValidationError
 from qtopos.numerics import Tolerance, overlaps
 from qtopos.scenario import parse_scenario
-from tests.conftest import random_context, random_hermitian, random_unitary
+from tests.conftest import (
+    random_context,
+    random_hermitian,
+    random_unitary,
+    unchecked_context,
+)
 
 TOL = Tolerance()
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -77,8 +82,7 @@ def reference_build_poset(maximal, closure, tol=TOL) -> C.ContextPoset:
     ordered = sorted(ctxs, key=lambda c: (
         len(c.blocks), tuple(reference_block_sort_key(b) for b in c.blocks)))
     width = max(2, len(str(len(ordered) - 1)))
-    relabeled = [C.Context(key=f"V{i:0{width}d}", dim=c.dim, blocks=c.blocks,
-                           label=c.label)
+    relabeled = [unchecked_context(f"V{i:0{width}d}", c.blocks, c.label)
                  for i, c in enumerate(ordered)]
     leq = frozenset((a.key, b.key) for a in relabeled for b in relabeled
                     if len(a.blocks) <= len(b.blocks) and C.context_leq(a, b, tol))
@@ -315,8 +319,8 @@ def per_partition_build_poset(maximal, closure="coarsenings", tol=TOL):
         order = sorted(range(len(ids)), key=lambda i: table.keys[ids[i]])
         seen.add(found)
         ids_of.append([ids[i] for i in order])
-        ctxs.append(C.Context(key="", dim=dim, label=label,
-                              blocks=tuple(table.blocks[ids[i]] for i in order)))
+        ctxs.append(C.Context(key="", dim=dim, label=label, table=table,
+                              ids=tuple(ids[i] for i in order)))
         if len(ctxs) > C.POSET_LIMIT:
             raise SizeLimit(f"closure exceeded {C.POSET_LIMIT} contexts")
 
@@ -344,8 +348,8 @@ def per_partition_build_poset(maximal, closure="coarsenings", tol=TOL):
     relabeled = []
     member = np.zeros((len(order), n), dtype=np.float32)
     for r, i in enumerate(order):
-        relabeled.append(C.Context(key=f"V{r:0{width}d}", dim=dim, blocks=ctxs[i].blocks,
-                                   label=ctxs[i].label, table=table, ids=tuple(ids_of[i])))
+        relabeled.append(C.Context(key=f"V{r:0{width}d}", dim=dim, label=ctxs[i].label,
+                                   table=table, ids=tuple(ids_of[i])))
         member[r, ids_of[i]] = 1
     misfit = (member @ table.meets[:n, :n] != 1).astype(np.float32)
     leq = set()
@@ -614,7 +618,7 @@ def test_a_chain_of_near_twins_interns_as_one_call_per_block():
 def test_an_earlier_candidates_error_comes_first():
     # the given contexts are interned as one run, yet the first one's fault
     # still wins over the second one's dimension, as one at a time
-    short = C.Context(key="short", dim=2, blocks=(np.diag([1.0, 0.0]).astype(complex),))
+    short = unchecked_context("short", [np.diag([1.0, 0.0])])
     other = C.context_from_commuting_set([np.diag([1.0, 2.0, 3.0])], TOL)
     with pytest.raises(ValidationError, match="^blocks do not sum to identity"):
         C.build_poset([short, other], "intersections", TOL)
@@ -696,9 +700,9 @@ def test_a_given_run_names_its_first_bad_context():
     atoms = [np.diag(np.eye(4)[i]).astype(complex) for i in range(4)]
     tilted = np.zeros((4, 4), complex)
     tilted[:2, :2] = 0.5  # onto (e0 + e1) / sqrt(2): meets e0 and e1
-    good = C.Context(key="good", dim=4, blocks=tuple(atoms), label="good")
-    meets = C.Context(key="meets", dim=4, blocks=(atoms[0], tilted, atoms[2], atoms[3]))
-    short = C.Context(key="short", dim=4, blocks=tuple(atoms[:3]))
+    good = unchecked_context("good", atoms, "good")
+    meets = unchecked_context("meets", [atoms[0], tilted, atoms[2], atoms[3]])
+    short = unchecked_context("short", atoms[:3])
     for closure in CLOSURES:
         new = _outcome(C.build_poset, [good, meets, short], closure, TOL)
         old = _outcome(per_partition_build_poset, [good, meets, short], closure, TOL)

@@ -3,12 +3,12 @@
 ``reference_indices`` below is the per-context definition: a block of a
 context is hit when its product with the projector, formed and normed on
 its own, exceeds ``eps * d``; it does not call ``overlaps``.
-``quantum._outer_hits`` tests the distinct blocks of the poset's block table
+``quantum._record`` tests the distinct blocks of the poset's block table
 once each; the flags, read through each context's block ids, must give the
 same indices, context by context, in block order.  The table remembers its
 flags per projector, so the single-context daseinisation of every context
-of a poset costs one ``overlaps`` call too; a context outside any poset
-tests its own ``stack``.
+of a poset costs one ``overlaps`` call too; a ``make_context`` context reads
+a table of its own blocks the same way.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ def reference_indices(p, poset, tol=TOL):
 
 
 def batch_indices(p, poset, tol=TOL):
-    flags = Q._outer_hits(p, poset.table.blocks, tol).tolist()
+    flags = Q._record(p, poset.table.copy(), tol, False).flags.tolist()
     return [tuple(i for i, b in enumerate(c.ids) if flags[b]) for c in poset.contexts]
 
 
@@ -256,7 +256,10 @@ def reference_row(p, ctx, tol, inner):
     return Q._approximation(ctx, hits, inner)
 
 
-def assert_stack_path(p, contexts, tol, monkeypatch):
+def assert_own_table_path(p, contexts, tol, monkeypatch):
+    """Each context's rows are those of its own blocks, read off its own
+    table: one ``overlaps`` per projector and variant on the first ask, in
+    ``_in_context``, and none when the public function or a repeat asks."""
     seen = _stacks_seen(monkeypatch)
     for ctx in contexts:
         for inner, public in ((False, Q.daseinise_projector),
@@ -267,14 +270,16 @@ def assert_stack_path(p, contexts, tol, monkeypatch):
             assert indices == want_indices
             assert matrix.tobytes() == want.tobytes()
             assert public(p, ctx, tol).tobytes() == want.tobytes()
-            assert len(seen) - before == 2
-            assert all(ps is ctx.stack for ps in seen[before:])
+            assert len(seen) - before == 1 and seen[before] is ctx.table.blocks
+            assert Q._in_context(p, ctx, tol, inner)[1] is public(p, ctx, tol)
+            assert len(seen) - before == 1
     monkeypatch.undo()
 
 
 class TestStackFallback:
-    """Contexts outside any poset test their own ``stack``, with the same
-    indices and matrix bytes as before."""
+    """Contexts outside any poset: a ``make_context`` context holds a table
+    of its own blocks alone and reads it as a poset's context reads the
+    poset's, with the indices and matrix bytes of ``reference_row``."""
 
     def test_poset_contexts_carry_the_table(self):
         _, poset = _square()
@@ -286,13 +291,17 @@ class TestStackFallback:
         scn, poset = _square()
         tol = scn.tolerance
         own = [C.make_context(ctx.blocks, tol) for ctx in poset.contexts]
-        assert all(c.table is None and c.ids is None for c in own)
+        for c, ctx in zip(own, poset.contexts):
+            assert c.table.tol == tol and c.table.hits == {}
+            assert c.table.blocks[list(c.ids)].tobytes() == (
+                poset.table.blocks[list(ctx.ids)].tobytes())
         for name in ("Pzz_plus", "Pxx_plus"):
-            assert_stack_path(scn.operator(name), own, tol, monkeypatch)
+            assert_own_table_path(scn.operator(name), own, tol, monkeypatch)
+        assert poset.table.hits == {}
 
     def test_another_tolerance(self, monkeypatch):
-        # a poset's context refuses another tolerance; outside a poset a
-        # context tests its own stack at it, and a poset built at it reads
+        # a poset's context refuses another tolerance; a make_context context
+        # made at it reads its own table at it, and a poset built at it reads
         # its table at it
         scn, poset = _square()
         wide = Tolerance(scn.tolerance.eps * 10)
@@ -304,7 +313,7 @@ class TestStackFallback:
                 with pytest.raises(ValidationError, match=(
                         "^a query at eps 1e-08 on a poset built at eps 1e-09$")):
                     public(p, poset.contexts[0], wide)
-            assert_stack_path(p, own, wide, monkeypatch)
+            assert_own_table_path(p, own, wide, monkeypatch)
             for ctx in at_wide.contexts:
                 for inner, public in ((False, Q.daseinise_projector),
                                       (True, Q.daseinise_projector_inner)):
@@ -318,17 +327,33 @@ class TestStackFallback:
         own = tuple(C.make_context(c.blocks, tol, label=c.key) for c in built.contexts)
         hand = C.ContextPoset(dim=built.dim, leq=built.leq, contexts=own, tol=tol)
         assert hand.table is not built.table
-        assert all(c.table is None for c in own)
+        assert all(c.table is not hand.table for c in own)
         for name in ("Pzz_plus", "Pxx_plus"):
             p = scn.operator(name)
-            # the make_context contexts still test their own stack; the
-            # poset's copies of them read its table
-            assert_stack_path(p, own, tol, monkeypatch)
+            # the make_context contexts read their own tables; the poset's
+            # copies of them read its table
+            assert_own_table_path(p, own, tol, monkeypatch)
             for inner in (False, True):
                 for ctx, (indices, matrix) in zip(hand.contexts,
                                                   Q.daseinise(p, hand, tol, inner)):
                     want_indices, want = reference_row(p, ctx, tol, inner)
                     assert (indices, matrix.tobytes()) == (want_indices, want.tobytes())
+
+    def test_a_make_context_context_refuses_another_tolerance(self):
+        # as a poset's context does: a query runs at its table's tolerance
+        scn, poset = _square()
+        tol, wide = scn.tolerance, Tolerance(scn.tolerance.eps * 10)
+        ctx = C.make_context(poset.contexts[-1].blocks, tol)
+        p = scn.operator("Pzz_plus")
+        message = f"^a query at eps {wide.eps!r} on a poset built at eps {tol.eps!r}$"
+        for query in (Q.daseinise_projector, Q.daseinise_projector_inner,
+                      Q.daseinise_observable):
+            with pytest.raises(ValidationError, match=message):
+                query(p, ctx, wide)
+        with pytest.raises(ValidationError, match=message):
+            Q.evaluate(Q.SpectralElement(ctx, 0), p, wide)
+        assert ctx.table.hits == {}
+        assert Q.daseinise_projector(p, ctx, tol) is Q.daseinise_projector(p, ctx)
 
 
 class TestRememberedFlags:

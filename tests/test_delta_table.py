@@ -30,7 +30,7 @@ from qtopos.numerics import (
     same_blocks,
 )
 from qtopos.scenario import parse_scenario
-from tests.conftest import random_projector, random_state, random_unitary
+from tests.conftest import contains, random_projector, random_state, random_unitary
 from tests.test_closure import CLOSURES, SCENARIOS, TOL, _generic_observable
 
 
@@ -91,11 +91,11 @@ def reference_truth_object(projector, psi, poset, tol=TOL) -> frozenset:
     vec = Q._unit_state(psi, poset, tol)
     obj = Q.TruthObject(psi=vec, weights=reference_weights(vec, poset), tol=tol)
     for ctx in poset.contexts:
-        assert obj.contains(ctx.key, 2 ** len(ctx.blocks) - 1)
+        assert contains(obj, ctx.key, 2 ** len(ctx.blocks) - 1)
     p = require_projector(projector, tol, "projector")
     masks = {ctx.key: sum(1 << i for i in picked) for ctx, picked
              in zip(poset.contexts, reference_outer_indices(p, poset.contexts, tol))}
-    return frozenset(key for key, mask in masks.items() if obj.contains(key, mask))
+    return frozenset(key for key, mask in masks.items() if contains(obj, key, mask))
 
 
 def _probes(poset, rng, n_sums=6):
@@ -235,7 +235,8 @@ def test_hand_built_posets_and_presheaves(monkeypatch):
             assert len(interns) - before == 1
             assert_same_answers(Q.spectral_presheaf(hand, tol), projectors, states, tol)
             assert_answers_as_built(hand, built, projectors, states, tol)
-        assert all(c.table is None and c.ids is None for c in own)
+        # each make_context context holds a table of its own
+        assert len({id(c.table) for c in own} | {id(built.table)}) == len(own) + 1
         # a presheaf built by hand reads its poset's table: no query interns
         underlying = Q.spectral_presheaf(built, tol).underlying
         for poset in (built, hand):

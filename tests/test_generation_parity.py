@@ -50,7 +50,7 @@ from qtopos.numerics import (
     require_hermitian,
 )
 from qtopos.scenario import _matrix, parse_scenario
-from tests.conftest import SX, SZ, random_unitary
+from tests.conftest import SX, SZ, random_unitary, unchecked_context
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -115,7 +115,7 @@ def reference_make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
     reference_check_partition(mats, overlaps(mats, mats, tol), tol.scaled(dim))
     keys = C._block_sort_keys(np.stack(mats))
     ordered = tuple(mats[i] for i in sorted(range(len(mats)), key=keys.__getitem__))
-    return C.Context(key=label or C._fresh_key(), dim=dim, blocks=ordered, label=label)
+    return unchecked_context(label or C._fresh_key(), ordered, label, tol)
 
 
 def reference_context_from_commuting_set(operators: Sequence,
@@ -382,11 +382,15 @@ def test_build_poset_names_a_bad_coarsening_as_before(monkeypatch):
     [E[0], E[1], E[2]],
 ], ids=["not-orthogonal", "defect"])
 def test_build_poset_refuses_a_bad_context_as_before(blocks):
-    bad = C.Context(key="bad", dim=4, blocks=tuple(blocks), label="bad")
+    # a context alone in its table at the poset's tolerance is taken as
+    # checked (GivenContexts), as make_context's is: the bad one comes with
+    # a good one after it, so that the given run is interned and checked
+    bad = unchecked_context("bad", blocks, "bad")
+    good = C.make_context(E, TOL, label="good")
     old = _outcome(reference_check_partition, blocks,
                    overlaps(blocks, blocks, TOL), TOL.scaled(4))
     assert isinstance(old, ValidationError)
-    assert_same(_outcome(C.build_poset, [bad], "coarsenings", TOL), old)
+    assert_same(_outcome(C.build_poset, [bad, good], "coarsenings", TOL), old)
 
 
 def test_parse_generates_without_make_context_or_per_block_copies(monkeypatch):

@@ -18,6 +18,7 @@ from qtopos import contexts as C
 from qtopos import quantum as Q
 from qtopos.numerics import Tolerance
 from qtopos.scenario import parse_scenario
+from tests.conftest import unchecked_context
 from tests.test_closure import assert_same_poset
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -49,9 +50,8 @@ def _snapshot(table: C.BlockTable):
 
 
 def _own(contexts):
-    """Copies that keep their own blocks and hold no table."""
-    return [C.Context(key=c.key, dim=c.dim, blocks=c.blocks, label=c.label)
-            for c in contexts]
+    """Copies, each in a table of its own, which nothing shares."""
+    return [unchecked_context(c.key, c.blocks, c.label) for c in contexts]
 
 
 def assert_same_build(new: C.ContextPoset, old: C.ContextPoset) -> None:

@@ -10,10 +10,10 @@ rows are bounded by ``POSET_LIMIT`` in all and dropped with the flags when
 the table grows.
 
 ``truth_value_truthobject`` sums each context's weights as arrays; its
-verdicts must be those of ``reference_truth_object`` (``TruthObject.contains``
-on per-context weights), also at 8 blocks, where numpy's own contiguous sum
-would switch to pairwise order, and at a weight sum a few ulps from
-``1 - eps``.
+verdicts must be those of ``reference_truth_object`` (``conftest.contains``,
+Python's ``sum`` over per-context weights), also at 8 blocks, where numpy's
+own contiguous sum would switch to pairwise order, and at a weight sum a
+few ulps from ``1 - eps``.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ def test_rows_are_remembered(name, closure, inner):
     named = [op for op in scn.operators.values() if is_projector(op, tol)]
     for p in named[:4] + _probes(poset, np.random.default_rng(len(poset))):
         p = require_projector(p, tol)
-        flags = Q._outer_hits(p, table.blocks, tol, inner)  # no record
+        flags = Q._record(p, table.copy(), tol, inner).flags  # a record elsewhere
         first = [Q._in_context(p, ctx, tol, inner) for ctx in poset.contexts]
         for ctx, (indices, matrix) in zip(poset.contexts, first):
             want_indices, want = reference_row(p, ctx, tol, inner)

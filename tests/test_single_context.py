@@ -127,12 +127,11 @@ def assert_rows_of_the_table(poset):
     """A poset context's matrices are its table's read-only rows at its ids,
     read on first use; its ranks are the rounded traces."""
     table = poset.table
-    assert not any({"blocks", "stack"} & set(vars(ctx)) for ctx in poset.contexts)
+    assert not any("blocks" in vars(ctx) for ctx in poset.contexts)
     read = {}  # block id: the bytes the first context holding it read
     for ctx in poset.contexts:
         assert ctx.table is table
-        assert ctx.stack is ctx.stack and not ctx.stack.flags.writeable
-        assert np.array_equal(ctx.stack, np.stack(ctx.blocks))
+        assert ctx.blocks is ctx.blocks and "blocks" in vars(ctx)
         for b, block in zip(ctx.ids, ctx.blocks, strict=True):
             assert block.tobytes() == table.blocks[b].tobytes()
             assert not block.flags.writeable
@@ -141,14 +140,23 @@ def assert_rows_of_the_table(poset):
     return read
 
 
-def test_the_stack_is_built_on_first_use_only():
+def test_the_blocks_are_read_on_first_use_only():
     for name, closure in CASES[:-len(FAMILIES)]:
         maximal, _, closure, tol = _case(name, closure, {})
         poset = C.build_poset(maximal, closure, tol)
         assert len(assert_rows_of_the_table(poset)) == len(poset.table.keys)
-        # a hand-built poset's copies hold its fresh table's rows too
+        # a make_context context holds a table of its own blocks alone, in
+        # the order given, and their ids in key order; a hand-built poset's
+        # copies of them hold its fresh table's rows
         own = tuple(C.make_context(c.blocks, tol, label=c.key) for c in poset.contexts)
+        for c, mine in zip(poset.contexts, own):
+            back = C.make_context(c.blocks[::-1], tol)
+            assert mine.ids == tuple(range(len(c.ids))) and back.ids == mine.ids[::-1]
+            assert mine.ranks == back.ranks == c.ranks
+            for made in (mine, back):
+                assert made.table.blocks[list(made.ids)].tobytes() == (
+                    poset.table.blocks[list(c.ids)].tobytes())
         hand = C.ContextPoset(dim=poset.dim, contexts=own, leq=poset.leq, tol=tol)
-        assert all("blocks" in vars(c) and c.table is None for c in own)
         assert hand.table is not poset.table
+        assert not any(c.table is hand.table for c in own)
         assert_rows_of_the_table(hand)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from qtopos import contexts as C
 from qtopos import kernel as K
 from qtopos import quantum as Q
 from qtopos.errors import SizeLimit, ValidationError
+from qtopos.numerics import overlaps
 from tests.test_kernel import (
     _random_order,
     _random_presheaf,
@@ -132,7 +134,7 @@ def test_spectral_subobjects_key_their_views_in_element_order(closure):
     # delta's one packed int is the masks its flags give context by context
     for s, p in zip(subs, projectors):
         for c in poset.contexts:
-            hit = Q._outer_hits(p, c.stack, tol)
+            hit = overlaps(np.stack(c.blocks), p[None], tol)[:, 0]
             assert s.masks[c.key] == sum(1 << x.sets[c.key].index(i)
                                          for i in range(len(c.blocks)) if hit[i])
     j, k = subs[0], subs[-1]
