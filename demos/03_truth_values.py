@@ -11,6 +11,7 @@ import numpy as np
 from qtopos.contexts import build_poset, builtin_scenario
 from qtopos.quantum import (
     spectral_presheaf,
+    truth_object,
     truth_value_pseudo,
     truth_value_truthobject,
 )
@@ -45,3 +46,10 @@ The second proposition is not simply false: from the sz and sy
 perspectives its outer approximation is the identity, so those
 contexts affirm it, while the sx context does not. The truth value
 is the lower set of affirming contexts, not a number in [0, 1].""")
+
+tobj = truth_object(ZPLUS, poset)
+print("\nthe truth object of |z+>, per context: the block sums it holds\n"
+      "(bit i of a mask: block i is in the sum)")
+for c in poset.contexts:
+    held = [mask for mask in range(1, 2 ** len(c.ids)) if tobj.contains(c.key, mask)]
+    print(f"  [{labels[c.key] or c.key}] block masks {held}")

@@ -250,9 +250,9 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
     projectors, then their dimensions and traces, then the partition.  The
     context holds a table at ``tol`` of its blocks alone, in the order
     given, and their ids in key order: the stack, ``overlaps`` product and
-    sort keys of the checks are the table's rows, meets and keys.  The
-    blocks are pairwise far apart (orthogonal, each of trace above 0.5), so
-    no two are the same block."""
+    sort keys of the checks are the table's rows, meets and keys, and it
+    records the context as checked.  The blocks are pairwise far apart
+    (orthogonal, each of trace above 0.5), so no two are the same block."""
     mats = [as_operator(b) for b in blocks]
     if len(mats) < 2:
         raise TrivialContext("a context needs at least two blocks")
@@ -272,8 +272,9 @@ def make_context(blocks: Sequence, tol: Tolerance = Tolerance(),
     meets = overlaps(stack, stack, tol)
     _check_partition(stack, meets, tol.scaled(dim))
     keys = _block_sort_keys(stack)
-    return Context(key=label or _fresh_key(), dim=dim, label=label,
-                   table=BlockTable(dim, tol, stack, meets, keys),
+    table = BlockTable(dim, tol, stack, meets, keys)
+    table.checked.add(tuple(range(len(stack))))
+    return Context(key=label or _fresh_key(), dim=dim, label=label, table=table,
                    ids=tuple(sorted(range(len(stack)), key=keys.__getitem__)))
 
 
@@ -425,6 +426,7 @@ def _generate_run(ops: np.ndarray, projs: np.ndarray, starts: np.ndarray,
                 _check_partition(refined[c:e], overlaps(refined[c:e], refined[c:e], tol), bound)
             out[g] = Context(key=labels[g] or _fresh_key(), dim=d, label=labels[g],
                              table=table, ids=tuple(ids[c:e]))
+            table.checked.add(tuple(sorted(ids[c:e])))
         except ToposError as exc:
             out[g] = exc
 
@@ -557,6 +559,9 @@ class BlockTable:
         self.ranks: list[int] = [round(-key[0]) for key in self.keys]
         self.blocks = self.mats[:len(self.keys)]  # the distinct blocks in id order
         self.blocks.setflags(write=False)
+        # the sorted block ids of each context checked as a partition of
+        # unity on this table (by make_context, _generate or GivenContexts)
+        self.checked: set[tuple[int, ...]] = set()
         # quantum._record's records, one per tested matrix and variant: its
         # read-only flags, one per held block, and the daseinisation rows of
         # the contexts asked so far, ``held_rows`` of them in all; quantum
@@ -565,7 +570,8 @@ class BlockTable:
         self.held_rows = 0
 
     def copy(self) -> BlockTable:
-        """A table of the same blocks, keys, ranks and meets, with no records."""
+        """A table of the same blocks, keys, ranks and meets, with no records
+        and no context checked."""
         return BlockTable(self.mats.shape[-1], self.tol, self.mats.copy(), self.meets.copy(),
                           self.keys)
 
@@ -731,12 +737,15 @@ class GivenContexts:
     so that its error and the order of errors are those of one candidate
     at a time.
 
-    Contexts that share one table at ``tol`` and whose ids, read in order,
-    first meet it as 0, 1, ..., n - 1 (a scenario's maximal contexts) were
+    Contexts that share one table at ``tol``, that the table records as
+    checked (``BlockTable.checked``) and whose ids, read in order, first
+    meet it as 0, 1, ..., n - 1 (a scenario's maximal contexts) were
     interned and checked as they were generated: their ids are added as
     they are, to a copy of the table that ``close`` grows.  Other contexts
     (most ``make_context``'s, a subset or reordering of a scenario's, two
-    tables', another tolerance's) are interned and checked afresh.
+    tables', another tolerance's, one built by hand on a table) are
+    interned and checked afresh.  The contexts kept here are the ones the
+    new table records as checked.
 
     ``maximal`` reads the given contexts under no other off the table, which
     is all that :func:`qtopos.quantum.ks_search` needs for a verdict, and
@@ -751,16 +760,19 @@ class GivenContexts:
         self.bound = tol.scaled(self.dim)
         self.labels: list[str | None] = []
         self.ids: list[list[int]] = []  # per context, its block ids in key order
-        self.seen: set[tuple[int, ...]] = set()
         table = maximal[0].table if maximal else None
+        found = [tuple(sorted(c.ids)) for c in maximal]
         if (table is not None and table.tol == tol and all(c.table is table for c in maximal)
+                and table.checked.issuperset(found)
                 and list(dict.fromkeys(b for c in maximal for b in c.ids))
                 == list(range(len(table.keys)))):
             self.table = table.copy()
-            for ctx in maximal:
-                self._add(ctx.ids, tuple(sorted(ctx.ids)), ctx.label)
+            self.seen = self.table.checked  # sorted ids of the contexts held
+            for ctx, ids in zip(maximal, found):
+                self._add(ctx.ids, ids, ctx.label)
             return
         self.table = BlockTable(self.dim, tol)
+        self.seen = self.table.checked
 
         def given() -> Iterator[tuple[int, tuple]]:
             for ctx in maximal:

@@ -106,7 +106,7 @@ def _tolerance(tol: Tolerance | None, table: BlockTable) -> Tolerance:
     ``tol``, if given, must equal."""
     if tol is None or tol is table.tol or tol == table.tol:
         return table.tol
-    raise ValidationError(f"a query at eps {tol.eps!r} on a poset built at "
+    raise ValidationError(f"a query at eps {tol.eps!r} on contexts built at "
                           f"eps {table.tol.eps!r}")
 
 
@@ -349,6 +349,12 @@ class TruthObject:
     psi: np.ndarray
     weights: dict
     tol: Tolerance
+
+    def contains(self, key: str, mask: int) -> bool:
+        """Is the block sum ``mask`` (bit i set: block i is in the sum) a
+        member at context ``key``?"""
+        return (sum(w for i, w in enumerate(self.weights[key]) if mask >> i & 1)
+                >= 1.0 - self.tol.eps)
 
 
 def truth_object(psi, poset: ContextPoset,

@@ -65,14 +65,6 @@ def random_context(dim: int, rng: np.random.Generator,
     return make_context(blocks, tol)
 
 
-def contains(obj, key: str, mask: int) -> bool:
-    """Does the truth object ``obj`` hold, at context ``key``, the block sum
-    ``mask`` (bit i set: block i is in the sum)?  Its weights, added by
-    Python's ``sum``, come to at least ``1 - eps``."""
-    return (sum(w for i, w in enumerate(obj.weights[key]) if mask >> i & 1)
-            >= 1.0 - obj.tol.eps)
-
-
 def unchecked_context(key: str, blocks, label: str | None = None,
                       tol: Tolerance | None = None) -> Context:
     """A context of ``blocks``, in the order given, interned into a fresh

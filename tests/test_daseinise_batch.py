@@ -240,7 +240,7 @@ def _square(closure="coarsenings"):
     return scn, C.build_poset(scn.maximal_contexts, closure, scn.tolerance)
 
 
-def _stacks_seen(monkeypatch):
+def _overlaps_seen(monkeypatch):
     """The ``ps`` argument of every ``overlaps`` call made through quantum."""
     seen = []
     monkeypatch.setattr(Q, "overlaps", lambda ps, qs, tol=TOL: (
@@ -260,7 +260,7 @@ def assert_own_table_path(p, contexts, tol, monkeypatch):
     """Each context's rows are those of its own blocks, read off its own
     table: one ``overlaps`` per projector and variant on the first ask, in
     ``_in_context``, and none when the public function or a repeat asks."""
-    seen = _stacks_seen(monkeypatch)
+    seen = _overlaps_seen(monkeypatch)
     for ctx in contexts:
         for inner, public in ((False, Q.daseinise_projector),
                               (True, Q.daseinise_projector_inner)):
@@ -311,7 +311,7 @@ class TestStackFallback:
             p = scn.operator(name)
             for public in (Q.daseinise_projector, Q.daseinise_projector_inner):
                 with pytest.raises(ValidationError, match=(
-                        "^a query at eps 1e-08 on a poset built at eps 1e-09$")):
+                        "^a query at eps 1e-08 on contexts built at eps 1e-09$")):
                     public(p, poset.contexts[0], wide)
             assert_own_table_path(p, own, wide, monkeypatch)
             for ctx in at_wide.contexts:
@@ -345,7 +345,7 @@ class TestStackFallback:
         tol, wide = scn.tolerance, Tolerance(scn.tolerance.eps * 10)
         ctx = C.make_context(poset.contexts[-1].blocks, tol)
         p = scn.operator("Pzz_plus")
-        message = f"^a query at eps {wide.eps!r} on a poset built at eps {tol.eps!r}$"
+        message = f"^a query at eps {wide.eps!r} on contexts built at eps {tol.eps!r}$"
         for query in (Q.daseinise_projector, Q.daseinise_projector_inner,
                       Q.daseinise_observable):
             with pytest.raises(ValidationError, match=message):
@@ -382,7 +382,7 @@ class TestRememberedFlags:
         p = np.array(scn.operator("Pzz_plus"))
         q = p.copy()
         q.view(np.uint64)[0, 0] ^= 1  # the last bit of the real part of q[0, 0]
-        seen = _stacks_seen(monkeypatch)
+        seen = _overlaps_seen(monkeypatch)
         outer = [Q.daseinise_projector(m, ctx, tol) for m in (p, q, p, q)]
         assert len(seen) == 2 and len(table.hits) == 2
         assert len({m.tobytes() for m in outer}) == 1

@@ -30,7 +30,7 @@ from qtopos.numerics import (
     same_blocks,
 )
 from qtopos.scenario import parse_scenario
-from tests.conftest import contains, random_projector, random_state, random_unitary
+from tests.conftest import random_projector, random_state, random_unitary
 from tests.test_closure import CLOSURES, SCENARIOS, TOL, _generic_observable
 
 
@@ -91,11 +91,11 @@ def reference_truth_object(projector, psi, poset, tol=TOL) -> frozenset:
     vec = Q._unit_state(psi, poset, tol)
     obj = Q.TruthObject(psi=vec, weights=reference_weights(vec, poset), tol=tol)
     for ctx in poset.contexts:
-        assert contains(obj, ctx.key, 2 ** len(ctx.blocks) - 1)
+        assert obj.contains(ctx.key, 2 ** len(ctx.blocks) - 1)
     p = require_projector(projector, tol, "projector")
     masks = {ctx.key: sum(1 << i for i in picked) for ctx, picked
              in zip(poset.contexts, reference_outer_indices(p, poset.contexts, tol))}
-    return frozenset(key for key, mask in masks.items() if contains(obj, key, mask))
+    return frozenset(key for key, mask in masks.items() if obj.contains(key, mask))
 
 
 def _probes(poset, rng, n_sums=6):
@@ -266,7 +266,7 @@ def test_another_tolerance():
         assert_same_answers(Q.spectral_presheaf(at_wide, wide), projectors, states, wide)
         # a poset built at tol refuses a query at 10x
         presheaf = Q.spectral_presheaf(built, tol)
-        message = f"^a query at eps {wide.eps!r} on a poset built at eps {tol.eps!r}$"
+        message = f"^a query at eps {wide.eps!r} on contexts built at eps {tol.eps!r}$"
         with pytest.raises(ValidationError, match=message):
             Q.spectral_presheaf(built, wide)
         for p in projectors:

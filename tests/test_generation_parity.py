@@ -382,15 +382,11 @@ def test_build_poset_names_a_bad_coarsening_as_before(monkeypatch):
     [E[0], E[1], E[2]],
 ], ids=["not-orthogonal", "defect"])
 def test_build_poset_refuses_a_bad_context_as_before(blocks):
-    # a context alone in its table at the poset's tolerance is taken as
-    # checked (GivenContexts), as make_context's is: the bad one comes with
-    # a good one after it, so that the given run is interned and checked
     bad = unchecked_context("bad", blocks, "bad")
-    good = C.make_context(E, TOL, label="good")
     old = _outcome(reference_check_partition, blocks,
                    overlaps(blocks, blocks, TOL), TOL.scaled(4))
     assert isinstance(old, ValidationError)
-    assert_same(_outcome(C.build_poset, [bad, good], "coarsenings", TOL), old)
+    assert_same(_outcome(C.build_poset, [bad], "coarsenings", TOL), old)
 
 
 def test_parse_generates_without_make_context_or_per_block_copies(monkeypatch):

@@ -140,3 +140,22 @@ def test_a_maximal_context_remembers_its_daseinisation_rows():
         assert got is Q.daseinise_projector(p, ctx)
         assert got.tobytes() == rows[ctx.ids][1].tobytes()
     assert len(table.hits) == 1 and table.held_rows == len(scn.maximal_contexts)
+
+
+def test_a_context_built_by_hand_on_a_table_is_checked():
+    # a table records the contexts checked on it; any other context that
+    # shares it, in a fresh table of its own or in a scenario's, is checked
+    scn = _scenario("mermin_square.json")
+    table = scn.maximal_contexts[0].table
+    assert table.checked == {tuple(sorted(c.ids)) for c in scn.maximal_contexts}
+    own = C.make_context(np.eye(4)[:, None, :] * np.eye(4)[:, :, None], scn.tolerance)
+    assert own.table.checked == {tuple(range(4))}
+    short = unchecked_context("short", np.eye(4)[:3, None, :] * np.eye(4)[:3, :, None])
+    assert short.table.checked == set()
+    every = C.Context(key="every", dim=4, label=None, table=table,
+                      ids=tuple(range(len(table.keys))))
+    for ctx, message in ((short, "^blocks do not sum to identity"),
+                         (every, "^blocks 0 and 4 are not orthogonal")):
+        for closure in ("intersections", "coarsenings"):
+            with pytest.raises(C.ValidationError, match=message):
+                C.build_poset([ctx], closure, scn.tolerance)

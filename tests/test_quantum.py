@@ -20,7 +20,7 @@ from qtopos.errors import (
 )
 from qtopos.numerics import eigensystem, proj_leq
 from qtopos.scenario import parse_scenario
-from tests.conftest import SX, SZ, contains, random_projector, random_state
+from tests.conftest import SX, SZ, random_projector, random_state
 
 ZPLUS = np.array([1, 0], dtype=complex)
 P_ZPLUS = np.diag([1.0, 0.0]).astype(complex)
@@ -305,7 +305,7 @@ class TestPseudoState:
 def _filter(obj, ctx):
     """The truth object's members at a context, as a set of block masks."""
     return frozenset(mask for mask in range(1, 2 ** len(ctx.blocks))
-                     if contains(obj, ctx.key, mask))
+                     if obj.contains(ctx.key, mask))
 
 
 class TestTruthObject:
@@ -313,7 +313,7 @@ class TestTruthObject:
         obj = Q.truth_object(random_state(4, rng), mermin_poset, tol)
         for ctx in mermin_poset.contexts:
             full = 2 ** len(ctx.blocks) - 1
-            assert contains(obj, ctx.key, full)
+            assert obj.contains(ctx.key, full)
 
     def test_z_plus_filters(self, tol, pauli_poset):
         obj = Q.truth_object(ZPLUS, pauli_poset, tol)
@@ -602,5 +602,5 @@ def test_one_tolerance_per_poset(name, square_at_built):
     assert _plain(call(square_at_built, Q.Tolerance(BUILT.eps))) == omitted
     assert _plain(call(square_at_built, BUILT)) == omitted
     with pytest.raises(ValidationError, match=(
-            "^a query at eps 1e-07 on a poset built at eps 1e-08$")):
+            "^a query at eps 1e-07 on contexts built at eps 1e-08$")):
         call(square_at_built, Q.Tolerance(BUILT.eps * 10))
