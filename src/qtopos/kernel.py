@@ -3,23 +3,26 @@
 Implements presheaves of finite sets together with the categorical
 structure the quantum layer needs: subobjects, the subobject classifier,
 Heyting operations on subobjects, exponentials, power objects and truth
-values as lower sets (``truth_value_inclusion``).  Everything is enumerated
-on the one explicit-stack engine ``depth_first``, free of Python's recursion
-limit, in blocks (one live dict of the picks but the last, then the last
-element's values), so a leaf costs O(1) steps; guards turn blow-ups into
-``SizeLimit`` errors.  The global-section search, also the quantum layer's,
-picks only at maximal elements, keeps their int-mask domains arc consistent
-after each pick (MAC) and may count its picks against a ``NodeBudget``; a
-section is a tuple in element order, one concatenation of precomputed rows.
-It serves ``hom_set`` and ``exponential``: an arrow ``x -> y`` is a global
-section of ``y`` on the elements of ``x`` (``_elements``), and a
-``NatTransform`` is that row, with its components a derived view.  Their
-limits are pre-checks on the size of the space: ``hom_set`` refuses when
-prod_v |y(v)|^|x(v)| exceeds ``GLOBAL_SEARCH_LIMIT``, and ``exponential``
-when that product over the down-set of one element exceeds
-``COMPONENT_LIMIT``.  A subobject is one int over all its presheaf's
-points, from its enumeration through the Heyting operations, which are a
-few int operations each; its masks and tuples of points are derived views.
+values as lower sets (``truth_value_inclusion``).  Subobjects are enumerated
+one element at a time, the options at an element built once per distinct
+choice above it; global sections on the explicit-stack engine
+``depth_first``, free of Python's recursion limit, in blocks (one live dict
+of the picks but the last, then the last element's values), so a leaf costs
+O(1) steps.  Guards turn blow-ups into ``SizeLimit`` errors.  The
+global-section search, also the quantum layer's, picks only at maximal
+elements, keeps their int-mask domains arc consistent after each pick (MAC),
+each arc remembering its support per domain, and may count its picks against
+a ``NodeBudget``; a section is a tuple in element order, one concatenation of
+precomputed rows.  It serves ``hom_set`` and ``exponential``: an arrow
+``x -> y`` is a global section of ``y`` on the elements of ``x``
+(``_elements``), and a ``NatTransform`` is that row, with its components a
+derived view.  Their limits are pre-checks on the size of the space:
+``hom_set`` refuses when prod_v |y(v)|^|x(v)| exceeds
+``GLOBAL_SEARCH_LIMIT``, and ``exponential`` when that product over the
+down-set of one element exceeds ``COMPONENT_LIMIT``.  A subobject is one
+int over all its presheaf's points, from its enumeration through the
+Heyting operations, which are a few int operations each; its masks and
+tuples of points are derived views.
 
 Conventions
 -----------
@@ -45,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -417,11 +421,12 @@ def terminal(base: FinPoset) -> Presheaf:
 
 
 def _arcs(x: Presheaf, tops) -> dict:
-    """Per maximal ``v`` in ``tops``, ``(w, pairs)`` for each maximal ``w``
-    sharing a lower element with it (found from the elements' maximal uppers).
-    Two points agree on every common lower element iff they restrict alike to
-    the pair's maximal common lower elements (functoriality); ``pairs`` holds,
-    per such signature met at both, the masks of its points at ``v`` and ``w``."""
+    """Per maximal ``v`` in ``tops``, ``(w, pairs, supports)`` for each maximal
+    ``w`` sharing a lower element with it (found from the elements' maximal
+    uppers).  Two points agree on every common lower element iff they restrict
+    alike to the pair's maximal common lower elements (functoriality); ``pairs``
+    holds, per such signature met at both, the masks of its points at ``v`` and
+    ``w``, and ``supports`` starts empty for ``_revise`` to fill."""
     base = x.base
     common: dict = {}
     for u in base.elements:
@@ -438,18 +443,26 @@ def _arcs(x: Presheaf, tops) -> dict:
                 key = tuple(x.restrict(pt, v, u) for u in meets)
                 sig[v][key] = sig[v].get(key, 0) | 1 << i
         pairs = [(mine, sig[b][key]) for key, mine in sig[a].items() if key in sig[b]]
-        arcs[a].append((b, pairs))
-        arcs[b].append((a, [(theirs, mine) for mine, theirs in pairs]))
+        arcs[a].append((b, pairs, {}))
+        arcs[b].append((a, [(theirs, mine) for mine, theirs in pairs], {}))
     return arcs
 
 
 def _revise(arcs: dict, domains: dict, changed: dict) -> dict | None:
     """AC-3 on int masks from the ``changed`` elements, each revising its
-    neighbours' domains in turn: ``domains`` narrowed, or None once one runs empty."""
+    neighbours' domains in turn: ``domains`` narrowed, or None once one runs empty.
+    An arc's support, the points at ``w`` that agree with some point of the
+    domain at ``v``, depends only on that domain, so each arc remembers it per
+    domain mask and sums its ``pairs`` only for a mask it has not met."""
     while changed:
         v = changed.popitem()[0]
-        for w, pairs in arcs[v]:
-            kept = domains[w] & sum(theirs for mine, theirs in pairs if mine & domains[v])
+        mask = domains[v]
+        for w, pairs, supports in arcs[v]:
+            support = supports.get(mask)
+            if support is None:
+                support = supports[mask] = sum(theirs for mine, theirs in pairs
+                                               if mine & mask)
+            kept = domains[w] & support
             if not kept:
                 return None
             if kept != domains[w]:
@@ -631,42 +644,39 @@ def exponential(a: Presheaf, b: Presheaf) -> Presheaf:
 
 def _relative_subobjects(x: Presheaf, elems: tuple[str, ...]) -> list[int]:
     """All families S(u) <= x(u) over ``elems`` closed under restriction, as
-    ``Subobject`` bits over ``x``, the elements picked in ``_descending`` order.
+    ``Subobject`` bits over ``x``, lexicographic in the masks at the elements
+    in ``_descending`` order.
 
-    The points forced at ``u`` are the images of the masks chosen above it;
-    the options are ``forced | sub`` for the submasks ``sub`` of the free bits
-    in increasing order, so the mask bits count up over the free points in
-    component order.  Options are shifted to their element's offset, so a
-    block's head is summed once and a family is that sum ``|`` a last mask."""
-    inside, spans = set(elems), x._spans
-    order = [u for u in x.base._descending if u in inside]
-    uppers = {u: [w for w in x.base.up(u) if w != u and w in inside] for u in order}
-    images: dict = {}  # (w, u, shifted mask at w) -> its shifted image at u
-
-    def options(u, chosen):
-        forced, (offset, full) = 0, spans[u]
-        for w in uppers[u]:
-            key = (w, u, chosen[w])
-            if key not in images:
-                images[key] = x._image(w, u, chosen[w] >> spans[w][0]) << offset
-            forced |= images[key]
-        free = full << offset & ~forced
-        sub = 0
-        while True:
-            yield forced | sub
-            if sub == free:
-                return
-            sub = (sub - free) & free
-
-    if not order:
-        return [0]
-    families: list[int] = []
-    for head, masks in depth_first(order, options):
-        start = sum(head.values())
-        for mask in masks:
-            families.append(start | mask)
-            if len(families) > COMPONENT_LIMIT:
-                raise SizeLimit(f"more than {COMPONENT_LIMIT} relative subobjects")
+    The families grow one element ``u`` at a time.  The points forced at ``u``
+    are the images of the family's masks at the elements above it, so they
+    depend only on its bits there (``key``); the options are ``forced | sub``
+    for the submasks ``sub`` of the free bits in increasing order, built once
+    per key, and each family is followed by its options in that order.  A
+    level is never smaller than the one before, so its size, summed per key
+    before any option is built, is checked against ``COMPONENT_LIMIT``."""
+    inside, spans, families = set(elems), x._spans, [0]
+    for u in (u for u in x.base._descending if u in inside):
+        offset, full = spans[u]
+        uppers = [(w, *spans[w]) for w in x.base.up(u) if w != u and w in inside]
+        upmask = sum(m << at for _, at, m in uppers)
+        keys, images, opts = Counter(f & upmask for f in families), {}, {}
+        for key in keys:
+            forced = 0
+            for w, at, m in uppers:  # each (upper, mask)'s image made once
+                mask = key >> at & m
+                if (w, mask) not in images:
+                    images[w, mask] = x._image(w, u, mask)
+                forced |= images[w, mask]
+            opts[key] = forced << offset, (full & ~forced) << offset
+        if sum(n << opts[key][1].bit_count() for key, n in keys.items()) > COMPONENT_LIMIT:
+            raise SizeLimit(f"more than {COMPONENT_LIMIT} relative subobjects")
+        for key, (forced, free) in opts.items():
+            opts[key] = subs = [forced]
+            sub = 0
+            while sub != free:  # the next submask of ``free`` counting up
+                sub = (sub - free) & free
+                subs.append(forced | sub)
+        families = [f | o for f in families for o in opts[f & upmask]]
     return families
 
 

@@ -816,11 +816,9 @@ def _shaped_presheaf(rng, shape, n):
     return _projections(base, rows, present)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 5), shape=st.sampled_from(("chain", "antichain", "random")),
-       cut=st.sampled_from(("all", "down", "lower")),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_relative_subobjects_match_the_reference(n, shape, cut, seed):
+def _relative_builds(n, shape, cut, seed):
+    """Elements of a ``_shaped_presheaf`` draw, cut as ``cut`` says, and the
+    four builds that enumerate relative subobjects on the draw."""
     rng = random.Random(seed)
     x = _shaped_presheaf(rng, shape, n)
     base = x.base
@@ -832,10 +830,18 @@ def test_relative_subobjects_match_the_reference(n, shape, cut, seed):
         tops = rng.sample(base.elements, rng.randint(0, n))
         elems = tuple(u for u in base.elements
                       if any(base.le(u, v) for v in tops))
-    builds = (lambda: K._relative_subobjects(x, elems),
-              lambda: K.all_subobjects(x),
-              lambda: K.omega(base),
-              lambda: K.power_object(x))
+    return elems, (lambda: K._relative_subobjects(x, elems),
+                   lambda: K.all_subobjects(x),
+                   lambda: K.omega(base),
+                   lambda: K.power_object(x))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), shape=st.sampled_from(("chain", "antichain", "random")),
+       cut=st.sampled_from(("all", "down", "lower")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_relative_subobjects_match_the_reference(n, shape, cut, seed):
+    _, builds = _relative_builds(n, shape, cut, seed)
     with pytest.MonkeyPatch.context() as mp:
         # both sides stop at the same count where the families are too many
         mp.setattr(K, "COMPONENT_LIMIT", 4096)
@@ -843,6 +849,43 @@ def test_relative_subobjects_match_the_reference(n, shape, cut, seed):
         mp.setattr(K, "_relative_subobjects", reference_relative_masks)
         expected = [_outcome(build) for build in builds]
     assert found == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), shape=st.sampled_from(("chain", "antichain", "random")),
+       cut=st.sampled_from(("all", "down", "lower")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_relative_subobject_limit_trips_just_past_the_count(n, shape, cut, seed):
+    # N, the most families the reference makes in one call of a build: a
+    # limit of N builds the reference's result, one of N - 1 refuses it with
+    # the reference's message.  ``_relative_subobjects`` returns the one
+    # empty family over no elements without counting it, so the cut to no
+    # elements has no N - 1 case.
+    counts: list[int] = []
+
+    def counted(x, elems):
+        families = reference_relative_masks(x, elems)
+        counts.append(len(families))
+        return families
+
+    elems, builds = _relative_builds(n, shape, cut, seed)
+    for build in builds:
+        counts.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(K, "COMPONENT_LIMIT", 4096)  # the reference draws' cap
+            mp.setattr(K, "_relative_subobjects", counted)
+            expected = _outcome(build)
+        if isinstance(expected, str):
+            continue  # past the cap: N is not known
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(K, "COMPONENT_LIMIT", max(counts))
+            assert _outcome(build) == expected
+            if not elems and build is builds[0]:
+                continue
+            mp.setattr(K, "COMPONENT_LIMIT", max(counts) - 1)
+            with pytest.raises(SizeLimit, match=f"^more than {max(counts) - 1} "
+                                                "relative subobjects$"):
+                build()
 
 
 # The Heyting operations, ``subobject_leq`` and ``truth_value_inclusion`` as
