@@ -111,14 +111,9 @@ def _check_partition(blocks: Sequence[np.ndarray], meets: np.ndarray, bound: flo
     return faults
 
 
-def _merge(blocks: Sequence[np.ndarray], group) -> np.ndarray:
-    """The sum of the blocks at the indices in ``group``, in that order."""
-    return sum(blocks[i] for i in group)
-
-
 def _staged_sums(blocks: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Per group, ``_merge(blocks, group)`` bit for bit: ``0 + b0 + b1 + ...``
-    in group order, one stage of adds for all groups at a time."""
+    """Per group, the rows of ``blocks`` at its indices added in group order
+    from 0, ``0 + b0 + b1 + ...``: one stage of adds for all groups at a time."""
     sizes = np.array([len(g) for g in groups])
     at = np.zeros((len(groups), sizes.max()), dtype=int)
     at[np.repeat(np.arange(len(groups)), sizes),
@@ -160,39 +155,6 @@ def _check_run(table: BlockTable, stack: np.ndarray, ids: Sequence[int],
     return flags
 
 
-def _meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float):
-    """The meet of two partitions whose blocks meet as ``meets``: one block,
-    summed on ``a``'s side, per connected component (union-find), and each
-    block's positions in ``a``; None when the meet is trivial."""
-    na = len(a_blocks)
-    parent = list(range(na + len(b_blocks)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in np.argwhere(meets):
-        parent[find(int(i))] = find(na + int(j))
-    groups: dict[int, list[int]] = {}
-    for node in range(len(parent)):
-        groups.setdefault(find(node), []).append(node)
-    if len(groups) < 2:
-        return None
-    blocks, sides = [], []
-    for root in sorted(groups):
-        side = [i for i in groups[root] if i < na]
-        from_a = _merge(a_blocks, side)
-        from_b = _merge(b_blocks, [j - na for j in groups[root] if j >= na])
-        if frob(from_a - from_b) > bound:
-            raise ValidationError(
-                "inconsistent intersection component: the two sides disagree")
-        blocks.append(from_a)
-        sides.append(side)
-    return blocks, sides
-
-
 def _reach(meets: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Per row of the block id arrays ``a`` and ``b`` (padded with -1): the
     bipartite graph that joins a's and b's blocks where ``meets`` says they
@@ -208,16 +170,6 @@ def _reach(meets: np.ndarray, a: np.ndarray, b: np.ndarray):
     return graph, reach
 
 
-def _connected(meets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row of the block id arrays ``a`` and ``b`` (padded with -1): is
-    the bipartite graph of their meeting blocks (``_reach``) connected, that
-    is, is the two contexts' meet trivial?"""
-    graph, reach = _reach(meets, a, b)
-    seen = reach[:, 0]  # a's blocks reached from its first one
-    hit = np.einsum("sx,sxy->sy", seen.astype(np.float32), graph) > 0
-    return (seen | (a < 0)).all(axis=1) & (hit | (b < 0)).all(axis=1)
-
-
 def _components(meets: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Per row of the block id arrays ``a`` and ``b`` (padded with -1), each
     block's component in the bipartite graph of their meeting blocks
@@ -227,10 +179,73 @@ def _components(meets: np.ndarray, a: np.ndarray, b: np.ndarray):
     its blocks are the components, and a block of either context lies under
     the one it is labelled by.  Every block of a partition of unity meets
     some block of another, so a block of ``b`` is labelled by the first
-    block of ``a`` it meets."""
+    block of ``a`` it meets.  The meet pass, ``context_intersection`` and
+    the KS search's pairwise meets all read it (``_pair_slices``)."""
     graph, reach = _reach(meets, a, b)
     left = reach.argmax(axis=2)
     return left, np.take_along_axis(left, graph.argmax(axis=1), axis=1)
+
+
+def _padded(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """The block id lists ``rows`` as the rows of one array, padded with -1."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), -1)
+    for r, ids in enumerate(rows):
+        out[r, :len(ids)] = ids
+    return out
+
+
+def _pair_slices(meets: np.ndarray, rows: Sequence[Sequence[int]],
+                 done: int = 0) -> Iterator[list[tuple]]:
+    """The pairs i < j of the block id lists ``rows`` with j >= ``done``, in
+    that order, a slice of at most ``PAIR_ENTRIES`` block pairs at a time:
+    per slice, ``(i, j, x, y)`` per pair whose meet is not trivial, where
+    ``x`` and ``y`` label the blocks of ``rows[i]`` and ``rows[j]``, which
+    meet as ``meets``, by their component (``_components``)."""
+    padded = _padded(rows)
+    size, width = padded.shape
+    first = np.maximum(np.arange(1, size + 1), done)  # each row's first j
+    count = size - first
+    ends = np.cumsum(count)
+    step = max(1, PAIR_ENTRIES // (width * width))
+    for lo in range(0, int(ends[-1]), step):
+        flat = np.arange(lo, min(lo + step, int(ends[-1])))
+        left = np.searchsorted(ends, flat, side="right")
+        right = flat - ends[left] + count[left] + first[left]
+        mine, theirs = _components(meets, padded[left], padded[right])
+        kept = ((mine > 0) & (padded[left] >= 0)).any(axis=1)
+        yield [(i, j, x[:len(rows[i])], y[:len(rows[j])]) for i, j, x, y in zip(
+            left[kept].tolist(), right[kept].tolist(), mine[kept].tolist(),
+            theirs[kept].tolist())]
+
+
+def _meets(blocks: np.ndarray, rows: Sequence[Sequence[int]], pairs: Sequence[tuple],
+           bound: float) -> Iterator[tuple[np.ndarray, list[list[int]]]]:
+    """The meets of the pairs ``(i, j, x, y)`` of a slice of ``_pair_slices``,
+    in order: per pair, a stack of one block per component, in label order,
+    and the ids of ``rows[i]`` that each sums.  Both sides of every
+    component are summed off ``blocks`` (``_staged_sums``, ids in row
+    order) and compared at once, for as many pairs as hold about
+    ``PAIR_ENTRIES`` entries of sums; the first pair whose sides disagree
+    raises when it is reached, after the meets before it."""
+    step = max(1, PAIR_ENTRIES // (2 * blocks[0].size * len(blocks[0])))  # <= 2 d sums a pair
+    for lo in range(0, len(pairs), step):
+        sides = []  # per pair, the ids of each component on a's side and on b's
+        for i, j, x, y in pairs[lo:lo + step]:
+            mine, theirs = {}, {}  # in label order: a label is its first position
+            for ids, labels, out in ((rows[i], x, mine), (rows[j], y, theirs)):
+                for b, label in zip(ids, labels):
+                    out.setdefault(label, []).append(b)
+            sides.append((list(mine.values()), [theirs[label] for label in mine]))
+        groups = [g for mine, _ in sides for g in mine]
+        sums = _staged_sums(blocks, groups + [g for _, theirs in sides for g in theirs])
+        bad = sq_frob(sums[:len(groups)] - sums[len(groups):]) > bound ** 2
+        at = 0
+        for mine, _ in sides:
+            if bad[at:at + len(mine)].any():
+                raise ValidationError(
+                    "inconsistent intersection component: the two sides disagree")
+            yield sums[at:at + len(mine)], mine
+            at += len(mine)
 
 
 def _block_values(ops: np.ndarray, blocks, bound: float):
@@ -472,15 +487,21 @@ def context_intersection(a: Context, b: Context, tol: Tolerance = Tolerance(),
     """Largest common coarsening of two contexts, or None when trivial.
 
     Blocks of either context are joined whenever they overlap; each connected
-    component of that bipartite graph contributes one block of the result.
+    component of that bipartite graph contributes one block of the result,
+    in order of its first block of ``a``.  The components are those of the
+    meet pass (``_pair_slices`` and ``_meets`` on the two contexts' blocks);
+    two sides of a component that differ raise ``ValidationError``.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions {a.dim} and {b.dim} differ")
-    met = _meet_blocks(a.blocks, b.blocks, overlaps(a.blocks, b.blocks, tol),
-                       tol.scaled(a.dim))
-    if met is None:
-        return None
-    return make_context(met[0], tol, label=label)
+    na, nb = len(a.blocks), len(b.blocks)
+    rows = [range(na), range(na, na + nb)]
+    joint = np.zeros((na + nb, na + nb), dtype=bool)
+    joint[:na, na:] = overlaps(a.blocks, b.blocks, tol)
+    pairs = next(_pair_slices(joint, rows))  # the one pair, if its meet is not trivial
+    for mats, _ in _meets(np.concatenate([a.blocks, b.blocks]), rows, pairs, tol.scaled(a.dim)):
+        return make_context(mats, tol, label=label)
+    return None
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:
@@ -520,10 +541,10 @@ def _bell(k: int) -> int:
 
 def coarsenings(ctx: Context, tol: Tolerance = Tolerance()) -> Iterator[Context]:
     """All proper block-merging coarsenings of a context, one at a time."""
-    k = len(ctx.blocks)
+    k, stack = len(ctx.blocks), np.asarray(ctx.blocks)
     for part in _set_partitions(list(range(k))):
         if 1 < len(part) < k:
-            yield make_context([_merge(ctx.blocks, group) for group in part], tol)
+            yield make_context(_staged_sums(stack, part), tol)
 
 
 class BlockTable:
@@ -646,7 +667,9 @@ class ContextPoset:
     """Finitely many contexts ordered by algebra inclusion, at one tolerance
     ``tol``; ``base`` is the kernel poset on the sorted keys.  ``leq`` must
     already be closed, as ``build_poset`` returns it: a hand-built poset is
-    taken as given.  Every context holds the poset's block ``table`` and its
+    taken as given, but a pair of ``leq`` that names a key of none of its
+    contexts raises ``ValidationError`` (the first such pair in sorted
+    order).  Every context holds the poset's block ``table`` and its
     blocks' ``ids`` in it: the table that the contexts share at ``tol`` (as
     ``build_poset``'s or a scenario's do), or, for any other contexts
     (``make_context``'s, or another poset's at another tolerance), a fresh
@@ -673,6 +696,10 @@ class ContextPoset:
                 ids=tuple(itertools.islice(ids, len(c.blocks)))) for c in self.contexts))
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_index", {c.key: c for c in self.contexts})
+        stray = sorted(p for p in self.leq if not self._index.keys() >= set(p))
+        if stray:
+            raise ValidationError(f"order pair {stray[0]!r} names a key that is not one "
+                                  "of the poset's contexts")
         object.__setattr__(self, "base", FinPoset(
             elements=tuple(sorted(self._index)), leq=self.leq))
 
@@ -683,10 +710,7 @@ class ContextPoset:
     def _id_rows(self) -> np.ndarray:
         """Row i holds the id of each context's i-th block, contexts in
         ``contexts`` order; a context with fewer blocks reads -1 there."""
-        rows = np.full((max((len(c.ids) for c in self.contexts), default=0),
-                        len(self.contexts)), -1)
-        for col, c in enumerate(self.contexts):
-            rows[:len(c.ids), col] = c.ids
+        rows = _padded([c.ids for c in self.contexts]).T
         rows.setflags(write=False)
         return rows
 
@@ -907,25 +931,9 @@ class GivenContexts:
             """The meets of the pairs i < j < size with j >= done, in that
             order; a slice of pairs at a time is read off the table, and only a
             pair whose meet is not trivial is met."""
-            width = max(len(ids) for ids in ids_of[:size])
-            padded = np.full((size, width), -1)
-            for c, ids in enumerate(ids_of[:size]):
-                padded[c, :len(ids)] = ids
-            first = np.maximum(np.arange(1, size + 1), done)  # each row's first j
-            count = size - first
-            ends = np.cumsum(count)
-            step = max(1, PAIR_ENTRIES // (width * width))
-            for lo in range(0, int(ends[-1]), step):
-                flat = np.arange(lo, min(lo + step, int(ends[-1])))
-                left = np.searchsorted(ends, flat, side="right")
-                right = flat - ends[left] + count[left] + first[left]
-                kept = ~_connected(table.meets, padded[left], padded[right])
-                for i, j in zip(left[kept].tolist(), right[kept].tolist()):
-                    met = _meet_blocks(table.blocks[ids_of[i]], table.blocks[ids_of[j]],
-                                       table.meets[ids_of[i]][:, ids_of[j]], bound)
-                    if met is not None:
-                        yield 1, (met[0], None,
-                                  [[ids_of[i][a] for a in side] for side in met[1]])
+            for pairs in _pair_slices(table.meets, ids_of[:size], done):
+                for mats, parts in _meets(table.blocks, ids_of, pairs, bound):
+                    yield 1, (mats, None, parts)
 
         def expansions() -> Iterator[tuple[int, int]]:
             for i in range(len(ids_of)):
@@ -958,13 +966,13 @@ def build_poset(maximal: Sequence[Context], closure: str = "intersections",
     """Close a family of contexts under the chosen policy and order it.
 
     ``intersections`` closes under pairwise intersection to a fixed point;
-    a pass skips the pairs that the pass before already met.  A meet is
-    trivial exactly when the bipartite graph of the two contexts' blocks,
-    joined where they meet, is connected; a pass reads that off the table's
+    a pass skips the pairs that the pass before already met.  A meet's
+    blocks are the components of the bipartite graph of the two contexts'
+    blocks, joined where they meet; a pass labels them off the table's
     meets for a slice of at most ``PAIR_ENTRIES`` entries of pairs at a
-    time, in batched boolean products (``_connected``), and only a pair
-    whose meet is not trivial reaches ``_meet_blocks``, so every error
-    stays where it was.
+    time, in batched boolean products (``_pair_slices``), and sums and
+    checks only the meets that are not trivial (``_meets``), raising at
+    the first bad pair in pass order, so every error stays where it was.
     ``coarsenings`` takes the given contexts, then every block-merging
     coarsening of each, in list order: every subalgebra of a finite
     commutative algebra is a coarsening of it, and the set is closed under

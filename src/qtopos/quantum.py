@@ -44,7 +44,7 @@ from .contexts import (
     GivenContexts,
     _block_values,
     _check_closure,
-    _components,
+    _pair_slices,
 )
 from .errors import (
     Ambiguity,
@@ -457,31 +457,21 @@ def _maximal_presheaf(given: GivenContexts, tops: list[int]) -> kernel.Presheaf:
     in ``given.ids``, in ``V..`` key order, named by their rank) and one
     element under each pair of them whose meet is not trivial.  That
     element's points are the components of the bipartite graph of the
-    pair's meeting blocks (``contexts._components``), read off the table a
-    slice of ``PAIR_ENTRIES`` entries at a time; each block restricts to its
-    component.  Its global sections are the closure's picks at the
-    maximal contexts: two blocks agree on every common lower context iff
-    they agree on the pair's meet, which the component names."""
+    pair's meeting blocks, read off the table as the meet pass reads them
+    (``contexts._pair_slices``); each block restricts to its component.
+    Its global sections are the closure's picks at the maximal contexts:
+    two blocks agree on every common lower context iff they agree on the
+    pair's meet, which the component names."""
     names = [f"{r:0{len(str(len(tops) - 1))}d}" for r in range(len(tops))]
     sets = {v: kernel._sorted_points(range(len(given.ids[i]))) for v, i in zip(names, tops)}
-    width = max(len(sets[v]) for v in names)
-    padded = np.full((len(tops), width), -1)
-    for r, i in enumerate(tops):
-        padded[r, :len(given.ids[i])] = given.ids[i]
-    left, right = np.triu_indices(len(tops), 1)
     leq, restrictions = {(v, v) for v in names}, {}
-    step = max(1, PAIR_ENTRIES // (width * width))
-    for lo in range(0, len(left), step):
-        r, s = left[lo:lo + step], right[lo:lo + step]
-        mine, theirs = _components(given.table.meets, padded[r], padded[s])
-        for a, b, x, y in zip(r.tolist(), s.tolist(), mine.tolist(), theirs.tolist()):
-            x, y = x[:len(sets[names[a]])], y[:len(sets[names[b]])]
-            if any(x):
-                meet = f"m{names[a]}.{names[b]}"  # sorts after the ranks
-                sets[meet] = kernel._sorted_points(set(x))
-                leq |= {(meet, meet), (meet, names[a]), (meet, names[b])}
-                restrictions[names[a], meet] = dict(enumerate(x))
-                restrictions[names[b], meet] = dict(enumerate(y))
+    rows = [given.ids[i] for i in tops]
+    for a, b, x, y in itertools.chain.from_iterable(_pair_slices(given.table.meets, rows)):
+        meet = f"m{names[a]}.{names[b]}"  # sorts after the ranks
+        sets[meet] = kernel._sorted_points(set(x))
+        leq |= {(meet, meet), (meet, names[a]), (meet, names[b])}
+        restrictions[names[a], meet] = dict(enumerate(x))
+        restrictions[names[b], meet] = dict(enumerate(y))
     return kernel.Presheaf(kernel.FinPoset(tuple(sorted(sets)), frozenset(leq)),
                            sets, restrictions)
 

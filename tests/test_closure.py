@@ -4,12 +4,15 @@
 each candidate by comparing it with every context kept so far
 (``contexts_equal``), re-meets every pair and re-coarsens every context on
 each pass until a pass adds nothing, and orders contexts pairwise with
-``context_leq``.  It sorts blocks by ``reference_block_sort_key``, the
-earlier per-entry sort key.  The closure in ``qtopos.contexts`` must give
-the same contexts, under the same ids, and the same order.  Its contexts'
-matrices are rows of its block table, where a block shared by many contexts
-is held once, while the reference keeps each context's matrices as it
-formed them: the two agree within ``MATRIX_SLACK`` (Frobenius).
+``context_leq``.  It meets two contexts by the earlier per-pair union-find
+(``reference_meet_blocks``) and sums blocks one group at a time
+(``reference_merge``), both kept here as they were.  It sorts blocks by
+``reference_block_sort_key``, the earlier per-entry sort key.  The closure
+in ``qtopos.contexts`` must give the same contexts, under the same ids, and
+the same order.  Its contexts' matrices are rows of its block table, where
+a block shared by many contexts is held once, while the reference keeps
+each context's matrices as it formed them: the two agree within
+``MATRIX_SLACK`` (Frobenius).
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from qtopos import cli
 from qtopos import contexts as C
 from qtopos import quantum as Q
 from qtopos.errors import SizeLimit, TrivialContext, ValidationError
-from qtopos.numerics import Tolerance, overlaps
+from qtopos.numerics import Tolerance, frob, overlaps
 from qtopos.scenario import parse_scenario
 from tests.conftest import (
     random_context,
@@ -50,6 +53,44 @@ def reference_block_sort_key(block: np.ndarray):
     return (-trace, entries)
 
 
+def reference_merge(blocks, group) -> np.ndarray:
+    """The sum of the blocks at the indices in ``group``, in that order."""
+    return sum(blocks[i] for i in group)
+
+
+def reference_meet_blocks(a_blocks, b_blocks, meets: np.ndarray, bound: float):
+    """The meet of two partitions whose blocks meet as ``meets``: one block,
+    summed on ``a``'s side, per connected component (union-find), and each
+    block's positions in ``a``; None when the meet is trivial."""
+    na = len(a_blocks)
+    parent = list(range(na + len(b_blocks)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in np.argwhere(meets):
+        parent[find(int(i))] = find(na + int(j))
+    groups: dict[int, list[int]] = {}
+    for node in range(len(parent)):
+        groups.setdefault(find(node), []).append(node)
+    if len(groups) < 2:
+        return None
+    blocks, sides = [], []
+    for root in sorted(groups):
+        side = [i for i in groups[root] if i < na]
+        from_a = reference_merge(a_blocks, side)
+        from_b = reference_merge(b_blocks, [j - na for j in groups[root] if j >= na])
+        if frob(from_a - from_b) > bound:
+            raise ValidationError(
+                "inconsistent intersection component: the two sides disagree")
+        blocks.append(from_a)
+        sides.append(side)
+    return blocks, sides
+
+
 def reference_build_poset(maximal, closure, tol=TOL) -> C.ContextPoset:
     if not maximal:
         return C.ContextPoset(dim=0, contexts=(), leq=frozenset())
@@ -68,13 +109,14 @@ def reference_build_poset(maximal, closure, tol=TOL) -> C.ContextPoset:
         size = len(ctxs)
         for i in range(size):
             for j in range(i + 1, size):
-                meet = C.context_intersection(ctxs[i], ctxs[j], tol)
-                if meet is not None and absorb(meet):
+                a, b = ctxs[i].blocks, ctxs[j].blocks
+                met = reference_meet_blocks(a, b, overlaps(a, b, tol), tol.scaled(ctxs[i].dim))
+                if met is not None and absorb(C.make_context(met[0], tol)):
                     added = True
         if closure == "coarsenings":
             for ctx in list(ctxs):
-                for coarse in C.coarsenings(ctx, tol):
-                    if absorb(coarse):
+                for mats in per_partition_coarsened(ctx.blocks):
+                    if absorb(C.make_context(mats, tol)):
                         added = True
         if not added:
             break
@@ -299,7 +341,7 @@ def test_eight_level_observable_trips_the_limit():
 def per_partition_coarsened(blocks):
     for part in C._set_partitions(list(range(len(blocks)))):
         if 1 < len(part) < len(blocks):
-            yield [C._merge(blocks, group) for group in part]
+            yield [reference_merge(blocks, group) for group in part]
 
 
 def per_partition_build_poset(maximal, closure="coarsenings", tol=TOL):
@@ -331,9 +373,9 @@ def per_partition_build_poset(maximal, closure="coarsenings", tol=TOL):
         size = len(ctxs)
         for i in range(size):
             for j in range(max(i + 1, done), size):
-                mats = C._meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
-                                      table.meets[np.ix_(ids_of[i], ids_of[j])],
-                                      bound)
+                mats = reference_meet_blocks(ctxs[i].blocks, ctxs[j].blocks,
+                                             table.meets[np.ix_(ids_of[i], ids_of[j])],
+                                             bound)
                 if mats is not None:
                     add(mats[0])
         done = size if closure == "intersections" else len(ctxs)
@@ -657,8 +699,9 @@ def test_a_flagged_coarsening_late_in_a_run_is_named_as_one_at_a_time(monkeypatc
         bad = len(group) > 1 and any(np.array_equal(blocks[group[0]], m) for m in marked)
         return group[:-1] if bad else group
 
-    merge, staged = C._merge, C._staged_sums
-    monkeypatch.setattr(C, "_merge", lambda blocks, group: merge(blocks, cut(blocks, group)))
+    merge, staged = reference_merge, C._staged_sums
+    monkeypatch.setitem(globals(), "reference_merge",
+                        lambda blocks, group: merge(blocks, cut(blocks, group)))
     monkeypatch.setattr(C, "_staged_sums", lambda blocks, groups: staged(
         blocks, [cut(blocks, group) for group in groups]))
     new = _outcome(C.build_poset, maximal, "coarsenings", TOL)
@@ -813,14 +856,17 @@ def _knife_edge_operators(dim, sin):
     return np.diag([0.0, 1.0, 2.0]), 2 * plus - np.eye(3)
 
 
+# per case, its dimension and sin t, and the contexts under coarsenings and
+# under intersections, or None where the two blocks are distinct yet meet
+# one to one
+KNIFE_EDGES = [(2, 1.2e-9, (1, 1)), (2, 1.8e-9, None), (2, 2.5e-9, (2, 2)),
+               (3, 1.5e-9, (4, 2)), (3, 2.5e-9, None), (3, 3.5e-9, (5, 2))]
+
+
 @pytest.mark.parametrize("closure", CLOSURES)
-@pytest.mark.parametrize("dim, sin, sizes", [
-    (2, 1.2e-9, (1, 1)), (2, 1.8e-9, None), (2, 2.5e-9, (2, 2)),
-    (3, 1.5e-9, (4, 2)), (3, 2.5e-9, None), (3, 3.5e-9, (5, 2))])
+@pytest.mark.parametrize("dim, sin, sizes", KNIFE_EDGES)
 def test_a_knife_edge_is_refused_not_ordered_in_a_cycle(dim, sin, sizes, closure,
                                                          tmp_path):
-    # ``sizes``: the contexts under coarsenings and under intersections, or
-    # None where the two blocks are distinct yet meet one to one
     tol = Tolerance(1e-9)
     ops = _knife_edge_operators(dim, sin)
     maximal = [C.context_from_commuting_set([op], tol) for op in ops]
@@ -841,6 +887,46 @@ def test_a_knife_edge_is_refused_not_ordered_in_a_cycle(dim, sin, sizes, closure
     assert_is_order(poset)
     assert len(poset) == sizes[closure == "intersections"]
     assert [(code, err) for code, _, err in runs] == 2 * [(0, "")]
+
+
+@pytest.mark.parametrize("dim, sin", [(d, t) for d, t, sizes in KNIFE_EDGES if sizes is None])
+def test_context_intersection_refuses_a_knife_edge(dim, sin):
+    # the two contexts' blocks meet one to one, yet a pair of them differs
+    # by more than eps * d: the two sides of a component disagree
+    tol = Tolerance(1e-9)
+    a, b = (C.context_from_commuting_set([op], tol) for op in _knife_edge_operators(dim, sin))
+    with pytest.raises(ValidationError, match=f"^{KNIFE_EDGE_ERROR}$"):
+        C.context_intersection(a, b, tol)
+
+
+def _bits(blocks) -> list[bytes]:
+    return sorted(np.asarray(b).tobytes() for b in blocks)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 6))
+def test_the_component_routine_matches_the_union_find(seed, dim):
+    # two random groupings of one basis, the standard one and after a global
+    # Haar unitary: context_intersection gives the union-find's verdict and,
+    # bit for bit, its blocks; the coarsenings of the first are the
+    # per-group sums, partition by partition
+    rng = np.random.default_rng(seed)
+    groupings = [np.split(rng.permutation(dim), np.sort(rng.choice(
+        np.arange(1, dim), int(rng.integers(1, dim)), replace=False))) for _ in range(2)]
+    for basis in (np.eye(dim, dtype=complex), random_unitary(dim, rng)):
+        a, b = (_grouping(basis, groups) for groups in groupings)
+        met = reference_meet_blocks(a.blocks, b.blocks, overlaps(a.blocks, b.blocks, TOL),
+                                    TOL.scaled(dim))
+        got = C.context_intersection(a, b, TOL)
+        assert (got is None) == (met is None)
+        if got is not None:
+            assert _bits(got.blocks) == _bits(met[0])
+        parts = [p for p in C._set_partitions(list(range(len(a.blocks))))
+                 if 1 < len(p) < len(a.blocks)]
+        coarse = list(C.coarsenings(a, TOL))
+        assert len(coarse) == len(parts)
+        for ctx, part in zip(coarse, parts):
+            assert _bits(ctx.blocks) == _bits(reference_merge(a.blocks, g) for g in part)
 
 
 # The meet pass reads which pairs meet trivially off the table, a slice of
@@ -864,12 +950,20 @@ def reference_trivial(meets, a, b) -> bool:
     return len({find(x) for x in range(len(parent))}) == 1
 
 
+def trivial(meets, a, b) -> list[bool]:
+    """The meet pass's verdict per row of ``a`` and ``b``: every block of
+    ``a`` is labelled 0 by ``_components``."""
+    return ((C._components(meets, a, b)[0] == 0) | (a < 0)).all(axis=1).tolist()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(2, 40),
        width=st.integers(2, 16), pairs=st.integers(1, 12),
        density=st.floats(0.0, 0.5))
 def test_batched_triviality_matches_a_per_pair_union_find(seed, blocks, width,
                                                           pairs, density):
+    # as blocks of partitions of unity do, every block of b meets some
+    # block of a: a block that meets none gets one such edge
     rng = np.random.default_rng(seed)
     meets = rng.random((blocks, blocks)) < density
     meets |= meets.T
@@ -878,14 +972,20 @@ def test_batched_triviality_matches_a_per_pair_union_find(seed, blocks, width,
         size = int(rng.integers(2, min(width, blocks) + 1))
         rows[r, :size] = rng.choice(blocks, size, replace=False)
     a, b = rows[:pairs], rows[pairs:]
-    got = C._connected(meets, a, b).tolist()
-    assert got == [reference_trivial(meets, x, y) for x, y in zip(a, b)]
+    for x, y in zip(a, b):
+        x, y = x[x >= 0], y[y >= 0]
+        for lone in y[~meets[np.ix_(x, y)].any(axis=0)]:
+            meets[lone, x[rng.integers(len(x))]] = True
+            meets |= meets.T
+    assert trivial(meets, a, b) == [reference_trivial(meets, x, y) for x, y in zip(a, b)]
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 9, 16])
 def test_a_path_through_every_block_is_one_component(k):
-    # a_0 - b_0 - a_1 - b_1 - ... - a_{k-1}: the longest path that the
-    # squarings must cover; cutting any edge splits it
+    # a_0 - b_0 - a_1 - b_1 - ... - a_{k-1} - b_{k-1}: the longest path that
+    # the squarings must cover; cutting any edge splits it in two, the
+    # second part labelled by its first block of a, or cuts off b_{k-1},
+    # which then meets no block of a
     meets = np.zeros((2 * k, 2 * k), dtype=bool)
     a, b = np.arange(k), np.arange(k, 2 * k)
     for x in range(k):
@@ -893,12 +993,19 @@ def test_a_path_through_every_block_is_one_component(k):
         if x + 1 < k:
             meets[a[x + 1], b[x]] = True
     meets |= meets.T
-    assert C._connected(meets, a[None], b[None]).tolist() == [True]
+    mine, theirs = C._components(meets, a[None], b[None])
+    assert mine.tolist() == theirs.tolist() == [[0] * k]
+    assert trivial(meets, a[None], b[None]) == [True]
     for x in range(2 * k - 1):
         cut = meets.copy()
         y, z = (a[x // 2], b[x // 2]) if x % 2 == 0 else (a[x // 2 + 1], b[x // 2])
         cut[y, z] = cut[z, y] = False
-        assert C._connected(cut, a[None], b[None]).tolist() == [False]
+        mine, theirs = C._components(cut, a[None], b[None])
+        split = (x + 2) // 2  # the first block of a past the cut
+        assert mine.tolist() == [[0 if n < split else split for n in range(k)]]
+        if split < k:
+            assert theirs.tolist() == [[0 if 2 * n + 1 <= x else split for n in range(k)]]
+        assert trivial(cut, a[None], b[None]) == [split == k]
 
 
 @pytest.mark.parametrize("name, pairs, calls", [
@@ -909,18 +1016,19 @@ def test_only_nontrivial_meets_are_formed(name, pairs, calls, monkeypatch):
     # before the batched verdicts every pair was met: 105, 351 and 2,628
     maximal, tol = _named_maximal(name)
     counts = {"pairs": 0, "calls": 0}
-    connected, meet = C._connected, C._meet_blocks
+    components, meets = C._components, C._meets
 
-    def batched(meets, a, b):
+    def batched(table_meets, a, b):
         counts["pairs"] += len(a)
-        return connected(meets, a, b)
+        return components(table_meets, a, b)
 
-    def one(*args):
-        counts["calls"] += 1
-        return meet(*args)
+    def formed(*args):
+        for met in meets(*args):
+            counts["calls"] += 1
+            yield met
 
-    monkeypatch.setattr(C, "_connected", batched)
-    monkeypatch.setattr(C, "_meet_blocks", one)
+    monkeypatch.setattr(C, "_components", batched)
+    monkeypatch.setattr(C, "_meets", formed)
     C.build_poset(maximal, "intersections", tol)
     assert counts == {"pairs": pairs, "calls": calls}
 
@@ -932,16 +1040,16 @@ def test_a_pass_that_trips_the_limit_reads_slices_lazily(monkeypatch):
     maximal, tol = _named_maximal("peres33.json")
     monkeypatch.setattr(C, "PAIR_ENTRIES", 1)
     events = []
-    connected, meet, intern = C._connected, C._meet_blocks, C.BlockTable.intern
+    components, meets, intern = C._components, C._meets, C.BlockTable.intern
 
-    def met(*args):
-        result = meet(*args)
-        events.append(("meet", len(result[0])))
-        return result
+    def formed(*args):
+        for mats, parts in meets(*args):
+            events.append(("meet", len(mats)))
+            yield mats, parts
 
-    monkeypatch.setattr(C, "_connected", lambda *args: (
-        events.append(("slice", 0)), connected(*args))[1])
-    monkeypatch.setattr(C, "_meet_blocks", met)
+    monkeypatch.setattr(C, "_components", lambda *args: (
+        events.append(("slice", 0)), components(*args))[1])
+    monkeypatch.setattr(C, "_meets", formed)
     monkeypatch.setattr(C.BlockTable, "intern", lambda self, blocks, parts=None: (
         events.append(("intern", len(blocks))), intern(self, blocks, parts))[1])
     size = len(C.build_poset(maximal, "intersections", tol))

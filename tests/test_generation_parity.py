@@ -51,6 +51,7 @@ from qtopos.numerics import (
 )
 from qtopos.scenario import _matrix, parse_scenario
 from tests.conftest import SX, SZ, random_unitary, unchecked_context
+from tests.test_closure import reference_merge
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -361,10 +362,10 @@ def test_build_poset_names_a_bad_coarsening_as_before(monkeypatch):
     coarsening is flagged in its run's check and ``build_poset`` raises the
     per-context check's message."""
     ctx = C.make_context(E, TOL, label="atoms")
-    merge, staged = C._merge, C._staged_sums
+    staged = C._staged_sums
 
     def wrong(blocks, group):
-        return merge(blocks, group[:-1] or group)
+        return reference_merge(blocks, group[:-1] or group)
 
     monkeypatch.setattr(C, "_staged_sums", lambda blocks, groups: staged(
         blocks, [group[:-1] or group for group in groups]))

@@ -98,6 +98,17 @@ class TestSpectralPresheaf:
         with pytest.raises(Ambiguity):
             Q.spectral_presheaf(bogus, tol)
 
+    def test_an_order_that_names_no_context_is_refused(self, tol):
+        # every pair of a hand-built order must name two of the poset's contexts
+        zctx = C.make_context([np.diag([1, 0]), np.diag([0, 1])], tol, label="z")
+        xctx = C.make_context([np.full((2, 2), 0.5), [[0.5, -0.5], [-0.5, 0.5]]], tol)
+        keys = [zctx.key, xctx.key]
+        leq = frozenset([(k, k) for k in keys] + [("z", "w"), ("x", "y")])
+        with pytest.raises(ValidationError,
+                           match=r"^order pair \('x', 'y'\) names a key that is not one "
+                                 r"of the poset's contexts$"):
+            C.ContextPoset(dim=2, contexts=(zctx, xctx), leq=leq)
+
 
 class TestEvaluate:
     def test_sigma_z_read_off(self, tol, pauli_poset):
