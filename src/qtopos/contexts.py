@@ -566,20 +566,19 @@ class BlockTable:
     within a factor sqrt(k) below it.
     """
 
-    def __init__(self, dim: int, tol: Tolerance, mats: np.ndarray | None = None,
+    def __init__(self, dim: int, tol: Tolerance, blocks: np.ndarray | None = None,
                  meets: np.ndarray | None = None, keys: Sequence[tuple] = ()):
-        """An empty table at ``tol`` of ``dim``-square blocks, or one whose
-        blocks are the first ``len(keys)`` of ``mats`` (taken, not copied),
-        meeting as ``meets`` (of ``len(mats)`` rows and columns), with the
-        sort keys ``keys``; either has no records."""
+        """An empty table at ``tol`` of ``dim``-square blocks, or one of the
+        stack ``blocks`` (taken, not copied, and made read-only), meeting as
+        ``meets``, with the sort keys ``keys``; either has no records."""
         self.tol = tol
-        self.mats = np.empty((16, dim, dim), dtype=complex) if mats is None else mats
-        self.meets = np.zeros((16, 16), dtype=bool) if meets is None else meets
+        # the distinct blocks in id order, read-only: intern replaces the stack
+        self.blocks = np.empty((0, dim, dim), dtype=complex) if blocks is None else blocks
+        self.blocks.setflags(write=False)
+        self.meets = np.zeros((0, 0), dtype=bool) if meets is None else meets
         self.keys: list[tuple] = list(keys)
         # per block, its rank: its key's trace, rounded
         self.ranks: list[int] = [round(-key[0]) for key in self.keys]
-        self.blocks = self.mats[:len(self.keys)]  # the distinct blocks in id order
-        self.blocks.setflags(write=False)
         # the sorted block ids of each context checked as a partition of
         # unity on this table (by make_context, _generate or GivenContexts)
         self.checked: set[tuple[int, ...]] = set()
@@ -591,9 +590,9 @@ class BlockTable:
         self.held_rows = 0
 
     def copy(self) -> BlockTable:
-        """A table of the same blocks, keys, ranks and meets, with no records
-        and no context checked."""
-        return BlockTable(self.mats.shape[-1], self.tol, self.mats.copy(), self.meets.copy(),
+        """A table of the same blocks (shared: they are read-only), keys, ranks
+        and meets, with no records and no context checked."""
+        return BlockTable(self.blocks.shape[-1], self.tol, self.blocks, self.meets.copy(),
                           self.keys)
 
     def forget(self) -> None:
@@ -616,7 +615,7 @@ class BlockTable:
             ids[:] = [p[0] if len(p) == 1 else n for p in parts]
         rest = np.flatnonzero(ids == n)
         if n:
-            same = same_blocks(self.mats[:n], stack[rest], self.tol)
+            same = same_blocks(self.blocks, stack[rest], self.tol)
             ids[rest] = np.concatenate([same, np.ones((1, len(rest)), bool)]).argmax(axis=0)
         fresh = rest[ids[rest] == n]
         if not fresh.size:
@@ -633,30 +632,27 @@ class BlockTable:
         if not _projector_ok(stack[new], self.tol).all():
             raise NotProjector("a block is not a projector within tolerance")
         m = n + len(new)
-        if m > len(self.mats):
-            self.mats = np.concatenate([self.mats, self.mats, stack])
-            meets = np.zeros((len(self.mats),) * 2, dtype=bool)
-            meets[:n, :n] = self.meets[:n, :n]
-            self.meets = meets
-        self.mats[n:m] = stack[new]
+        self.blocks = np.concatenate([self.blocks, stack[new]])
+        self.blocks.setflags(write=False)
         if parts is None:
-            hits = overlaps(self.mats[:m], self.mats[n:m], self.tol)
+            hits = overlaps(self.blocks, self.blocks[n:], self.tol)
         else:
             picked = [parts[r] for r in new.tolist()]
             sizes = [len(p) for p in picked]
             sums = np.zeros((len(new), n), dtype=np.float32)
             sums[np.repeat(np.arange(len(new)), sizes),
                  list(itertools.chain.from_iterable(picked))] = 1
-            held = sums @ self.meets[:n, :n].astype(np.float32)
+            held = sums @ self.meets.astype(np.float32)
             hits = np.concatenate([held.T, held @ sums.T]) > 0
-        self.meets[n:m, :m] = hits.T
-        self.meets[:m, n:m] = hits
-        keys = (_block_sort_keys(self.mats[n:m]) if keys is None
+        meets = np.zeros((m, m), dtype=bool)
+        meets[:n, :n] = self.meets
+        meets[n:] = hits.T
+        meets[:, n:] = hits
+        self.meets = meets
+        keys = (_block_sort_keys(self.blocks[n:]) if keys is None
                 else list(map(keys.__getitem__, new.tolist())))
         self.keys += keys
         self.ranks += [round(-key[0]) for key in keys]
-        self.blocks = self.mats[:m]
-        self.blocks.setflags(write=False)
         ids[new] = np.arange(n, m)
         ids[fresh[~added]] = ids[fresh[first[~added]]]
         return ids.tolist()
@@ -733,7 +729,7 @@ def _under(table: BlockTable, rows: Sequence[Sequence[int]]) -> set[tuple[int, i
     member = np.zeros((len(rows), n), dtype=np.float32)
     member[np.repeat(np.arange(len(rows)), [len(ids) for ids in rows]),
            list(itertools.chain.from_iterable(rows))] = 1
-    misfit = (member @ table.meets[:n, :n] != 1).astype(np.float32)
+    misfit = (member @ table.meets != 1).astype(np.float32)
     pairs: set[tuple[int, int]] = set()
     for lo in range(0, len(rows), 512):
         r, c = np.nonzero(misfit[lo:lo + 512] @ member.T == 0)

@@ -5,19 +5,18 @@ structure the quantum layer needs: subobjects, the subobject classifier,
 Heyting operations on subobjects, exponentials, power objects and truth
 values as lower sets (``truth_value_inclusion``).  Subobjects are enumerated
 one element at a time, the options at an element built once per distinct
-choice above it; global sections on the explicit-stack engine
-``depth_first``, free of Python's recursion limit, in blocks (one live dict
-of the picks but the last, then the last element's values), so a leaf costs
-O(1) steps.  Guards turn blow-ups into ``SizeLimit`` errors.  The
-global-section search, also the quantum layer's, picks only at maximal
+choice above it.  Guards turn blow-ups into ``SizeLimit`` errors.  The
+global-section search, also the quantum layer's, is one loop over an
+explicit stack, free of Python's recursion limit: it picks only at maximal
 elements, keeps their int-mask domains arc consistent after each pick (MAC),
 each arc remembering its support per domain, and may count its picks against
 a ``NodeBudget``; a section is a tuple in element order, one concatenation of
-precomputed rows.  It serves ``hom_set`` and ``exponential``: an arrow
-``x -> y`` is a global section of ``y`` on the elements of ``x``
-(``_elements``), and a ``NatTransform`` is that row, with its components a
-derived view.  Their limits are pre-checks on the size of the space:
-``hom_set`` refuses when prod_v |y(v)|^|x(v)| exceeds
+precomputed rows, and the last element's points share the join of the
+earlier picks' rows, so a leaf costs O(1) steps.  It serves ``hom_set`` and
+``exponential``: an arrow ``x -> y`` is a global section of ``y`` on the
+elements of ``x`` (``_elements``), and a ``NatTransform`` is that row, with
+its components a derived view.  Their limits are pre-checks on the size of
+the space: ``hom_set`` refuses when prod_v |y(v)|^|x(v)| exceeds
 ``GLOBAL_SEARCH_LIMIT``, and ``exponential`` when that product over the
 down-set of one element exceeds ``COMPONENT_LIMIT``.  A subobject is one
 int over all its presheaf's points, from its enumeration through the
@@ -158,37 +157,6 @@ class NodeBudget:
                 raise SizeLimit(f"{self.search} exceeded its limit of "
                                 f"{self.limit} nodes at node {self.nodes}")
             yield value
-
-
-def depth_first(order, options, budget: NodeBudget | None = None):
-    """Every assignment to ``order`` that ``options`` allows, depth first.
-
-    ``options(element, chosen)`` gives the values open to ``element``; it may
-    read ``chosen`` only at the elements before it in ``order``.  Assignments
-    come in blocks ``(chosen, values)``, lexicographic in the option sequences:
-    the live dict of the picks before the last element, keyed in ``order``, and
-    a lazy iterator over the last element's values, good until the next block
-    (the empty order has one, ``({}, None)``).  Options are asked lazily, so a
-    caller that stops early leaves the rest unasked.  Each value taken, at every
-    element, is one node of ``budget``; past its limit, ``SizeLimit``.
-    """
-    if not order:
-        yield {}, None
-        return
-    chosen: dict = {}
-    take = iter if budget is None else budget.taken
-    stack = [take(options(order[0], chosen))]
-    while stack:
-        if len(stack) == len(order):
-            yield chosen, stack.pop()
-            continue
-        depth = len(stack) - 1
-        for value in stack[-1]:
-            chosen[order[depth]] = value
-            stack.append(take(options(order[depth + 1], chosen)))
-            break
-        else:
-            stack.pop()
 
 
 @dataclass(frozen=True)
@@ -477,45 +445,54 @@ def global_sections(x: Presheaf, budget: NodeBudget | None = None):
     order, offering only those that survive AC-3 with the earlier picks
     fixed; the other elements follow by restriction.  AC-3 drops no point of
     a section, so sections come out in the lexicographic order of the picks.
-    A node of ``budget``, if given, is one pick; AC-3 is polynomial per node,
-    so the cap bounds the whole work.  Each maximal ``w`` has one row per
-    point (its restrictions to the elements lifting to ``w``); a block joins
-    its head's rows once, then a section is a tuple ``+`` and an ``itemgetter``."""
+    The loop keeps a stack of each depth's offered points, the picks and,
+    per depth d, the domains with d picks fixed (None once one is empty); a
+    pick at depth d truncates both at d.  A node of ``budget``, if given, is
+    one point taken, at any depth; AC-3 is polynomial per node, so the cap
+    bounds the whole work.  Each maximal ``w`` has one row per point (its
+    restrictions to the elements lifting to ``w``); the last depth's points
+    share one join of the earlier picks' rows, then a section is a tuple
+    ``+`` and an ``itemgetter``."""
     if any(not pts for pts in x.sets.values()):
         return
     base = x.base
-    tops = {v: i for i, v in enumerate(
-        u for u in base.elements if len(base.up(u)) == 1)}
-    if not tops:  # the empty poset has one, empty, section
+    lifted: dict = {u: [] for u in base.elements if len(base.up(u)) == 1}
+    if not lifted:  # the empty poset has one, empty, section
         yield ()
         return
-    order, arcs = list(tops), _arcs(x, tops)
-    full = {v: (1 << len(x.sets[v])) - 1 for v in tops}  # point i is bit i
-    states = [_revise(arcs, full, dict.fromkeys(tops))]
-
-    def options(v, chosen):  # states[d]: the domains with d picks fixed
-        depth = tops[v]
-        if depth:
-            del states[depth:]
-            last = order[depth - 1]
-            states.append(_revise(arcs, {**states[-1], last: 1 << chosen[last]},
-                                  {last: None}))
-        mask = states[depth][v] if states[depth] else 0
-        return [i for i in range(len(x.sets[v])) if mask >> i & 1]
-
-    lifted: dict = {w: [] for w in order}
+    order, arcs = list(lifted), _arcs(x, lifted)
     for u in base.elements:
-        lifted[next(w for w in base.up(u) if w in tops)].append(u)
+        lifted[next(w for w in base.up(u) if w in lifted)].append(u)
     rows = {w: [tuple(x.restrict(pt, w, u) for u in lifted[w]) for pt in x.sets[w]]
             for w in order}
     place = {u: i for i, u in enumerate(itertools.chain(*lifted.values()))}
     # an itemgetter of one index gives the bare point; one element needs no reordering
     get = operator.itemgetter(*map(place.get, base.elements)) if len(place) > 1 else tuple
-    ends = rows[order[-1]]
-    for head, picks in depth_first(order, options, budget):
-        start = tuple(itertools.chain.from_iterable(rows[w][i] for w, i in head.items()))
-        for i in picks:
-            yield get(start + ends[i])
+    ends, last = rows[order[-1]], len(order) - 1
+    take = iter if budget is None else budget.taken
+    full = {v: (1 << len(x.sets[v])) - 1 for v in order}  # point i is bit i
+    picks, states, stack = [], [_revise(arcs, full, dict.fromkeys(order))], []
+    while True:
+        depth = len(picks)
+        if states[depth] is not None:  # offer the points left at order[depth]
+            mask = states[depth][order[depth]]
+            offered = take([i for i in range(len(x.sets[order[depth]])) if mask >> i & 1])
+            if depth < last:
+                stack.append(offered)
+            else:
+                start = tuple(itertools.chain.from_iterable(
+                    rows[w][i] for w, i in zip(order, picks)))
+                for i in offered:
+                    yield get(start + ends[i])
+        while stack and (i := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        depth = len(stack) - 1
+        v = order[depth]
+        del picks[depth:], states[depth + 1:]
+        picks.append(i)
+        states.append(_revise(arcs, {**states[depth], v: 1 << i}, {v: None}))
 
 
 def _elements(x: Presheaf, y: Presheaf, elems) -> Presheaf:

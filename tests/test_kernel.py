@@ -1073,62 +1073,40 @@ def test_heyting_implies_matches_the_mask_reference_on_the_square(closure):
     assert_implication_matches_the_mask_reference(subs)
 
 
-def flattened(order, options, budget=None):
-    """``depth_first``'s blocks as one fresh dict per assignment, lazily."""
-    for head, values in K.depth_first(order, options, budget):
-        if values is None:  # the empty order: its one, empty, assignment
-            yield dict(head)
-            continue
-        for value in values:
-            yield {**head, order[-1]: value}
+# An antichain {a, b} with points (0, 1) at each element: four sections,
+# and six nodes to list them (two picks at a, then each of b's points).
+ANTI2_BITS = K.presheaf(ANTI2, {"a": (0, 1), "b": (0, 1)}, {})
 
 
-class TestDepthFirst:
-    def test_budget_counts_every_value_taken(self):
+class TestSectionSearch:
+    def test_budget_counts_every_point_taken(self):
         budget = K.NodeBudget("test search", 10)
-        out = list(flattened(["a", "b"], lambda e, chosen: (0, 1), budget))
-        assert len(out) == 4 and budget.nodes == 6
+        out = list(K.global_sections(ANTI2_BITS, budget))
+        assert out == [(0, 0), (0, 1), (1, 0), (1, 1)] and budget.nodes == 6
 
     def test_budget_trip_names_search_limit_and_count(self):
         budget = K.NodeBudget("test search", 5)
-        with pytest.raises(SizeLimit, match="test search exceeded .* 5 nodes at node 6"):
-            list(flattened(["a", "b"], lambda e, chosen: (0, 1), budget))
+        with pytest.raises(SizeLimit, match="test search exceeded its limit of 5 nodes at node 6"):
+            list(K.global_sections(ANTI2_BITS, budget))
 
-    def test_lexicographic_in_option_order(self):
-        out = list(flattened(["a", "b"], lambda e, chosen: (2, 1)))
-        assert out == [{"a": 2, "b": 2}, {"a": 2, "b": 1},
-                       {"a": 1, "b": 2}, {"a": 1, "b": 1}]
+    def test_early_stop_leaves_the_rest_untaken(self):
+        budget = K.NodeBudget("test search", 10)
+        assert next(K.global_sections(ANTI2_BITS, budget)) == (0, 0)
+        assert budget.nodes == 2
 
-    def test_options_see_earlier_choices(self):
-        def options(e, chosen):
-            return range(chosen["a"] + 1, 3) if e == "b" else range(3)
-        out = list(flattened(["a", "b"], options))
-        assert [(s["a"], s["b"]) for s in out] == [(0, 1), (0, 2), (1, 2)]
+    def test_empty_poset_has_one_section_and_takes_no_node(self):
+        budget = K.NodeBudget("test search", 10)
+        x = K.presheaf(K.finposet([]), {}, {})
+        assert list(K.global_sections(x, budget)) == [()] and budget.nodes == 0
 
-    def test_empty_order_has_one_assignment(self):
-        assert list(flattened([], lambda e, chosen: ())) == [{}]
-
-    def test_dead_end_yields_nothing(self):
-        out = flattened(["a", "b"], lambda e, chosen: (0,) if e == "a" else ())
-        assert list(out) == []
-
-    def test_early_stop_leaves_options_unasked(self):
-        asked = []
-
-        def options(e, chosen):
-            for value in (0, 1):
-                asked.append((e, value))
-                yield value
-
-        first = next(flattened(["a", "b"], options))
-        assert first == {"a": 0, "b": 0}
-        assert asked == [("a", 0), ("b", 0)]
-
-    def test_blocks_share_all_but_the_last_value(self):
-        blocks = [(dict(head), list(values)) for head, values
-                  in K.depth_first(["a", "b", "c"], lambda e, chosen: (0, 1))]
-        assert blocks == [({"a": 0, "b": 0}, [0, 1]), ({"a": 0, "b": 1}, [0, 1]),
-                          ({"a": 1, "b": 0}, [0, 1]), ({"a": 1, "b": 1}, [0, 1])]
+    def test_a_domain_that_ac3_empties_gives_no_section(self):
+        # a and b lie over c, and no point of b restricts to the only point
+        # of c that a's points reach: AC-3 empties b before the first pick
+        base = K.finposet(["a", "b", "c"], [("c", "a"), ("c", "b")])
+        x = K.presheaf(base, {"a": (0, 1), "b": (0, 1), "c": (0, 1)},
+                       {("a", "c"): {0: 0, 1: 0}, ("b", "c"): {0: 1, 1: 1}})
+        budget = K.NodeBudget("test search", 10)
+        assert list(K.global_sections(x, budget)) == [] and budget.nodes == 0
 
 
 class TestOmega:
